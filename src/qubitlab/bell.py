@@ -4,7 +4,8 @@ Conventions: composite basis order (uu, ud, du, dd); Alice owns the first
 factor, Bob the second. A coordinate plane "pq" has in-plane direction
 cos(angle)*p_hat + sin(angle)*q_hat, so only relative in-plane angles enter
 the correlations. The singlet anti-correlates at every angle; each triplet
-correlates in its own symmetry plane.
+correlates in its own symmetry plane. Marginals are uniform, so with
+E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*E)/4.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, DomainError, InvalidStateError
-from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
-from .measure import _unit_vector
+from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
 from .qubit import axis_vector, su2_rotation
 from .rng import philox
 
@@ -98,9 +98,8 @@ def pauli_expansion(kind: BellKind) -> np.ndarray:
     ) / 4.0
 
 
-def bell_density(kind: BellKind) -> np.ndarray:
-    """Projector onto the Bell state, cross-checked against its Pauli expansion."""
-    v = bell_vector(kind)
+def _checked_density(kind: BellKind) -> np.ndarray:
+    v = _VECTORS[kind]
     rho = np.outer(v, v.conj())
     dev = float(np.max(np.abs(rho - pauli_expansion(kind))))
     if dev > ATOL_EXACT:
@@ -108,9 +107,18 @@ def bell_density(kind: BellKind) -> np.ndarray:
     return rho
 
 
+# built and cross-checked against the Pauli expansions once, at import
+_DENSITIES = {kind: _checked_density(kind) for kind in BellKind}
+
+
+def bell_density(kind: BellKind) -> np.ndarray:
+    """Projector onto the Bell state (a copy of the import-time checked density)."""
+    return _DENSITIES[kind].copy()
+
+
 def measurement_operator(direction) -> np.ndarray:
     """Spin component along a unit direction: a.sigma, eigenvalues +1/-1."""
-    a = _unit_vector(direction, "measurement direction")
+    a = unit_vector(direction, "measurement direction")
     return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
 
 
@@ -120,12 +128,22 @@ def projectors(direction) -> tuple[np.ndarray, np.ndarray]:
     return (ID2 + op) / 2.0, (ID2 - op) / 2.0
 
 
-def plane_direction(plane: str, angle: float) -> np.ndarray:
-    """Unit vector at `angle` inside coordinate plane 'xy', 'yz' or 'xz'."""
+def plane_direction(plane: str, angle) -> np.ndarray:
+    """Unit vector(s) at `angle` (a scalar or an array) in coordinate plane 'xy', 'yz' or 'xz'."""
     if plane not in _PLANE_BASES:
         raise DomainError(f"unknown plane {plane!r} (want one of xy, yz, xz)")
     e1, e2 = _PLANE_BASES[plane]
-    return math.cos(angle) * e1 + math.sin(angle) * e2
+    t = np.asarray(angle, dtype=float)[..., None]
+    return np.cos(t) * e1 + np.sin(t) * e2
+
+
+def resolve_plane(kind: BellKind, plane: str | None = None) -> str:
+    """Check `plane` for `kind`; None picks the symmetry plane ('xz' for the singlet)."""
+    if plane is None:
+        return "xz" if kind.is_singlet else kind.symmetry_plane
+    if kind.symmetry_plane not in ("all", plane):
+        raise DomainError(f"{kind.value} correlates in plane {kind.symmetry_plane}, not {plane}")
+    return plane
 
 
 @dataclass(frozen=True)
@@ -141,7 +159,7 @@ class JointProbabilities:
         ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
         if min(ps) < -ATOL_EXACT:
             raise InvalidStateError(f"negative joint probability {min(ps):.3e}")
-        if abs(sum(ps) - 1.0) > ATOL_EXACT:
+        if not abs(sum(ps) - 1.0) <= ATOL_EXACT:  # also catches NaN and inf entries
             raise InvalidStateError(f"joint probabilities sum to {sum(ps)}, not 1")
 
     def as_array(self) -> np.ndarray:
@@ -174,23 +192,18 @@ class JointProbabilities:
 
 
 def joint_probabilities(kind: BellKind, a_dir, b_dir) -> JointProbabilities:
-    """Joint outcome probabilities trace(rho (Pi_a x Pi_b)) for the four outcome pairs."""
-    rho = bell_density(kind)
-    ap, am = projectors(a_dir)
-    bp, bm = projectors(b_dir)
-
-    def p(pa, pb):
-        return float(np.trace(rho @ tensor(pa, pb)).real)
-
-    return JointProbabilities(p(ap, bp), p(ap, bm), p(am, bp), p(am, bm))
+    """Joint outcome probabilities (1 + alice*bob*E)/4 for the four outcome pairs."""
+    e = correlator(kind, a_dir, b_dir)
+    like, unlike = (1.0 + e) / 4.0, (1.0 - e) / 4.0
+    return JointProbabilities(like, unlike, unlike, like)
 
 
 def correlator(kind: BellKind, a_dir, b_dir) -> float:
-    """Expectation of the product of outcomes: trace(rho (a.sigma x b.sigma))."""
-    rho = bell_density(kind)
-    return float(
-        np.trace(rho @ tensor(measurement_operator(a_dir), measurement_operator(b_dir))).real
-    )
+    """Expectation of the product of outcomes: E(a, b) = sum_i s_i a_i b_i."""
+    a = unit_vector(a_dir, "Alice's direction")
+    b = unit_vector(b_dir, "Bob's direction")
+    sx, sy, sz = kind.pauli_signs
+    return float(sx * a[0] * b[0] + sy * a[1] * b[1] + sz * a[2] * b[2])
 
 
 def closed_form_joint(kind: BellKind, theta: float) -> JointProbabilities:

@@ -22,6 +22,8 @@ from .errors import DomainError, InvalidStateError
 from .hilbert import ATOL_EXACT
 
 OUTCOMES = (1, -1)
+# largest tsirelson_scan grid: its three n x n float64 buffers stay near 400 MB
+MAX_SCAN_N = 4096
 ALICE_LABELS = ("a", "a'")
 BOB_LABELS = ("b", "b'")
 
@@ -39,7 +41,7 @@ class BehaviorBox:
         if p.min() < -ATOL_EXACT:
             raise InvalidStateError(f"negative probability {p.min():.3e}")
         sums = p.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > ATOL_EXACT:
+        if not np.max(np.abs(sums - 1.0)) <= ATOL_EXACT:  # also catches NaN and inf entries
             raise InvalidStateError("each setting pair must carry a normalized distribution")
         object.__setattr__(self, "p", p)
 
@@ -191,10 +193,9 @@ def quantum_box(kind: bell.BellKind, a_dirs, b_dirs) -> BehaviorBox:
     """Behavior box of a Bell state measured along two directions per side."""
     if len(a_dirs) != 2 or len(b_dirs) != 2:
         raise DomainError("need exactly two measurement directions per side")
-    p = np.zeros((2, 2, 2, 2))
-    for x, y in itertools.product((0, 1), repeat=2):
-        p[x, y] = bell.joint_probabilities(kind, a_dirs[x], b_dirs[y]).as_array()
-    return BehaviorBox(p)
+    return BehaviorBox(
+        np.array([[bell.joint_probabilities(kind, a, b).as_array() for b in b_dirs] for a in a_dirs])
+    )
 
 
 @dataclass(frozen=True)
@@ -281,30 +282,26 @@ def tsirelson_scan(
 ) -> TsirelsonScan:
     """Scan Bob's two in-plane angles over an n-point grid (step pi/n).
 
-    Alice's angles stay fixed; correlators come from the trace formula, and
-    the CHSH value is maximized over sign placements at each grid pair.
+    Alice's angles stay fixed. The 2n correlators E = sum_i s_i a_i b_i are one
+    (2x3).(3xn) contraction, summed in bell.correlator's order; the CHSH value
+    is maximized over sign placements at each grid pair in three n x n buffers.
     """
     if n < 2:
         raise DomainError("grid needs at least two points")
-    if kind.symmetry_plane not in ("all", plane):
-        raise DomainError(f"{kind.value} correlates in plane {kind.symmetry_plane}, not {plane}")
+    if n > MAX_SCAN_N:
+        raise DomainError(f"grid of {n} points exceeds the {MAX_SCAN_N}-point limit")
+    plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
-    e = np.empty((2, n))
-    for x, a_angle in enumerate(alice_angles):
-        a_dir = bell.plane_direction(plane, a_angle)
-        for k, b_angle in enumerate(grid):
-            e[x, k] = bell.correlator(kind, a_dir, bell.plane_direction(plane, b_angle))
+    a = bell.plane_direction(plane, alice_angles) * kind.pauli_signs  # [x, i]
+    b = bell.plane_direction(plane, grid)  # [k, i]
+    e = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:] * b[:, 2]  # [x, k]
     s = e[0] + e[1]
     total = s[:, None] + s[None, :]  # [k0, k1]
-    candidates = np.stack(
-        [
-            np.abs(total - 2.0 * e[0][:, None]),
-            np.abs(total - 2.0 * e[0][None, :]),
-            np.abs(total - 2.0 * e[1][:, None]),
-            np.abs(total - 2.0 * e[1][None, :]),
-        ]
-    )
-    best = candidates.max(axis=0)
+    best = np.zeros_like(total)
+    term = np.empty_like(total)
+    for corr in (e[0][:, None], e[0][None, :], e[1][:, None], e[1][None, :]):
+        np.subtract(total, 2.0 * corr, out=term)
+        np.maximum(best, np.abs(term, out=term), out=best)
     k0, k1 = np.unravel_index(int(best.argmax()), best.shape)
     return TsirelsonScan(
         float(best[k0, k1]), float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles)

@@ -30,24 +30,23 @@ _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
 
 
 def parse_angle(text: str, degrees: bool = False) -> float:
-    """Parse a plain number or a pi expression into radians."""
+    """Parse a plain number or a pi expression into finite radians."""
     s = text.strip().lower()
     m = _ANGLE_RE.match(s)
-    if m:
-        coef_s, div_s = m.groups()
-        try:
-            coef = float(coef_s) if coef_s not in ("", "+", "-") else float(coef_s + "1")
-            divisor = float(div_s) if div_s else 1.0
-        except ValueError:
-            raise QubitLabError(f"cannot parse angle {text!r}") from None
-        if divisor == 0.0:
-            raise QubitLabError(f"zero divisor in angle {text!r}")
-        return coef * math.pi / divisor
     try:
-        value = float(s)
+        if m:
+            coef_s, div_s = m.groups()
+            coef = float(coef_s) if coef_s not in ("", "+", "-") else float(coef_s + "1")
+            value = coef * math.pi / float(div_s or 1.0)
+        else:
+            value = math.radians(float(s)) if degrees else float(s)
     except ValueError:
         raise QubitLabError(f"cannot parse angle {text!r}") from None
-    return math.radians(value) if degrees else value
+    except ZeroDivisionError:
+        raise QubitLabError(f"zero divisor in angle {text!r}") from None
+    if not math.isfinite(value):
+        raise QubitLabError(f"angle {text!r} is not finite")
+    return value
 
 
 def _fmt(x) -> str:
@@ -133,13 +132,9 @@ def cmd_project(args, out) -> int:
 # ---------------------------------------------------------------------------
 # bell
 
-def cmd_bell(args, out, parser) -> int:
+def cmd_bell(args, out) -> int:
     kind = bell.BellKind(args.kind)
-    plane = args.plane or (kind.symmetry_plane if kind.symmetry_plane != "all" else "xz")
-    if kind.symmetry_plane not in ("all", plane):
-        parser.error(
-            f"{kind.value} correlates in plane {kind.symmetry_plane}; --plane {plane} is invalid"
-        )
+    plane = bell.resolve_plane(kind, args.plane)
     a_angle = parse_angle(args.a, args.degrees)
     b_angle = parse_angle(args.b, args.degrees)
     a_dir = bell.plane_direction(plane, a_angle)
@@ -219,11 +214,7 @@ def cmd_chsh(args, out, parser) -> int:
         )
     else:
         kind = bell.BellKind(args.kind)
-        plane = args.plane or (kind.symmetry_plane if kind.symmetry_plane != "all" else "xz")
-        if kind.symmetry_plane not in ("all", plane):
-            parser.error(
-                f"{kind.value} correlates in plane {kind.symmetry_plane}; --plane {plane} is invalid"
-            )
+        plane = bell.resolve_plane(kind, args.plane)
         a0, a1, b0, b1 = _angles_or_default(args)
         box = boxes.quantum_box(
             kind,
@@ -414,7 +405,7 @@ def main(argv=None) -> int:
         if args.cmd == "project":
             return cmd_project(args, out)
         if args.cmd == "bell":
-            return cmd_bell(args, out, parser)
+            return cmd_bell(args, out)
         if args.cmd == "chsh":
             return cmd_chsh(args, out, parser)
         if args.cmd == "game":

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, HermiticityError
+from .errors import DimensionError, DomainError, HermiticityError
 
 ATOL_EXACT = 1e-12
 ATOL_SCAN = 1e-9
@@ -33,6 +33,17 @@ def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
         raise DimensionError(
             f"dimension {a.shape[0]} unsupported here (want one of {tuple(dims)})"
         )
+    return a
+
+
+def unit_vector(v, what: str) -> np.ndarray:
+    """Coerce to a float 3-vector of unit length; NaN or inf components are rejected."""
+    a = np.asarray(v, dtype=float)
+    if a.shape != (3,):
+        raise DimensionError(f"{what} must be a 3-vector, got shape {a.shape}")
+    norm = math.hypot(*a)
+    if not abs(norm - 1.0) <= ATOL_EXACT:  # a NaN norm fails this comparison too
+        raise DomainError(f"{what} must be a finite unit vector, |v| = {norm}")
     return a
 
 

@@ -12,18 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
-from .hilbert import ATOL_EXACT
+from .errors import DomainError
+from .hilbert import unit_vector
 from .rng import philox
-
-
-def _unit_vector(v, what: str) -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise DimensionError(f"{what} must be a 3-vector, got shape {a.shape}")
-    if abs(np.linalg.norm(a) - 1.0) > ATOL_EXACT:
-        raise DomainError(f"{what} must be a unit vector, |v| = {np.linalg.norm(a)}")
-    return a
 
 
 @dataclass(frozen=True)
@@ -34,12 +25,8 @@ class SGSetup:
     meas_direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "prep_direction", _unit_vector(self.prep_direction, "prep_direction")
-        )
-        object.__setattr__(
-            self, "meas_direction", _unit_vector(self.meas_direction, "meas_direction")
-        )
+        for name in ("prep_direction", "meas_direction"):
+            object.__setattr__(self, name, unit_vector(getattr(self, name), name))
 
     @property
     def theta(self) -> float:

@@ -17,6 +17,7 @@ from qubitlab.bell import (
     pauli_expansion,
     plane_direction,
     projectors,
+    resolve_plane,
     sample_joint,
 )
 from qubitlab.errors import ConditioningError, DomainError, InvalidStateError
@@ -252,3 +253,38 @@ class TestPlaneDirections:
         for plane in ("xy", "yz", "xz"):
             for angle in np.linspace(0, 2 * math.pi, 17):
                 assert abs(np.linalg.norm(plane_direction(plane, angle)) - 1.0) <= ATOL_EXACT
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("bad", [[math.nan, 0.0, 1.0], [0.0, math.inf, 0.0]])
+    def test_non_finite_direction_rejected(self, bad):
+        with pytest.raises(DomainError):
+            joint_probabilities(BellKind.SINGLET, bad, Z)
+        with pytest.raises(DomainError):
+            joint_probabilities(BellKind.SINGLET, Z, bad)
+
+    def test_density_is_a_copy(self):
+        rho = bell_density(BellKind.SINGLET)
+        rho[:] = 0.0
+        np.testing.assert_allclose(
+            bell_density(BellKind.SINGLET), pauli_expansion(BellKind.SINGLET), atol=ATOL_EXACT
+        )
+
+    def test_default_planes(self):
+        assert resolve_plane(BellKind.SINGLET) == "xz"
+        for kind in TRIPLETS:
+            assert resolve_plane(kind) == kind.symmetry_plane
+
+    def test_singlet_accepts_every_plane(self):
+        for plane in ("xy", "yz", "xz"):
+            assert resolve_plane(BellKind.SINGLET, plane) == plane
+
+    @pytest.mark.parametrize("kind,plane", [(BellKind.PSI_PLUS, "xz"), (BellKind.PHI_PLUS, "yz")])
+    def test_wrong_plane_rejected(self, kind, plane):
+        with pytest.raises(DomainError):
+            resolve_plane(kind, plane)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_probability_rejected(self, bad):
+        with pytest.raises(InvalidStateError):
+            JointProbabilities(0.5, 0.25, 0.25, bad)

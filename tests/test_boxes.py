@@ -6,6 +6,7 @@ import pytest
 
 from qubitlab.bell import BellKind, plane_direction
 from qubitlab.boxes import (
+    MAX_SCAN_N,
     BehaviorBox,
     chsh_value,
     conservation_filter,
@@ -82,6 +83,15 @@ class TestBehaviorBox:
     def test_json_header_checked(self):
         with pytest.raises(InvalidStateError):
             BehaviorBox.from_json('{"settings": [3, 2], "outcomes": [1, -1], "p": []}')
+
+    def test_nan_probability_rejected(self):
+        p = np.full((2, 2, 2, 2), 0.25)
+        p[1, 1, 1, 1] = np.nan
+        with pytest.raises(InvalidStateError):
+            BehaviorBox(p)
+        text = '{"settings": [2, 2], "outcomes": [1, -1], "p": [' + "0.25, " * 15 + "NaN]}"
+        with pytest.raises(InvalidStateError):
+            BehaviorBox.from_json(text)
 
 
 class TestNoSignalling:
@@ -233,3 +243,18 @@ class TestTsirelsonScan:
     def test_quantum_box_requires_two_directions(self):
         with pytest.raises(DomainError):
             quantum_box(BellKind.SINGLET, [plane_direction("xz", 0.0)], [plane_direction("xz", 0.0)])
+
+
+class TestScanBounds:
+    def test_grid_above_the_limit_rejected(self):
+        with pytest.raises(DomainError):
+            tsirelson_scan(BellKind.SINGLET, "xz", n=MAX_SCAN_N + 1)
+
+    def test_huge_grid_rejected_before_allocating(self):
+        # 10**9 points would need 2.4e19 bytes of buffers
+        with pytest.raises(DomainError):
+            tsirelson_scan(BellKind.SINGLET, "xz", n=10**9)
+
+    def test_unknown_plane_rejected(self):
+        with pytest.raises(DomainError):
+            tsirelson_scan(BellKind.SINGLET, "xw", n=12)

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from qubitlab import cli
+from qubitlab.errors import QubitLabError
 from qubitlab.quoin import QuoinMechanics
 
 
@@ -246,3 +247,29 @@ class TestReproducibility:
         assert code == 0
         assert "chsh: 4" in out
         assert "conservation: inconsistent" in out
+
+
+class TestNonFiniteAndOversizedInput:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "1e400", "9" * 400 + "pi"])
+    def test_parse_angle_rejects_non_finite(self, text):
+        with pytest.raises(QubitLabError):
+            cli.parse_angle(text)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--theta", "nan"],
+            ["project", "--theta", "inf"],
+            ["bell", "--kind", "singlet", "--a", "nan", "--b", "0"],
+            ["chsh", "--source", "quantum", "--angles", "nan,0,0,0"],
+            ["chsh", "--source", "quantum", "--scan", "100000"],
+            ["chsh", "--source", "quantum", "--kind", "psi+", "--plane", "xz"],
+        ],
+    )
+    def test_rejected_with_exit_2_and_no_traceback(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--format", "json"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert "Traceback" not in captured.err

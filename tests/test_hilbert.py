@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qubitlab.errors import DimensionError, HermiticityError
+from qubitlab.errors import DimensionError, DomainError, HermiticityError
 from qubitlab.hilbert import (
     ATOL_EXACT,
     ID2,
@@ -12,6 +12,7 @@ from qubitlab.hilbert import (
     commutator,
     pauli_decompose,
     tensor,
+    unit_vector,
 )
 
 
@@ -126,3 +127,29 @@ class TestCommutator:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             commutator(np.eye(2), np.eye(3))
+
+
+class TestUnitVector:
+    def test_unit_vector_passes_through_as_float(self):
+        v = unit_vector([0, 0, 1], "axis")
+        assert v.dtype == float
+        np.testing.assert_array_equal(v, [0.0, 0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [float("nan"), 0.0, 0.0],
+            [1.0, float("nan"), 0.0],
+            [float("inf"), 0.0, 0.0],
+            [float("inf"), float("nan"), 0.0],
+            [1.0, 1.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ],
+    )
+    def test_non_unit_or_non_finite_rejected(self, v):
+        with pytest.raises(DomainError):
+            unit_vector(v, "axis")
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            unit_vector([1.0, 0.0], "axis")

@@ -114,3 +114,8 @@ class TestRotationalInvariance:
             p_rot = projection_probabilities(rotated)
             assert abs(p_rot[0] - p_ref[0]) <= 1e-9
             assert abs(p_rot[1] - p_ref[1]) <= 1e-9
+
+
+def test_nan_direction_rejected():
+    with pytest.raises(DomainError):
+        SGSetup(Z, [math.nan, 0.0, 1.0])
