@@ -21,7 +21,6 @@ import sys
 
 from . import bell, boxes, measure, quoin
 from .errors import QubitLabError
-from .rng import philox
 
 DEFAULT_SEED = 424242
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -321,19 +320,18 @@ def cmd_game(args, out, parser) -> int:
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
     """One human-guessed round; IO is injected so transcripts replay in tests."""
-    dealer_rng = philox(seed, 0, 0)
-    bob_bits, alice_bits = quoin.standard_dealer(dealer_rng, lanes)
-    mech_rng = philox(seed, 1, 0)
+    bob_bits, alice_bits = quoin.standard_dealer(quoin.game_rng(seed, quoin.STREAM_DEAL, 0), lanes)
+    mech_rng = quoin.game_rng(seed, quoin.STREAM_MECH, 0)
     alice_out, bob_out = quoin.lane_outcomes(mech, alice_bits, bob_bits, mech_rng)
     say(f"the dealer set your lanes to {list(alice_bits)} (Bob's side is hidden)")
-    say(f"you flip your quoins per your bits and see: {''.join(alice_out)}")
-    alice_h = sum(1 for o in alice_out if o == "H")
+    say(f"you flip your quoins per your bits and see: {quoin.coin_symbols(alice_out)}")
+    alice_h = sum(alice_out)
     bits_bought = 0
     hint = ""
     answer = input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower()
     if answer.startswith("y"):
         bits_bought = 1
-        bob_parity = sum(1 for o in bob_out if o == "H") % 2
+        bob_parity = sum(bob_out) % 2
         say(f"Bob's message: his H count is {'odd' if bob_parity else 'even'} ({bob_parity})")
         hint = quoin.parity_name(alice_h + bob_parity)
         say(f"protocol guess: {hint}")
@@ -344,7 +342,7 @@ def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
     target = quoin.target_parity(alice_bits, bob_bits)
     record = quoin.GameRecord(
         bob_bits, alice_bits, target, bits_bought, guess, quoin.CHIPS_START,
-        (f"alice outcomes: {''.join(alice_out)}", f"bob outcomes: {''.join(bob_out)}"),
+        (f"alice outcomes: {quoin.coin_symbols(alice_out)}", f"bob outcomes: {quoin.coin_symbols(bob_out)}"),
     )
     say(f"Bob's lanes were {list(bob_bits)}; the answer is {target}")
     say(f"{'you win' if record.correct else 'you lose'}: net {record.chips_net:+d} chips")

@@ -1,27 +1,28 @@
 """Entangled-coin mechanics, the rigging impossibility, and the parity guessing game.
 
-Coin symbols are "H"/"T"; a player's dealt bit 1 means flip starting from H,
-0 means starting from T. Start pairs are ordered (alice, bob). A lane whose
-start pair is listed in the mechanics' unequal set ends heads-tails or
-tails-heads (one H between the pair); every other lane ends heads-heads or
-tails-tails (zero or two H). Chip accounting: the pair buys `chips_start`
-chips, spends one per purchased bit, and the House doubles whatever remains
-on a correct guess, so a win nets chips_start - 2*bits_bought and a loss
-forfeits the full stake.
+Coins are bits, 1 = H and 0 = T; "H"/"T" symbols appear only in rendered
+output (transcripts, `flip_pair`, rigging records). A player's dealt bit is
+the side the coin starts on; start pairs are ordered (alice, bob). The
+mechanics' table u[a][b] is 1 for the start pairs listed as unequal, and a
+lane with fair draw f ends (f, f ^ u[a][b]). Chip accounting: the pair buys
+`chips_start` chips, spends one per purchased bit, and the House doubles
+whatever remains on a correct guess, so a win nets chips_start -
+2*bits_bought and a loss forfeits the full stake.
 
-Randomness streams (documented, counter-based): dealer draws come from
-philox(dealer_seed, 0, game_index), lane outcomes from
-philox(mech_seed, 1, game_index), strategy coin flips from
-philox(dealer_seed, 2, game_index). Games are therefore pure functions of
-(seeds, game index).
+Random-stream contract v1 (see `rng`): game g draws its deal from
+game_rng(dealer_seed, STREAM_DEAL, g), its lane outcomes from
+game_rng(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
+game_rng(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
+(seeds, game index). `verify_parity_theorem` takes its lane draws from one
+philox(seed) array per seed, row-major over the deals.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -30,10 +31,36 @@ from .rng import philox
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
+# the parity exhaust holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
+MAX_LANES = 8
 
-_STREAM_DEAL = 0
-_STREAM_MECH = 1
-_STREAM_STRATEGY = 2
+STREAM_DEAL = 0
+STREAM_MECH = 1
+STREAM_STRATEGY = 2
+
+SYMBOLS = ("T", "H")  # SYMBOLS[bit]
+
+
+def game_rng(seed: int, stream: int, game_index: int) -> np.random.Generator:
+    """Generator for one game's draws on one stream (random-stream contract v1)."""
+    return philox(seed, stream, game_index)
+
+
+def coin_symbols(bits) -> str:
+    """Render coin bits as an H/T string."""
+    return "".join(SYMBOLS[b] for b in bits)
+
+
+def _start_bits(start) -> tuple[int, int]:
+    """Bits of an (alice, bob) start pair of H/T symbols."""
+    if not isinstance(start, (tuple, list)) or len(start) != 2 or not all(s in SYMBOLS for s in start):
+        raise DomainError(f"start pair must be two H/T symbols, got {start!r}")
+    return SYMBOLS.index(start[0]), SYMBOLS.index(start[1])
+
+
+def _check_lanes(lanes) -> None:
+    if not isinstance(lanes, (int, np.integer)) or not 1 <= lanes <= MAX_LANES:
+        raise DomainError(f"lanes must be an integer in 1..{MAX_LANES}, got {lanes!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +68,15 @@ class QuoinMechanics:
     """Start-pair rule: listed start pairs end unequal, all others end equal."""
 
     unequal_starts: frozenset
+    # u[a][b] = 1 exactly when start bits (a, b) end unequal
+    u: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        unequal = {_start_bits(pair) for pair in self.unequal_starts}
+        object.__setattr__(self, "u", tuple(tuple(int((a, b) in unequal) for b in (0, 1)) for a in (0, 1)))
 
     @classmethod
+    @functools.cache  # immutable, and built on every default-mechanics game
     def standard(cls) -> QuoinMechanics:
         """Heads-heads starts end unequal; every other start ends equal."""
         return cls(frozenset({("H", "H")}))
@@ -52,42 +86,26 @@ class QuoinMechanics:
         """Comparison rule with the heads-heads row changed to equal outcomes."""
         return cls(frozenset())
 
-    def ends_unequal(self, start: tuple[str, str]) -> bool:
-        pair = tuple(start)
-        if len(pair) != 2 or pair[0] not in ("H", "T") or pair[1] not in ("H", "T"):
-            raise DomainError(f"start pair must be H/T symbols, got {start!r}")
-        return pair in self.unequal_starts
-
 
 def flip_pair(mech: QuoinMechanics, start, seed: int, trial: int) -> tuple[str, str]:
     """Outcome pair for one flip; a pure function of (seed, trial)."""
-    bit = int(philox(seed, trial).integers(0, 2))
-    return _outcome_pair(mech, tuple(start), bit)
-
-
-def _outcome_pair(mech: QuoinMechanics, start, bit: int) -> tuple[str, str]:
-    if mech.ends_unequal(start):
-        return ("H", "T") if bit else ("T", "H")
-    return ("H", "H") if bit else ("T", "T")
+    a, b = _start_bits(start)
+    f = int(philox(seed, trial).integers(0, 2))
+    return SYMBOLS[f], SYMBOLS[f ^ mech.u[a][b]]
 
 
 # ---------------------------------------------------------------------------
 # rigging enumeration
 
-RIGGINGS = ("H", "T", "S", "O")
+# each deterministic single-coin rule's outcome bit, indexed by the start bit
+RIGGINGS = {"H": (1, 1), "T": (0, 0), "S": (0, 1), "O": (1, 0)}
 
 
 def apply_rigging(rigging: str, start: str) -> str:
     """Deterministic single-coin rule: ends-heads, ends-tails, same, or other."""
-    if rigging == "H":
-        return "H"
-    if rigging == "T":
-        return "T"
-    if rigging == "S":
-        return start
-    if rigging == "O":
-        return "T" if start == "H" else "H"
-    raise DomainError(f"unknown rigging {rigging!r} (want one of {RIGGINGS})")
+    if rigging not in RIGGINGS or start not in SYMBOLS:
+        raise DomainError(f"unknown rigging {rigging!r} or start {start!r} (want {'/'.join(RIGGINGS)}, H/T)")
+    return SYMBOLS[RIGGINGS[rigging][SYMBOLS.index(start)]]
 
 
 @dataclass(frozen=True)
@@ -115,16 +133,13 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
     outcomes from some start that must end equal.
     """
     mech = mech or QuoinMechanics.standard()
-    starts = [("H", "H"), ("H", "T"), ("T", "H"), ("T", "T")]
     valid, failures = [], []
     for ra, rb in itertools.product(RIGGINGS, repeat=2):
-        for start in starts:
-            outcome = (apply_rigging(ra, start[0]), apply_rigging(rb, start[1]))
-            want_unequal = mech.ends_unequal(start)
-            if (outcome[0] != outcome[1]) != want_unequal:
-                failures.append(
-                    RiggingFailure(ra, rb, start, outcome, "unequal" if want_unequal else "equal")
-                )
+        for a, b in itertools.product((1, 0), repeat=2):  # HH, HT, TH, TT
+            oa, ob = RIGGINGS[ra][a], RIGGINGS[rb][b]
+            if oa ^ ob != mech.u[a][b]:
+                start, outcome = (SYMBOLS[a], SYMBOLS[b]), (SYMBOLS[oa], SYMBOLS[ob])
+                failures.append(RiggingFailure(ra, rb, start, outcome, ("equal", "unequal")[mech.u[a][b]]))
                 break
         else:
             valid.append((ra, rb))
@@ -132,13 +147,28 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
 
 
 # ---------------------------------------------------------------------------
-# the guessing game
+# the guessing game: a strategy's play(mech, alice_bits, bob_bits, rng) returns
+# (bits_bought, guess, transcript); rng(stream) builds the game's generator on
+# that stream only when the strategy asks for it
 
 @dataclass(frozen=True)
 class QuoinStrategy:
     """Flip per dealt bits, buy Bob's one parity bit, guess the combined parity."""
 
     name: str = field(default="quoin", init=False)
+
+    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+        alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, rng(STREAM_MECH))
+        bob_parity_bit = sum(bob_out) % 2
+        alice_h = sum(alice_out)
+        guess = parity_name(alice_h + bob_parity_bit)
+        transcript = (
+            f"alice outcomes: {coin_symbols(alice_out)}",
+            f"bob outcomes: {coin_symbols(bob_out)}",
+            f"bob sends parity bit {bob_parity_bit} (1 chip)",
+            f"alice counts {alice_h} H, guesses {guess}",
+        )
+        return 1, guess, transcript
 
 
 @dataclass(frozen=True)
@@ -152,12 +182,33 @@ class ClassicalBitsStrategy:
         if self.k < 0:
             raise DomainError("cannot buy a negative number of bits")
 
+    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+        if self.k > len(alice_bits):
+            raise DomainError(f"cannot buy {self.k} bits across {len(alice_bits)} lanes")
+        one_lanes = [i for i, v in enumerate(alice_bits) if v]
+        asked = one_lanes[: self.k]
+        revealed = [bob_bits[i] for i in asked]
+        known = sum(revealed)
+        # unrevealed 1-lanes are double-1 with even parity at probability 1/2;
+        # the tie goes to even, so the guess is the revealed parity either way
+        guess = parity_name(known)
+        transcript = (
+            f"alice asks lanes {[i + 1 for i in asked]}",
+            f"bob reveals {revealed} ({len(asked)} chips)",
+            f"alice knows {known} shared lanes among revealed, guesses {guess}",
+        )
+        return len(asked), guess, transcript
+
 
 @dataclass(frozen=True)
 class RandomStrategy:
     """Buy nothing and guess uniformly."""
 
     name: str = field(default="random", init=False)
+
+    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+        guess = parity_name(int(rng(STREAM_STRATEGY).integers(0, 2)))
+        return 0, guess, (f"alice guesses {guess} blind",)
 
 
 Strategy = QuoinStrategy | ClassicalBitsStrategy | RandomStrategy
@@ -216,30 +267,18 @@ def standard_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ..
     The guesser is never dealt the trivial all-zero hand; with it excluded
     the target parity is exactly 50/50 over Bob's bits.
     """
-    bob = tuple(int(v) for v in rng.integers(0, 2, lanes))
-    alice = tuple(int(v) for v in rng.integers(0, 2, lanes))
+    _check_lanes(lanes)
+    bob = tuple(rng.integers(0, 2, lanes).tolist())
+    alice = tuple(rng.integers(0, 2, lanes).tolist())
     while not any(alice):
-        alice = tuple(int(v) for v in rng.integers(0, 2, lanes))
-    return bob, alice
-
-
-def uniform_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Unconditioned fair independent bits for both hands."""
-    bob = tuple(int(v) for v in rng.integers(0, 2, lanes))
-    alice = tuple(int(v) for v in rng.integers(0, 2, lanes))
+        alice = tuple(rng.integers(0, 2, lanes).tolist())
     return bob, alice
 
 
 def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, rng: np.random.Generator):
-    """Flip one entangled pair per lane (bit 1 starts H, 0 starts T)."""
-    alice_out, bob_out = [], []
-    bits = rng.integers(0, 2, len(alice_bits))
-    for a, b, bit in zip(alice_bits, bob_bits, bits):
-        start = ("H" if a else "T", "H" if b else "T")
-        oa, ob = _outcome_pair(mech, start, int(bit))
-        alice_out.append(oa)
-        bob_out.append(ob)
-    return tuple(alice_out), tuple(bob_out)
+    """Outcome bits (1 = H) of one entangled pair per lane, started on the dealt bits."""
+    fair = rng.integers(0, 2, len(alice_bits)).tolist()
+    return tuple(fair), tuple(f ^ mech.u[a][b] for f, a, b in zip(fair, alice_bits, bob_bits))
 
 
 def play_game(
@@ -250,58 +289,27 @@ def play_game(
     game_index: int = 0,
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
-    dealer: Callable = standard_dealer,
     deal: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> GameRecord:
     """Run one seeded round; pass `deal` = (bob_bits, alice_bits) to fix the hands."""
     mech = mech or QuoinMechanics.standard()
+    if not hasattr(strategy, "play"):
+        raise DomainError(f"unknown strategy {strategy!r}")
     if deal is None:
-        bob_bits, alice_bits = dealer(philox(dealer_seed, _STREAM_DEAL, game_index), lanes)
+        bob_bits, alice_bits = standard_dealer(game_rng(dealer_seed, STREAM_DEAL, game_index), lanes)
     else:
         bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
-    if len(bob_bits) != len(alice_bits):
-        raise DomainError("hands must cover the same lanes")
+        if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
+            raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
+        _check_lanes(len(alice_bits))
+        bob_bits, alice_bits = tuple(map(int, bob_bits)), tuple(map(int, alice_bits))
+
+    def rng(stream: int) -> np.random.Generator:
+        return game_rng(mech_seed if stream == STREAM_MECH else dealer_seed, stream, game_index)
+
+    bits_bought, guess, transcript = strategy.play(mech, alice_bits, bob_bits, rng)
     target = target_parity(alice_bits, bob_bits)
-
-    if isinstance(strategy, QuoinStrategy):
-        mech_rng = philox(mech_seed, _STREAM_MECH, game_index)
-        alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, mech_rng)
-        bob_parity_bit = sum(1 for o in bob_out if o == "H") % 2
-        alice_h = sum(1 for o in alice_out if o == "H")
-        guess = parity_name(alice_h + bob_parity_bit)
-        transcript = (
-            f"alice outcomes: {''.join(alice_out)}",
-            f"bob outcomes: {''.join(bob_out)}",
-            f"bob sends parity bit {bob_parity_bit} (1 chip)",
-            f"alice counts {alice_h} H, guesses {guess}",
-        )
-        return GameRecord(bob_bits, alice_bits, target, 1, guess, CHIPS_START, transcript)
-
-    if isinstance(strategy, ClassicalBitsStrategy):
-        if strategy.k > len(alice_bits):
-            raise DomainError(f"cannot buy {strategy.k} bits across {len(alice_bits)} lanes")
-        one_lanes = [i for i, v in enumerate(alice_bits) if v]
-        asked = one_lanes[: strategy.k]
-        revealed = [bob_bits[i] for i in asked]
-        known = sum(revealed)
-        # unrevealed 1-lanes are double-1 with even parity at probability 1/2;
-        # the tie goes to even, so the guess is the revealed parity either way
-        guess = parity_name(known)
-        transcript = (
-            f"alice asks lanes {[i + 1 for i in asked]}",
-            f"bob reveals {revealed} ({len(asked)} chips)",
-            f"alice knows {known} shared lanes among revealed, guesses {guess}",
-        )
-        return GameRecord(bob_bits, alice_bits, target, len(asked), guess, CHIPS_START, transcript)
-
-    if isinstance(strategy, RandomStrategy):
-        rng = philox(dealer_seed, _STREAM_STRATEGY, game_index)
-        guess = parity_name(int(rng.integers(0, 2)))
-        return GameRecord(
-            bob_bits, alice_bits, target, 0, guess, CHIPS_START, (f"alice guesses {guess} blind",)
-        )
-
-    raise DomainError(f"unknown strategy {strategy!r}")
+    return GameRecord(bob_bits, alice_bits, target, bits_bought, guess, CHIPS_START, transcript)
 
 
 @dataclass(frozen=True)
@@ -319,7 +327,6 @@ def monte_carlo(
     *,
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
-    dealer: Callable = standard_dealer,
 ) -> MonteCarloSummary:
     """Aggregate seeded rounds; the CI half-width is the 3-sigma binomial band."""
     if games < 1:
@@ -327,9 +334,7 @@ def monte_carlo(
     wins = 0
     net = 0
     for g in range(games):
-        rec = play_game(
-            strategy, seed, seed, game_index=g, mech=mech, lanes=lanes, dealer=dealer
-        )
+        rec = play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes)
         wins += rec.correct
         net += rec.chips_net
     w = wins / games
@@ -357,30 +362,26 @@ def verify_parity_theorem(
 ) -> ParityTheoremReport:
     """Exhaust every deal: combined H count parity must equal double-1-lane parity.
 
-    For each seed one generator drives the per-lane outcome draws across all
-    2^(2*lanes) deals, so outcomes are reproducible functions of
+    The 4**lanes deals run in itertools.product order over (alice's lanes,
+    bob's lanes), and one philox(seed) draw of shape (deals, lanes) per seed
+    supplies the lane draws, so outcomes are reproducible functions of
     (seed, deal index, lane).
     """
     mech = mech or QuoinMechanics.standard()
-    deals = list(itertools.product((0, 1), repeat=2 * lanes))
+    _check_lanes(lanes)
+    hands = np.array(list(itertools.product((0, 1), repeat=lanes)), dtype=np.int64)
+    alice = np.repeat(hands, len(hands), axis=0)
+    bob = np.tile(hands, (len(hands), 1))
+    u = np.array(mech.u)[alice, bob]
+    doubles = (alice & bob).sum(axis=1)
+    seeds = list(seeds)
     failures = []
-    checked = 0
     for seed in seeds:
-        rng = philox(seed)
-        bits = rng.integers(0, 2, (len(deals), lanes))
-        for d, deal in enumerate(deals):
-            alice_bits, bob_bits = deal[:lanes], deal[lanes:]
-            combined_h = 0
-            doubles = 0
-            for lane in range(lanes):
-                start = ("H" if alice_bits[lane] else "T", "H" if bob_bits[lane] else "T")
-                oa, ob = _outcome_pair(mech, start, int(bits[d, lane]))
-                combined_h += (oa == "H") + (ob == "H")
-                doubles += alice_bits[lane] & bob_bits[lane]
-            checked += 1
-            if combined_h % 2 != doubles % 2:
-                failures.append(
-                    f"seed {seed} deal alice={alice_bits} bob={bob_bits}: "
-                    f"{combined_h} H vs {doubles} double-1 lanes"
-                )
-    return ParityTheoremReport(checked, tuple(failures))
+        fair = philox(seed).integers(0, 2, alice.shape)
+        combined_h = (fair + (fair ^ u)).sum(axis=1)
+        for d in np.flatnonzero((combined_h - doubles) % 2):
+            failures.append(
+                f"seed {seed} deal alice={tuple(alice[d].tolist())} bob={tuple(bob[d].tolist())}: "
+                f"{combined_h[d]} H vs {doubles[d]} double-1 lanes"
+            )
+    return ParityTheoremReport(len(seeds) * len(alice), tuple(failures))

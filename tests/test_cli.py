@@ -1,12 +1,17 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qubitlab
 from qubitlab import cli
 from qubitlab.errors import QubitLabError
-from qubitlab.quoin import QuoinMechanics
+from qubitlab.quoin import MAX_LANES, QuoinMechanics
 
 
 def run_cli(capsys, *argv):
@@ -273,3 +278,19 @@ class TestNonFiniteAndOversizedInput:
         assert exc.value.code == 2
         assert captured.out == ""
         assert "Traceback" not in captured.err
+
+
+class TestLaneBounds:
+    @pytest.mark.parametrize("lanes", ["0", "-1", str(MAX_LANES + 1)])
+    def test_out_of_range_lanes_exit_2(self, lanes):
+        # a subprocess with a timeout, so a hang fails the test instead of stalling the run
+        src = str(Path(qubitlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubitlab", "game", "simulate", "--lanes", lanes, "--format", "json"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "lanes must be" in proc.stderr
+        assert "Traceback" not in proc.stderr

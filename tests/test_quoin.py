@@ -1,12 +1,16 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
+    MAX_LANES,
     ClassicalBitsStrategy,
     GameRecord,
     QuoinMechanics,
@@ -20,7 +24,6 @@ from qubitlab.quoin import (
     play_game,
     standard_dealer,
     target_parity,
-    uniform_dealer,
     verify_parity_theorem,
 )
 from qubitlab.rng import philox
@@ -67,6 +70,18 @@ class TestMechanics:
         with pytest.raises(DomainError):
             flip_pair(QuoinMechanics.standard(), ("H", "X"), 0, 0)
 
+    def test_lane_table(self):
+        # u[a][b] over start bits (1 = H): only heads-heads ends unequal
+        assert QuoinMechanics.standard().u == ((0, 0), (0, 1))
+        assert QuoinMechanics.quantum_coin().u == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize(
+        "starts", [{"HH"}, {("H", "X")}, {("H",)}, {("H", "H", "T")}, {("H", "H"), "TT"}]
+    )
+    def test_malformed_mechanics_rejected(self, starts):
+        with pytest.raises(DomainError):
+            QuoinMechanics(frozenset(starts))
+
 
 class TestRiggings:
     def test_no_rigging_reproduces_the_mechanics(self):
@@ -106,6 +121,11 @@ class TestRiggings:
     def test_unknown_rigging_rejected(self):
         with pytest.raises(DomainError):
             apply_rigging("Q", "H")
+
+    @pytest.mark.parametrize("start", ["X", "", "HT", None])
+    def test_bad_rigging_start_rejected(self, start):
+        with pytest.raises(DomainError):
+            apply_rigging("S", start)
 
 
 class TestGameAccounting:
@@ -164,6 +184,33 @@ class TestGameAccounting:
         with pytest.raises(DomainError):
             ClassicalBitsStrategy(-1)
 
+    @pytest.mark.parametrize(
+        "deal", [((2, 0), (1, 1)), (("1", 0), (1, 1)), ((1, 0), (1, -1)), ((), ())]
+    )
+    def test_bad_deal_rejected(self, deal):
+        with pytest.raises(DomainError):
+            play_game(QuoinStrategy(), 1, 1, deal=deal)
+
+    @pytest.mark.parametrize("lanes", [0, -1, -2, MAX_LANES + 1, 2.5])
+    def test_lanes_out_of_range_rejected(self, lanes):
+        with pytest.raises(DomainError):
+            play_game(QuoinStrategy(), 1, 1, lanes=lanes)
+        with pytest.raises(DomainError):
+            monte_carlo(QuoinStrategy(), 10, seed=1, lanes=lanes)
+        with pytest.raises(DomainError):
+            verify_parity_theorem(seeds=[0], lanes=lanes)
+
+    def test_object_without_play_rejected(self):
+        with pytest.raises(DomainError):
+            play_game(object(), 1, 1)
+
+    def test_deal_bits_recorded_as_ints(self):
+        # equal-valued float, numpy and bool bits play and serialise as the int deal does
+        deal = ((1.0, np.int64(0), True, 1, 0), (1, 0, 0, 1, 1))
+        record = play_game(QuoinStrategy(), 1, 1, deal=deal)
+        assert record == play_game(QuoinStrategy(), 1, 1, deal=TABLE_DEAL)
+        assert json.loads(record.to_json())["bob_bits"] == [1, 0, 1, 1, 0]
+
     def test_games_reproducible(self):
         a = play_game(QuoinStrategy(), 9, 9, game_index=4)
         b = play_game(QuoinStrategy(), 9, 9, game_index=4)
@@ -176,14 +223,6 @@ class TestDealers:
         for _ in range(500):
             _, alice = standard_dealer(rng, 5)
             assert any(alice)
-
-    def test_uniform_dealer_unconditioned(self):
-        rng = philox(72)
-        seen_zero = False
-        for _ in range(500):
-            _, alice = uniform_dealer(rng, 5)
-            seen_zero = seen_zero or not any(alice)
-        assert seen_zero  # ~1/32 of hands
 
 
 class TestMonteCarlo:
@@ -233,6 +272,35 @@ class TestParityTheorem:
         assert not report.holds
 
 
+FAILURE = re.compile(r"^seed \d+ deal alice=(\(.*?\)) bob=(\(.*?\)): (\d+) H vs (\d+) double-1 lanes$")
+
+
+class TestParityTheoremProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), lanes=st.integers(1, MAX_LANES))
+    def test_holds_for_every_seed_and_lane_count(self, seed, lanes):
+        report = verify_parity_theorem(seeds=[seed], lanes=lanes)
+        assert report.holds
+        assert report.checked == 4**lanes
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), lanes=st.integers(1, MAX_LANES))
+    def test_quantum_coin_fails_exactly_on_odd_double_deals(self, seed, lanes):
+        report = verify_parity_theorem(seeds=[seed], lanes=lanes, mech=QuoinMechanics.quantum_coin())
+        failing = set()
+        for failure in report.failures:
+            alice, bob, combined_h, doubles = FAILURE.match(failure).groups()
+            assert int(combined_h) % 2 == 0  # every lane ends equal
+            assert int(doubles) % 2 == 1
+            failing.add(tuple(tuple(map(int, re.findall(r"\d", hand))) for hand in (alice, bob)))
+        hands = list(itertools.product((0, 1), repeat=lanes))
+        odd = {
+            (a, b) for a in hands for b in hands if sum(x & y for x, y in zip(a, b)) % 2
+        }
+        assert len(failing) == len(report.failures)
+        assert failing == odd
+
+
 class TestGameLevelNoSignalling:
     def test_alice_outcomes_independent_of_bob_bits(self):
         # chi-square goodness of fit of Alice's 32 outcome patterns against
@@ -248,7 +316,7 @@ class TestGameLevelNoSignalling:
                 alice_out, _ = lane_outcomes(
                     QuoinMechanics.standard(), alice_bits, bob_bits, rng
                 )
-                idx = sum((1 << i) for i, o in enumerate(alice_out) if o == "H")
+                idx = sum((1 << i) for i, o in enumerate(alice_out) if o)
                 counts[idx] += 1
             expected = n / 32
             stat = float(((counts - expected) ** 2 / expected).sum())
