@@ -18,8 +18,9 @@ import numpy as np
 
 from .errors import ConditioningError, DomainError, InvalidStateError
 from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
+from .measure import check_trials
 from .qubit import axis_vector, su2_rotation
-from .rng import philox
+from .rng import uniform_blocks
 
 ID4 = np.eye(4, dtype=complex)
 
@@ -253,6 +254,11 @@ class JointSample:
     n: int
     seed: int
 
+    def __post_init__(self):
+        c = np.asarray(self.counts)
+        if c.shape != (2, 2) or (c < 0).any() or c.sum() != self.n:
+            raise DomainError("joint counts must be a nonnegative 2x2 table summing to the number of trials")
+
     def conditional_mean(self, alice_outcome: int) -> float:
         row = self.counts[0] if alice_outcome == 1 else self.counts[1]
         total = int(row.sum())
@@ -262,12 +268,18 @@ class JointSample:
 
 
 def sample_joint(kind: BellKind, a_dir, b_dir, n: int, seed: int) -> JointSample:
-    """Draw n joint outcomes; draw i is a pure function of (seed, i)."""
-    if n < 1:
-        raise DomainError("need at least one trial")
+    """Draw n joint outcomes; draw i is a pure function of (seed, i).
+
+    Uniform draw u falls in cell k (order pp, pm, mp, mm) when
+    edges[k-1] <= u < edges[k] for the running sums `edges` of p_pp, p_pm,
+    p_mp. The last cell takes every draw at or above edges[2], so the counts
+    sum to n even where the float sum of the four probabilities is below 1.
+    """
+    n = check_trials(n)
     jp = joint_probabilities(kind, a_dir, b_dir)
-    edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm])
-    u = philox(seed).random(n)
-    idx = np.searchsorted(edges, u, side="right")
-    counts = np.bincount(idx, minlength=4)[:4].reshape(2, 2)
-    return JointSample(counts, n, seed)
+    edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp])
+    below = [0, 0, 0]  # draws below each edge
+    for u in uniform_blocks(seed, n):
+        for k, edge in enumerate(edges):
+            below[k] += int(np.count_nonzero(u < edge))
+    return JointSample(np.diff([0, *below, n]).reshape(2, 2), n, seed)

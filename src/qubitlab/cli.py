@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import re
@@ -291,7 +292,15 @@ def cmd_game(args, out, parser) -> int:
         run_interactive_game(args.seed, mech, args.lanes, input, lambda s: print(s, file=out))
         return 0
 
-    summary = quoin.monte_carlo(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
+    records = quoin.play_games(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
+    if args.transcript:
+        # play game 0 before opening the file, so a strategy that cannot play
+        # these lanes fails without leaving one behind
+        records = itertools.chain([next(records)], records)
+        with open(args.transcript, "w", encoding="utf-8") as fp:
+            summary = quoin.summarize(_written(records, fp))
+    else:
+        summary = quoin.summarize(records)
     payload = {
         "schema": 1,
         "command": "game",
@@ -306,16 +315,17 @@ def cmd_game(args, out, parser) -> int:
         "ci_halfwidth": summary.ci_halfwidth,
     }
     if args.transcript:
-        records = (
-            quoin.play_game(strategy, args.seed, args.seed, game_index=g, mech=mech, lanes=args.lanes)
-            for g in range(summary.games)
-        )
-        with open(args.transcript, "w", encoding="utf-8") as fp:
-            quoin.write_transcript(records, fp)
         payload["transcript_path"] = args.transcript
     row = {k: v for k, v in payload.items() if k not in ("schema", "command")}
     _emit(payload, [row], args.format, out)
     return 0
+
+
+def _written(records, fp):
+    """Pass records through, writing each one to the transcript as it goes."""
+    for rec in records:
+        quoin.write_transcript((rec,), fp)
+        yield rec
 
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:

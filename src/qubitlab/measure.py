@@ -8,13 +8,17 @@ mean of those two values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .hilbert import unit_vector
-from .rng import philox
+from .rng import philox, uniform_blocks
+
+# about 10 s of Philox draws at ~10 ns per double
+MAX_TRIALS = 2**30
 
 
 @dataclass(frozen=True)
@@ -68,19 +72,36 @@ class OutcomeSample:
         return (self.n_plus - self.n_minus) / self.n
 
 
-def sample_outcome_values(setup: SGSetup, n: int, seed: int) -> np.ndarray:
-    """Array of n outcomes in {+1, -1}; trial i is a pure function of (seed, i)."""
+def check_trials(n) -> int:
+    """The trial count as an int in 1..MAX_TRIALS, else DomainError."""
+    # bool is an Integral, and range(0, True, BLOCK) would quietly play one trial
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"the trial count must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise DomainError("need at least one trial")
+    if n > MAX_TRIALS:
+        raise DomainError(f"{n} trials exceed the bound of {MAX_TRIALS}")
+    return n
+
+
+def sample_outcome_values(setup: SGSetup, n: int, seed: int) -> np.ndarray:
+    """Array of n outcomes in {+1, -1}; trial i is a pure function of (seed, i)."""
+    n = check_trials(n)
     p_plus, _ = projection_probabilities(setup)
     u = philox(seed).random(n)
     return np.where(u < p_plus, 1, -1)
 
 
 def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
-    """Seeded Monte Carlo tally; the empirical mean converges to cos(theta)."""
-    values = sample_outcome_values(setup, n, seed)
-    n_plus = int(np.count_nonzero(values == 1))
+    """Seeded Monte Carlo tally; the empirical mean converges to cos(theta).
+
+    Counts the draws of `sample_outcome_values` block by block, holding no
+    per-trial array.
+    """
+    n = check_trials(n)
+    p_plus, _ = projection_probabilities(setup)
+    n_plus = sum(int(np.count_nonzero(u < p_plus)) for u in uniform_blocks(seed, n))
     return OutcomeSample(n_plus, n - n_plus, n, seed)
 
 

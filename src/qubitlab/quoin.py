@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -320,6 +321,33 @@ class MonteCarloSummary:
     ci_halfwidth: float
 
 
+def play_games(
+    strategy: Strategy,
+    games: int,
+    seed: int,
+    *,
+    mech: QuoinMechanics | None = None,
+    lanes: int = DEFAULT_LANES,
+) -> Iterator[GameRecord]:
+    """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed."""
+    if games < 1:
+        raise DomainError("need at least one game")
+    return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
+
+
+def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
+    """Aggregate rounds in one pass; the CI half-width is the 3-sigma binomial band."""
+    games = wins = net = 0
+    for rec in records:
+        games += 1
+        wins += rec.correct
+        net += rec.chips_net
+    if games < 1:
+        raise DomainError("no game records to summarize")
+    w = wins / games
+    return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
+
+
 def monte_carlo(
     strategy: Strategy,
     games: int,
@@ -329,16 +357,7 @@ def monte_carlo(
     lanes: int = DEFAULT_LANES,
 ) -> MonteCarloSummary:
     """Aggregate seeded rounds; the CI half-width is the 3-sigma binomial band."""
-    if games < 1:
-        raise DomainError("need at least one game")
-    wins = 0
-    net = 0
-    for g in range(games):
-        rec = play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes)
-        wins += rec.correct
-        net += rec.chips_net
-    w = wins / games
-    return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
+    return summarize(play_games(strategy, games, seed, mech=mech, lanes=lanes))
 
 
 def write_transcript(records, fp) -> None:

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qubitlab import bell, measure
 from qubitlab.bell import (
     BellKind,
     JointProbabilities,
+    JointSample,
     bell_density,
     bell_vector,
     closed_form_joint,
@@ -238,6 +240,36 @@ class TestSampling:
             b_dir /= np.linalg.norm(b_dir)
             jp = joint_probabilities(kind, a_dir, b_dir)
             assert abs(correlator(kind, a_dir, b_dir) - jp.correlator) <= ATOL_EXACT
+
+    def test_top_draw_lands_in_the_last_cell(self, monkeypatch):
+        # here the four probabilities sum to 1 - 2**-53 in floats, so a draw
+        # of 1 - 2**-53 lies above every running sum; it still counts, as mm
+        a, b = plane_direction("xz", 1.56), plane_direction("xz", 0.0)
+        jp = joint_probabilities(BellKind.SINGLET, a, b)
+        assert np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm])[-1] == 1 - 2**-53
+        monkeypatch.setattr(bell, "uniform_blocks", lambda seed, n: iter([np.array([0.0, 1 - 2**-53])]))
+        counts = sample_joint(BellKind.SINGLET, a, b, 2, seed=0).counts
+        assert counts.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True, None, measure.MAX_TRIALS + 1])
+    def test_bad_trial_count_rejected(self, n):
+        a, b = plane_pair(BellKind.SINGLET, 0.0, 1.0)
+        with pytest.raises(DomainError):
+            sample_joint(BellKind.SINGLET, a, b, n, seed=1)
+
+    def test_numpy_trial_count_becomes_int(self):
+        a, b = plane_pair(BellKind.SINGLET, 0.0, 1.0)
+        sample = sample_joint(BellKind.SINGLET, a, b, np.int64(3), seed=1)
+        assert type(sample.n) is int
+        assert sample.counts.sum() == 3
+
+    @pytest.mark.parametrize(
+        "counts,n",
+        [([[1, 1], [1, 1]], 5), ([[2, -1], [1, 1]], 3), ([1, 1, 1, 1], 4), ([[1, 1, 1], [1, 1, 1]], 6)],
+    )
+    def test_joint_sample_invariants(self, counts, n):
+        with pytest.raises(DomainError):
+            JointSample(np.array(counts), n, seed=0)
 
 
 class TestPlaneDirections:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import qubitlab
-from qubitlab import cli
+from qubitlab import cli, quoin
 from qubitlab.errors import QubitLabError
 from qubitlab.quoin import MAX_LANES, QuoinMechanics
 
@@ -187,6 +187,16 @@ class TestGame:
             assert obj["chips_net"] == 4
             assert obj["bits_bought"] == 1
 
+    def test_transcript_plays_each_game_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        play_game = quoin.play_game
+        monkeypatch.setattr(quoin, "play_game", lambda *a, **k: calls.append(k["game_index"]) or play_game(*a, **k))
+        path = tmp_path / "games.jsonl"
+        code, _ = run_json(capsys, "game", "simulate", "--games", "40", "--transcript", str(path))
+        assert code == 0
+        assert calls == list(range(40))
+        assert len(path.read_text().splitlines()) == 40
+
     def test_interactive_session_replays_from_seed(self, capsys):
         # feed the protocol answers: buy the bit, then guess what it suggests
         said = []
@@ -293,4 +303,29 @@ class TestLaneBounds:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "lanes must be" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestTrialBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["project", "--theta", "1", "--trials", "2000000000"],
+            ["project", "--theta", "1", "--trials", "100000000000"],
+            ["bell", "--kind", "singlet", "--a", "0", "--b", "1", "--trials", "2000000000"],
+        ],
+        ids=["project-2e9", "project-1e11", "bell-2e9"],
+    )
+    def test_trials_beyond_the_bound_exit_2(self, argv):
+        # over the bound the samplers must refuse before drawing: streamed,
+        # 2e9 trials would run for tens of seconds, 1e11 for about 20 minutes
+        src = str(Path(qubitlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qubitlab", *argv, "--format", "json"],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "exceed the bound" in proc.stderr
         assert "Traceback" not in proc.stderr

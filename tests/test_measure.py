@@ -5,6 +5,7 @@ import pytest
 
 from qubitlab.errors import DomainError
 from qubitlab.measure import (
+    MAX_TRIALS,
     OutcomeSample,
     SGSetup,
     binomial_band,
@@ -101,6 +102,17 @@ class TestSampling:
     def test_count_invariant(self):
         with pytest.raises(DomainError):
             OutcomeSample(3, 3, 5, seed=0)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, 3.5, True, np.bool_(True), "3", None, MAX_TRIALS + 1, 10**11])
+    @pytest.mark.parametrize("sampler", [sample_outcomes, sample_outcome_values])
+    def test_bad_trial_count_rejected(self, sampler, n):
+        with pytest.raises(DomainError):
+            sampler(setup_at(0.5), n, seed=1)
+
+    def test_numpy_trial_count_becomes_int(self):
+        sample = sample_outcomes(setup_at(0.5), np.int64(3), seed=1)
+        assert (type(sample.n), type(sample.n_plus), type(sample.n_minus)) == (int, int, int)
+        assert len(sample_outcome_values(setup_at(0.5), np.int32(3), seed=1)) == 3
 
 
 class TestRotationalInvariance:
