@@ -292,15 +292,15 @@ def cmd_game(args, out, parser) -> int:
         run_interactive_game(args.seed, mech, args.lanes, input, lambda s: print(s, file=out))
         return 0
 
-    records = quoin.play_games(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
     if args.transcript:
         # play game 0 before opening the file, so a strategy that cannot play
         # these lanes fails without leaving one behind
+        records = quoin.play_games(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
         records = itertools.chain([next(records)], records)
         with open(args.transcript, "w", encoding="utf-8") as fp:
             summary = quoin.summarize(_written(records, fp))
     else:
-        summary = quoin.summarize(records)
+        summary = quoin.monte_carlo(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
     payload = {
         "schema": 1,
         "command": "game",

@@ -13,8 +13,10 @@ Random-stream contract v1 (see `rng`): game g draws its deal from
 game_rng(dealer_seed, STREAM_DEAL, g), its lane outcomes from
 game_rng(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
 game_rng(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
-(seeds, game index). `verify_parity_theorem` takes its lane draws from one
-philox(seed) array per seed, row-major over the deals.
+(seeds, game index). `monte_carlo` computes the same draws for GAME_BLOCK
+games at a time with `rng.game_bits`, so its summary equals
+summarize(play_games(...)) exactly. `verify_parity_theorem` takes its lane
+draws from one philox(seed) array per seed, row-major over the deals.
 """
 
 from __future__ import annotations
@@ -22,18 +24,24 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .rng import philox
+from .rng import game_bits, philox
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
 # the parity exhaust holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
 MAX_LANES = 8
+# 3-7 s of batched play (slowest at one lane, where half the hands are
+# redrawn), and every game index stays below 2**32 for rng.game_bits
+MAX_GAMES = 2**21
+# games per batched step of monte_carlo; its arrays peak near 1 MiB
+GAME_BLOCK = 4096
 
 STREAM_DEAL = 0
 STREAM_MECH = 1
@@ -57,6 +65,19 @@ def _start_bits(start) -> tuple[int, int]:
     if not isinstance(start, (tuple, list)) or len(start) != 2 or not all(s in SYMBOLS for s in start):
         raise DomainError(f"start pair must be two H/T symbols, got {start!r}")
     return SYMBOLS.index(start[0]), SYMBOLS.index(start[1])
+
+
+def check_games(n) -> int:
+    """The game count as an int in 1..MAX_GAMES, else DomainError."""
+    # bool is an Integral, and range(True) would quietly play one game
+    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Integral):
+        raise DomainError(f"the game count must be an integer, got {n!r}")
+    n = int(n)
+    if n < 1:
+        raise DomainError("need at least one game")
+    if n > MAX_GAMES:
+        raise DomainError(f"{n} games exceed the bound of {MAX_GAMES}")
+    return n
 
 
 def _check_lanes(lanes) -> None:
@@ -150,7 +171,10 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
 # ---------------------------------------------------------------------------
 # the guessing game: a strategy's play(mech, alice_bits, bob_bits, rng) returns
 # (bits_bought, guess, transcript); rng(stream) builds the game's generator on
-# that stream only when the strategy asks for it
+# that stream only when the strategy asks for it. play_block(mech, alice, bob,
+# draw) plays a block of games at once: alice and bob are (games, lanes) bit
+# arrays, draw(stream, k) returns each game's first k bits on that stream, and
+# it returns the arrays (bits_bought, guess parity bit).
 
 @dataclass(frozen=True)
 class QuoinStrategy:
@@ -171,6 +195,12 @@ class QuoinStrategy:
         )
         return 1, guess, transcript
 
+    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
+        fair = draw(STREAM_MECH, alice.shape[1])
+        bob_out = fair ^ np.array(mech.u, dtype=np.uint8)[alice, bob]
+        guess = (fair.sum(axis=1) + bob_out.sum(axis=1) % 2) % 2
+        return np.ones(len(alice), dtype=np.int64), guess
+
 
 @dataclass(frozen=True)
 class ClassicalBitsStrategy:
@@ -183,9 +213,12 @@ class ClassicalBitsStrategy:
         if self.k < 0:
             raise DomainError("cannot buy a negative number of bits")
 
+    def _check_k(self, lanes: int) -> None:
+        if self.k > lanes:
+            raise DomainError(f"cannot buy {self.k} bits across {lanes} lanes")
+
     def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-        if self.k > len(alice_bits):
-            raise DomainError(f"cannot buy {self.k} bits across {len(alice_bits)} lanes")
+        self._check_k(len(alice_bits))
         one_lanes = [i for i, v in enumerate(alice_bits) if v]
         asked = one_lanes[: self.k]
         revealed = [bob_bits[i] for i in asked]
@@ -200,6 +233,11 @@ class ClassicalBitsStrategy:
         )
         return len(asked), guess, transcript
 
+    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
+        self._check_k(alice.shape[1])
+        asked = alice & (np.cumsum(alice, axis=1) <= self.k)
+        return asked.sum(axis=1), (asked & bob).sum(axis=1) % 2
+
 
 @dataclass(frozen=True)
 class RandomStrategy:
@@ -210,6 +248,9 @@ class RandomStrategy:
     def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
         guess = parity_name(int(rng(STREAM_STRATEGY).integers(0, 2)))
         return 0, guess, (f"alice guesses {guess} blind",)
+
+    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
+        return np.zeros(len(alice), dtype=np.int64), draw(STREAM_STRATEGY, 1)[:, 0]
 
 
 Strategy = QuoinStrategy | ClassicalBitsStrategy | RandomStrategy
@@ -330,8 +371,7 @@ def play_games(
     lanes: int = DEFAULT_LANES,
 ) -> Iterator[GameRecord]:
     """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed."""
-    if games < 1:
-        raise DomainError("need at least one game")
+    games = check_games(games)
     return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
 
 
@@ -344,8 +384,30 @@ def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
         net += rec.chips_net
     if games < 1:
         raise DomainError("no game records to summarize")
+    return _summary(games, wins, net)
+
+
+def _summary(games: int, wins: int, net: int) -> MonteCarloSummary:
     w = wins / games
     return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
+
+
+def _deal_block(seed: int, g: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`standard_dealer`'s (bob, alice) bit arrays for games g, by counter.
+
+    Redraw r of a game is bits (r + 2)*lanes .. (r + 3)*lanes of its deal
+    stream, computed by counter for only the games whose Alice hand is still
+    all zero.
+    """
+    bits = game_bits(seed, STREAM_DEAL, g, 2 * lanes)
+    bob, alice = bits[:, :lanes], bits[:, lanes:]
+    todo = np.flatnonzero(~alice.any(axis=1))
+    width = 2 * lanes
+    while todo.size:
+        width += lanes
+        alice[todo] = game_bits(seed, STREAM_DEAL, g[todo], width)[:, -lanes:]
+        todo = todo[~alice[todo].any(axis=1)]
+    return bob, alice
 
 
 def monte_carlo(
@@ -356,8 +418,26 @@ def monte_carlo(
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> MonteCarloSummary:
-    """Aggregate seeded rounds; the CI half-width is the 3-sigma binomial band."""
-    return summarize(play_games(strategy, games, seed, mech=mech, lanes=lanes))
+    """Aggregate seeded rounds; the CI half-width is the 3-sigma binomial band.
+
+    Plays GAME_BLOCK games at a time through the strategy's `play_block`,
+    with every draw taken from its contract-v1 stream by counter, so the
+    result equals summarize(play_games(...)) while memory stays bounded.
+    """
+    games = check_games(games)
+    mech = mech or QuoinMechanics.standard()
+    if not hasattr(strategy, "play_block"):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    _check_lanes(lanes)
+    wins = net = 0
+    for start in range(0, games, GAME_BLOCK):
+        g = np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
+        bob, alice = _deal_block(seed, g, lanes)
+        bought, guess = strategy.play_block(mech, alice, bob, lambda stream, k: game_bits(seed, stream, g, k))
+        correct = guess == (alice & bob).sum(axis=1) % 2
+        wins += int(np.count_nonzero(correct))
+        net += int(np.where(correct, CHIPS_START - 2 * np.asarray(bought, dtype=np.int64), -CHIPS_START).sum())
+    return _summary(games, wins, net)
 
 
 def write_transcript(records, fp) -> None:

@@ -329,3 +329,42 @@ class TestTrialBounds:
         assert proc.stdout == ""
         assert "exceed the bound" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def run_module(argv, timeout):
+    """`python -m qubitlab ARGV` in a subprocess, so a hang fails instead of stalling the run."""
+    src = str(Path(qubitlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "qubitlab", *argv, "--format", "json"],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+
+
+class TestSeedBounds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["game", "simulate", "--seed", "-1"],
+            ["game", "simulate", "--seed", "-1", "--games", "5", "--transcript", "unused.jsonl"],
+            ["project", "--theta", "1", "--trials", "10", "--seed", "-5"],
+            ["bell", "--kind", "singlet", "--a", "0", "--b", "1", "--trials", "10", "--seed", "-5"],
+        ],
+        ids=["simulate", "simulate-transcript", "project", "bell"],
+    )
+    def test_negative_seed_exit_2(self, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        proc = run_module(argv, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "nonnegative integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestGameBounds:
+    def test_games_beyond_the_bound_exit_2(self):
+        proc = run_module(["game", "simulate", "--games", "1000000000000"], timeout=5)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "exceed the bound" in proc.stderr
+        assert "Traceback" not in proc.stderr

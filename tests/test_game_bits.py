@@ -1,0 +1,140 @@
+"""Guards for the batched game engine.
+
+`rng.game_bits` recomputes numpy's SeedSequence and Philox4x64-10 as array
+expressions; these tests hold it to the real generator, and `monte_carlo`
+(which plays through it in blocks) to the per-game oracle
+summarize(play_games(...)).
+"""
+
+import itertools
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qubitlab import quoin
+from qubitlab.errors import DomainError
+from qubitlab.quoin import (
+    ClassicalBitsStrategy,
+    QuoinMechanics,
+    QuoinStrategy,
+    RandomStrategy,
+    monte_carlo,
+    play_games,
+    summarize,
+)
+from qubitlab.rng import game_bits, philox
+
+
+def real_bits(seed, stream, games, k):
+    return np.array([philox(seed, stream, int(g)).integers(0, 2, k) for g in games]).reshape(len(games), k)
+
+
+class TestKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        stream=st.integers(0, 2),
+        games=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        k=st.integers(1, 64),
+    )
+    def test_rows_match_the_generator(self, seed, stream, games, k):
+        # guards against numpy changing how Generator.integers consumes words
+        assert np.array_equal(game_bits(seed, stream, games, k), real_bits(seed, stream, games, k))
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
+    def test_consecutive_games_and_wide_seeds(self, seed):
+        games = np.arange(2**32 - 40, 2**32, dtype=np.int64)
+        assert np.array_equal(game_bits(seed, 1, games, 24), real_bits(seed, 1, games, 24))
+
+    def test_split_draws_equal_one_draw(self):
+        # the dealer draws its hands in pieces; the uint32 buffer carries over
+        gen = philox(5, 0, 9)
+        pieces = np.concatenate([gen.integers(0, 2, 3), gen.integers(0, 2, 5), gen.integers(0, 2, 7)])
+        assert np.array_equal(game_bits(5, 0, [9], 15)[0], pieces)
+
+    def test_empty_shapes(self):
+        assert game_bits(3, 0, np.array([], dtype=np.int64), 5).shape == (0, 5)
+        assert game_bits(3, 0, [1, 2], 0).shape == (2, 0)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**40), True, np.bool_(False), 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError):
+            philox(seed)
+        with pytest.raises(DomainError):
+            game_bits(seed, 0, [0], 4)
+
+    def test_numpy_seed_accepted(self):
+        assert np.array_equal(game_bits(np.int64(7), 0, [3], 8), real_bits(7, 0, [3], 8))
+
+    @pytest.mark.parametrize(
+        "games,k",
+        [([-1], 4), ([2**32], 4), ([0.5], 4), ([[0, 1]], 4), ([0], -1), ([0], 2.0), ([0], True)],
+    )
+    def test_bad_indices_and_widths_rejected(self, games, k):
+        with pytest.raises(DomainError):
+            game_bits(1, 0, games, k)
+
+    def test_bad_stream_rejected(self):
+        with pytest.raises(DomainError):
+            game_bits(1, -1, [0], 4)
+        with pytest.raises(DomainError):
+            philox(1, 0, -3)
+
+
+STRATEGIES = {
+    "quoin": QuoinStrategy(),
+    "random": RandomStrategy(),
+    "classical:0": ClassicalBitsStrategy(0),
+    "classical:1": ClassicalBitsStrategy(1),
+    "classical:3": ClassicalBitsStrategy(3),
+}
+MECHANICS = {"standard": QuoinMechanics.standard(), "quantum_coin": QuoinMechanics.quantum_coin()}
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except DomainError:
+        return DomainError
+
+
+class TestMonteCarloMatchesOracle:
+    @pytest.mark.parametrize(
+        "seed,lanes,mech", list(itertools.product([0, 7, 424242, 2**32, 2**64 + 5], range(1, 9), MECHANICS))
+    )
+    def test_summaries_equal(self, monkeypatch, seed, lanes, mech):
+        # small blocks, so 100 games cross block boundaries and end on a partial one
+        monkeypatch.setattr(quoin, "GAME_BLOCK", 32)
+        for name, strategy in STRATEGIES.items():
+            kw = {"mech": MECHANICS[mech], "lanes": lanes}
+            batched = outcome(lambda: monte_carlo(strategy, 100, seed, **kw))
+            oracle = outcome(lambda: summarize(play_games(strategy, 100, seed, **kw)))
+            assert batched == oracle, name
+            # a strategy that cannot buy k bits across the lanes fails on both paths
+            assert (batched is DomainError) == (name == "classical:3" and lanes < 3), name
+
+    def test_default_block_size(self):
+        games = quoin.GAME_BLOCK + 37
+        for strategy in (QuoinStrategy(), RandomStrategy()):
+            kw = {"mech": QuoinMechanics.quantum_coin(), "lanes": 2}
+            assert monte_carlo(strategy, games, 9, **kw) == summarize(play_games(strategy, games, 9, **kw))
+
+    def test_object_without_play_block_rejected(self):
+        class PlayOnly:
+            def play(self, mech, alice_bits, bob_bits, rng):
+                return 0, "even", ()
+
+        with pytest.raises(DomainError):
+            monte_carlo(PlayOnly(), 10, 1)
+
+    def test_memory_stays_in_blocks(self):
+        tracemalloc.start()
+        try:
+            monte_carlo(QuoinStrategy(), 10**5, 7, lanes=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20

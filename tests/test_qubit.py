@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qubitlab.errors import DomainError, InvalidStateError
 from qubitlab.hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Z
@@ -125,6 +127,27 @@ class TestSu2Rotation:
     def test_nonfinite_angle_rejected(self):
         with pytest.raises(DomainError):
             su2_rotation("x", math.inf)
+
+
+unit = st.floats(-1.0, 1.0)
+
+
+class TestSu2ToSo3Property:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        axis=st.tuples(unit, unit, unit),
+        theta=st.floats(-2.0 * math.pi, 2.0 * math.pi),
+        direction=st.tuples(unit, unit, unit),
+        radius=st.floats(0.0, 1.0),
+    )
+    def test_conjugation_is_the_induced_rotation(self, axis, theta, direction, radius):
+        assume(np.linalg.norm(axis) >= 0.1 and np.linalg.norm(direction) >= 0.1)
+        bloch = radius * np.asarray(direction) / np.linalg.norm(direction)
+        state = QubitState.from_bloch(bloch)
+        r = bloch_rotation_for(axis, theta)
+        np.testing.assert_allclose(su2_rotate(state, axis, theta).bloch, r @ state.bloch, rtol=0, atol=ATOL_EXACT)
+        np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=ATOL_EXACT)
+        assert abs(np.linalg.det(r) - 1.0) <= ATOL_EXACT
 
 
 class TestGbitDimension:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
+    MAX_GAMES,
     MAX_LANES,
     ClassicalBitsStrategy,
     GameRecord,
@@ -17,11 +18,13 @@ from qubitlab.quoin import (
     QuoinStrategy,
     RandomStrategy,
     apply_rigging,
+    check_games,
     enumerate_riggings,
     flip_pair,
     lane_outcomes,
     monte_carlo,
     play_game,
+    play_games,
     standard_dealer,
     target_parity,
     verify_parity_theorem,
@@ -257,6 +260,21 @@ class TestMonteCarlo:
     def test_zero_games_rejected(self):
         with pytest.raises(DomainError):
             monte_carlo(QuoinStrategy(), 0, seed=1)
+
+    @pytest.mark.parametrize("games", [True, np.bool_(True), 2.0, "3", None, 0, -1, MAX_GAMES + 1, 10**12])
+    def test_bad_game_counts_rejected(self, games):
+        with pytest.raises(DomainError):
+            check_games(games)
+        with pytest.raises(DomainError):
+            monte_carlo(QuoinStrategy(), games, seed=1)
+        with pytest.raises(DomainError):
+            play_games(QuoinStrategy(), games, seed=1)
+
+    def test_game_count_bound_and_numpy_counts(self):
+        assert check_games(MAX_GAMES) == MAX_GAMES
+        n = check_games(np.int64(12))
+        assert type(n) is int and n == 12
+        assert monte_carlo(RandomStrategy(), np.int64(12), seed=1).games == 12
 
 
 class TestParityTheorem:
