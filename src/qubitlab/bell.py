@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConditioningError, DomainError, InvalidStateError
+from .errors import ConditioningError, DomainError, InvalidStateError, check_finite, check_int
 from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
-from .measure import check_trials
+from .measure import MAX_TRIALS
 from .qubit import axis_vector, su2_rotation
 from .rng import uniform_blocks
 
@@ -134,7 +134,7 @@ def plane_direction(plane: str, angle) -> np.ndarray:
     if plane not in _PLANE_BASES:
         raise DomainError(f"unknown plane {plane!r} (want one of xy, yz, xz)")
     e1, e2 = _PLANE_BASES[plane]
-    t = np.asarray(angle, dtype=float)[..., None]
+    t = np.asarray(check_finite(angle, "in-plane angle"))[..., None]
     return np.cos(t) * e1 + np.sin(t) * e2
 
 
@@ -275,7 +275,7 @@ def sample_joint(kind: BellKind, a_dir, b_dir, n: int, seed: int) -> JointSample
     p_mp. The last cell takes every draw at or above edges[2], so the counts
     sum to n even where the float sum of the four probabilities is below 1.
     """
-    n = check_trials(n)
+    n = check_int(n, "trial count", 1, MAX_TRIALS)
     jp = joint_probabilities(kind, a_dir, b_dir)
     edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp])
     below = [0, 0, 0]  # draws below each edge

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .errors import DomainError, InvalidStateError
+from .errors import DomainError, InvalidStateError, check_finite, check_int
 from .hilbert import ATOL_EXACT
 
 OUTCOMES = (1, -1)
@@ -209,9 +209,11 @@ class ConservationVerdict:
 def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> ConservationVerdict:
     """Treat each +/-1 correlator as equality/antipodality of setting directions.
 
-    Only extremal boxes (all four correlators exactly +/-1) are in scope; the
-    transitive closure of the equality/antipodality relations is inconsistent
-    exactly when some direction is forced antipodal to itself.
+    Only extremal boxes (all four correlators within atol of +/-1) are in
+    scope. The edges a-b, a-b' and a'-b each reach a new direction, so they
+    always fit; the cycle a'-b-a-b' then fixes a' = +/-b' by the product of
+    their signs, and the box is inconsistent exactly when E(a',b') demands
+    the other sign.
     """
     e = box.correlators()
     if np.max(np.abs(np.abs(e) - 1.0)) > atol:
@@ -219,46 +221,18 @@ def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> Conservat
             "not_applicable",
             ("box is not extremal: correlators " + np.array2string(e, precision=6) + " are not all +/-1",),
         )
-    # union-find with parity: nodes a, a', b, b'; parity 1 along an edge means antipodal
-    labels = [ALICE_LABELS[0], ALICE_LABELS[1], BOB_LABELS[0], BOB_LABELS[1]]
-    parent = list(range(4))
-    parity = [0, 0, 0, 0]
-
-    def find(i):
-        if parent[i] == i:
-            return i, 0
-        root, par = find(parent[i])
-        parent[i] = root
-        parity[i] ^= par
-        return root, parity[i]
-
-    trace = []
-    for x, y in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        i, j = x, 2 + y
-        rel = 0 if e[x, y] > 0 else 1
-        sign = "-" if rel else ""
-        claim = (
-            f"correlator E({labels[i]},{labels[j]}) = {int(e[x, y]):+d} "
-            f"says {labels[i]} = {sign}{labels[j]}"
-        )
-        ri, pi = find(i)
-        rj, pj = find(j)
-        if ri != rj:
-            parent[ri] = rj
-            parity[ri] = pi ^ pj ^ rel
-            trace.append(claim)
-            continue
-        implied = pi ^ pj
-        have = "-" if implied else ""
-        if implied == rel:
-            trace.append(f"{claim}; already implied ({labels[i]} = {have}{labels[j]})")
-        else:
-            trace.append(
-                f"{claim}; but the chain so far implies {labels[i]} = {have}{labels[j]}, "
-                f"so some direction would equal its own antipode"
-            )
-            return ConservationVerdict("inconsistent", tuple(trace))
-    return ConservationVerdict("consistent", tuple(trace))
+    neg = e < 0  # rounding can leave |E| a hair below 1, so only the signs are read
+    trace = [
+        f"correlator E({ALICE_LABELS[x]},{BOB_LABELS[y]}) = {'-' if neg[x, y] else '+'}1 "
+        f"says {ALICE_LABELS[x]} = {'-' if neg[x, y] else ''}{BOB_LABELS[y]}"
+        for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
+    ]
+    implied = "-" if neg[1, 0] ^ neg[0, 0] ^ neg[0, 1] else ""
+    if neg[1, 1] == bool(implied):
+        trace[-1] += f"; already implied (a' = {implied}b')"
+        return ConservationVerdict("consistent", tuple(trace))
+    trace[-1] += f"; but the chain so far implies a' = {implied}b', so some direction would equal its own antipode"
+    return ConservationVerdict("inconsistent", tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -286,10 +260,9 @@ def tsirelson_scan(
     (2x3).(3xn) contraction, summed in bell.correlator's order; the CHSH value
     is maximized over sign placements at each grid pair in three n x n buffers.
     """
-    if n < 2:
-        raise DomainError("grid needs at least two points")
-    if n > MAX_SCAN_N:
-        raise DomainError(f"grid of {n} points exceeds the {MAX_SCAN_N}-point limit")
+    n = check_int(n, "grid size n", 2, MAX_SCAN_N)
+    if np.shape(check_finite(alice_angles, "Alice's angles")) != (2,):
+        raise DomainError(f"need exactly two Alice angles, got {alice_angles!r}")
     plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
     a = bell.plane_direction(plane, alice_angles) * kind.pauli_signs  # [x, i]

@@ -47,10 +47,6 @@ def unit_vector(v, what: str) -> np.ndarray:
     return a
 
 
-def dagger(m) -> np.ndarray:
-    return np.asarray(m, dtype=complex).conj().T
-
-
 def is_hermitian(m, atol: float = ATOL_EXACT) -> bool:
     a = np.asarray(m, dtype=complex)
     return bool(np.max(np.abs(a - a.conj().T)) <= atol)

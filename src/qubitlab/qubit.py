@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidStateError
+from .errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
 from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, is_hermitian
 
 # classification tolerance for pure/mixed, looser than exact algebra since
 # states may come out of long rotation chains
 PURITY_ATOL = 1e-9
+# largest generalized-bit s: 2**s - 1 is exact int arithmetic, and this keeps it to 8 KiB
+MAX_GBIT_S = 2**16
 
 _AXES = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -106,8 +108,7 @@ def bloch_roundtrip(state: QubitState) -> QubitState:
 
 def su2_rotation(axis, theta: float) -> np.ndarray:
     """U = exp(i*theta * n.sigma) for a named axis or arbitrary axis vector."""
-    if not math.isfinite(theta):
-        raise DomainError("rotation angle must be finite")
+    theta = check_finite(theta, "rotation angle")
     n = axis_vector(axis)
     ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return math.cos(theta) * ID2 + 1j * math.sin(theta) * ns
@@ -121,6 +122,7 @@ def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
 
 def so3_rotation(axis, angle: float) -> np.ndarray:
     """Right-handed real-space rotation matrix about `axis` by `angle` (Rodrigues)."""
+    angle = check_finite(angle, "rotation angle")
     n = axis_vector(axis)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
@@ -128,14 +130,12 @@ def so3_rotation(axis, angle: float) -> np.ndarray:
 
 def bloch_rotation_for(axis, theta: float) -> np.ndarray:
     """The SO(3) rotation that su2_rotate(., axis, theta) induces on Bloch vectors."""
-    return so3_rotation(axis, -2.0 * theta)
+    return so3_rotation(axis, -2.0 * check_finite(theta, "rotation angle"))
 
 
 def gbit_dimension(s: int) -> int:
     """Probability-space dimension 2**s - 1 of the generalized bit."""
-    if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s < 1:
-        raise DomainError(f"s must be an integer >= 1, got {s!r}")
-    return 2**int(s) - 1
+    return 2 ** check_int(s, "gbit s", 1, MAX_GBIT_S) - 1
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,5 @@ def classical_pure_path(
         raise DomainError("path endpoints must be pure classical bit states")
     if a.p1 == b.p1:
         raise DomainError("path endpoints must differ")
-    if steps < 1:
-        raise DomainError("need at least one interior step")
-    ps = np.linspace(a.p1, b.p1, steps + 2)
+    ps = np.linspace(a.p1, b.p1, check_int(steps, "interior step count", 1) + 2)
     return [ClassicalBitState(float(p)) for p in ps]

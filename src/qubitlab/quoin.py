@@ -24,13 +24,12 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 from .rng import game_bits, philox
 
 CHIPS_START = 6
@@ -65,24 +64,6 @@ def _start_bits(start) -> tuple[int, int]:
     if not isinstance(start, (tuple, list)) or len(start) != 2 or not all(s in SYMBOLS for s in start):
         raise DomainError(f"start pair must be two H/T symbols, got {start!r}")
     return SYMBOLS.index(start[0]), SYMBOLS.index(start[1])
-
-
-def check_games(n) -> int:
-    """The game count as an int in 1..MAX_GAMES, else DomainError."""
-    # bool is an Integral, and range(True) would quietly play one game
-    if isinstance(n, (bool, np.bool_)) or not isinstance(n, numbers.Integral):
-        raise DomainError(f"the game count must be an integer, got {n!r}")
-    n = int(n)
-    if n < 1:
-        raise DomainError("need at least one game")
-    if n > MAX_GAMES:
-        raise DomainError(f"{n} games exceed the bound of {MAX_GAMES}")
-    return n
-
-
-def _check_lanes(lanes) -> None:
-    if not isinstance(lanes, (int, np.integer)) or not 1 <= lanes <= MAX_LANES:
-        raise DomainError(f"lanes must be an integer in 1..{MAX_LANES}, got {lanes!r}")
 
 
 @dataclass(frozen=True)
@@ -210,8 +191,7 @@ class ClassicalBitsStrategy:
     name: str = field(default="classical_bits", init=False)
 
     def __post_init__(self):
-        if self.k < 0:
-            raise DomainError("cannot buy a negative number of bits")
+        object.__setattr__(self, "k", check_int(self.k, "classical bit count k"))
 
     def _check_k(self, lanes: int) -> None:
         if self.k > lanes:
@@ -309,7 +289,7 @@ def standard_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ..
     The guesser is never dealt the trivial all-zero hand; with it excluded
     the target parity is exactly 50/50 over Bob's bits.
     """
-    _check_lanes(lanes)
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     bob = tuple(rng.integers(0, 2, lanes).tolist())
     alice = tuple(rng.integers(0, 2, lanes).tolist())
     while not any(alice):
@@ -343,7 +323,7 @@ def play_game(
         bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
         if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
             raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
-        _check_lanes(len(alice_bits))
+        check_int(len(alice_bits), "lanes", 1, MAX_LANES)
         bob_bits, alice_bits = tuple(map(int, bob_bits)), tuple(map(int, alice_bits))
 
     def rng(stream: int) -> np.random.Generator:
@@ -371,7 +351,8 @@ def play_games(
     lanes: int = DEFAULT_LANES,
 ) -> Iterator[GameRecord]:
     """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed."""
-    games = check_games(games)
+    games = check_int(games, "game count", 1, MAX_GAMES)
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
 
 
@@ -424,11 +405,11 @@ def monte_carlo(
     with every draw taken from its contract-v1 stream by counter, so the
     result equals summarize(play_games(...)) while memory stays bounded.
     """
-    games = check_games(games)
+    games = check_int(games, "game count", 1, MAX_GAMES)
     mech = mech or QuoinMechanics.standard()
     if not hasattr(strategy, "play_block"):
         raise DomainError(f"unknown strategy {strategy!r}")
-    _check_lanes(lanes)
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
     for start in range(0, games, GAME_BLOCK):
         g = np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
@@ -448,12 +429,28 @@ def write_transcript(records, fp) -> None:
 
 @dataclass(frozen=True)
 class ParityTheoremReport:
+    """Exhaust result; the failure strings are formatted only when `failures` is read."""
+
     checked: int
-    failures: tuple[str, ...]
+    failure_count: int
+    lanes: int
+    # (seed, failing deal indices, their combined H counts) for each seed with a failure
+    failing: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def holds(self) -> bool:
-        return not self.failures
+        return not self.failure_count
+
+    @functools.cached_property
+    def failures(self) -> tuple[str, ...]:
+        hands = list(itertools.product((0, 1), repeat=self.lanes))
+        out = []
+        for seed, deals, combined_h in self.failing:
+            for d, h in zip(deals.tolist(), combined_h.tolist()):
+                alice, bob = hands[d >> self.lanes], hands[d & (len(hands) - 1)]
+                doubles = sum(a & b for a, b in zip(alice, bob))
+                out.append(f"seed {seed} deal alice={alice} bob={bob}: {h} H vs {doubles} double-1 lanes")
+        return tuple(out)
 
 
 def verify_parity_theorem(
@@ -464,23 +461,24 @@ def verify_parity_theorem(
     The 4**lanes deals run in itertools.product order over (alice's lanes,
     bob's lanes), and one philox(seed) draw of shape (deals, lanes) per seed
     supplies the lane draws, so outcomes are reproducible functions of
-    (seed, deal index, lane).
+    (seed, deal index, lane). Deal d deals Alice hand d >> lanes and Bob hand
+    d mod 2**lanes of the product order.
     """
     mech = mech or QuoinMechanics.standard()
-    _check_lanes(lanes)
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     hands = np.array(list(itertools.product((0, 1), repeat=lanes)), dtype=np.int64)
     alice = np.repeat(hands, len(hands), axis=0)
     bob = np.tile(hands, (len(hands), 1))
     u = np.array(mech.u)[alice, bob]
     doubles = (alice & bob).sum(axis=1)
     seeds = list(seeds)
-    failures = []
+    failing = []
     for seed in seeds:
         fair = philox(seed).integers(0, 2, alice.shape)
         combined_h = (fair + (fair ^ u)).sum(axis=1)
-        for d in np.flatnonzero((combined_h - doubles) % 2):
-            failures.append(
-                f"seed {seed} deal alice={tuple(alice[d].tolist())} bob={tuple(bob[d].tolist())}: "
-                f"{combined_h[d]} H vs {doubles[d]} double-1 lanes"
-            )
-    return ParityTheoremReport(len(seeds) * len(alice), tuple(failures))
+        deals = np.flatnonzero((combined_h - doubles) % 2)
+        if deals.size:
+            # 5 bytes per failing deal: 4**MAX_LANES deals and at most 2 * MAX_LANES H
+            failing.append((seed, deals.astype(np.uint32), combined_h[deals].astype(np.uint8)))
+    count = sum(len(deals) for _, deals, _ in failing)
+    return ParityTheoremReport(len(seeds) * len(alice), count, lanes, tuple(failing))

@@ -19,12 +19,11 @@ whole array of indices g at once.
 from __future__ import annotations
 
 import itertools
-import numbers
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 # 512 KiB of float64, small enough to stay in a per-core L2 cache
 BLOCK = 1 << 16
@@ -41,18 +40,9 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _ROUNDS = 10
 
 
-def _check_seed(value, what: str = "seed") -> int:
-    """A seed or stream word as a nonnegative int, else DomainError."""
-    if type(value) is int and value >= 0:  # the common case, kept cheap for per-game streams
-        return value
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"the {what} must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 def philox(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the given seed and stream path."""
-    ss = np.random.SeedSequence(_check_seed(seed), spawn_key=tuple(_check_seed(s, "stream") for s in stream))
+    ss = np.random.SeedSequence(check_int(seed, "seed"), spawn_key=tuple(check_int(s, "stream") for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -124,16 +114,14 @@ def game_bits(seed: int, stream: int, games, k: int) -> np.ndarray:
     `Generator.integers(0, 2)` takes one uint32 per draw, low half first,
     and returns its top bit. Indices must lie in 0..2**32 - 1.
     """
-    seed, stream = _check_seed(seed), _check_seed(stream, "stream")
-    if isinstance(k, (bool, np.bool_)) or not isinstance(k, numbers.Integral) or k < 0:
-        raise DomainError(f"the draw count must be a nonnegative integer, got {k!r}")
+    seed, stream, k = check_int(seed, "seed"), check_int(stream, "stream"), check_int(k, "draw count")
     games = np.asarray(games)
     if games.ndim != 1 or games.dtype.kind not in "iu":
         raise DomainError("game indices must be a 1-d integer array")
     if games.size and (games.min() < 0 or games.max() > _MASK32):
         raise DomainError("game indices must lie in 0..2**32 - 1")
     key0, key1 = _philox_keys(seed, stream, games.astype(np.uint32))
-    blocks = -(-int(k) // 8)  # 8 draws per block
+    blocks = -(-k // 8)  # 8 draws per block
     c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), (len(games), 1))
     c1 = c2 = c3 = np.zeros_like(c0)
     key0, key1 = key0[:, None], key1[:, None]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -175,6 +177,35 @@ class TestConservationFilter:
     def test_non_extremal_not_applicable(self):
         assert conservation_filter(uniform_box()).status == "not_applicable"
         assert conservation_filter(canonical_singlet_box()).status == "not_applicable"
+
+    def test_traces_of_all_sixteen_sign_patterns_are_pinned(self):
+        # sha256 of the (signs, status, trace) rows, recorded from the union-find
+        # version of the filter before the cycle rule replaced it
+        rows = [[list(signs), v.status, list(v.trace)] for signs, box in extremal_sign_family()
+                for v in [conservation_filter(box)]]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == "a5d3f6c1442db28298b08fcf4368c34f2effbba0abd1927dc343fb645530f753"
+
+    def test_verdicts_match_direction_enumeration(self):
+        # consistent exactly when some choice of a, a', b, b' as +/- one common
+        # direction gives every correlator: E(x, y) = alice[x] * bob[y]
+        for signs, box in extremal_sign_family():
+            fits = any(
+                all(signs[2 * x + y] == alice[x] * bob[y] for x in (0, 1) for y in (0, 1))
+                for alice in itertools.product((1, -1), repeat=2)
+                for bob in itertools.product((1, -1), repeat=2)
+            )
+            assert conservation_filter(box).status == ("consistent" if fits else "inconsistent")
+
+    def test_trace_prints_the_sign_of_a_rounded_correlator(self):
+        # E(a,b) here is -0.9999999999999998, which int() used to print as "+0"
+        a = 6.998155441665141
+        dirs = [plane_direction("xz", a), plane_direction("xz", a + math.pi)]
+        box = quantum_box(BellKind.SINGLET, dirs, dirs)
+        assert box.correlators()[0, 0] > -1.0
+        verdict = conservation_filter(box)
+        assert verdict.status == "consistent"
+        assert verdict.trace[0] == "correlator E(a,b) = -1 says a = -b"
 
     def test_deterministic_boxes_consistent_and_bounded(self):
         for a in itertools.product((1, -1), repeat=2):

@@ -1,3 +1,5 @@
+import contextlib
+import datetime
 import io
 import json
 import math
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubitlab
 from qubitlab import cli, quoin
@@ -368,3 +372,108 @@ class TestGameBounds:
         assert proc.stdout == ""
         assert "exceed the bound" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestRoundedZeroCell:
+    def test_band_of_a_cell_rounded_below_zero(self, capsys):
+        # at this angle phi+'s correlator rounds to 1 + 2**-52, leaving p_pm = p_mp = -2**-54;
+        # the 3-sigma band used to take the square root of a negative number
+        a = "-6.190960832986809"
+        code, payload = run_json(capsys, "bell", "--kind", "phi+", "--a", a, "--b", a, "--trials", "10")
+        assert payload["p_pm"] < 0.0
+        assert code == 0 and payload["empirical"]["within_band"]
+
+
+class TestUnwritableTranscript:
+    def test_missing_directory_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "games.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["game", "simulate", "--games", "5", "--transcript", str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+# argv fuzz: valid sizes stay small (games <= 2000, trials <= 10**5, scan <= 720),
+# and every option also draws out-of-range numbers and junk
+JUNK = st.text(st.sampled_from("-+.,:*/0123456789aeinpx "), max_size=8)
+
+
+def numbers_up_to(hi, beyond):
+    return st.one_of(st.integers(-3, hi).map(str), st.sampled_from(beyond), JUNK)
+
+
+ANGLE = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["pi/3", "-3*pi/4", "2pi", "pi/0", "1e400", "nan", "-inf", "9" * 400 + "pi"]),
+    JUNK,
+)
+SEED = st.one_of(st.integers(-3, 2**70).map(str), JUNK)
+COMMON = st.fixed_dictionaries(
+    {},
+    optional={
+        "--seed": SEED,
+        "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+        "--degrees": st.just(None),
+    },
+)
+KIND = st.sampled_from(["singlet", "psi+", "phi-", "phi+", "psi-"])
+PLANE = st.sampled_from(["xy", "yz", "xz", "zz"])
+TRIALS = numbers_up_to(10**5, ["1073741825", "100000000000"])
+COMMANDS = {
+    "project": st.fixed_dictionaries({"--theta": ANGLE}, optional={"--trials": TRIALS}),
+    "bell": st.fixed_dictionaries(
+        {"--kind": KIND, "--a": ANGLE, "--b": ANGLE}, optional={"--plane": PLANE, "--trials": TRIALS}
+    ),
+    "chsh": st.fixed_dictionaries(
+        {"--source": st.sampled_from(["quantum", "prbox", "lhv", "box"])},
+        optional={
+            "--kind": KIND,
+            "--plane": PLANE,
+            "--angles": st.lists(ANGLE, max_size=5).map(",".join),
+            "--scan": numbers_up_to(720, ["4097", "100000"]),
+        },
+    ),
+    "game": st.fixed_dictionaries(
+        {"simulate": st.just(None)},
+        optional={
+            "--strategy": st.one_of(
+                st.sampled_from(["quoin", "random", "classical:99", "classical:-1", "bits"]),
+                st.integers(0, 9).map("classical:{}".format),
+            ),
+            "--games": numbers_up_to(2000, ["2097153", "1000000000000"]),
+            "--lanes": numbers_up_to(10, ["100"]),
+            "--mech": st.sampled_from(["quoin", "quantum", "classical"]),
+            "--transcript": st.sampled_from(["games.jsonl", "missing/games.jsonl"]),
+        },
+    ),
+}
+
+
+@st.composite
+def argvs(draw):
+    if draw(st.integers(0, 9)) == 0:  # sometimes no grammar at all
+        return draw(st.lists(st.one_of(JUNK, st.sampled_from([*COMMANDS, "--games", "--seed"])), max_size=6))
+    cmd = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [cmd]
+    for key, value in {**draw(COMMANDS[cmd]), **draw(COMMON)}.items():
+        argv += [key] if value is None else [key, value]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv_fuzz")
+
+
+class TestArgvFuzz:
+    @settings(max_examples=200, deadline=datetime.timedelta(seconds=10))
+    @given(argv=argvs())
+    def test_every_argv_exits_0_1_or_2(self, fuzz_dir, argv):
+        argv = [str(fuzz_dir / a) if a.endswith("games.jsonl") else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2), (argv, err.getvalue())

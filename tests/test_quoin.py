@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from qubitlab.quoin import (
     QuoinStrategy,
     RandomStrategy,
     apply_rigging,
-    check_games,
     enumerate_riggings,
     flip_pair,
     lane_outcomes,
@@ -264,17 +264,15 @@ class TestMonteCarlo:
     @pytest.mark.parametrize("games", [True, np.bool_(True), 2.0, "3", None, 0, -1, MAX_GAMES + 1, 10**12])
     def test_bad_game_counts_rejected(self, games):
         with pytest.raises(DomainError):
-            check_games(games)
-        with pytest.raises(DomainError):
             monte_carlo(QuoinStrategy(), games, seed=1)
         with pytest.raises(DomainError):
             play_games(QuoinStrategy(), games, seed=1)
 
     def test_game_count_bound_and_numpy_counts(self):
-        assert check_games(MAX_GAMES) == MAX_GAMES
-        n = check_games(np.int64(12))
-        assert type(n) is int and n == 12
-        assert monte_carlo(RandomStrategy(), np.int64(12), seed=1).games == 12
+        # play_games is lazy, so the bound itself is accepted without playing it
+        assert next(play_games(RandomStrategy(), MAX_GAMES, seed=1)).bits_bought == 0
+        games = monte_carlo(RandomStrategy(), np.int64(12), seed=1).games
+        assert type(games) is int and games == 12
 
 
 class TestParityTheorem:
@@ -288,6 +286,20 @@ class TestParityTheorem:
         # so the theorem only survives on deals with even double-1 parity
         report = verify_parity_theorem(seeds=[0], mech=QuoinMechanics.quantum_coin())
         assert not report.holds
+
+    def test_failure_count_without_formatting_stays_small(self):
+        # 32 seeds x 8 lanes under the quantum coin fail on 1,044,480 deals;
+        # formatting one string each used to take 179 MiB
+        tracemalloc.start()
+        try:
+            report = verify_parity_theorem(seeds=range(32), lanes=8, mech=QuoinMechanics.quantum_coin())
+            assert not report.holds
+            # a deal fails when its double-1 count is odd: (4**8 - 2**8) / 2 hand pairs per seed
+            assert report.failure_count == 32 * (4**8 - 2**8) // 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
 
 FAILURE = re.compile(r"^seed \d+ deal alice=(\(.*?\)) bob=(\(.*?\)): (\d+) H vs (\d+) double-1 lanes$")
