@@ -22,7 +22,7 @@ from .errors import DomainError, InvalidStateError, check_finite, check_int
 from .hilbert import ATOL_EXACT
 
 OUTCOMES = (1, -1)
-# largest tsirelson_scan grid: its three n x n float64 buffers stay near 400 MB
+# largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
 MAX_SCAN_N = 4096
 ALICE_LABELS = ("a", "a'")
 BOB_LABELS = ("b", "b'")
@@ -257,8 +257,10 @@ def tsirelson_scan(
     """Scan Bob's two in-plane angles over an n-point grid (step pi/n).
 
     Alice's angles stay fixed. The 2n correlators E = sum_i s_i a_i b_i are one
-    (2x3).(3xn) contraction, summed in bell.correlator's order; the CHSH value
-    is maximized over sign placements at each grid pair in three n x n buffers.
+    (2x3).(3xn) contraction, summed in bell.correlator's order. With s = E_a + E_a',
+    each sign placement's term is f(k0) + g(k1) (f = s - 2 E_a, g = s for the minus
+    on E_a at k0), so its extremes are found in O(n); the exact n x n expression is
+    evaluated only on each optimal part's rows x columns within 1e-12 of its extremes.
     """
     n = check_int(n, "grid size n", 2, MAX_SCAN_N)
     if np.shape(check_finite(alice_angles, "Alice's angles")) != (2,):
@@ -269,13 +271,14 @@ def tsirelson_scan(
     b = bell.plane_direction(plane, grid)  # [k, i]
     e = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:] * b[:, 2]  # [x, k]
     s = e[0] + e[1]
-    total = s[:, None] + s[None, :]  # [k0, k1]
-    best = np.zeros_like(total)
-    term = np.empty_like(total)
-    for corr in (e[0][:, None], e[0][None, :], e[1][:, None], e[1][None, :]):
-        np.subtract(total, 2.0 * corr, out=term)
-        np.maximum(best, np.abs(term, out=term), out=best)
-    k0, k1 = np.unravel_index(int(best.argmax()), best.shape)
-    return TsirelsonScan(
-        float(best[k0, k1]), float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles)
-    )
+    parts = [(m * f, m * g) for c in e for f, g in ((s - 2.0 * c, s), (s, s - 2.0 * c)) for m in (1.0, -1.0)]
+    top = max(f.max() + g.max() for f, g in parts)
+    hits = []
+    for f, g in (part for part in parts if part[0].max() + part[1].max() >= top - 1e-12):
+        k0 = np.flatnonzero(f >= f.max() - 1e-12)[:, None]
+        k1 = np.flatnonzero(g >= g.max() - 1e-12)
+        best = np.max([abs(s[k0] + s[k1] - 2.0 * c) for c in (*e[:, k0], *e[:, k1])], axis=0)
+        i, j = np.unravel_index(int(best.argmax()), best.shape)
+        hits.append((float(best[i, j]), int(k0[i, 0]), int(k1[j])))
+    value, k0, k1 = max(hits, key=lambda hit: (hit[0], -hit[1], -hit[2]))
+    return TsirelsonScan(value, float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles))

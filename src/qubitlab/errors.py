@@ -61,4 +61,9 @@ def check_finite(value, what: str):
         a = np.asarray(None)
     if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
         raise DomainError(f"{what} must be finite real numbers, got {value!r}")
+    # numpy promotes a bool inside a sequence of numbers to 0 or 1; an array of dtype iuf holds none
+    if not isinstance(value, np.ndarray) and a.ndim and any(
+        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
+    ):
+        raise DomainError(f"{what} must be real numbers, not bools, got {value!r}")
     return float(a) if a.ndim == 0 else a.astype(float)

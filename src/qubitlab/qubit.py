@@ -21,6 +21,8 @@ from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, is_h
 PURITY_ATOL = 1e-9
 # largest generalized-bit s: 2**s - 1 is exact int arithmetic, and this keeps it to 8 KiB
 MAX_GBIT_S = 2**16
+# most interior points of classical_pure_path: one ClassicalBitState object per point
+MAX_PATH_STEPS = 2**16
 
 _AXES = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -106,9 +108,17 @@ def bloch_roundtrip(state: QubitState) -> QubitState:
     return QubitState.from_bloch(state.bloch)
 
 
+def _rotation_angle(value) -> float:
+    """One finite real angle as a float, else DomainError: the rotations are not vectorised."""
+    angle = check_finite(value, "rotation angle")
+    if not isinstance(angle, float):
+        raise DomainError(f"rotation angle must be one real number, got {value!r}")
+    return angle
+
+
 def su2_rotation(axis, theta: float) -> np.ndarray:
     """U = exp(i*theta * n.sigma) for a named axis or arbitrary axis vector."""
-    theta = check_finite(theta, "rotation angle")
+    theta = _rotation_angle(theta)
     n = axis_vector(axis)
     ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
     return math.cos(theta) * ID2 + 1j * math.sin(theta) * ns
@@ -122,7 +132,7 @@ def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
 
 def so3_rotation(axis, angle: float) -> np.ndarray:
     """Right-handed real-space rotation matrix about `axis` by `angle` (Rodrigues)."""
-    angle = check_finite(angle, "rotation angle")
+    angle = _rotation_angle(angle)
     n = axis_vector(axis)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
@@ -130,7 +140,7 @@ def so3_rotation(axis, angle: float) -> np.ndarray:
 
 def bloch_rotation_for(axis, theta: float) -> np.ndarray:
     """The SO(3) rotation that su2_rotate(., axis, theta) induces on Bloch vectors."""
-    return so3_rotation(axis, -2.0 * check_finite(theta, "rotation angle"))
+    return so3_rotation(axis, -2.0 * _rotation_angle(theta))
 
 
 def gbit_dimension(s: int) -> int:
@@ -169,5 +179,5 @@ def classical_pure_path(
         raise DomainError("path endpoints must be pure classical bit states")
     if a.p1 == b.p1:
         raise DomainError("path endpoints must differ")
-    ps = np.linspace(a.p1, b.p1, check_int(steps, "interior step count", 1) + 2)
+    ps = np.linspace(a.p1, b.p1, check_int(steps, "interior step count", 1, MAX_PATH_STEPS) + 2)
     return [ClassicalBitState(float(p)) for p in ps]

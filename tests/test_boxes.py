@@ -282,7 +282,6 @@ class TestScanBounds:
             tsirelson_scan(BellKind.SINGLET, "xz", n=MAX_SCAN_N + 1)
 
     def test_huge_grid_rejected_before_allocating(self):
-        # 10**9 points would need 2.4e19 bytes of buffers
         with pytest.raises(DomainError):
             tsirelson_scan(BellKind.SINGLET, "xz", n=10**9)
 

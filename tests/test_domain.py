@@ -18,6 +18,7 @@ from qubitlab.errors import DomainError, check_finite, check_int
 from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcome_values, sample_outcomes
 from qubitlab.qubit import (
     MAX_GBIT_S,
+    MAX_PATH_STEPS,
     ClassicalBitState,
     QubitState,
     bloch_rotation_for,
@@ -66,7 +67,7 @@ INTEGER_ARGS = {
     "ClassicalBitsStrategy k": (ClassicalBitsStrategy, 0, None, 3, lambda r: r.k),
     "tsirelson_scan n": (lambda v: tsirelson_scan(n=v), 2, MAX_SCAN_N, 4, lambda r: r.n),
     "gbit_dimension s": (gbit_dimension, 1, MAX_GBIT_S, 3, None),
-    "classical_pure_path steps": (lambda v: classical_pure_path(ZERO, ONE, v), 1, None, 3, lambda r: len(r) - 2),
+    "classical_pure_path steps": (lambda v: classical_pure_path(ZERO, ONE, v), 1, MAX_PATH_STEPS, 3, lambda r: len(r) - 2),
 }
 
 
@@ -110,14 +111,7 @@ ANGLE_ARGS = {
     "tsirelson_scan second Alice angle": lambda v: tsirelson_scan(n=4, alice_angles=(0.0, v)),
 }
 BAD_ANGLES = [math.nan, math.inf, -math.inf, np.float64(math.nan), "3", None, True, np.bool_(True), 1j]
-# inside a sequence of floats numpy promotes a bool to 0.0 or 1.0 before the check sees it
-EMBEDDED = {"plane_direction array", "tsirelson_scan first Alice angle", "tsirelson_scan second Alice angle"}
-ANGLE_CASES = [
-    pytest.param(name, bad, id=f"{name}-{bad!r}")
-    for name in ANGLE_ARGS
-    for bad in BAD_ANGLES
-    if not (name in EMBEDDED and isinstance(bad, (bool, np.bool_)))
-]
+ANGLE_CASES = [pytest.param(name, bad, id=f"{name}-{bad!r}") for name in ANGLE_ARGS for bad in BAD_ANGLES]
 
 
 @pytest.mark.parametrize("name,bad", ANGLE_CASES)
@@ -130,6 +124,14 @@ def test_angle_outside_its_domain_raises(name, bad):
 def test_finite_angles_accepted(name):
     ANGLE_ARGS[name](1.5)
     ANGLE_ARGS[name](np.float32(-2))
+
+
+# the rotations take one angle; an array would reach math.cos and raise a bare TypeError
+@pytest.mark.parametrize("name", ["su2_rotation", "su2_rotate", "so3_rotation", "bloch_rotation_for"])
+@pytest.mark.parametrize("angles", [[0.1, 0.2], np.array([0.1, 0.2]), np.array([0.1]), [[0.5]]])
+def test_rotation_wants_one_angle(name, angles):
+    with pytest.raises(DomainError):
+        ANGLE_ARGS[name](angles)
 
 
 @pytest.mark.parametrize("angles", [(0.0,), (0.0, 1.0, 2.0), 0.5, ((0.0, 1.0),), ()])
@@ -184,7 +186,9 @@ class TestCheckFinite:
         a = check_finite((0, 1.5), "angles")
         assert a.dtype == float and a.tolist() == [0.0, 1.5]
 
-    @pytest.mark.parametrize("value", [[0.0, math.nan], [[0.0], [1.0, 2.0]], "1", 10**400])
+    @pytest.mark.parametrize(
+        "value", [[0.0, math.nan], [[0.0], [1.0, 2.0]], "1", 10**400, [0.0, True], [[1.0], [np.bool_(False)]]]
+    )
     def test_refusals(self, value):
         with pytest.raises(DomainError):
             check_finite(value, "angles")

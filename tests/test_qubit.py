@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qubitlab.errors import DomainError, InvalidStateError
 from qubitlab.hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Z
 from qubitlab.qubit import (
+    MAX_PATH_STEPS,
     ClassicalBitState,
     QubitState,
     bloch_roundtrip,
@@ -203,6 +204,14 @@ class TestClassicalBit:
     def test_equal_endpoints_rejected(self):
         with pytest.raises(DomainError):
             classical_pure_path(ClassicalBitState(1.0), ClassicalBitState(1.0), steps=2)
+
+    def test_path_steps_are_bounded(self):
+        # one object per point: 10**6 steps took 5.4 s and 115 MiB before the bound
+        zero, one = ClassicalBitState(0.0), ClassicalBitState(1.0)
+        assert len(classical_pure_path(zero, one, MAX_PATH_STEPS)) == MAX_PATH_STEPS + 2
+        for steps in (MAX_PATH_STEPS + 1, 10**6, 10**9):
+            with pytest.raises(DomainError, match="exceed the bound"):
+                classical_pure_path(zero, one, steps)
 
     def test_invalid_probability_rejected(self):
         with pytest.raises(InvalidStateError):
