@@ -11,13 +11,14 @@ E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConditioningError, DomainError, InvalidStateError, check_finite, check_int
-from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
+from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
 from .measure import MAX_TRIALS
 from .qubit import axis_vector, su2_rotation
 from .rng import uniform_blocks
@@ -99,6 +100,7 @@ def pauli_expansion(kind: BellKind) -> np.ndarray:
     ) / 4.0
 
 
+@functools.cache  # built and cross-checked against the Pauli expansion on first use
 def _checked_density(kind: BellKind) -> np.ndarray:
     v = _VECTORS[kind]
     rho = np.outer(v, v.conj())
@@ -108,25 +110,9 @@ def _checked_density(kind: BellKind) -> np.ndarray:
     return rho
 
 
-# built and cross-checked against the Pauli expansions once, at import
-_DENSITIES = {kind: _checked_density(kind) for kind in BellKind}
-
-
 def bell_density(kind: BellKind) -> np.ndarray:
-    """Projector onto the Bell state (a copy of the import-time checked density)."""
-    return _DENSITIES[kind].copy()
-
-
-def measurement_operator(direction) -> np.ndarray:
-    """Spin component along a unit direction: a.sigma, eigenvalues +1/-1."""
-    a = unit_vector(direction, "measurement direction")
-    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
-
-
-def projectors(direction) -> tuple[np.ndarray, np.ndarray]:
-    """Spectral projectors (I +/- a.sigma)/2 of the direction's spin operator."""
-    op = measurement_operator(direction)
-    return (ID2 + op) / 2.0, (ID2 - op) / 2.0
+    """Projector onto the Bell state (a copy of the density checked on first use)."""
+    return _checked_density(kind).copy()
 
 
 def plane_direction(plane: str, angle) -> np.ndarray:

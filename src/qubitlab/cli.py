@@ -19,11 +19,18 @@ import json
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import bell, boxes, measure, quoin
 from .errors import QubitLabError, check_finite
 
+# each command imports the modules it runs inside its cmd_* function, so a
+# process loads only what its subcommand needs
+if TYPE_CHECKING:
+    from . import boxes, quoin
+
 DEFAULT_SEED = 424242
+BELL_KINDS = ("singlet", "psi+", "phi-", "phi+")  # bell.BellKind values, pinned by a test
+DEFAULT_LANES = 5  # quoin.DEFAULT_LANES, pinned by a test
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
 _ANGLE_RE = re.compile(r"^([+-]?\d*\.?\d*)\s*\*?\s*pi\s*(?:/\s*(\d+\.?\d*))?$")
@@ -92,6 +99,7 @@ def _emit_text(obj, out, indent: str) -> None:
 # project
 
 def cmd_project(args, out) -> int:
+    from . import measure
     theta = parse_angle(args.theta, args.degrees)
     setup = measure.SGSetup([0.0, 0.0, 1.0], [math.sin(theta), 0.0, math.cos(theta)])
     p_plus, p_minus = measure.projection_probabilities(setup)
@@ -131,6 +139,7 @@ def cmd_project(args, out) -> int:
 # bell
 
 def cmd_bell(args, out) -> int:
+    from . import bell, measure
     kind = bell.BellKind(args.kind)
     plane = bell.resolve_plane(kind, args.plane)
     a_angle = parse_angle(args.a, args.degrees)
@@ -187,6 +196,7 @@ def _angles_or_default(args):
 
 
 def cmd_chsh(args, out, parser) -> int:
+    from . import bell, boxes
     if args.source != "quantum":
         if args.angles:
             parser.error(f"--angles applies only to --source quantum, not {args.source}")
@@ -243,6 +253,7 @@ def cmd_chsh(args, out, parser) -> int:
 
 
 def _box_report(box: boxes.BehaviorBox) -> dict:
+    from . import boxes
     result = boxes.chsh_value(box)
     ns = boxes.no_signalling_check(box)
     verdict = boxes.conservation_filter(box)
@@ -261,6 +272,7 @@ def _box_report(box: boxes.BehaviorBox) -> dict:
 # game
 
 def _parse_strategy(text: str):
+    from . import quoin
     s = text.strip().lower()
     if s == "quoin":
         return quoin.QuoinStrategy()
@@ -273,6 +285,7 @@ def _parse_strategy(text: str):
 
 
 def cmd_game(args, out, parser) -> int:
+    from . import quoin
     try:
         strategy = _parse_strategy(args.strategy)
     except QubitLabError as exc:
@@ -323,6 +336,7 @@ def cmd_game(args, out, parser) -> int:
 
 def _written(records, fp):
     """Pass records through, writing each one to the transcript as it goes."""
+    from . import quoin
     for rec in records:
         quoin.write_transcript((rec,), fp)
         yield rec
@@ -330,6 +344,7 @@ def _written(records, fp):
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
     """One human-guessed round; IO is injected so transcripts replay in tests."""
+    from . import quoin
     bob_bits, alice_bits = quoin.standard_dealer(quoin.game_rng(seed, quoin.STREAM_DEAL, 0), lanes)
     mech_rng = quoin.game_rng(seed, quoin.STREAM_MECH, 0)
     alice_out, bob_out = quoin.lane_outcomes(mech, alice_bits, bob_bits, mech_rng)
@@ -380,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="Bell-state joint probabilities at two in-plane angles")
     common(p)
-    p.add_argument("--kind", choices=[k.value for k in bell.BellKind], required=True)
+    p.add_argument("--kind", choices=BELL_KINDS, required=True)
     p.add_argument("--plane", choices=("xy", "yz", "xz"))
     p.add_argument("--a", required=True, help="Alice's in-plane angle")
     p.add_argument("--b", required=True, help="Bob's in-plane angle")
@@ -389,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chsh", help="CHSH analysis of a quantum, PR-box, or deterministic source")
     common(p)
     p.add_argument("--source", choices=("quantum", "prbox", "lhv"), required=True)
-    p.add_argument("--kind", choices=[k.value for k in bell.BellKind], default="singlet")
+    p.add_argument("--kind", choices=BELL_KINDS, default="singlet")
     p.add_argument("--plane", choices=("xy", "yz", "xz"))
     p.add_argument("--angles", help="a0,a1,b0,b1 for the quantum source")
     p.add_argument("--scan", type=int, default=0, help="run an NxN in-plane angle scan")
@@ -399,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=("simulate", "play"))
     p.add_argument("--strategy", default="quoin", help="quoin, random, or classical:K")
     p.add_argument("--games", type=int, default=10000)
-    p.add_argument("--lanes", type=int, default=quoin.DEFAULT_LANES)
+    p.add_argument("--lanes", type=int, default=DEFAULT_LANES)
     p.add_argument("--mech", choices=("quoin", "quantum"), default="quoin")
     p.add_argument("--transcript", help="write one GameRecord JSON line per game to this path")
     return parser

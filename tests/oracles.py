@@ -6,6 +6,19 @@ import numpy as np
 
 from qubitlab import bell
 from qubitlab.boxes import TsirelsonScan
+from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
+
+
+def measurement_operator(direction) -> np.ndarray:
+    """Spin component along a unit direction: a.sigma, eigenvalues +1/-1."""
+    a = unit_vector(direction, "measurement direction")
+    return a[0] * SIGMA_X + a[1] * SIGMA_Y + a[2] * SIGMA_Z
+
+
+def projectors(direction) -> tuple[np.ndarray, np.ndarray]:
+    """Spectral projectors (I +/- a.sigma)/2 of the direction's spin operator."""
+    op = measurement_operator(direction)
+    return (ID2 + op) / 2.0, (ID2 - op) / 2.0
 
 
 def matrix_scan(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import measurement_operator, projectors
 
 from qubitlab import bell, measure
 from qubitlab.bell import (
@@ -15,10 +16,8 @@ from qubitlab.bell import (
     correlator,
     invariance_check,
     joint_probabilities,
-    measurement_operator,
     pauli_expansion,
     plane_direction,
-    projectors,
     resolve_plane,
     sample_joint,
 )

@@ -1,5 +1,6 @@
 import contextlib
 import datetime
+import hashlib
 import io
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import qubitlab
 from qubitlab import cli, quoin
+from qubitlab.bell import BellKind
 from qubitlab.errors import QubitLabError
 from qubitlab.quoin import MAX_LANES, QuoinMechanics
 
@@ -27,6 +29,19 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv, "--format", "json")
     return code, json.loads(out)
+
+
+def run_python(args, timeout):
+    """`python ARGS` with this package on the path, in a subprocess so that a
+    hang fails the test instead of stalling the run."""
+    src = str(Path(qubitlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, timeout=timeout, env=env)
+
+
+def run_module(argv, timeout):
+    """`python -m qubitlab ARGV --format json` through run_python."""
+    return run_python(["-m", "qubitlab", *argv, "--format", "json"], timeout)
 
 
 class TestParseAngle:
@@ -294,16 +309,41 @@ class TestNonFiniteAndOversizedInput:
         assert "Traceback" not in captured.err
 
 
+class TestParserLiterals:
+    """build_parser spells the kinds and the lane default out, so it loads neither bell nor quoin."""
+
+    def test_kind_choices_are_the_bell_kinds(self):
+        assert list(cli.BELL_KINDS) == [k.value for k in BellKind]
+
+    def test_default_lanes_are_the_library_default(self):
+        assert cli.DEFAULT_LANES == quoin.DEFAULT_LANES
+        assert cli.build_parser().parse_args(["game", "simulate"]).lanes == quoin.DEFAULT_LANES
+
+
+# sha256 of each --help text at 80 columns under Python 3.11's argparse, recorded before the parser
+# stopped reading bell.BellKind and quoin.DEFAULT_LANES
+HELP_SHA256 = {
+    "": "281a02155576fc81d7e2a34b66941dec76ff83705d498d06617fe6f3f738d261",
+    "project": "f80e6d7b88a988176eea237777d87e457fe23e114460c83864357b2bee63b9d2",
+    "bell": "dd846c4ef5ef71e1f97ce126cb61a0689c278e03aa7d0954a0a963c449204345",
+    "chsh": "f23f59becd0802b9b2f3acfb01367aafb59d23ed40f9396aab84b54ce2eb9c86",
+    "game": "9dc49ba6d1d2973f353bc05eb839974233807f67be30895858af982bb29a0cba",
+}
+
+
+@pytest.mark.parametrize("sub", list(HELP_SHA256), ids=lambda sub: sub or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, sub):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"] if sub else ["--help"])
+    assert exc.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[sub]
+
+
 class TestLaneBounds:
     @pytest.mark.parametrize("lanes", ["0", "-1", str(MAX_LANES + 1)])
     def test_out_of_range_lanes_exit_2(self, lanes):
-        # a subprocess with a timeout, so a hang fails the test instead of stalling the run
-        src = str(Path(qubitlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qubitlab", "game", "simulate", "--lanes", lanes, "--format", "json"],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
+        proc = run_module(["game", "simulate", "--lanes", lanes], timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "lanes must be" in proc.stderr
@@ -323,26 +363,11 @@ class TestTrialBounds:
     def test_trials_beyond_the_bound_exit_2(self, argv):
         # over the bound the samplers must refuse before drawing: streamed,
         # 2e9 trials would run for tens of seconds, 1e11 for about 20 minutes
-        src = str(Path(qubitlab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "qubitlab", *argv, "--format", "json"],
-            capture_output=True, text=True, timeout=30, env=env,
-        )
+        proc = run_module(argv, timeout=30)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "exceed the bound" in proc.stderr
         assert "Traceback" not in proc.stderr
-
-
-def run_module(argv, timeout):
-    """`python -m qubitlab ARGV` in a subprocess, so a hang fails instead of stalling the run."""
-    src = str(Path(qubitlab.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "qubitlab", *argv, "--format", "json"],
-        capture_output=True, text=True, timeout=timeout, env=env,
-    )
 
 
 class TestSeedBounds:

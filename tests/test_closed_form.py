@@ -10,15 +10,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import measurement_operator, projectors
 
 from qubitlab.bell import (
     BellKind,
     bell_density,
     correlator,
     joint_probabilities,
-    measurement_operator,
     plane_direction,
-    projectors,
 )
 from qubitlab.boxes import chsh_value, no_signalling_check, quantum_box, tsirelson_scan
 from qubitlab.hilbert import ATOL_EXACT, tensor
