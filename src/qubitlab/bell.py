@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConditioningError, DomainError, InvalidStateError, check_finite, check_int
 from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
 from .measure import MAX_TRIALS
-from .qubit import axis_vector, su2_rotation
 from .rng import uniform_blocks
 
 ID4 = np.eye(4, dtype=complex)
@@ -224,6 +223,8 @@ class InvarianceReport:
 
 def invariance_check(kind: BellKind, axis, theta: float) -> InvarianceReport:
     """Compare (U x U) rho (U x U)^dagger against rho for U = exp(i*theta*n.sigma)."""
+    from .qubit import axis_vector, su2_rotation  # only this check needs qubit
+
     u = su2_rotation(axis, theta)
     uu = tensor(u, u)
     rho = bell_density(kind)

@@ -21,7 +21,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import QubitLabError, check_finite
+from .errors import QubitLabError, check_finite, check_int
 
 # each command imports the modules it runs inside its cmd_* function, so a
 # process loads only what its subcommand needs
@@ -343,33 +343,30 @@ def _written(records, fp):
 
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
-    """One human-guessed round; IO is injected so transcripts replay in tests."""
+    """One human-guessed round of game 0; IO is injected so transcripts replay in tests."""
     from . import quoin
-    bob_bits, alice_bits = quoin.standard_dealer(quoin.game_rng(seed, quoin.STREAM_DEAL, 0), lanes)
-    mech_rng = quoin.game_rng(seed, quoin.STREAM_MECH, 0)
-    alice_out, bob_out = quoin.lane_outcomes(mech, alice_bits, bob_bits, mech_rng)
+    lanes = check_int(lanes, "lanes", 1, quoin.MAX_LANES)
+    strategy = quoin.QuoinStrategy()
+    bob, alice, _, hint, target, (alice_out, bob_out) = quoin._play(strategy, seed, seed, 0, mech, lanes)
+    alice_bits, bob_bits = quoin.lane_bits(alice, lanes), quoin.lane_bits(bob, lanes)
+    outcomes = strategy.transcript(lanes, alice, bob, hint, alice_out, bob_out)[:2]
     say(f"the dealer set your lanes to {list(alice_bits)} (Bob's side is hidden)")
-    say(f"you flip your quoins per your bits and see: {quoin.coin_symbols(alice_out)}")
-    alice_h = sum(alice_out)
+    say(f"you flip your quoins per your bits and see: {quoin.coin_symbols(quoin.lane_bits(alice_out, lanes))}")
     bits_bought = 0
-    hint = ""
     answer = input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower()
     if answer.startswith("y"):
         bits_bought = 1
-        bob_parity = sum(bob_out) % 2
-        say(f"Bob's message: his H count is {'odd' if bob_parity else 'even'} ({bob_parity})")
-        hint = quoin.parity_name(alice_h + bob_parity)
-        say(f"protocol guess: {hint}")
+        bob_parity = quoin.popcount(bob_out) & 1
+        say(f"Bob's message: his H count is {quoin.parity_name(bob_parity)} ({bob_parity})")
+        say(f"protocol guess: {quoin.parity_name(hint)}")
     guess = input_fn("your guess, even or odd? ").strip().lower()
     if guess not in ("even", "odd"):
-        guess = hint or "even"
+        guess = quoin.parity_name(hint) if bits_bought else "even"
         say(f"unrecognized guess; recording {guess}")
-    target = quoin.target_parity(alice_bits, bob_bits)
     record = quoin.GameRecord(
-        bob_bits, alice_bits, target, bits_bought, guess, quoin.CHIPS_START,
-        (f"alice outcomes: {quoin.coin_symbols(alice_out)}", f"bob outcomes: {quoin.coin_symbols(bob_out)}"),
+        bob_bits, alice_bits, quoin.parity_name(target), bits_bought, guess, quoin.CHIPS_START, outcomes
     )
-    say(f"Bob's lanes were {list(bob_bits)}; the answer is {target}")
+    say(f"Bob's lanes were {list(bob_bits)}; the answer is {record.target_parity}")
     say(f"{'you win' if record.correct else 'you lose'}: net {record.chips_net:+d} chips")
     return record
 

@@ -3,8 +3,6 @@
 import math
 import numbers
 
-import numpy as np
-
 
 class QubitLabError(ValueError):
     """Base class for domain errors raised by this package."""
@@ -55,6 +53,8 @@ def check_finite(value, what: str):
     """A finite real number as a float, or an array of them as a float array, else DomainError."""
     if type(value) is float and math.isfinite(value):
         return value
+    import numpy as np  # here, not at the top: `--help` and check_int need no numpy
+
     try:
         a = np.asarray(value)
     except ValueError:  # ragged nesting

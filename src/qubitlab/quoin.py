@@ -10,12 +10,13 @@ whatever remains on a correct guess, so a win nets chips_start -
 2*bits_bought and a loss forfeits the full stake.
 
 Random-stream contract v1 (see `rng`): game g draws its deal from
-game_rng(dealer_seed, STREAM_DEAL, g), its lane outcomes from
-game_rng(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
-game_rng(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
-(seeds, game index). `monte_carlo` computes the same draws for GAME_BLOCK
-games at a time with `rng.game_bits`, so its summary equals
-summarize(play_games(...)) exactly. `verify_parity_theorem` takes its lane
+philox(dealer_seed, STREAM_DEAL, g), its lane outcomes from
+philox(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
+philox(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
+(seeds, game index). Every game runs through one engine on lane masks: one
+game takes its draws from those generators, and a block of GAME_BLOCK games
+computes the same draws with `rng.game_bits`, so `play_game`, `play_games`
+and `monte_carlo` agree exactly. `verify_parity_theorem` takes its lane
 draws from one philox(seed) array per seed, row-major over the deals.
 """
 
@@ -34,12 +35,11 @@ from .rng import game_bits, philox
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
-# the parity exhaust holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
+# a lane mask fits a uint8, and the parity exhaust holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
 MAX_LANES = 8
-# 3-7 s of batched play (slowest at one lane, where half the hands are
-# redrawn), and every game index stays below 2**32 for rng.game_bits
+# monte_carlo plays 2**21 games in 2-4 s, and every game index stays below 2**32 for rng.game_bits
 MAX_GAMES = 2**21
-# games per batched step of monte_carlo; its arrays peak near 1 MiB
+# games per block of play_games and monte_carlo; their arrays peak near 1 MiB
 GAME_BLOCK = 4096
 
 STREAM_DEAL = 0
@@ -47,11 +47,6 @@ STREAM_MECH = 1
 STREAM_STRATEGY = 2
 
 SYMBOLS = ("T", "H")  # SYMBOLS[bit]
-
-
-def game_rng(seed: int, stream: int, game_index: int) -> np.random.Generator:
-    """Generator for one game's draws on one stream (random-stream contract v1)."""
-    return philox(seed, stream, game_index)
 
 
 def coin_symbols(bits) -> str:
@@ -88,6 +83,15 @@ class QuoinMechanics:
     def quantum_coin(cls) -> QuoinMechanics:
         """Comparison rule with the heads-heads row changed to equal outcomes."""
         return cls(frozenset())
+
+    def unequal_lanes(self, alice, bob, lanes: int):
+        """Mask of the lanes whose start bits (alice, bob), given as masks, end unequal."""
+        full = (1 << lanes) - 1
+        unequal = 0
+        for a, b in itertools.product((0, 1), repeat=2):
+            if self.u[a][b]:
+                unequal |= (alice if a else full & ~alice) & (bob if b else full & ~bob)
+        return unequal
 
 
 def flip_pair(mech: QuoinMechanics, start, seed: int, trial: int) -> tuple[str, str]:
@@ -150,12 +154,35 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
 
 
 # ---------------------------------------------------------------------------
-# the guessing game: a strategy's play(mech, alice_bits, bob_bits, rng) returns
-# (bits_bought, guess, transcript); rng(stream) builds the game's generator on
-# that stream only when the strategy asks for it. play_block(mech, alice, bob,
-# draw) plays a block of games at once: alice and bob are (games, lanes) bit
-# arrays, draw(stream, k) returns each game's first k bits on that stream, and
-# it returns the arrays (bits_bought, guess parity bit).
+# the guessing game on lane masks: a hand, a row of lane outcomes and a set of
+# asked lanes are each an integer whose bit i is lane i. A strategy's
+# play(mech, lanes, alice, bob, draw) uses only bit operators and `popcount`,
+# so one body plays a game on Python ints and a block on uint8 arrays.
+# draw(stream, k) gives the mask of each game's first k draws on that stream.
+# play returns (bits_bought, guess parity bit, notes), and
+# transcript(lanes, alice, bob, guess, *notes) renders one game's lines.
+
+_POPCOUNT = tuple(bin(mask).count("1") for mask in range(1 << MAX_LANES))
+_POPCOUNT_ARRAY = np.array(_POPCOUNT, dtype=np.uint8)
+
+
+def popcount(mask):
+    """Number of lanes set in a mask: an int for an int, a uint8 array for a mask array."""
+    return _POPCOUNT[mask] if type(mask) is int else _POPCOUNT_ARRAY[mask]
+
+
+# these two caches hold at most 2**MAX_LANES entries per lane count
+@functools.cache
+def lane_bits(mask: int, lanes: int) -> tuple[int, ...]:
+    """Bits of lanes 0..lanes-1 of one mask, as Python ints."""
+    return tuple(int(mask) >> i & 1 for i in range(lanes))
+
+
+@functools.cache
+def _mask(bits: tuple[int, ...]) -> int:
+    """Mask of one game's bits, lane i from bit i."""
+    return sum(b << i for i, b in enumerate(bits))
+
 
 @dataclass(frozen=True)
 class QuoinStrategy:
@@ -163,24 +190,18 @@ class QuoinStrategy:
 
     name: str = field(default="quoin", init=False)
 
-    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-        alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, rng(STREAM_MECH))
-        bob_parity_bit = sum(bob_out) % 2
-        alice_h = sum(alice_out)
-        guess = parity_name(alice_h + bob_parity_bit)
-        transcript = (
-            f"alice outcomes: {coin_symbols(alice_out)}",
-            f"bob outcomes: {coin_symbols(bob_out)}",
-            f"bob sends parity bit {bob_parity_bit} (1 chip)",
-            f"alice counts {alice_h} H, guesses {guess}",
-        )
-        return 1, guess, transcript
+    def play(self, mech, lanes, alice, bob, draw):
+        alice_out = draw(STREAM_MECH, lanes)
+        bob_out = alice_out ^ mech.unequal_lanes(alice, bob, lanes)
+        return 1, (popcount(alice_out) + popcount(bob_out)) & 1, (alice_out, bob_out)
 
-    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
-        fair = draw(STREAM_MECH, alice.shape[1])
-        bob_out = fair ^ np.array(mech.u, dtype=np.uint8)[alice, bob]
-        guess = (fair.sum(axis=1) + bob_out.sum(axis=1) % 2) % 2
-        return np.ones(len(alice), dtype=np.int64), guess
+    def transcript(self, lanes, alice, bob, guess, alice_out, bob_out) -> tuple[str, ...]:
+        return (
+            f"alice outcomes: {coin_symbols(lane_bits(alice_out, lanes))}",
+            f"bob outcomes: {coin_symbols(lane_bits(bob_out, lanes))}",
+            f"bob sends parity bit {popcount(bob_out) & 1} (1 chip)",
+            f"alice counts {popcount(alice_out)} H, guesses {parity_name(guess)}",
+        )
 
 
 @dataclass(frozen=True)
@@ -193,30 +214,25 @@ class ClassicalBitsStrategy:
     def __post_init__(self):
         object.__setattr__(self, "k", check_int(self.k, "classical bit count k"))
 
-    def _check_k(self, lanes: int) -> None:
+    def play(self, mech, lanes, alice, bob, draw):
         if self.k > lanes:
             raise DomainError(f"cannot buy {self.k} bits across {lanes} lanes")
-
-    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-        self._check_k(len(alice_bits))
-        one_lanes = [i for i, v in enumerate(alice_bits) if v]
-        asked = one_lanes[: self.k]
-        revealed = [bob_bits[i] for i in asked]
-        known = sum(revealed)
+        unasked = alice
+        for _ in range(self.k):
+            unasked = unasked & (unasked - 1)  # drop the lowest 1-lane
+        asked = alice ^ unasked
         # unrevealed 1-lanes are double-1 with even parity at probability 1/2;
         # the tie goes to even, so the guess is the revealed parity either way
-        guess = parity_name(known)
-        transcript = (
-            f"alice asks lanes {[i + 1 for i in asked]}",
-            f"bob reveals {revealed} ({len(asked)} chips)",
-            f"alice knows {known} shared lanes among revealed, guesses {guess}",
-        )
-        return len(asked), guess, transcript
+        return popcount(asked), popcount(asked & bob) & 1, (asked,)
 
-    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
-        self._check_k(alice.shape[1])
-        asked = alice & (np.cumsum(alice, axis=1) <= self.k)
-        return asked.sum(axis=1), (asked & bob).sum(axis=1) % 2
+    def transcript(self, lanes, alice, bob, guess, asked) -> tuple[str, ...]:
+        lanes_asked = [i for i in range(lanes) if asked >> i & 1]
+        revealed = [bob >> i & 1 for i in lanes_asked]
+        return (
+            f"alice asks lanes {[i + 1 for i in lanes_asked]}",
+            f"bob reveals {revealed} ({len(lanes_asked)} chips)",
+            f"alice knows {sum(revealed)} shared lanes among revealed, guesses {parity_name(guess)}",
+        )
 
 
 @dataclass(frozen=True)
@@ -225,15 +241,19 @@ class RandomStrategy:
 
     name: str = field(default="random", init=False)
 
-    def play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-        guess = parity_name(int(rng(STREAM_STRATEGY).integers(0, 2)))
-        return 0, guess, (f"alice guesses {guess} blind",)
+    def play(self, mech, lanes, alice, bob, draw):
+        return 0, draw(STREAM_STRATEGY, 1), ()
 
-    def play_block(self, mech, alice, bob, draw) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(len(alice), dtype=np.int64), draw(STREAM_STRATEGY, 1)[:, 0]
+    def transcript(self, lanes, alice, bob, guess) -> tuple[str, ...]:
+        return (f"alice guesses {parity_name(guess)} blind",)
 
 
 Strategy = QuoinStrategy | ClassicalBitsStrategy | RandomStrategy
+
+
+def _net_chips(correct, bits_bought, chips_start: int = CHIPS_START):
+    """The chip ledger (see the module docstring) of one game or an array of them."""
+    return correct * (2 * chips_start - 2 * bits_bought) - chips_start
 
 
 @dataclass(frozen=True)
@@ -254,10 +274,7 @@ class GameRecord:
 
     @property
     def chips_net(self) -> int:
-        # House doubles the remaining chips on a win; spent chips are gone
-        if self.correct:
-            return self.chips_start - 2 * self.bits_bought
-        return -self.chips_start
+        return _net_chips(self.correct, self.bits_bought, self.chips_start)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -278,29 +295,77 @@ def parity_name(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
 
-def target_parity(alice_bits, bob_bits) -> str:
-    """Parity of the number of lanes holding a 1 on both sides."""
-    return parity_name(sum(a & b for a, b in zip(alice_bits, bob_bits)))
+def _masks(bits: np.ndarray, lanes: int) -> np.ndarray:
+    """uint8 masks of the consecutive `lanes`-bit groups in each row of a bit array."""
+    groups = bits.shape[1] // lanes
+    grouped = bits[:, : groups * lanes].reshape(len(bits), groups, lanes)
+    return np.packbits(grouped, axis=2, bitorder="little")[:, :, 0]
 
 
-def standard_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Fair independent bits, redrawing Alice's hand until it is not all zero.
+def _deal_one(seed: int, game: int, lanes: int) -> tuple[int, int]:
+    """The dealer's (bob, alice) masks for one game.
 
-    The guesser is never dealt the trivial all-zero hand; with it excluded
-    the target parity is exactly 50/50 over Bob's bits.
+    Fair bits, redrawing Alice's hand until it is not all zero: with that
+    hand excluded the target parity is exactly 50/50.
     """
-    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    bob = tuple(rng.integers(0, 2, lanes).tolist())
-    alice = tuple(rng.integers(0, 2, lanes).tolist())
-    while not any(alice):
-        alice = tuple(rng.integers(0, 2, lanes).tolist())
+    gen = philox(seed, STREAM_DEAL, game)
+    bob, alice = _mask(tuple(gen.integers(0, 2, lanes).tolist())), 0
+    while not alice:
+        alice = _mask(tuple(gen.integers(0, 2, lanes).tolist()))
     return bob, alice
 
 
-def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, rng: np.random.Generator):
-    """Outcome bits (1 = H) of one entangled pair per lane, started on the dealt bits."""
-    fair = rng.integers(0, 2, len(alice_bits)).tolist()
-    return tuple(fair), tuple(f ^ mech.u[a][b] for f, a, b in zip(fair, alice_bits, bob_bits))
+def _deal_block(seed: int, games: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_deal_one` for an array of games, by counter.
+
+    Lane group 0 of a deal stream is Bob's hand, groups 1, 2, ... Alice's
+    candidates. All candidates in the Philox blocks of 8 draws that
+    `game_bits` computes are judged at once; games with none go a block wider.
+    """
+    width = 8 * -(-2 * lanes // 8)
+    hands = _masks(game_bits(seed, STREAM_DEAL, games, width), lanes)
+    bob, alice = hands[:, 0], np.zeros(len(games), dtype=np.uint8)
+    todo, col = np.arange(len(games)), 1  # games still dealing, and their next candidate
+    while todo.size:
+        if col == hands.shape[1]:
+            width += 8
+            hands = _masks(game_bits(seed, STREAM_DEAL, games[todo], width), lanes)
+        alice[todo] = hands[:, col]
+        zero = hands[:, col] == 0
+        todo, hands, col = todo[zero], hands[zero], col + 1
+    return bob, alice
+
+
+def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
+    """The game engine: play one game index (an int) or a block of them (an array).
+
+    Returns (bob, alice, bits_bought, guess, target, notes) as masks and
+    parity bits: Python ints for one game, arrays for a block. Here is the one
+    choice of draw source: one game builds philox generators (about 25 us
+    each), a block calls `rng.game_bits` (about 650 us even for one row).
+    """
+    if not isinstance(strategy, Strategy):
+        raise DomainError(f"unknown strategy {strategy!r}")
+    one = type(games) is int
+
+    def draw(stream: int, k: int):
+        seed = mech_seed if stream == STREAM_MECH else dealer_seed
+        if one:
+            return _mask(tuple(philox(seed, stream, games).integers(0, 2, k).tolist()))
+        return _masks(game_bits(seed, stream, games, k), k)[:, 0]
+
+    bob, alice = hands or (_deal_one if one else _deal_block)(dealer_seed, games, lanes)
+    bought, guess, notes = strategy.play(mech or QuoinMechanics.standard(), lanes, alice, bob, draw)
+    return bob, alice, bought, guess, popcount(alice & bob) & 1, notes
+
+
+def _record(strategy: Strategy, lanes: int, bob, alice, bought, guess, target, notes) -> GameRecord:
+    """One game's record, from the Python ints of its masks and parity bits."""
+    transcript = strategy.transcript(lanes, alice, bob, guess, *notes)
+    return GameRecord(
+        lane_bits(bob, lanes), lane_bits(alice, lanes), parity_name(target), bought, parity_name(guess),
+        CHIPS_START, transcript,
+    )
 
 
 def play_game(
@@ -314,24 +379,16 @@ def play_game(
     deal: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> GameRecord:
     """Run one seeded round; pass `deal` = (bob_bits, alice_bits) to fix the hands."""
-    mech = mech or QuoinMechanics.standard()
-    if not hasattr(strategy, "play"):
-        raise DomainError(f"unknown strategy {strategy!r}")
+    game_index = check_int(game_index, "game index")
     if deal is None:
-        bob_bits, alice_bits = standard_dealer(game_rng(dealer_seed, STREAM_DEAL, game_index), lanes)
+        lanes, hands = check_int(lanes, "lanes", 1, MAX_LANES), None
     else:
         bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
         if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
             raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
-        check_int(len(alice_bits), "lanes", 1, MAX_LANES)
-        bob_bits, alice_bits = tuple(map(int, bob_bits)), tuple(map(int, alice_bits))
-
-    def rng(stream: int) -> np.random.Generator:
-        return game_rng(mech_seed if stream == STREAM_MECH else dealer_seed, stream, game_index)
-
-    bits_bought, guess, transcript = strategy.play(mech, alice_bits, bob_bits, rng)
-    target = target_parity(alice_bits, bob_bits)
-    return GameRecord(bob_bits, alice_bits, target, bits_bought, guess, CHIPS_START, transcript)
+        lanes = check_int(len(alice_bits), "lanes", 1, MAX_LANES)
+        hands = _mask(tuple(map(int, bob_bits))), _mask(tuple(map(int, alice_bits)))
+    return _record(strategy, lanes, *_play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands))
 
 
 @dataclass(frozen=True)
@@ -342,6 +399,20 @@ class MonteCarloSummary:
     ci_halfwidth: float
 
 
+def _blocks(games: int) -> Iterator[np.ndarray]:
+    """Game indices 0..games-1 as uint32 arrays of at most GAME_BLOCK."""
+    for start in range(0, games, GAME_BLOCK):
+        yield np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
+
+
+def _block_records(strategy: Strategy, seed: int, games: np.ndarray, mech, lanes: int) -> Iterator[GameRecord]:
+    """The records of an array of games, played as one block."""
+    bob, alice, bought, guess, target, notes = _play(strategy, seed, seed, games, mech, lanes)
+    columns = [np.broadcast_to(col, games.shape).tolist() for col in (bob, alice, bought, guess, target, *notes)]
+    for row in zip(*columns):
+        yield _record(strategy, lanes, *row[:5], row[5:])
+
+
 def play_games(
     strategy: Strategy,
     games: int,
@@ -350,10 +421,10 @@ def play_games(
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> Iterator[GameRecord]:
-    """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed."""
+    """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed, a block at a time."""
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
+    return itertools.chain.from_iterable(_block_records(strategy, seed, g, mech, lanes) for g in _blocks(games))
 
 
 def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
@@ -373,24 +444,6 @@ def _summary(games: int, wins: int, net: int) -> MonteCarloSummary:
     return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
 
 
-def _deal_block(seed: int, g: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
-    """`standard_dealer`'s (bob, alice) bit arrays for games g, by counter.
-
-    Redraw r of a game is bits (r + 2)*lanes .. (r + 3)*lanes of its deal
-    stream, computed by counter for only the games whose Alice hand is still
-    all zero.
-    """
-    bits = game_bits(seed, STREAM_DEAL, g, 2 * lanes)
-    bob, alice = bits[:, :lanes], bits[:, lanes:]
-    todo = np.flatnonzero(~alice.any(axis=1))
-    width = 2 * lanes
-    while todo.size:
-        width += lanes
-        alice[todo] = game_bits(seed, STREAM_DEAL, g[todo], width)[:, -lanes:]
-        todo = todo[~alice[todo].any(axis=1)]
-    return bob, alice
-
-
 def monte_carlo(
     strategy: Strategy,
     games: int,
@@ -399,25 +452,15 @@ def monte_carlo(
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> MonteCarloSummary:
-    """Aggregate seeded rounds; the CI half-width is the 3-sigma binomial band.
-
-    Plays GAME_BLOCK games at a time through the strategy's `play_block`,
-    with every draw taken from its contract-v1 stream by counter, so the
-    result equals summarize(play_games(...)) while memory stays bounded.
-    """
+    """summarize(play_games(...)), played a block at a time without building records."""
     games = check_int(games, "game count", 1, MAX_GAMES)
-    mech = mech or QuoinMechanics.standard()
-    if not hasattr(strategy, "play_block"):
-        raise DomainError(f"unknown strategy {strategy!r}")
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
-    for start in range(0, games, GAME_BLOCK):
-        g = np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
-        bob, alice = _deal_block(seed, g, lanes)
-        bought, guess = strategy.play_block(mech, alice, bob, lambda stream, k: game_bits(seed, stream, g, k))
-        correct = guess == (alice & bob).sum(axis=1) % 2
+    for g in _blocks(games):
+        _, _, bought, guess, target, _ = _play(strategy, seed, seed, g, mech, lanes)
+        correct = guess == target
         wins += int(np.count_nonzero(correct))
-        net += int(np.where(correct, CHIPS_START - 2 * np.asarray(bought, dtype=np.int64), -CHIPS_START).sum())
+        net += int(_net_chips(correct, np.asarray(bought, dtype=np.int64)).sum())
     return _summary(games, wins, net)
 
 
@@ -466,19 +509,19 @@ def verify_parity_theorem(
     """
     mech = mech or QuoinMechanics.standard()
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    hands = np.array(list(itertools.product((0, 1), repeat=lanes)), dtype=np.int64)
-    alice = np.repeat(hands, len(hands), axis=0)
-    bob = np.tile(hands, (len(hands), 1))
-    u = np.array(mech.u)[alice, bob]
-    doubles = (alice & bob).sum(axis=1)
+    deals = np.arange(4**lanes)
+    # each hand as the mask of its product-order index, so lane i is bit lanes - 1 - i
+    alice, bob = deals >> lanes, deals & ((1 << lanes) - 1)
+    weights = 1 << np.arange(lanes - 1, -1, -1)
+    unequal, doubles = mech.unequal_lanes(alice, bob, lanes), popcount(alice & bob)
     seeds = list(seeds)
     failing = []
     for seed in seeds:
-        fair = philox(seed).integers(0, 2, alice.shape)
-        combined_h = (fair + (fair ^ u)).sum(axis=1)
-        deals = np.flatnonzero((combined_h - doubles) % 2)
-        if deals.size:
+        fair = philox(seed).integers(0, 2, (len(deals), lanes)) @ weights
+        combined_h = popcount(fair) + popcount(fair ^ unequal)
+        failed = np.flatnonzero((combined_h ^ doubles) & 1)
+        if failed.size:
             # 5 bytes per failing deal: 4**MAX_LANES deals and at most 2 * MAX_LANES H
-            failing.append((seed, deals.astype(np.uint32), combined_h[deals].astype(np.uint8)))
-    count = sum(len(deals) for _, deals, _ in failing)
-    return ParityTheoremReport(len(seeds) * len(alice), count, lanes, tuple(failing))
+            failing.append((seed, failed.astype(np.uint32), combined_h[failed]))
+    count = sum(len(failed) for _, failed, _ in failing)
+    return ParityTheoremReport(len(seeds) * len(deals), count, lanes, tuple(failing))

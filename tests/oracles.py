@@ -6,7 +6,25 @@ import numpy as np
 
 from qubitlab import bell
 from qubitlab.boxes import TsirelsonScan
+from qubitlab.errors import DomainError, check_int
 from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
+from qubitlab.quoin import (
+    CHIPS_START,
+    DEFAULT_LANES,
+    MAX_GAMES,
+    MAX_LANES,
+    STREAM_DEAL,
+    STREAM_MECH,
+    STREAM_STRATEGY,
+    ClassicalBitsStrategy,
+    GameRecord,
+    QuoinMechanics,
+    QuoinStrategy,
+    RandomStrategy,
+    coin_symbols,
+    parity_name,
+)
+from qubitlab.rng import philox
 
 
 def measurement_operator(direction) -> np.ndarray:
@@ -48,3 +66,111 @@ def matrix_scan(
     return TsirelsonScan(
         float(best[k0, k1]), float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles)
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-game quoin engine that the lane-mask engine replaced: hands and lane
+# outcomes are bit tuples, and every draw comes from its game's own generator
+
+
+def game_rng(seed: int, stream: int, game_index: int) -> np.random.Generator:
+    """Generator for one game's draws on one stream (random-stream contract v1)."""
+    return philox(seed, stream, game_index)
+
+
+def standard_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Fair independent bits, redrawing Alice's hand until it is not all zero.
+
+    The guesser is never dealt the trivial all-zero hand; with it excluded
+    the target parity is exactly 50/50 over Bob's bits.
+    """
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
+    bob = tuple(rng.integers(0, 2, lanes).tolist())
+    alice = tuple(rng.integers(0, 2, lanes).tolist())
+    while not any(alice):
+        alice = tuple(rng.integers(0, 2, lanes).tolist())
+    return bob, alice
+
+
+def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, rng: np.random.Generator):
+    """Outcome bits (1 = H) of one entangled pair per lane, started on the dealt bits."""
+    fair = rng.integers(0, 2, len(alice_bits)).tolist()
+    return tuple(fair), tuple(f ^ mech.u[a][b] for f, a, b in zip(fair, alice_bits, bob_bits))
+
+
+def target_parity(alice_bits, bob_bits) -> str:
+    """Parity of the number of lanes holding a 1 on both sides."""
+    return parity_name(sum(a & b for a, b in zip(alice_bits, bob_bits)))
+
+
+# each strategy's play(self, mech, alice_bits, bob_bits, rng) -> (bits_bought, guess, transcript);
+# rng(stream) builds the game's generator on that stream
+
+
+def quoin_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+    alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, rng(STREAM_MECH))
+    bob_parity_bit = sum(bob_out) % 2
+    alice_h = sum(alice_out)
+    guess = parity_name(alice_h + bob_parity_bit)
+    transcript = (
+        f"alice outcomes: {coin_symbols(alice_out)}",
+        f"bob outcomes: {coin_symbols(bob_out)}",
+        f"bob sends parity bit {bob_parity_bit} (1 chip)",
+        f"alice counts {alice_h} H, guesses {guess}",
+    )
+    return 1, guess, transcript
+
+
+def classical_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+    if self.k > len(alice_bits):
+        raise DomainError(f"cannot buy {self.k} bits across {len(alice_bits)} lanes")
+    one_lanes = [i for i, v in enumerate(alice_bits) if v]
+    asked = one_lanes[: self.k]
+    revealed = [bob_bits[i] for i in asked]
+    known = sum(revealed)
+    # unrevealed 1-lanes are double-1 with even parity at probability 1/2;
+    # the tie goes to even, so the guess is the revealed parity either way
+    guess = parity_name(known)
+    transcript = (
+        f"alice asks lanes {[i + 1 for i in asked]}",
+        f"bob reveals {revealed} ({len(asked)} chips)",
+        f"alice knows {known} shared lanes among revealed, guesses {guess}",
+    )
+    return len(asked), guess, transcript
+
+
+def random_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+    guess = parity_name(int(rng(STREAM_STRATEGY).integers(0, 2)))
+    return 0, guess, (f"alice guesses {guess} blind",)
+
+
+PLAY = {QuoinStrategy: quoin_play, ClassicalBitsStrategy: classical_play, RandomStrategy: random_play}
+
+
+def play_game(strategy, dealer_seed, mech_seed, *, game_index=0, mech=None, lanes=DEFAULT_LANES, deal=None):
+    """Run one seeded round; pass `deal` = (bob_bits, alice_bits) to fix the hands."""
+    mech = mech or QuoinMechanics.standard()
+    if type(strategy) not in PLAY:
+        raise DomainError(f"unknown strategy {strategy!r}")
+    if deal is None:
+        bob_bits, alice_bits = standard_dealer(game_rng(dealer_seed, STREAM_DEAL, game_index), lanes)
+    else:
+        bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
+        if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
+            raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
+        check_int(len(alice_bits), "lanes", 1, MAX_LANES)
+        bob_bits, alice_bits = tuple(map(int, bob_bits)), tuple(map(int, alice_bits))
+
+    def rng(stream: int) -> np.random.Generator:
+        return game_rng(mech_seed if stream == STREAM_MECH else dealer_seed, stream, game_index)
+
+    bits_bought, guess, transcript = PLAY[type(strategy)](strategy, mech, alice_bits, bob_bits, rng)
+    target = target_parity(alice_bits, bob_bits)
+    return GameRecord(bob_bits, alice_bits, target, bits_bought, guess, CHIPS_START, transcript)
+
+
+def play_games(strategy, games, seed, *, mech=None, lanes=DEFAULT_LANES):
+    """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed."""
+    games = check_int(games, "game count", 1, MAX_GAMES)
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
+    return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,13 +208,18 @@ class TestGame:
             assert obj["bits_bought"] == 1
 
     def test_transcript_plays_each_game_once(self, capsys, tmp_path, monkeypatch):
-        calls = []
-        play_game = quoin.play_game
-        monkeypatch.setattr(quoin, "play_game", lambda *a, **k: calls.append(k["game_index"]) or play_game(*a, **k))
+        dealt = []
+        play = quoin._play
+
+        def spy(strategy, dealer_seed, mech_seed, games, *args):
+            dealt.extend(np.atleast_1d(games).tolist())
+            return play(strategy, dealer_seed, mech_seed, games, *args)
+
+        monkeypatch.setattr(quoin, "_play", spy)
         path = tmp_path / "games.jsonl"
         code, _ = run_json(capsys, "game", "simulate", "--games", "40", "--transcript", str(path))
         assert code == 0
-        assert calls == list(range(40))
+        assert sorted(dealt) == list(range(40))
         assert len(path.read_text().splitlines()) == 40
 
     def test_interactive_session_replays_from_seed(self, capsys):

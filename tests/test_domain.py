@@ -9,6 +9,7 @@ playing a wrong game, computing NaN or raising a bare TypeError.
 import math
 
 import numpy as np
+import oracles
 import pytest
 
 from qubitlab import cli
@@ -32,12 +33,12 @@ from qubitlab.quoin import (
     MAX_GAMES,
     MAX_LANES,
     ClassicalBitsStrategy,
+    QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
     monte_carlo,
     play_game,
     play_games,
-    standard_dealer,
     verify_parity_theorem,
 )
 from qubitlab.rng import game_bits, philox
@@ -62,7 +63,12 @@ INTEGER_ARGS = {
     "play_games games": (lambda v: list(play_games(RandomStrategy(), v, 1)), 1, MAX_GAMES, 3, len),
     "play_games lanes": (lambda v: list(play_games(QuoinStrategy(), 2, 1, lanes=v)), 1, MAX_LANES, 3, None),
     "play_game lanes": (lambda v: play_game(QuoinStrategy(), 1, 1, lanes=v), 1, MAX_LANES, 3, lambda r: len(r.bob_bits)),
-    "standard_dealer lanes": (lambda v: standard_dealer(philox(1), v), 1, MAX_LANES, 3, lambda r: len(r[0])),
+    "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, None, 3, None),
+    "run_interactive_game lanes": (
+        lambda v: cli.run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
+        1, MAX_LANES, 3, lambda r: len(r.bob_bits),
+    ),
+    "standard_dealer lanes": (lambda v: oracles.standard_dealer(philox(1), v), 1, MAX_LANES, 3, lambda r: len(r[0])),
     "verify_parity_theorem lanes": (lambda v: verify_parity_theorem([0], v), 1, MAX_LANES, 3, None),
     "ClassicalBitsStrategy k": (ClassicalBitsStrategy, 0, None, 3, lambda r: r.k),
     "tsirelson_scan n": (lambda v: tsirelson_scan(n=v), 2, MAX_SCAN_N, 4, lambda r: r.n),

@@ -1,15 +1,16 @@
-"""Guards for the batched game engine.
+"""Guards for the game engine.
 
 `rng.game_bits` recomputes numpy's SeedSequence and Philox4x64-10 as array
-expressions; these tests hold it to the real generator, and `monte_carlo`
-(which plays through it in blocks) to the per-game oracle
-summarize(play_games(...)).
+expressions; these tests hold it to the real generator, and `play_game`,
+`play_games` and `monte_carlo` (one game on generators, blocks of games on
+the kernel) to the per-game engine they replaced, `tests/oracles.py`.
 """
 
 import itertools
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from qubitlab.quoin import (
     QuoinStrategy,
     RandomStrategy,
     monte_carlo,
+    play_game,
     play_games,
     summarize,
 )
@@ -110,25 +112,62 @@ class TestMonteCarloMatchesOracle:
         monkeypatch.setattr(quoin, "GAME_BLOCK", 32)
         for name, strategy in STRATEGIES.items():
             kw = {"mech": MECHANICS[mech], "lanes": lanes}
-            batched = outcome(lambda: monte_carlo(strategy, 100, seed, **kw))
-            oracle = outcome(lambda: summarize(play_games(strategy, 100, seed, **kw)))
-            assert batched == oracle, name
-            # a strategy that cannot buy k bits across the lanes fails on both paths
-            assert (batched is DomainError) == (name == "classical:3" and lanes < 3), name
+            expected = outcome(lambda: list(oracles.play_games(strategy, 100, seed, **kw)))
+            # a strategy that cannot buy k bits across the lanes fails on every path
+            assert (expected is DomainError) == (name == "classical:3" and lanes < 3), name
+            assert outcome(lambda: list(play_games(strategy, 100, seed, **kw))) == expected, name
+            singles = outcome(lambda: [play_game(strategy, seed, seed, game_index=g, **kw) for g in range(100)])
+            assert singles == expected, name
+            summary = expected if expected is DomainError else summarize(expected)
+            assert outcome(lambda: monte_carlo(strategy, 100, seed, **kw)) == summary, name
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**70),
+        mech_seed=st.integers(0, 2**70),
+        games=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        lanes=st.integers(1, 8),
+        name=st.sampled_from(sorted(STRATEGIES)),
+        mech=st.sampled_from(sorted(MECHANICS)),
+    )
+    def test_any_game_index_matches_the_oracle(self, seed, mech_seed, games, lanes, name, mech):
+        strategy, kw = STRATEGIES[name], {"mech": MECHANICS[mech], "lanes": lanes}
+
+        def each(engine, mech_seed):
+            return outcome(lambda: [engine.play_game(strategy, seed, mech_seed, game_index=g, **kw) for g in games])
+
+        expected = each(oracles, seed)
+        assert each(quoin, seed) == expected
+        block = np.array(games, dtype=np.uint32)
+        assert outcome(lambda: list(quoin._block_records(strategy, seed, block, **kw))) == expected
+        # the mechanics draws follow mech_seed, the deal and the coin flips the dealer seed
+        assert each(quoin, mech_seed) == each(oracles, mech_seed)
 
     def test_default_block_size(self):
         games = quoin.GAME_BLOCK + 37
         for strategy in (QuoinStrategy(), RandomStrategy()):
             kw = {"mech": QuoinMechanics.quantum_coin(), "lanes": 2}
-            assert monte_carlo(strategy, games, 9, **kw) == summarize(play_games(strategy, games, 9, **kw))
+            expected = list(oracles.play_games(strategy, games, 9, **kw))
+            assert list(play_games(strategy, games, 9, **kw)) == expected
+            assert monte_carlo(strategy, games, 9, **kw) == summarize(expected)
 
     def test_object_without_play_block_rejected(self):
-        class PlayOnly:
-            def play(self, mech, alice_bits, bob_bits, rng):
-                return 0, "even", ()
+        class Impostor:
+            """Plays like a strategy, but is none of the three."""
 
-        with pytest.raises(DomainError):
-            monte_carlo(PlayOnly(), 10, 1)
+            name = "quoin"
+
+            def play(self, mech, lanes, alice, bob, draw):
+                return 0, 0, ()
+
+            def transcript(self, lanes, alice, bob, guess):
+                return ()
+
+        for strategy in (Impostor(), object(), QuoinStrategy, "quoin", None):
+            with pytest.raises(DomainError):
+                monte_carlo(strategy, 10, 1)
+            with pytest.raises(DomainError):
+                list(play_games(strategy, 10, 1))
 
     def test_memory_stays_in_blocks(self):
         tracemalloc.start()

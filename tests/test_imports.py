@@ -8,7 +8,7 @@ from test_cli import run_python
 
 import qubitlab
 
-# runs cli.main(ARGV) in a fresh interpreter and prints the qubitlab modules it loaded
+# runs cli.main(ARGV) in a fresh interpreter and prints the qubitlab modules it loaded, then whether numpy was
 RUN_MAIN = """
 import contextlib, io, json, sys
 from qubitlab import cli
@@ -18,11 +18,12 @@ try:
 except SystemExit:
     pass
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "qubitlab")))
+print(json.dumps("numpy" in sys.modules))
 """
 
 SHELL = ["qubitlab", "qubitlab.cli", "qubitlab.errors"]
 PROJECT = [*SHELL, "qubitlab.hilbert", "qubitlab.measure", "qubitlab.rng"]
-BELL = [*PROJECT, "qubitlab.bell", "qubitlab.qubit"]
+BELL = [*PROJECT, "qubitlab.bell"]
 CHSH = [*BELL, "qubitlab.boxes"]
 GAME = [*SHELL, "qubitlab.quoin", "qubitlab.rng"]
 
@@ -40,6 +41,8 @@ MODULE_SETS = {
     "game-transcript": (["game", "simulate", "--games", "10", "--transcript", "{tmp}/t.jsonl"], GAME),
 }
 
+NO_NUMPY = {"help", "usage-error"}
+
 
 @pytest.mark.parametrize("case", list(MODULE_SETS))
 def test_subcommand_loads_only_its_modules(tmp_path, case):
@@ -47,7 +50,10 @@ def test_subcommand_loads_only_its_modules(tmp_path, case):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = run_python(["-c", RUN_MAIN, json.dumps(argv)], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == sorted(expected)
+    modules, numpy_loaded = map(json.loads, proc.stdout.splitlines())
+    assert modules == sorted(expected)
+    # the parser and its errors run no numerics, so they pay no numpy import
+    assert numpy_loaded == (case not in NO_NUMPY)
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():

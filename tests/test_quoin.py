@@ -21,15 +21,11 @@ from qubitlab.quoin import (
     apply_rigging,
     enumerate_riggings,
     flip_pair,
-    lane_outcomes,
     monte_carlo,
     play_game,
     play_games,
-    standard_dealer,
-    target_parity,
     verify_parity_theorem,
 )
-from qubitlab.rng import philox
 
 TABLE_DEAL = ((1, 0, 1, 1, 0), (1, 0, 0, 1, 1))  # (bob, alice)
 
@@ -204,8 +200,17 @@ class TestGameAccounting:
             verify_parity_theorem(seeds=[0], lanes=lanes)
 
     def test_object_without_play_rejected(self):
-        with pytest.raises(DomainError):
-            play_game(object(), 1, 1)
+        class Impostor:
+            """Plays like a strategy, but is none of the three."""
+
+            def play(self, mech, lanes, alice, bob, draw):
+                return 0, 0, ()
+
+        for strategy in (object(), Impostor(), QuoinStrategy, "quoin", None):
+            with pytest.raises(DomainError):
+                play_game(strategy, 1, 1)
+            with pytest.raises(DomainError):
+                play_game(strategy, 1, 1, deal=TABLE_DEAL)
 
     def test_deal_bits_recorded_as_ints(self):
         # equal-valued float, numpy and bool bits play and serialise as the int deal does
@@ -222,10 +227,14 @@ class TestGameAccounting:
 
 class TestDealers:
     def test_standard_dealer_never_deals_zero_hand_to_alice(self):
-        rng = philox(71)
-        for _ in range(500):
-            _, alice = standard_dealer(rng, 5)
-            assert any(alice)
+        # at one lane half of Alice's first hands are zero and get redrawn
+        for lanes in (1, 5):
+            records = list(play_games(RandomStrategy(), 500, 71, lanes=lanes))
+            singles = [play_game(RandomStrategy(), 71, 71, game_index=g, lanes=lanes) for g in range(100)]
+            assert singles == records[:100]
+            assert all(any(r.alice_bits) for r in records)
+            # only Alice's hand is redrawn: Bob's may be all zero
+            assert any(not any(r.bob_bits) for r in records)
 
 
 class TestMonteCarlo:
@@ -342,11 +351,9 @@ class TestGameLevelNoSignalling:
         for tag, bob_bits in ((0, (1, 1, 0, 0, 1)), (1, (0, 0, 0, 0, 0))):
             counts = np.zeros(32)
             for g in range(n):
-                rng = philox(90 + tag, g)
-                alice_out, _ = lane_outcomes(
-                    QuoinMechanics.standard(), alice_bits, bob_bits, rng
-                )
-                idx = sum((1 << i) for i, o in enumerate(alice_out) if o)
+                record = play_game(QuoinStrategy(), 1, 90 + tag, game_index=g, deal=(bob_bits, alice_bits))
+                alice_out = record.transcript[0].removeprefix("alice outcomes: ")
+                idx = sum((1 << i) for i, o in enumerate(alice_out) if o == "H")
                 counts[idx] += 1
             expected = n / 32
             stat = float(((counts - expected) ** 2 / expected).sum())
@@ -363,11 +370,11 @@ class TestTargetParity:
         ],
     )
     def test_examples(self, alice, bob, parity):
-        assert target_parity(alice, bob) == parity
+        assert play_game(RandomStrategy(), 1, 1, deal=(bob, alice)).target_parity == parity
 
     def test_exhaustive_agreement_with_definition(self):
         for alice in itertools.product((0, 1), repeat=3):
             for bob in itertools.product((0, 1), repeat=3):
                 doubles = sum(a & b for a, b in zip(alice, bob))
                 expected = "even" if doubles % 2 == 0 else "odd"
-                assert target_parity(alice, bob) == expected
+                assert play_game(RandomStrategy(), 1, 1, deal=(bob, alice)).target_parity == expected
