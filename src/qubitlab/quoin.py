@@ -13,9 +13,9 @@ Random-stream contract v1 (see `rng`): game g draws its deal from
 philox(dealer_seed, STREAM_DEAL, g), its lane outcomes from
 philox(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
 philox(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
-(seeds, game index). Every game runs through one engine on lane masks: one
-game takes its draws from those generators, and a block of GAME_BLOCK games
-computes the same draws with `rng.game_bits`, so `play_game`, `play_games`
+(seeds, game index). Every game runs through one engine on lane masks, and
+`rng.draws` computes those draws by counter for one game index (an int) or
+a block of GAME_BLOCK of them (an array) alike, so `play_game`, `play_games`
 and `monte_carlo` agree exactly. `verify_parity_theorem` takes its lane
 draws from one philox(seed) array per seed, row-major over the deals.
 """
@@ -31,13 +31,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_int
-from .rng import game_bits, philox
+from .rng import draws, philox
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
-# a lane mask fits a uint8, and the parity exhaust holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
+# a lane mask indexes the 256-entry popcount table, and the parity exhaust
+# holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
 MAX_LANES = 8
-# monte_carlo plays 2**21 games in 2-4 s, and every game index stays below 2**32 for rng.game_bits
+# monte_carlo plays 2**21 games in 2-4 s, and every index of a block stays below 2**32 for rng.draws
 MAX_GAMES = 2**21
 # games per block of play_games and monte_carlo; their arrays peak near 1 MiB
 GAME_BLOCK = 4096
@@ -157,7 +158,7 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
 # the guessing game on lane masks: a hand, a row of lane outcomes and a set of
 # asked lanes are each an integer whose bit i is lane i. A strategy's
 # play(mech, lanes, alice, bob, draw) uses only bit operators and `popcount`,
-# so one body plays a game on Python ints and a block on uint8 arrays.
+# so one body plays a game on Python ints and a block on uint64 arrays.
 # draw(stream, k) gives the mask of each game's first k draws on that stream.
 # play returns (bits_bought, guess parity bit, notes), and
 # transcript(lanes, alice, bob, guess, *notes) renders one game's lines.
@@ -171,24 +172,15 @@ def popcount(mask):
     return _POPCOUNT[mask] if type(mask) is int else _POPCOUNT_ARRAY[mask]
 
 
-# these two caches hold at most 2**MAX_LANES entries per lane count
-@functools.cache
+@functools.cache  # at most 2**MAX_LANES entries per lane count
 def lane_bits(mask: int, lanes: int) -> tuple[int, ...]:
     """Bits of lanes 0..lanes-1 of one mask, as Python ints."""
     return tuple(int(mask) >> i & 1 for i in range(lanes))
 
 
-@functools.cache
-def _mask(bits: tuple[int, ...]) -> int:
-    """Mask of one game's bits, lane i from bit i."""
-    return sum(b << i for i, b in enumerate(bits))
-
-
 @dataclass(frozen=True)
 class QuoinStrategy:
     """Flip per dealt bits, buy Bob's one parity bit, guess the combined parity."""
-
-    name: str = field(default="quoin", init=False)
 
     def play(self, mech, lanes, alice, bob, draw):
         alice_out = draw(STREAM_MECH, lanes)
@@ -209,7 +201,6 @@ class ClassicalBitsStrategy:
     """Buy Bob's values in up to k of Alice's 1-lanes; guess the revealed parity."""
 
     k: int
-    name: str = field(default="classical_bits", init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_int(self.k, "classical bit count k"))
@@ -238,8 +229,6 @@ class ClassicalBitsStrategy:
 @dataclass(frozen=True)
 class RandomStrategy:
     """Buy nothing and guess uniformly."""
-
-    name: str = field(default="random", init=False)
 
     def play(self, mech, lanes, alice, bob, draw):
         return 0, draw(STREAM_STRATEGY, 1), ()
@@ -295,66 +284,44 @@ def parity_name(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
 
-def _masks(bits: np.ndarray, lanes: int) -> np.ndarray:
-    """uint8 masks of the consecutive `lanes`-bit groups in each row of a bit array."""
-    groups = bits.shape[1] // lanes
-    grouped = bits[:, : groups * lanes].reshape(len(bits), groups, lanes)
-    return np.packbits(grouped, axis=2, bitorder="little")[:, :, 0]
+def _deal(seed: int, games, lanes: int, width: int = 0):
+    """The dealer's (bob, alice) masks for one game index (an int) or an array of them.
 
-
-def _deal_one(seed: int, game: int, lanes: int) -> tuple[int, int]:
-    """The dealer's (bob, alice) masks for one game.
-
-    Fair bits, redrawing Alice's hand until it is not all zero: with that
-    hand excluded the target parity is exactly 50/50.
+    Lane group 0 of a game's deal stream is Bob's hand, and Alice's is the
+    first later group that is not all zero: with that hand excluded the
+    target parity is exactly 50/50. Every group in the Philox blocks of 8
+    draws that hold the first two is judged at once, and only the games
+    whose candidates are all zero deal again, a block wider.
     """
-    gen = philox(seed, STREAM_DEAL, game)
-    bob, alice = _mask(tuple(gen.integers(0, 2, lanes).tolist())), 0
-    while not alice:
-        alice = _mask(tuple(gen.integers(0, 2, lanes).tolist()))
-    return bob, alice
-
-
-def _deal_block(seed: int, games: np.ndarray, lanes: int) -> tuple[np.ndarray, np.ndarray]:
-    """`_deal_one` for an array of games, by counter.
-
-    Lane group 0 of a deal stream is Bob's hand, groups 1, 2, ... Alice's
-    candidates. All candidates in the Philox blocks of 8 draws that
-    `game_bits` computes are judged at once; games with none go a block wider.
-    """
-    width = 8 * -(-2 * lanes // 8)
-    hands = _masks(game_bits(seed, STREAM_DEAL, games, width), lanes)
-    bob, alice = hands[:, 0], np.zeros(len(games), dtype=np.uint8)
-    todo, col = np.arange(len(games)), 1  # games still dealing, and their next candidate
-    while todo.size:
-        if col == hands.shape[1]:
-            width += 8
-            hands = _masks(game_bits(seed, STREAM_DEAL, games[todo], width), lanes)
-        alice[todo] = hands[:, col]
-        zero = hands[:, col] == 0
-        todo, hands, col = todo[zero], hands[zero], col + 1
-    return bob, alice
+    full, width = (1 << lanes) - 1, width or 8 * -(-2 * lanes // 8)
+    deck = draws(seed, STREAM_DEAL, games, width)
+    alice = deck >> lanes & full
+    for group in range(2, width // lanes):
+        alice |= (alice == 0) * (deck >> lanes * group & full)
+    if type(games) is int:
+        return deck & full, alice or _deal(seed, games, lanes, width + 8)[1]
+    todo = np.flatnonzero(alice == 0)
+    # many games deal on as one array; a few, or past 64 draws (a uint64 mask), one at a time
+    if todo.size > 16 and width < 64:
+        alice[todo] = _deal(seed, games[todo], lanes, width + 8)[1]
+    else:
+        alice[todo] = [_deal(seed, int(games[g]), lanes, width + 8)[1] for g in todo]
+    return deck & full, alice
 
 
 def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
     """The game engine: play one game index (an int) or a block of them (an array).
 
     Returns (bob, alice, bits_bought, guess, target, notes) as masks and
-    parity bits: Python ints for one game, arrays for a block. Here is the one
-    choice of draw source: one game builds philox generators (about 25 us
-    each), a block calls `rng.game_bits` (about 650 us even for one row).
+    parity bits: Python ints for one game, arrays for a block.
     """
     if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
-    one = type(games) is int
 
     def draw(stream: int, k: int):
-        seed = mech_seed if stream == STREAM_MECH else dealer_seed
-        if one:
-            return _mask(tuple(philox(seed, stream, games).integers(0, 2, k).tolist()))
-        return _masks(game_bits(seed, stream, games, k), k)[:, 0]
+        return draws(mech_seed if stream == STREAM_MECH else dealer_seed, stream, games, k)
 
-    bob, alice = hands or (_deal_one if one else _deal_block)(dealer_seed, games, lanes)
+    bob, alice = hands or _deal(dealer_seed, games, lanes)
     bought, guess, notes = strategy.play(mech or QuoinMechanics.standard(), lanes, alice, bob, draw)
     return bob, alice, bought, guess, popcount(alice & bob) & 1, notes
 
@@ -387,7 +354,7 @@ def play_game(
         if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
             raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
         lanes = check_int(len(alice_bits), "lanes", 1, MAX_LANES)
-        hands = _mask(tuple(map(int, bob_bits))), _mask(tuple(map(int, alice_bits)))
+        hands = tuple(sum(int(b) << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
     return _record(strategy, lanes, *_play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands))
 
 

@@ -41,7 +41,7 @@ from qubitlab.quoin import (
     play_games,
     verify_parity_theorem,
 )
-from qubitlab.rng import game_bits, philox
+from qubitlab.rng import draws, game_bits, philox
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 X, Z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
@@ -54,16 +54,24 @@ INTEGER_ARGS = {
     "game_bits seed": (lambda v: game_bits(v, 0, [0], 4), 0, None, 3, None),
     "game_bits stream": (lambda v: game_bits(1, v, [0], 4), 0, None, 3, None),
     "game_bits draw count": (lambda v: game_bits(1, 0, [0], v), 0, None, 3, lambda r: r.shape[1]),
+    "draws seed": (lambda v: draws(v, 0, 5, 4), 0, None, 3, None),
+    "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
+    "draws game index": (lambda v: draws(1, 0, v, 4), 0, None, 3, None),
+    "draws draw count": (lambda v: draws(1, 0, 5, v), 0, None, 3, None),
+    "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
     "sample_outcomes trials": (lambda v: sample_outcomes(SETUP, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "sample_outcome_values trials": (lambda v: sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
     "sample_joint trials": (lambda v: sample_joint(BellKind.SINGLET, Z, X, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "binomial_band trials": (lambda v: binomial_band(0.5, v), 1, None, 4, None),
     "monte_carlo games": (lambda v: monte_carlo(RandomStrategy(), v, 1), 1, MAX_GAMES, 3, lambda r: r.games),
+    "monte_carlo seed": (lambda v: monte_carlo(RandomStrategy(), 3, v), 0, None, 3, None),
     "monte_carlo lanes": (lambda v: monte_carlo(QuoinStrategy(), 3, 1, lanes=v), 1, MAX_LANES, 3, None),
     "play_games games": (lambda v: list(play_games(RandomStrategy(), v, 1)), 1, MAX_GAMES, 3, len),
     "play_games lanes": (lambda v: list(play_games(QuoinStrategy(), 2, 1, lanes=v)), 1, MAX_LANES, 3, None),
     "play_game lanes": (lambda v: play_game(QuoinStrategy(), 1, 1, lanes=v), 1, MAX_LANES, 3, lambda r: len(r.bob_bits)),
     "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, None, 3, None),
+    "play_game dealer seed": (lambda v: play_game(RandomStrategy(), v, 1), 0, None, 3, None),
+    "play_game mech seed": (lambda v: play_game(QuoinStrategy(), 1, v), 0, None, 3, None),
     "run_interactive_game lanes": (
         lambda v: cli.run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
         1, MAX_LANES, 3, lambda r: len(r.bob_bits),

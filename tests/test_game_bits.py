@@ -1,9 +1,10 @@
 """Guards for the game engine.
 
-`rng.game_bits` recomputes numpy's SeedSequence and Philox4x64-10 as array
-expressions; these tests hold it to the real generator, and `play_game`,
-`play_games` and `monte_carlo` (one game on generators, blocks of games on
-the kernel) to the per-game engine they replaced, `tests/oracles.py`.
+One kernel in `rng` recomputes numpy's SeedSequence and Philox4x64-10 on
+Python ints (one game index, `rng.draws`) and on arrays (many, `rng.draws`
+and `rng.game_bits`); these tests hold it to the real generator, and
+`play_game`, `play_games` and `monte_carlo`, which all draw from that kernel,
+to the per-game engine they replaced, `tests/oracles.py`.
 """
 
 import itertools
@@ -27,11 +28,19 @@ from qubitlab.quoin import (
     play_games,
     summarize,
 )
-from qubitlab.rng import game_bits, philox
+from qubitlab import rng
+from qubitlab.rng import draws, game_bits, philox
+
+# game indices past one uint32 word: SeedSequence takes them as several words
+WIDE_INDICES = [2**32, 2**40 + 3, 2**64 + 5]
 
 
 def real_bits(seed, stream, games, k):
     return np.array([philox(seed, stream, int(g)).integers(0, 2, k) for g in games]).reshape(len(games), k)
+
+
+def as_mask(bits):
+    return sum(int(b) << i for i, b in enumerate(bits))
 
 
 class TestKernel:
@@ -44,7 +53,31 @@ class TestKernel:
     )
     def test_rows_match_the_generator(self, seed, stream, games, k):
         # guards against numpy changing how Generator.integers consumes words
-        assert np.array_equal(game_bits(seed, stream, games, k), real_bits(seed, stream, games, k))
+        expected = real_bits(seed, stream, games, k)
+        assert np.array_equal(game_bits(seed, stream, games, k), expected)
+        # the same kernel on one int index, and on the index array as masks
+        assert [draws(seed, stream, g, k) for g in games] == [as_mask(row) for row in expected]
+        assert draws(seed, stream, np.array(games), k).tolist() == [as_mask(row) for row in expected]
+
+    @pytest.mark.parametrize("game", WIDE_INDICES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**200 + 12345])
+    def test_wide_int_index_matches_the_generator(self, seed, game):
+        for stream, k in itertools.product(range(3), (1, 5, 8, 16, 70)):
+            assert draws(seed, stream, game, k) == as_mask(philox(seed, stream, game).integers(0, 2, k))
+
+    def test_prefix_cache_is_bounded(self):
+        for seed in range(10**6, 10**6 + rng.PREFIXES + 50):
+            draws(seed, 0, 3, 4)
+        assert rng._prefix.cache_info().currsize <= rng.PREFIXES
+        assert rng._prefix.cache_info().maxsize == rng.PREFIXES
+
+    @pytest.mark.parametrize("seed", [True, np.bool_(True)])
+    def test_bool_seed_rejected_before_the_cache(self, seed):
+        draws(1, 0, 3, 4)  # caches seed 1, which True equals
+        with pytest.raises(DomainError):
+            draws(seed, 0, 3, 4)
+        with pytest.raises(DomainError):
+            draws(1, seed, 3, 4)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
     def test_consecutive_games_and_wide_seeds(self, seed):
@@ -78,12 +111,40 @@ class TestKernel:
     def test_bad_indices_and_widths_rejected(self, games, k):
         with pytest.raises(DomainError):
             game_bits(1, 0, games, k)
+        with pytest.raises(DomainError):
+            draws(1, 0, np.array(games), k)
 
     def test_bad_stream_rejected(self):
         with pytest.raises(DomainError):
             game_bits(1, -1, [0], 4)
         with pytest.raises(DomainError):
             philox(1, 0, -3)
+
+
+def oracle_deals(seed, games, lanes):
+    return [tuple(as_mask(hand) for hand in oracles.standard_dealer(philox(seed, 0, int(g)), lanes)) for g in games]
+
+
+class TestDealer:
+    @pytest.mark.parametrize("lanes", [1, 3, 4, 6, 8])
+    def test_block_dealer_matches_the_oracle(self, lanes):
+        # at 3 lanes one game in 8 has no non-zero candidate in its first Philox block:
+        # many games still dealing go on as one array, the last few one at a time
+        games = np.arange(2000, dtype=np.uint32)
+        bob, alice = quoin._deal(13, games, lanes)
+        assert list(zip(bob.tolist(), alice.tolist())) == oracle_deals(13, games, lanes)
+
+    def test_games_dealing_past_64_draws_go_on_as_ints(self, monkeypatch):
+        real = quoin.draws
+
+        def no_candidates_in_arrays(seed, stream, game, k):
+            mask = real(seed, stream, game, k)
+            return mask if type(game) is int else mask & 0b11  # only Bob's hand at 2 lanes
+
+        monkeypatch.setattr(quoin, "draws", no_candidates_in_arrays)
+        games = np.arange(40, dtype=np.uint32)
+        bob, alice = quoin._deal(13, games, 2)
+        assert list(zip(bob.tolist(), alice.tolist())) == oracle_deals(13, games, 2)
 
 
 STRATEGIES = {
@@ -143,6 +204,14 @@ class TestMonteCarloMatchesOracle:
         # the mechanics draws follow mech_seed, the deal and the coin flips the dealer seed
         assert each(quoin, mech_seed) == each(oracles, mech_seed)
 
+    @pytest.mark.parametrize("game", WIDE_INDICES)
+    @pytest.mark.parametrize("lanes", [1, 5, 8])
+    def test_wide_game_index_matches_the_oracle(self, game, lanes):
+        for (name, strategy), mech in itertools.product(STRATEGIES.items(), MECHANICS.values()):
+            kw = {"game_index": game, "mech": mech, "lanes": lanes}
+            expected = outcome(lambda: oracles.play_game(strategy, 5, 9, **kw))
+            assert outcome(lambda: play_game(strategy, 5, 9, **kw)) == expected, name
+
     def test_default_block_size(self):
         games = quoin.GAME_BLOCK + 37
         for strategy in (QuoinStrategy(), RandomStrategy()):
@@ -154,8 +223,6 @@ class TestMonteCarloMatchesOracle:
     def test_object_without_play_block_rejected(self):
         class Impostor:
             """Plays like a strategy, but is none of the three."""
-
-            name = "quoin"
 
             def play(self, mech, lanes, alice, bob, draw):
                 return 0, 0, ()
