@@ -20,10 +20,10 @@ _EXPORTS = {
         "lhv_max_chsh", "no_signalling_check", "pr_box", "quantum_box", "tsirelson_scan",
     ),
     "errors": (
-        "ConditioningError", "DimensionError", "DomainError", "HermiticityError",
+        "ATOL_EXACT", "ConditioningError", "DimensionError", "DomainError", "HermiticityError",
         "InvalidStateError", "QubitLabError",
     ),
-    "hilbert": ("ATOL_EXACT", "ATOL_SCAN", "PauliCoefficients", "commutator", "pauli_decompose", "tensor"),
+    "hilbert": ("PauliCoefficients", "commutator", "pauli_decompose", "tensor"),
     "measure": (
         "OutcomeSample", "SGSetup", "expected_outcome", "projection_probabilities", "sample_outcomes",
     ),

@@ -6,6 +6,9 @@ cos(angle)*p_hat + sin(angle)*q_hat, so only relative in-plane angles enter
 the correlations. The singlet anti-correlates at every angle; each triplet
 correlates in its own symmetry plane. Marginals are uniform, so with
 E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*E)/4.
+
+Directions and joint tables are Python floats and tuples; numpy is imported
+only by the densities, `invariance_check`, array angles and the sampler.
 """
 
 from __future__ import annotations
@@ -14,15 +17,13 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .errors import ConditioningError, DomainError, InvalidStateError, check_finite, check_int
-from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, tensor, unit_vector
+from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int, unit_vector
 from .measure import MAX_TRIALS
-from .rng import uniform_blocks
 
-ID4 = np.eye(4, dtype=complex)
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class BellKind(enum.Enum):
@@ -69,30 +70,34 @@ _PAULI_SIGNS = {
     BellKind.PHI_MINUS: (-1, 1, 1),
     BellKind.PHI_PLUS: (1, -1, 1),
 }
-_VECTORS = {
-    BellKind.SINGLET: np.array([0, 1, -1, 0], dtype=complex) / math.sqrt(2),
-    BellKind.PSI_PLUS: np.array([0, 1, 1, 0], dtype=complex) / math.sqrt(2),
-    BellKind.PHI_MINUS: np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2),
-    BellKind.PHI_PLUS: np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2),
+# amplitudes times sqrt(2) in the z basis (uu, ud, du, dd)
+_AMPLITUDES = {
+    BellKind.SINGLET: (0, 1, -1, 0),
+    BellKind.PSI_PLUS: (0, 1, 1, 0),
+    BellKind.PHI_MINUS: (1, 0, 0, -1),
+    BellKind.PHI_PLUS: (1, 0, 0, 1),
 }
 
 _PLANE_BASES = {
-    "xy": (np.array([1.0, 0, 0]), np.array([0, 1.0, 0])),
-    "yz": (np.array([0, 1.0, 0]), np.array([0, 0, 1.0])),
-    "xz": (np.array([1.0, 0, 0]), np.array([0, 0, 1.0])),
+    "xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
+    "yz": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
+    "xz": ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
 }
 
 
 def bell_vector(kind: BellKind) -> np.ndarray:
     """State vector in the z basis (uu, ud, du, dd)."""
-    return _VECTORS[kind].copy()
+    import numpy as np
+    return np.array(_AMPLITUDES[kind], dtype=complex) / math.sqrt(2)
 
 
 def pauli_expansion(kind: BellKind) -> np.ndarray:
     """Density matrix assembled from its identity-plus-correlator expansion."""
+    import numpy as np
+    from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
     sx, sy, sz = kind.pauli_signs
     return (
-        ID4
+        np.eye(4, dtype=complex)
         + sx * tensor(SIGMA_X, SIGMA_X)
         + sy * tensor(SIGMA_Y, SIGMA_Y)
         + sz * tensor(SIGMA_Z, SIGMA_Z)
@@ -101,7 +106,8 @@ def pauli_expansion(kind: BellKind) -> np.ndarray:
 
 @functools.cache  # built and cross-checked against the Pauli expansion on first use
 def _checked_density(kind: BellKind) -> np.ndarray:
-    v = _VECTORS[kind]
+    import numpy as np
+    v = bell_vector(kind)
     rho = np.outer(v, v.conj())
     dev = float(np.max(np.abs(rho - pauli_expansion(kind))))
     if dev > ATOL_EXACT:
@@ -114,13 +120,17 @@ def bell_density(kind: BellKind) -> np.ndarray:
     return _checked_density(kind).copy()
 
 
-def plane_direction(plane: str, angle) -> np.ndarray:
-    """Unit vector(s) at `angle` (a scalar or an array) in coordinate plane 'xy', 'yz' or 'xz'."""
+def plane_direction(plane: str, angle) -> tuple:
+    """Unit vector at `angle` in plane 'xy', 'yz' or 'xz': floats for a scalar, one array per component for an array."""
     if plane not in _PLANE_BASES:
         raise DomainError(f"unknown plane {plane!r} (want one of xy, yz, xz)")
-    e1, e2 = _PLANE_BASES[plane]
-    t = np.asarray(check_finite(angle, "in-plane angle"))[..., None]
-    return np.cos(t) * e1 + np.sin(t) * e2
+    t = check_finite(angle, "in-plane angle")
+    if isinstance(t, float):
+        c, s = math.cos(t), math.sin(t)
+    else:
+        import numpy as np
+        c, s = np.cos(t), np.sin(t)
+    return tuple(c * p + s * q for p, q in zip(*_PLANE_BASES[plane]))
 
 
 def resolve_plane(kind: BellKind, plane: str | None = None) -> str:
@@ -148,10 +158,6 @@ class JointProbabilities:
         if not abs(sum(ps) - 1.0) <= ATOL_EXACT:  # also catches NaN and inf entries
             raise InvalidStateError(f"joint probabilities sum to {sum(ps)}, not 1")
 
-    def as_array(self) -> np.ndarray:
-        """2x2 array indexed [alice][bob] with index 0 -> +1, 1 -> -1."""
-        return np.array([[self.p_pp, self.p_pm], [self.p_mp, self.p_mm]])
-
     @property
     def correlator(self) -> float:
         return self.p_pp - self.p_pm - self.p_mp + self.p_mm
@@ -166,12 +172,10 @@ class JointProbabilities:
 
     def conditional_average(self, alice_outcome: int) -> float:
         """E[Bob's outcome | Alice's outcome]."""
-        if alice_outcome == 1:
-            weight, signed = self.p_pp + self.p_pm, self.p_pp - self.p_pm
-        elif alice_outcome == -1:
-            weight, signed = self.p_mp + self.p_mm, self.p_mp - self.p_mm
-        else:
+        if alice_outcome not in (1, -1):
             raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
+        p_bob_plus, p_bob_minus = (self.p_pp, self.p_pm) if alice_outcome == 1 else (self.p_mp, self.p_mm)
+        weight, signed = p_bob_plus + p_bob_minus, p_bob_plus - p_bob_minus
         if weight <= ATOL_EXACT:
             raise ConditioningError(f"conditioning outcome {alice_outcome:+d} has zero probability")
         return signed / weight
@@ -186,10 +190,13 @@ def joint_probabilities(kind: BellKind, a_dir, b_dir) -> JointProbabilities:
 
 def correlator(kind: BellKind, a_dir, b_dir) -> float:
     """Expectation of the product of outcomes: E(a, b) = sum_i s_i a_i b_i."""
-    a = unit_vector(a_dir, "Alice's direction")
-    b = unit_vector(b_dir, "Bob's direction")
-    sx, sy, sz = kind.pauli_signs
-    return float(sx * a[0] * b[0] + sy * a[1] * b[1] + sz * a[2] * b[2])
+    return correlate(kind.pauli_signs, unit_vector(a_dir, "Alice's direction"), unit_vector(b_dir, "Bob's direction"))
+
+
+def correlate(signs, a, b):
+    """sum_i s_i a_i b_i over three components: floats, or array columns that broadcast."""
+    sx, sy, sz = signs
+    return sx * a[0] * b[0] + sy * a[1] * b[1] + sz * a[2] * b[2]
 
 
 def closed_form_joint(kind: BellKind, theta: float) -> JointProbabilities:
@@ -223,14 +230,14 @@ class InvarianceReport:
 
 def invariance_check(kind: BellKind, axis, theta: float) -> InvarianceReport:
     """Compare (U x U) rho (U x U)^dagger against rho for U = exp(i*theta*n.sigma)."""
-    from .qubit import axis_vector, su2_rotation  # only this check needs qubit
-
+    import numpy as np
+    from .hilbert import tensor
+    from .qubit import axis_vector, su2_rotation
     u = su2_rotation(axis, theta)
     uu = tensor(u, u)
     rho = bell_density(kind)
     dev = float(np.max(np.abs(uu @ rho @ uu.conj().T - rho)))
-    n = axis_vector(axis)
-    return InvarianceReport(kind, (n[0], n[1], n[2]), theta, dev <= ATOL_EXACT, dev)
+    return InvarianceReport(kind, tuple(axis_vector(axis)), theta, dev <= ATOL_EXACT, dev)
 
 
 @dataclass(frozen=True)
@@ -242,12 +249,15 @@ class JointSample:
     seed: int
 
     def __post_init__(self):
+        import numpy as np
         c = np.asarray(self.counts)
         if c.shape != (2, 2) or (c < 0).any() or c.sum() != self.n:
             raise DomainError("joint counts must be a nonnegative 2x2 table summing to the number of trials")
 
     def conditional_mean(self, alice_outcome: int) -> float:
-        row = self.counts[0] if alice_outcome == 1 else self.counts[1]
+        if alice_outcome not in (1, -1):
+            raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
+        row = self.counts[0 if alice_outcome == 1 else 1]
         total = int(row.sum())
         if total == 0:
             raise ConditioningError(f"no samples with Alice outcome {alice_outcome:+d}")
@@ -262,6 +272,8 @@ def sample_joint(kind: BellKind, a_dir, b_dir, n: int, seed: int) -> JointSample
     p_mp. The last cell takes every draw at or above edges[2], so the counts
     sum to n even where the float sum of the four probabilities is below 1.
     """
+    import numpy as np
+    from .rng import uniform_blocks
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     jp = joint_probabilities(kind, a_dir, b_dir)
     edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp])

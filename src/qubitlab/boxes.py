@@ -6,6 +6,10 @@ CHSH machinery, the local-deterministic bound by exhaustive enumeration, the
 PR-box, no-signalling verification, and the conservation filter that rules
 extremal boxes consistent or inconsistent with a single fixed spin direction
 per setting label.
+
+A box is 16 Python floats in nested tuples, and every box built here comes
+from the one rule in `_box`. Numpy is imported only by `tsirelson_scan` and
+by the trace of a non-extremal box.
 """
 
 from __future__ import annotations
@@ -15,11 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import bell
-from .errors import DomainError, InvalidStateError, check_finite, check_int
-from .hilbert import ATOL_EXACT
+from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_finite, check_int
 
 OUTCOMES = (1, -1)
 # largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
@@ -32,49 +33,66 @@ BOB_LABELS = ("b", "b'")
 class BehaviorBox:
     """p[x][y][i][j]: probability of outcomes (OUTCOMES[i], OUTCOMES[j]) at settings (x, y)."""
 
-    p: np.ndarray
+    p: tuple
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.shape != (2, 2, 2, 2):
-            raise InvalidStateError(f"behavior box must have shape (2,2,2,2), got {p.shape}")
-        if p.min() < -ATOL_EXACT:
-            raise InvalidStateError(f"negative probability {p.min():.3e}")
-        sums = p.sum(axis=(2, 3))
-        if not np.max(np.abs(sums - 1.0)) <= ATOL_EXACT:  # also catches NaN and inf entries
+        try:  # unpacking each table's two rows of two checks the inner shape
+            p = tuple(tuple(((float(a), float(b)), (float(c), float(d))) for (a, b), (c, d) in px) for px in self.p)
+        except (TypeError, ValueError):
+            p = ()
+        if [len(px) for px in p] != [2, 2]:
+            raise InvalidStateError("behavior box must be 2 x 2 x 2 x 2 real numbers")
+        flat = [v for px in p for q in px for row in q for v in row]
+        if min(flat) < -ATOL_EXACT:
+            raise InvalidStateError(f"negative probability {min(flat):.3e}")
+        # also catches NaN and inf entries
+        if not all(abs(sum(flat[k : k + 4]) - 1.0) <= ATOL_EXACT for k in (0, 4, 8, 12)):
             raise InvalidStateError("each setting pair must carry a normalized distribution")
         object.__setattr__(self, "p", p)
 
+    def _table(self, x: int, y: int) -> tuple:
+        return self.p[check_int(x, "Alice's setting x", 0, 1)][check_int(y, "Bob's setting y", 0, 1)]
+
     def alice_marginal(self, x: int, y: int) -> float:
-        """P(Alice = +1 | settings x, y)."""
-        return float(self.p[x, y, 0, :].sum())
+        """P(Alice = +1 | settings x, y): the sum of her +1 row."""
+        return sum(self._table(x, y)[0])
 
     def bob_marginal(self, x: int, y: int) -> float:
-        """P(Bob = +1 | settings x, y)."""
-        return float(self.p[x, y, :, 0].sum())
+        """P(Bob = +1 | settings x, y): the sum of his +1 column."""
+        return sum(row[0] for row in self._table(x, y))
 
     def correlator(self, x: int, y: int) -> float:
-        q = self.p[x, y]
-        return float(q[0, 0] - q[0, 1] - q[1, 0] + q[1, 1])
+        return self.correlators()[check_int(x, "Alice's setting x", 0, 1)][check_int(y, "Bob's setting y", 0, 1)]
 
-    def correlators(self) -> np.ndarray:
-        return np.array([[self.correlator(x, y) for y in (0, 1)] for x in (0, 1)])
+    def correlators(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return tuple(tuple(q[0][0] - q[0][1] - q[1][0] + q[1][1] for q in px) for px in self.p)
 
     def to_json(self) -> str:
         """Serialize as {settings, outcomes, p row-major (x,y,a,b)}; floats round-trip exactly."""
-        return json.dumps(
-            {"settings": [2, 2], "outcomes": [1, -1], "p": self.p.reshape(-1).tolist()}
-        )
+        flat = [v for px in self.p for q in px for row in q for v in row]
+        return json.dumps({"settings": [2, 2], "outcomes": [1, -1], "p": flat})
 
     @classmethod
     def from_json(cls, text: str) -> BehaviorBox:
         obj = json.loads(text)
         if obj.get("settings") != [2, 2] or obj.get("outcomes") != [1, -1]:
             raise InvalidStateError("unrecognized behavior-box JSON header")
-        flat = np.asarray(obj["p"], dtype=float)
-        if flat.shape != (16,):
+        flat = obj["p"]
+        if not isinstance(flat, list) or len(flat) != 16:
             raise InvalidStateError("behavior-box JSON must carry 16 probabilities")
-        return cls(flat.reshape(2, 2, 2, 2))
+        return cls([[[flat[k : k + 2], flat[k + 2 : k + 4]] for k in (8 * x, 8 * x + 4)] for x in (0, 1)])
+
+
+def _box(alice, bob, corr) -> BehaviorBox:
+    """The box with mean outcomes A = alice, B = bob and correlators E = corr, by the one rule.
+
+    p(i, j | x, y) = (1 + i*A_x + j*B_y + i*j*E_xy)/4, written out for (i, j) = ++, +-, -+, --.
+    """
+    return BehaviorBox([
+        [(((1 + a + b + e) / 4, (1 + a - b - e) / 4), ((1 - a + b - e) / 4, (1 - a - b + e) / 4))
+         for b, e in zip(bob, row)]
+        for a, row in zip(alice, corr)
+    ])
 
 
 @dataclass(frozen=True)
@@ -89,15 +107,11 @@ def no_signalling_check(box: BehaviorBox, atol: float = ATOL_EXACT) -> NoSignall
     for x in (0, 1):
         m0, m1 = box.alice_marginal(x, 0), box.alice_marginal(x, 1)
         if abs(m0 - m1) > atol:
-            violations.append(
-                f"Alice marginal at {ALICE_LABELS[x]} depends on Bob's setting: {m0} vs {m1}"
-            )
+            violations.append(f"Alice marginal at {ALICE_LABELS[x]} depends on Bob's setting: {m0} vs {m1}")
     for y in (0, 1):
         m0, m1 = box.bob_marginal(0, y), box.bob_marginal(1, y)
         if abs(m0 - m1) > atol:
-            violations.append(
-                f"Bob marginal at {BOB_LABELS[y]} depends on Alice's setting: {m0} vs {m1}"
-            )
+            violations.append(f"Bob marginal at {BOB_LABELS[y]} depends on Alice's setting: {m0} vs {m1}")
     return NoSignallingReport(not violations, tuple(violations))
 
 
@@ -106,19 +120,16 @@ class ChshResult:
     """CHSH value maximized over the four one-minus-sign placements."""
 
     value: float
-    correlators: np.ndarray
+    correlators: tuple[tuple[float, float], tuple[float, float]]
     minus_on: tuple[int, int]
 
 
 def chsh_value(box: BehaviorBox) -> ChshResult:
     e = box.correlators()
-    total = float(e.sum())
-    best_value, best_pos = -math.inf, (0, 0)
-    for pos in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        v = abs(total - 2.0 * float(e[pos]))
-        if v > best_value:
-            best_value, best_pos = v, pos
-    return ChshResult(best_value, e, best_pos)
+    total = e[0][0] + e[0][1] + e[1][0] + e[1][1]
+    values = {(x, y): abs(total - 2.0 * e[x][y]) for x in (0, 1) for y in (0, 1)}
+    minus_on = max(values, key=values.get)  # the first of equal maxima
+    return ChshResult(values[minus_on], e, minus_on)
 
 
 def deterministic_box(alice_outcomes, bob_outcomes) -> BehaviorBox:
@@ -127,10 +138,7 @@ def deterministic_box(alice_outcomes, bob_outcomes) -> BehaviorBox:
     b = tuple(bob_outcomes)
     if not (set(a) <= {1, -1} and set(b) <= {1, -1} and len(a) == len(b) == 2):
         raise DomainError("strategies assign +1 or -1 to each of the two settings")
-    p = np.zeros((2, 2, 2, 2))
-    for x, y in itertools.product((0, 1), repeat=2):
-        p[x, y, OUTCOMES.index(a[x]), OUTCOMES.index(b[y])] = 1.0
-    return BehaviorBox(p)
+    return _box(a, b, [[ax * by for by in b] for ax in a])
 
 
 @dataclass(frozen=True)
@@ -146,16 +154,11 @@ class LhvScanResult:
 
 def lhv_max_chsh() -> LhvScanResult:
     """Brute-force the CHSH maximum over all local deterministic strategies."""
-    best, best_pair, hits, n = -math.inf, None, 0, 0
-    for a in itertools.product(OUTCOMES, repeat=2):
-        for b in itertools.product(OUTCOMES, repeat=2):
-            n += 1
-            v = chsh_value(deterministic_box(a, b)).value
-            if v > best + ATOL_EXACT:
-                best, best_pair, hits = v, (a, b), 1
-            elif abs(v - best) <= ATOL_EXACT:
-                hits += 1
-    return LhvScanResult(best, best_pair[0], best_pair[1], n, hits)
+    pairs = list(itertools.product(itertools.product(OUTCOMES, repeat=2), repeat=2))
+    values = [chsh_value(deterministic_box(a, b)).value for a, b in pairs]
+    best = max(values)
+    hits = [pair for pair, v in zip(pairs, values) if abs(v - best) <= ATOL_EXACT]
+    return LhvScanResult(best, *hits[0], len(pairs), len(hits))
 
 
 def sign_pattern_box(signs) -> BehaviorBox:
@@ -164,16 +167,13 @@ def sign_pattern_box(signs) -> BehaviorBox:
     Sign +1 puts probability 1/2 on each equal outcome pair, -1 on each
     unequal pair.
     """
-    s = np.asarray(signs, dtype=int)
-    if s.shape != (2, 2) or not set(s.reshape(-1).tolist()) <= {1, -1}:
+    try:
+        signed = [[v in (1, -1) for v in row] for row in signs] == [[True, True], [True, True]]
+    except TypeError:  # not nested two levels deep
+        signed = False
+    if not signed:
         raise DomainError("signs must be a 2x2 array of +/-1")
-    p = np.zeros((2, 2, 2, 2))
-    for x, y in itertools.product((0, 1), repeat=2):
-        if s[x, y] == 1:
-            p[x, y, 0, 0] = p[x, y, 1, 1] = 0.5
-        else:
-            p[x, y, 0, 1] = p[x, y, 1, 0] = 0.5
-    return BehaviorBox(p)
+    return _box((0, 0), (0, 0), signs)
 
 
 def pr_box() -> BehaviorBox:
@@ -183,19 +183,14 @@ def pr_box() -> BehaviorBox:
 
 def extremal_sign_family() -> list[tuple[tuple[int, int, int, int], BehaviorBox]]:
     """All 16 extremal correlator sign patterns (s00, s01, s10, s11)."""
-    family = []
-    for signs in itertools.product((1, -1), repeat=4):
-        family.append((signs, sign_pattern_box(np.array(signs).reshape(2, 2))))
-    return family
+    return [(signs, sign_pattern_box((signs[:2], signs[2:]))) for signs in itertools.product((1, -1), repeat=4)]
 
 
 def quantum_box(kind: bell.BellKind, a_dirs, b_dirs) -> BehaviorBox:
     """Behavior box of a Bell state measured along two directions per side."""
     if len(a_dirs) != 2 or len(b_dirs) != 2:
         raise DomainError("need exactly two measurement directions per side")
-    return BehaviorBox(
-        np.array([[bell.joint_probabilities(kind, a, b).as_array() for b in b_dirs] for a in a_dirs])
-    )
+    return _box((0, 0), (0, 0), [[bell.correlator(kind, a, b) for b in b_dirs] for a in a_dirs])
 
 
 @dataclass(frozen=True)
@@ -216,19 +211,20 @@ def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> Conservat
     the other sign.
     """
     e = box.correlators()
-    if np.max(np.abs(np.abs(e) - 1.0)) > atol:
+    if max(abs(abs(v) - 1.0) for row in e for v in row) > atol:
+        import numpy as np  # numpy's array printing, until the payload schema changes
         return ConservationVerdict(
             "not_applicable",
-            ("box is not extremal: correlators " + np.array2string(e, precision=6) + " are not all +/-1",),
+            ("box is not extremal: correlators " + np.array2string(np.array(e), precision=6) + " are not all +/-1",),
         )
-    neg = e < 0  # rounding can leave |E| a hair below 1, so only the signs are read
+    neg = [[v < 0 for v in row] for row in e]  # rounding can leave |E| a hair below 1, so only the signs are read
     trace = [
-        f"correlator E({ALICE_LABELS[x]},{BOB_LABELS[y]}) = {'-' if neg[x, y] else '+'}1 "
-        f"says {ALICE_LABELS[x]} = {'-' if neg[x, y] else ''}{BOB_LABELS[y]}"
+        f"correlator E({ALICE_LABELS[x]},{BOB_LABELS[y]}) = {'-' if neg[x][y] else '+'}1 "
+        f"says {ALICE_LABELS[x]} = {'-' if neg[x][y] else ''}{BOB_LABELS[y]}"
         for x, y in ((0, 0), (0, 1), (1, 0), (1, 1))
     ]
-    implied = "-" if neg[1, 0] ^ neg[0, 0] ^ neg[0, 1] else ""
-    if neg[1, 1] == bool(implied):
+    implied = "-" if neg[1][0] ^ neg[0][0] ^ neg[0][1] else ""
+    if neg[1][1] == bool(implied):
         trace[-1] += f"; already implied (a' = {implied}b')"
         return ConservationVerdict("consistent", tuple(trace))
     trace[-1] += f"; but the chain so far implies a' = {implied}b', so some direction would equal its own antipode"
@@ -256,20 +252,20 @@ def tsirelson_scan(
 ) -> TsirelsonScan:
     """Scan Bob's two in-plane angles over an n-point grid (step pi/n).
 
-    Alice's angles stay fixed. The 2n correlators E = sum_i s_i a_i b_i are one
-    (2x3).(3xn) contraction, summed in bell.correlator's order. With s = E_a + E_a',
+    Alice's angles stay fixed. The 2n correlators come from bell.correlate on
+    the direction columns, Alice's as a column against Bob's grid row. With s = E_a + E_a',
     each sign placement's term is f(k0) + g(k1) (f = s - 2 E_a, g = s for the minus
     on E_a at k0), so its extremes are found in O(n); the exact n x n expression is
     evaluated only on each optimal part's rows x columns within 1e-12 of its extremes.
     """
+    import numpy as np
     n = check_int(n, "grid size n", 2, MAX_SCAN_N)
     if np.shape(check_finite(alice_angles, "Alice's angles")) != (2,):
         raise DomainError(f"need exactly two Alice angles, got {alice_angles!r}")
     plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
-    a = bell.plane_direction(plane, alice_angles) * kind.pauli_signs  # [x, i]
-    b = bell.plane_direction(plane, grid)  # [k, i]
-    e = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:] * b[:, 2]  # [x, k]
+    a = [c[:, None] for c in bell.plane_direction(plane, alice_angles)]  # [x, 1] per component
+    e = bell.correlate(kind.pauli_signs, a, bell.plane_direction(plane, grid))  # [x, k]
     s = e[0] + e[1]
     parts = [(m * f, m * g) for c in e for f, g in ((s - 2.0 * c, s), (s, s - 2.0 * c)) for m in (1.0, -1.0)]
     top = max(f.max() + g.max() for f, g in parts)

@@ -127,10 +127,8 @@ def cmd_project(args, out) -> int:
             "band_3sigma": band,
             "within_band": bool(within),
         }
-    row = {k: v for k, v in payload.items() if k not in ("schema", "command")}
-    if "empirical" in payload:
-        row.update({f"empirical_{k}": v for k, v in payload["empirical"].items()})
-        row.pop("empirical", None)
+    row = {k: v for k, v in payload.items() if k not in ("schema", "command", "empirical")}
+    row.update({f"empirical_{k}": v for k, v in payload.get("empirical", {}).items()})
     _emit(payload, [row], args.format, out)
     return 1 if checks_failed else 0
 
@@ -164,20 +162,13 @@ def cmd_bell(args, out) -> int:
     }
     checks_failed = 0
     if args.trials:
-        sample = bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed)
-        emp = sample.counts / args.trials
+        counts = [int(c) for c in bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts.reshape(-1)]
         # a rounded correlator can leave a zero cell at -5.6e-17; its band is that of 0
         expect = [min(max(p, 0.0), 1.0) for p in (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm)]
         bands = [measure.binomial_band(p, args.trials) for p in expect]
-        flat = emp.reshape(-1)
-        within = all(abs(f - p) <= b for f, p, b in zip(flat, expect, bands))
+        within = all(abs(c / args.trials - p) <= b for c, p, b in zip(counts, expect, bands))
         checks_failed += not within
-        payload["empirical"] = {
-            "trials": args.trials,
-            "seed": args.seed,
-            "counts": [int(c) for c in sample.counts.reshape(-1)],
-            "within_band": bool(within),
-        }
+        payload["empirical"] = {"trials": args.trials, "seed": args.seed, "counts": counts, "within_band": within}
     row = {k: v for k, v in payload.items() if k not in ("schema", "command", "empirical")}
     _emit(payload, [row], args.format, out)
     return 1 if checks_failed else 0
@@ -239,13 +230,8 @@ def cmd_chsh(args, out, parser) -> int:
                 "tsirelson_bound": TSIRELSON,
                 "within_bound": bool(scan.max_value <= TSIRELSON + 1e-9),
             }
-    row = {
-        k: v
-        for k, v in payload.items()
-        if k not in ("schema", "command") and isinstance(v, (int, float, str, bool))
-    }
-    if "scan" in payload:
-        row.update({f"scan_{k}": v for k, v in payload["scan"].items()})
+    row = {k: v for k, v in payload.items() if k not in ("schema", "command") and isinstance(v, (int, float, str, bool))}
+    row.update({f"scan_{k}": v for k, v in payload.get("scan", {}).items()})
     _emit(payload, [row], args.format, out)
     if "scan" in payload and not payload["scan"]["within_bound"]:
         return 1
@@ -258,7 +244,7 @@ def _box_report(box: boxes.BehaviorBox) -> dict:
     ns = boxes.no_signalling_check(box)
     verdict = boxes.conservation_filter(box)
     return {
-        "correlators": [[float(v) for v in row] for row in result.correlators],
+        "correlators": [list(row) for row in result.correlators],
         "chsh": result.value,
         "minus_on": list(result.minus_on),
         "no_signalling": ns.passed,

@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the one check of scalar arguments."""
+"""Exception types shared across the package, and the checks of scalar and 3-vector arguments."""
 
 import math
 import numbers
+
+# tolerance of closed-form algebra
+ATOL_EXACT = 1e-12
 
 
 class QubitLabError(ValueError):
@@ -67,3 +70,19 @@ def check_finite(value, what: str):
     ):
         raise DomainError(f"{what} must be real numbers, not bools, got {value!r}")
     return float(a) if a.ndim == 0 else a.astype(float)
+
+
+def unit_vector(v, what: str) -> tuple[float, float, float]:
+    """A unit 3-vector as a float 3-tuple; NaN or inf components are rejected."""
+    try:
+        x, y, z = v.tolist() if hasattr(v, "tolist") else v  # an array's tolist() holds Python numbers
+    except (TypeError, ValueError):
+        x = y = z = None
+    for c in (x, y, z):
+        if not (isinstance(c, (float, int)) or isinstance(c, numbers.Real)):  # the first test is the fast one
+            raise DimensionError(f"{what} must be a 3-vector of real numbers, got {v!r}")
+    a = (float(x), float(y), float(z))
+    norm = math.hypot(*a)
+    if not abs(norm - 1.0) <= ATOL_EXACT:  # a NaN norm fails this comparison too
+        raise DomainError(f"{what} must be a finite unit vector, |v| = {norm}")
+    return a

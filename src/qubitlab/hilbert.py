@@ -1,7 +1,7 @@
 """Dense complex linear algebra for 2-, 3- and 4-dimensional operators.
 
-Everything is plain numpy on small fixed-size arrays. ATOL_EXACT bounds
-closed-form algebra, ATOL_SCAN bounds iterative or scanned results.
+Everything is plain numpy on small fixed-size arrays. ATOL_EXACT and
+`unit_vector` live in `errors`, which loads no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -11,10 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, HermiticityError
+from .errors import ATOL_EXACT, DimensionError, HermiticityError, unit_vector  # noqa: F401
 
-ATOL_EXACT = 1e-12
-ATOL_SCAN = 1e-9
 SUPPORTED_DIMS = (2, 3, 4)
 
 ID2 = np.eye(2, dtype=complex)
@@ -33,17 +31,6 @@ def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
         raise DimensionError(
             f"dimension {a.shape[0]} unsupported here (want one of {tuple(dims)})"
         )
-    return a
-
-
-def unit_vector(v, what: str) -> np.ndarray:
-    """Coerce to a float 3-vector of unit length; NaN or inf components are rejected."""
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise DimensionError(f"{what} must be a 3-vector, got shape {a.shape}")
-    norm = math.hypot(*a)
-    if not abs(norm - 1.0) <= ATOL_EXACT:  # a NaN norm fails this comparison too
-        raise DomainError(f"{what} must be a finite unit vector, |v| = {norm}")
     return a
 
 

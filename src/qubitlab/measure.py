@@ -10,11 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import DomainError, check_int
-from .hilbert import unit_vector
-from .rng import philox, uniform_blocks
+from .errors import DomainError, check_int, unit_vector
 
 # about 10 s of Philox draws at ~10 ns per double
 MAX_TRIALS = 2**30
@@ -24,8 +20,8 @@ MAX_TRIALS = 2**30
 class SGSetup:
     """Preparation and measurement directions; the relative angle is derived."""
 
-    prep_direction: np.ndarray
-    meas_direction: np.ndarray
+    prep_direction: tuple[float, float, float]
+    meas_direction: tuple[float, float, float]
 
     def __post_init__(self):
         for name in ("prep_direction", "meas_direction"):
@@ -34,7 +30,8 @@ class SGSetup:
     @property
     def theta(self) -> float:
         """Angle between preparation and measurement directions, in [0, pi]."""
-        d = float(np.dot(self.prep_direction, self.meas_direction))
+        (p0, p1, p2), (m0, m1, m2) = self.prep_direction, self.meas_direction
+        d = p0 * m0 + p1 * m1 + p2 * m2
         return math.acos(max(-1.0, min(1.0, d)))
 
 
@@ -71,8 +68,10 @@ class OutcomeSample:
         return (self.n_plus - self.n_minus) / self.n
 
 
-def sample_outcome_values(setup: SGSetup, n: int, seed: int) -> np.ndarray:
-    """Array of n outcomes in {+1, -1}; trial i is a pure function of (seed, i)."""
+def sample_outcome_values(setup: SGSetup, n: int, seed: int):
+    """Numpy array of n outcomes in {+1, -1}; trial i is a pure function of (seed, i)."""
+    import numpy as np
+    from .rng import philox
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     p_plus, _ = projection_probabilities(setup)
     u = philox(seed).random(n)
@@ -85,6 +84,8 @@ def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
     Counts the draws of `sample_outcome_values` block by block, holding no
     per-trial array.
     """
+    import numpy as np
+    from .rng import uniform_blocks
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     p_plus, _ = projection_probabilities(setup)
     n_plus = sum(int(np.count_nonzero(u < p_plus)) for u in uniform_blocks(seed, n))

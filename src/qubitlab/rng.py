@@ -12,8 +12,8 @@ philox(seed).random(n) through a buffer of at most BLOCK doubles. For the
 same reason any draw can be computed straight from its counter: one kernel
 recomputes numpy's SeedSequence key derivation (NEP 19) and Philox4x64-10
 (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), and
-gives philox(seed, stream, g).integers(0, 2, k) for one game index g (an
-int: `draws`) or an array of them (`draws` as masks, `game_bits` as bits).
+gives philox(seed, stream, g).integers(0, 2, k) as a bit mask, in `draws`,
+for one game index g (an int) or an array of them.
 """
 
 from __future__ import annotations
@@ -159,15 +159,11 @@ def draws(seed: int, stream: int, game, k: int):
     `game` is an int of any size, for one stream, or a 1-d array of indices in
     0..2**32 - 1, for one stream each (then k <= 64, and the masks are uint64).
     """
-    k = check_int(k, "draw count", 0, 64 if isinstance(game, np.ndarray) else None)
-    return sum(mask << 8 * b for b, mask in enumerate(_philox_blocks(seed, stream, game, k))) & (1 << k) - 1
-
-
-def game_bits(seed: int, stream: int, games, k: int) -> np.ndarray:
-    """Row i is philox(seed, stream, games[i]).integers(0, 2, k), as uint8; indices lie in 0..2**32 - 1."""
-    k, games = check_int(k, "draw count"), np.asarray(games)
-    blocks = np.array(list(_philox_blocks(seed, stream, games, k)), dtype=np.uint8).reshape(-(-k // 8), len(games))
-    return np.unpackbits(blocks.T, axis=1, count=k, bitorder="little")
+    many = isinstance(game, np.ndarray)
+    k = check_int(k, "draw count", 0, 64 if many else None)
+    zero = _indices(game) & 0 if many else 0  # the masks of k = 0 draws, which take no Philox block
+    masks = (mask << 8 * b for b, mask in enumerate(_philox_blocks(seed, stream, game, k)))
+    return sum(masks, zero) & (1 << k) - 1
 
 
 def uniform_blocks(seed: int, n: int) -> Iterator[np.ndarray]:

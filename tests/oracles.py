@@ -52,8 +52,8 @@ def matrix_scan(
     """
     plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
-    a = bell.plane_direction(plane, alice_angles) * kind.pauli_signs  # [x, i]
-    b = bell.plane_direction(plane, grid)  # [k, i]
+    a = np.stack(bell.plane_direction(plane, alice_angles), axis=1) * kind.pauli_signs  # [x, i]
+    b = np.stack(bell.plane_direction(plane, grid), axis=1)  # [k, i]
     e = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:] * b[:, 2]  # [x, k]
     s = e[0] + e[1]
     total = s[:, None] + s[None, :]  # [k0, k1]

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from oracles import measurement_operator, projectors
 
-from qubitlab import bell, measure
+from qubitlab import measure, rng
 from qubitlab.bell import (
     BellKind,
     JointProbabilities,
@@ -29,6 +31,9 @@ TRIPLETS = [BellKind.PSI_PLUS, BellKind.PHI_MINUS, BellKind.PHI_PLUS]
 
 X = np.array([1.0, 0.0, 0.0])
 Z = np.array([0.0, 0.0, 1.0])
+
+
+ANGLES = st.floats(-10.0, 10.0)
 
 
 def plane_pair(kind, a_angle, b_angle):
@@ -131,7 +136,9 @@ class TestJointProbabilities:
             a_dir, b_dir = plane_pair(kind, 0.2, 0.2 + theta)
             jp = joint_probabilities(kind, a_dir, b_dir)
             cf = closed_form_joint(kind, theta)
-            np.testing.assert_allclose(jp.as_array(), cf.as_array(), atol=ATOL_EXACT)
+            np.testing.assert_allclose(
+                [jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm], [cf.p_pp, cf.p_pm, cf.p_mp, cf.p_mm], atol=ATOL_EXACT
+            )
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_marginals_uniform_everywhere(self, kind):
@@ -182,6 +189,16 @@ class TestConditionalAverages:
             a, b = plane_pair(BellKind.SINGLET, 0.1, 0.1 + theta)
             assert abs(conditional_average(BellKind.SINGLET, a, b, 1) + math.cos(theta)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), plane=st.sampled_from(("xy", "yz", "xz")), a=ANGLES, b=ANGLES)
+    def test_plus_or_minus_cos_at_any_angle_pair(self, kind, plane, a, b):
+        # the singlet anti-correlates in every plane, a triplet correlates in its own
+        plane = plane if kind.is_singlet else kind.symmetry_plane
+        a_dir, b_dir = plane_direction(plane, a), plane_direction(plane, b)
+        want = -math.cos(b - a) if kind.is_singlet else math.cos(b - a)
+        assert abs(conditional_average(kind, a_dir, b_dir, 1) - want) <= 1e-12
+        assert abs(conditional_average(kind, a_dir, b_dir, -1) + want) <= 1e-12
+
     def test_zero_probability_conditioning_rejected(self):
         degenerate = JointProbabilities(1.0, 0.0, 0.0, 0.0)
         with pytest.raises(ConditioningError):
@@ -206,6 +223,19 @@ class TestInvariance:
     def test_triplet_invariant_about_its_axis(self, kind):
         for theta in (0.3, 1.1, 2.0):
             assert invariance_check(kind, kind.invariance_axis, theta).invariant
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3), theta=ANGLES)
+    def test_singlet_invariant_under_every_common_rotation(self, axis, theta):
+        assume(math.hypot(*axis) >= 0.1)
+        report = invariance_check(BellKind.SINGLET, axis, theta)
+        assert report.invariant and report.max_deviation <= ATOL_EXACT
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(TRIPLETS), theta=ANGLES)
+    def test_triplet_invariant_about_its_axis_at_every_angle(self, kind, theta):
+        report = invariance_check(kind, kind.invariance_axis, theta)
+        assert report.invariant and report.max_deviation <= ATOL_EXACT
 
     def test_phi_plus_not_invariant_about_x(self):
         report = invariance_check(BellKind.PHI_PLUS, "x", math.pi / 4)
@@ -246,9 +276,18 @@ class TestSampling:
         a, b = plane_direction("xz", 1.56), plane_direction("xz", 0.0)
         jp = joint_probabilities(BellKind.SINGLET, a, b)
         assert np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm])[-1] == 1 - 2**-53
-        monkeypatch.setattr(bell, "uniform_blocks", lambda seed, n: iter([np.array([0.0, 1 - 2**-53])]))
+        monkeypatch.setattr(rng, "uniform_blocks", lambda seed, n: iter([np.array([0.0, 1 - 2**-53])]))
         counts = sample_joint(BellKind.SINGLET, a, b, 2, seed=0).counts
         assert counts.tolist() == [[1, 0], [0, 1]]
+
+    @pytest.mark.parametrize("outcome", [0, 7, -2, 2, None, "1"])
+    def test_conditional_mean_refuses_outcomes_other_than_plus_minus_one(self, outcome):
+        # any outcome but +1 used to read the -1 row
+        sample = JointSample(np.array([[3, 1], [2, 4]]), 10, seed=0)
+        with pytest.raises(DomainError):
+            sample.conditional_mean(outcome)
+        with pytest.raises(DomainError):
+            JointProbabilities(0.3, 0.2, 0.1, 0.4).conditional_average(outcome)
 
     @pytest.mark.parametrize("n", [0, -1, 2.0, True, None, measure.MAX_TRIALS + 1])
     def test_bad_trial_count_rejected(self, n):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qubitlab.bell import BellKind, plane_direction
 from qubitlab.boxes import (
@@ -69,9 +71,17 @@ class TestBehaviorBox:
 
     def test_pr_box_entries(self):
         box = pr_box()
-        assert box.p[0, 0, 0, 0] == 0.5  # equal outcomes at (a, b)
-        assert box.p[1, 1, 0, 0] == 0.0  # only unequal outcomes at (a', b')
-        assert box.p[1, 1, 0, 1] == 0.5
+        assert box.p[0][0][0][0] == 0.5  # equal outcomes at (a, b)
+        assert box.p[1][1][0][0] == 0.0  # only unequal outcomes at (a', b')
+        assert box.p[1][1][0][1] == 0.5
+
+    @pytest.mark.parametrize("x,y", [(-1, 0), (0, -1), (2, 0), (0, 2), (True, 0), (0, 1.0)])
+    def test_setting_outside_0_1_rejected(self, x, y):
+        # -1 used to read setting 1, and 2 raised IndexError
+        box = pr_box()
+        for read in (box.alice_marginal, box.bob_marginal, box.correlator):
+            with pytest.raises(DomainError):
+                read(x, y)
 
     def test_json_roundtrip_bit_exact(self):
         rng = np.random.default_rng(51)
@@ -80,7 +90,7 @@ class TestBehaviorBox:
             raw /= raw.sum(axis=(2, 3), keepdims=True)
             box = BehaviorBox(raw)
             back = BehaviorBox.from_json(box.to_json())
-            assert np.array_equal(back.p, box.p)
+            assert back.p == box.p
 
     def test_json_header_checked(self):
         with pytest.raises(InvalidStateError):
@@ -144,9 +154,25 @@ class TestChsh:
         # every deterministic strategy pair reaches exactly 2
         assert scan.n_maximizers == 16
 
+    @settings(max_examples=150, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))
+    def test_mixtures_of_deterministic_boxes_are_local(self, weights):
+        # the local polytope: every convex mixture of the 16 deterministic boxes
+        assume(sum(weights) >= 1e-3)
+        strategies = itertools.product(itertools.product((1, -1), repeat=2), repeat=2)
+        p = sum(w / sum(weights) * np.asarray(deterministic_box(a, b).p) for w, (a, b) in zip(weights, strategies))
+        box = BehaviorBox(p)
+        assert chsh_value(box).value <= 2.0 + 1e-12
+        assert no_signalling_check(box).passed
+
     def test_all_plus_strategy(self):
         box = deterministic_box((1, 1), (1, 1))
         assert chsh_value(box).value == 2.0
+
+    @pytest.mark.parametrize("signs", [5, None, [1, 1], [[1, 1]], [[1, 1], [1, 0]], [[1, 1], [1, 1.5]], "ab"])
+    def test_bad_sign_pattern_rejected(self, signs):
+        with pytest.raises(DomainError):
+            sign_pattern_box(signs)
 
     def test_bad_strategy_rejected(self):
         with pytest.raises(DomainError):
@@ -202,7 +228,7 @@ class TestConservationFilter:
         a = 6.998155441665141
         dirs = [plane_direction("xz", a), plane_direction("xz", a + math.pi)]
         box = quantum_box(BellKind.SINGLET, dirs, dirs)
-        assert box.correlators()[0, 0] > -1.0
+        assert box.correlators()[0][0] > -1.0
         verdict = conservation_filter(box)
         assert verdict.status == "consistent"
         assert verdict.trace[0] == "correlator E(a,b) = -1 says a = -b"

@@ -13,8 +13,16 @@ import oracles
 import pytest
 
 from qubitlab import cli
-from qubitlab.bell import BellKind, invariance_check, plane_direction, sample_joint
-from qubitlab.boxes import MAX_SCAN_N, tsirelson_scan
+from qubitlab.bell import (
+    BellKind,
+    JointProbabilities,
+    JointSample,
+    conditional_average,
+    invariance_check,
+    plane_direction,
+    sample_joint,
+)
+from qubitlab.boxes import MAX_SCAN_N, pr_box, tsirelson_scan
 from qubitlab.errors import DomainError, check_finite, check_int
 from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcome_values, sample_outcomes
 from qubitlab.qubit import (
@@ -41,21 +49,21 @@ from qubitlab.quoin import (
     play_games,
     verify_parity_theorem,
 )
-from qubitlab.rng import draws, game_bits, philox
+from qubitlab.rng import draws, philox
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 X, Z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
 ZERO, ONE = ClassicalBitState(0.0), ClassicalBitState(1.0)
+PR_BOX = pr_box()
 
 # name -> (call with the value, lo, hi or None, a valid value, the int the result echoes back or None)
 INTEGER_ARGS = {
     "philox seed": (lambda v: philox(v), 0, None, 3, None),
     "philox stream": (lambda v: philox(1, v), 0, None, 3, None),
-    "game_bits seed": (lambda v: game_bits(v, 0, [0], 4), 0, None, 3, None),
-    "game_bits stream": (lambda v: game_bits(1, v, [0], 4), 0, None, 3, None),
-    "game_bits draw count": (lambda v: game_bits(1, 0, [0], v), 0, None, 3, lambda r: r.shape[1]),
     "draws seed": (lambda v: draws(v, 0, 5, 4), 0, None, 3, None),
+    "draws seed for an index array": (lambda v: draws(v, 0, np.arange(1), 4), 0, None, 3, None),
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
+    "draws stream for an index array": (lambda v: draws(1, v, np.arange(1), 4), 0, None, 3, None),
     "draws game index": (lambda v: draws(1, 0, v, 4), 0, None, 3, None),
     "draws draw count": (lambda v: draws(1, 0, 5, v), 0, None, 3, None),
     "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
@@ -79,6 +87,12 @@ INTEGER_ARGS = {
     "standard_dealer lanes": (lambda v: oracles.standard_dealer(philox(1), v), 1, MAX_LANES, 3, lambda r: len(r[0])),
     "verify_parity_theorem lanes": (lambda v: verify_parity_theorem([0], v), 1, MAX_LANES, 3, None),
     "ClassicalBitsStrategy k": (ClassicalBitsStrategy, 0, None, 3, lambda r: r.k),
+    "BehaviorBox.alice_marginal x": (lambda v: PR_BOX.alice_marginal(v, 0), 0, 1, 1, None),
+    "BehaviorBox.alice_marginal y": (lambda v: PR_BOX.alice_marginal(0, v), 0, 1, 1, None),
+    "BehaviorBox.bob_marginal x": (lambda v: PR_BOX.bob_marginal(v, 0), 0, 1, 1, None),
+    "BehaviorBox.bob_marginal y": (lambda v: PR_BOX.bob_marginal(0, v), 0, 1, 1, None),
+    "BehaviorBox.correlator x": (lambda v: PR_BOX.correlator(v, 0), 0, 1, 1, None),
+    "BehaviorBox.correlator y": (lambda v: PR_BOX.correlator(0, v), 0, 1, 1, None),
     "tsirelson_scan n": (lambda v: tsirelson_scan(n=v), 2, MAX_SCAN_N, 4, lambda r: r.n),
     "gbit_dimension s": (gbit_dimension, 1, MAX_GBIT_S, 3, None),
     "classical_pure_path steps": (lambda v: classical_pure_path(ZERO, ONE, v), 1, MAX_PATH_STEPS, 3, lambda r: len(r) - 2),
@@ -109,6 +123,27 @@ def test_numpy_integer_accepted_as_int(name):
     result = call(np.int64(ok))
     if echo is not None:
         assert type(echo(result)) is int and echo(result) == ok
+
+
+# name -> call with Alice's outcome, which is +1 or -1
+OUTCOME_ARGS = {
+    "JointProbabilities.conditional_average": JointProbabilities(0.3, 0.2, 0.1, 0.4).conditional_average,
+    "JointSample.conditional_mean": JointSample(np.array([[3, 1], [2, 4]]), 10, 0).conditional_mean,
+    "conditional_average": lambda v: conditional_average(BellKind.SINGLET, Z, X, v),
+}
+BAD_OUTCOMES = [0, 7, -2, 2, None, "1", math.nan]
+
+
+@pytest.mark.parametrize("name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in OUTCOME_ARGS for b in BAD_OUTCOMES])
+def test_outcome_other_than_plus_minus_one_raises(name, bad):
+    with pytest.raises(DomainError):
+        OUTCOME_ARGS[name](bad)
+
+
+@pytest.mark.parametrize("name", OUTCOME_ARGS)
+def test_plus_and_minus_one_accepted(name):
+    OUTCOME_ARGS[name](1)
+    OUTCOME_ARGS[name](np.int64(-1))
 
 
 STATE = QubitState.up()

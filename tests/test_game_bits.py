@@ -1,8 +1,8 @@
 """Guards for the game engine.
 
 One kernel in `rng` recomputes numpy's SeedSequence and Philox4x64-10 on
-Python ints (one game index, `rng.draws`) and on arrays (many, `rng.draws`
-and `rng.game_bits`); these tests hold it to the real generator, and
+Python ints (one game index) and on arrays (many); `rng.draws` runs it on
+either. These tests hold it to the real generator, and
 `play_game`, `play_games` and `monte_carlo`, which all draw from that kernel,
 to the per-game engine they replaced, `tests/oracles.py`.
 """
@@ -29,7 +29,7 @@ from qubitlab.quoin import (
     summarize,
 )
 from qubitlab import rng
-from qubitlab.rng import draws, game_bits, philox
+from qubitlab.rng import draws, philox
 
 # game indices past one uint32 word: SeedSequence takes them as several words
 WIDE_INDICES = [2**32, 2**40 + 3, 2**64 + 5]
@@ -43,6 +43,10 @@ def as_mask(bits):
     return sum(int(b) << i for i, b in enumerate(bits))
 
 
+def real_masks(seed, stream, games, k):
+    return [as_mask(row) for row in real_bits(seed, stream, games, k)]
+
+
 class TestKernel:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -53,11 +57,10 @@ class TestKernel:
     )
     def test_rows_match_the_generator(self, seed, stream, games, k):
         # guards against numpy changing how Generator.integers consumes words
-        expected = real_bits(seed, stream, games, k)
-        assert np.array_equal(game_bits(seed, stream, games, k), expected)
-        # the same kernel on one int index, and on the index array as masks
-        assert [draws(seed, stream, g, k) for g in games] == [as_mask(row) for row in expected]
-        assert draws(seed, stream, np.array(games), k).tolist() == [as_mask(row) for row in expected]
+        expected = real_masks(seed, stream, games, k)
+        # the same kernel on one int index, and on the index array
+        assert [draws(seed, stream, g, k) for g in games] == expected
+        assert draws(seed, stream, np.array(games), k).tolist() == expected
 
     @pytest.mark.parametrize("game", WIDE_INDICES)
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**200 + 12345])
@@ -82,27 +85,34 @@ class TestKernel:
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
     def test_consecutive_games_and_wide_seeds(self, seed):
         games = np.arange(2**32 - 40, 2**32, dtype=np.int64)
-        assert np.array_equal(game_bits(seed, 1, games, 24), real_bits(seed, 1, games, 24))
+        assert draws(seed, 1, games, 24).tolist() == real_masks(seed, 1, games, 24)
 
     def test_split_draws_equal_one_draw(self):
         # the dealer draws its hands in pieces; the uint32 buffer carries over
         gen = philox(5, 0, 9)
         pieces = np.concatenate([gen.integers(0, 2, 3), gen.integers(0, 2, 5), gen.integers(0, 2, 7)])
-        assert np.array_equal(game_bits(5, 0, [9], 15)[0], pieces)
+        assert draws(5, 0, np.array([9]), 15).tolist() == [as_mask(pieces)]
+        assert draws(5, 0, 9, 15) == as_mask(pieces)
 
     def test_empty_shapes(self):
-        assert game_bits(3, 0, np.array([], dtype=np.int64), 5).shape == (0, 5)
-        assert game_bits(3, 0, [1, 2], 0).shape == (2, 0)
+        empty = draws(3, 0, np.array([], dtype=np.int64), 5)
+        assert empty.dtype == np.uint64 and empty.shape == (0,)
+
+    def test_zero_draws_give_one_zero_mask_per_index(self):
+        # a sum over no Philox blocks used to return the int 0
+        masks = draws(3, 0, np.array([1, 2]), 0)
+        assert masks.dtype == np.uint64 and masks.tolist() == [0, 0]
+        assert draws(3, 0, 1, 0) == 0
 
     @pytest.mark.parametrize("seed", [-1, -(2**40), True, np.bool_(False), 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
             philox(seed)
         with pytest.raises(DomainError):
-            game_bits(seed, 0, [0], 4)
+            draws(seed, 0, np.array([0]), 4)
 
     def test_numpy_seed_accepted(self):
-        assert np.array_equal(game_bits(np.int64(7), 0, [3], 8), real_bits(7, 0, [3], 8))
+        assert draws(np.int64(7), 0, np.array([3]), 8).tolist() == real_masks(7, 0, [3], 8)
 
     @pytest.mark.parametrize(
         "games,k",
@@ -110,13 +120,11 @@ class TestKernel:
     )
     def test_bad_indices_and_widths_rejected(self, games, k):
         with pytest.raises(DomainError):
-            game_bits(1, 0, games, k)
-        with pytest.raises(DomainError):
             draws(1, 0, np.array(games), k)
 
     def test_bad_stream_rejected(self):
         with pytest.raises(DomainError):
-            game_bits(1, -1, [0], 4)
+            draws(1, -1, np.array([0]), 4)
         with pytest.raises(DomainError):
             philox(1, 0, -3)
 
