@@ -34,13 +34,13 @@ class BellKind(enum.Enum):
 
     @property
     def symmetry_plane(self) -> str:
-        """Plane of correlated measurements: 'all' for the singlet."""
-        return _PLANES[self]
+        """Plane of correlated measurements, the axes of the +1 signs: 'all' for the singlet, which has none."""
+        return "".join(axis for axis, s in zip("xyz", self.pauli_signs) if s > 0) or "all"
 
     @property
     def invariance_axis(self) -> str | None:
-        """Axis whose common rotations leave the state fixed (None = every axis)."""
-        return _INVARIANCE_AXES[self]
+        """Axis whose common rotations leave the state fixed, a triplet's -1 sign (None = every axis)."""
+        return None if self.is_singlet else "xyz"[self.pauli_signs.index(-1)]
 
     @property
     def pauli_signs(self) -> tuple[int, int, int]:
@@ -52,30 +52,12 @@ class BellKind(enum.Enum):
         return self is BellKind.SINGLET
 
 
-_PLANES = {
-    BellKind.SINGLET: "all",
-    BellKind.PSI_PLUS: "xy",
-    BellKind.PHI_MINUS: "yz",
-    BellKind.PHI_PLUS: "xz",
-}
-_INVARIANCE_AXES = {
-    BellKind.SINGLET: None,
-    BellKind.PSI_PLUS: "z",
-    BellKind.PHI_MINUS: "x",
-    BellKind.PHI_PLUS: "y",
-}
+# the one table: everything else about a kind is derived from its signs
 _PAULI_SIGNS = {
     BellKind.SINGLET: (-1, -1, -1),
     BellKind.PSI_PLUS: (1, 1, -1),
     BellKind.PHI_MINUS: (-1, 1, 1),
     BellKind.PHI_PLUS: (1, -1, 1),
-}
-# amplitudes times sqrt(2) in the z basis (uu, ud, du, dd)
-_AMPLITUDES = {
-    BellKind.SINGLET: (0, 1, -1, 0),
-    BellKind.PSI_PLUS: (0, 1, 1, 0),
-    BellKind.PHI_MINUS: (1, 0, 0, -1),
-    BellKind.PHI_PLUS: (1, 0, 0, 1),
 }
 
 _PLANE_BASES = {
@@ -86,25 +68,19 @@ _PLANE_BASES = {
 
 
 def bell_vector(kind: BellKind) -> np.ndarray:
-    """State vector in the z basis (uu, ud, du, dd)."""
+    """State vector in the z basis (uu, ud, du, dd): anti-correlated in z when sz = -1, with relative sign sx."""
     import numpy as np
-    return np.array(_AMPLITUDES[kind], dtype=complex) / math.sqrt(2)
+    sx, _, sz = kind.pauli_signs
+    return np.array((0, 1, sx, 0) if sz < 0 else (1, 0, 0, sx), dtype=complex) / math.sqrt(2)
 
 
 def pauli_expansion(kind: BellKind) -> np.ndarray:
     """Density matrix assembled from its identity-plus-correlator expansion."""
-    import numpy as np
-    from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, tensor
-    sx, sy, sz = kind.pauli_signs
-    return (
-        np.eye(4, dtype=complex)
-        + sx * tensor(SIGMA_X, SIGMA_X)
-        + sy * tensor(SIGMA_Y, SIGMA_Y)
-        + sz * tensor(SIGMA_Z, SIGMA_Z)
-    ) / 4.0
+    from .hilbert import correlation_expansion
+    return correlation_expansion(kind.pauli_signs) / 4.0
 
 
-@functools.cache  # built and cross-checked against the Pauli expansion on first use
+@functools.cache  # built from the derived amplitudes and cross-checked against the Pauli expansion on first use
 def _checked_density(kind: BellKind) -> np.ndarray:
     import numpy as np
     v = bell_vector(kind)

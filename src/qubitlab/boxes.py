@@ -74,10 +74,13 @@ class BehaviorBox:
 
     @classmethod
     def from_json(cls, text: str) -> BehaviorBox:
-        obj = json.loads(text)
-        if obj.get("settings") != [2, 2] or obj.get("outcomes") != [1, -1]:
+        try:
+            obj = json.loads(text)
+        except (RecursionError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise InvalidStateError(f"behavior-box JSON does not parse: {exc}") from None
+        if not isinstance(obj, dict) or obj.get("settings") != [2, 2] or obj.get("outcomes") != [1, -1]:
             raise InvalidStateError("unrecognized behavior-box JSON header")
-        flat = obj["p"]
+        flat = obj.get("p")
         if not isinstance(flat, list) or len(flat) != 16:
             raise InvalidStateError("behavior-box JSON must carry 16 probabilities")
         return cls([[[flat[k : k + 2], flat[k + 2 : k + 4]] for k in (8 * x, 8 * x + 4)] for x in (0, 1)])
@@ -134,9 +137,12 @@ def chsh_value(box: BehaviorBox) -> ChshResult:
 
 def deterministic_box(alice_outcomes, bob_outcomes) -> BehaviorBox:
     """Local deterministic strategy: fixed outcome per setting on each side."""
-    a = tuple(alice_outcomes)
-    b = tuple(bob_outcomes)
-    if not (set(a) <= {1, -1} and set(b) <= {1, -1} and len(a) == len(b) == 2):
+    try:
+        a, b = tuple(alice_outcomes), tuple(bob_outcomes)
+        ok = set(a) <= {1, -1} and set(b) <= {1, -1} and len(a) == len(b) == 2
+    except TypeError:  # None, or an unhashable outcome
+        ok = False
+    if not ok:
         raise DomainError("strategies assign +1 or -1 to each of the two settings")
     return _box(a, b, [[ax * by for by in b] for ax in a])
 
@@ -188,9 +194,11 @@ def extremal_sign_family() -> list[tuple[tuple[int, int, int, int], BehaviorBox]
 
 def quantum_box(kind: bell.BellKind, a_dirs, b_dirs) -> BehaviorBox:
     """Behavior box of a Bell state measured along two directions per side."""
-    if len(a_dirs) != 2 or len(b_dirs) != 2:
-        raise DomainError("need exactly two measurement directions per side")
-    return _box((0, 0), (0, 0), [[bell.correlator(kind, a, b) for b in b_dirs] for a in a_dirs])
+    try:
+        (a0, a1), (b0, b1) = a_dirs, b_dirs
+    except (TypeError, ValueError):  # None, or not two directions
+        raise DomainError("need exactly two measurement directions per side") from None
+    return _box((0, 0), (0, 0), [[bell.correlator(kind, a, b) for b in (b0, b1)] for a in (a0, a1)])
 
 
 @dataclass(frozen=True)

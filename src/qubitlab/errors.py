@@ -72,8 +72,8 @@ def check_finite(value, what: str):
     return float(a) if a.ndim == 0 else a.astype(float)
 
 
-def unit_vector(v, what: str) -> tuple[float, float, float]:
-    """A unit 3-vector as a float 3-tuple; NaN or inf components are rejected."""
+def real_3vector(v, what: str) -> tuple[float, float, float]:
+    """Three real numbers as a float 3-tuple, else DimensionError; one past the float range is a DomainError."""
     try:
         x, y, z = v.tolist() if hasattr(v, "tolist") else v  # an array's tolist() holds Python numbers
     except (TypeError, ValueError):
@@ -81,7 +81,15 @@ def unit_vector(v, what: str) -> tuple[float, float, float]:
     for c in (x, y, z):
         if not (isinstance(c, (float, int)) or isinstance(c, numbers.Real)):  # the first test is the fast one
             raise DimensionError(f"{what} must be a 3-vector of real numbers, got {v!r}")
-    a = (float(x), float(y), float(z))
+    try:
+        return (float(x), float(y), float(z))
+    except OverflowError:
+        raise DomainError(f"{what} must be finite, got {v!r}") from None
+
+
+def unit_vector(v, what: str) -> tuple[float, float, float]:
+    """A unit 3-vector as a float 3-tuple; NaN or inf components are rejected."""
+    a = real_3vector(v, what)
     norm = math.hypot(*a)
     if not abs(norm - 1.0) <= ATOL_EXACT:  # a NaN norm fails this comparison too
         raise DomainError(f"{what} must be a finite unit vector, |v| = {norm}")

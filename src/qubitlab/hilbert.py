@@ -1,17 +1,20 @@
 """Dense complex linear algebra for 2-, 3- and 4-dimensional operators.
 
-Everything is plain numpy on small fixed-size arrays. ATOL_EXACT and
+Everything is plain numpy on small fixed-size arrays. A 2x2 operator is one
+expansion m0*I + m.sigma: `pauli_matrix` builds it (complex coefficients too,
+as in SU(2)) and `pauli_decompose` reads a Hermitian one back. ATOL_EXACT and
 `unit_vector` live in `errors`, which loads no numpy, and are re-exported here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ATOL_EXACT, DimensionError, HermiticityError, unit_vector  # noqa: F401
+from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, unit_vector  # noqa: F401
 
 SUPPORTED_DIMS = (2, 3, 4)
 
@@ -19,31 +22,36 @@ ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
 
 def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
-    """Coerce to a square complex array of a supported dimension."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a square complex array of a supported dimension with finite entries."""
+    try:
+        a = np.asarray(m, dtype=complex)
+    except (TypeError, ValueError):  # a string, None, a ragged nesting
+        raise DimensionError(f"expected a square matrix of numbers, got {m!r}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] not in dims:
         raise DimensionError(
             f"dimension {a.shape[0]} unsupported here (want one of {tuple(dims)})"
         )
+    # at most 16 entries: Python scalars are quicker than a numpy reduction here
+    if not all(map(cmath.isfinite, a.ravel().tolist())):
+        raise DomainError("matrix entries must be finite")
     return a
 
 
 def is_hermitian(m, atol: float = ATOL_EXACT) -> bool:
-    a = np.asarray(m, dtype=complex)
-    return bool(np.max(np.abs(a - a.conj().T)) <= atol)
+    """|m_ij - conj(m_ji)| <= atol for every entry; Python complex arithmetic overflows to inf without a warning."""
+    rows = as_matrix(m).tolist()
+    return all(abs(x - rows[j][i].conjugate()) <= atol for i, row in enumerate(rows) for j, x in enumerate(row[i:], i))
 
 
-def require_hermitian(m, dims=SUPPORTED_DIMS, atol: float = ATOL_EXACT) -> np.ndarray:
-    a = as_matrix(m, dims)
-    if not is_hermitian(a, atol):
-        raise HermiticityError("matrix is not Hermitian within tolerance")
-    return a
+def pauli_matrix(m0, m) -> np.ndarray:
+    """m0*I + m.sigma for m = (mx, my, mz), written out entry by entry; the coefficients may be complex."""
+    mx, my, mz = m
+    return np.array([[m0 + mz, mx - 1j * my], [mx + 1j * my, m0 - mz]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -56,11 +64,11 @@ class PauliCoefficients:
     mz: float
 
     def reconstruct(self) -> np.ndarray:
-        return self.m0 * ID2 + self.mx * SIGMA_X + self.my * SIGMA_Y + self.mz * SIGMA_Z
+        return pauli_matrix(self.m0, (self.mx, self.my, self.mz))
 
     def eigenvalue_pair(self) -> tuple[float, float]:
         """The two eigenvalues, centered about m0 with half-spread |(mx,my,mz)|."""
-        r = math.sqrt(self.mx**2 + self.my**2 + self.mz**2)
+        r = math.hypot(self.mx, self.my, self.mz)
         return (self.m0 - r, self.m0 + r)
 
 
@@ -69,12 +77,12 @@ def pauli_decompose(m) -> PauliCoefficients:
 
     The coefficients are unique and real; reconstruct() inverts the expansion.
     """
-    a = require_hermitian(m, dims=(2,))
-    m0 = float((a[0, 0] + a[1, 1]).real) / 2.0
-    mz = float((a[0, 0] - a[1, 1]).real) / 2.0
-    mx = float((a[0, 1] + a[1, 0]).real) / 2.0
-    my = float((a[1, 0] - a[0, 1]).imag) / 2.0
-    return PauliCoefficients(m0, mx, my, mz)
+    a = as_matrix(m, dims=(2,))
+    if not is_hermitian(a):
+        raise HermiticityError("matrix is not Hermitian within tolerance")
+    # halves first, so that the sum of two finite entries stays finite
+    (p, q), (r, s) = (a / 2.0).tolist()
+    return PauliCoefficients((p + s).real, (q + r).real, (r - q).imag, (p - s).real)
 
 
 def tensor(a, b) -> np.ndarray:
@@ -82,6 +90,11 @@ def tensor(a, b) -> np.ndarray:
     aa = as_matrix(a, dims=(2,))
     bb = as_matrix(b, dims=(2,))
     return np.kron(aa, bb)
+
+
+def correlation_expansion(signs) -> np.ndarray:
+    """I(x)I + sum_i s_i sigma_i(x)sigma_i over i = x, y, z: four times a two-qubit state with correlation signs s."""
+    return np.eye(4, dtype=complex) + sum(s * tensor(p, p) for s, p in zip(signs, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
-from .hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, is_hermitian
+from .errors import DomainError, HermiticityError, InvalidStateError, check_finite, check_int, real_3vector
+from .hilbert import ATOL_EXACT, as_matrix, pauli_decompose, pauli_matrix
 
 # classification tolerance for pure/mixed, looser than exact algebra since
 # states may come out of long rotation chains
@@ -37,42 +37,41 @@ def axis_vector(axis) -> np.ndarray:
         if axis not in _AXES:
             raise DomainError(f"unknown axis name {axis!r}")
         return _AXES[axis].copy()
-    v = np.asarray(axis, dtype=float)
-    if v.shape != (3,):
-        raise DimensionError(f"axis must be a 3-vector, got shape {v.shape}")
-    n = np.linalg.norm(v)
+    v = real_3vector(axis, "axis")
+    n = math.hypot(*v)  # no overflow or underflow for a finite, nonzero axis
     if n == 0.0 or not math.isfinite(n):
         raise DomainError("axis vector must be nonzero and finite")
-    return v / n
+    return np.array(v) / n
 
 
 @dataclass(frozen=True)
 class QubitState:
-    """A qubit density matrix, validated on construction."""
+    """A qubit density matrix rho = m0*I + m.sigma, validated and read through its Pauli expansion."""
 
     rho: np.ndarray
 
     def __post_init__(self):
         rho = as_matrix(self.rho, dims=(2,))
-        tr = complex(np.trace(rho))
-        if abs(tr - 1.0) > ATOL_EXACT:
-            raise InvalidStateError(f"density matrix trace must be 1, got {tr}")
-        if not is_hermitian(rho):
-            raise InvalidStateError("density matrix must be Hermitian")
-        lo = float(np.linalg.eigvalsh(rho).min())
+        try:
+            c = pauli_decompose(rho)
+        except HermiticityError:
+            raise InvalidStateError("density matrix must be Hermitian") from None
+        if not abs(2.0 * c.m0 - 1.0) <= ATOL_EXACT:
+            raise InvalidStateError(f"density matrix trace must be 1, got {2.0 * c.m0}")
+        lo = c.eigenvalue_pair()[0]
         if lo < -ATOL_EXACT:
             raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
         object.__setattr__(self, "rho", rho)
 
     @classmethod
     def from_bloch(cls, bloch) -> QubitState:
-        r = np.asarray(bloch, dtype=float)
-        if r.shape != (3,):
-            raise DimensionError(f"Bloch vector must be a 3-vector, got shape {r.shape}")
-        if np.linalg.norm(r) > 1.0 + ATOL_EXACT:
+        r = real_3vector(bloch, "Bloch vector")
+        norm = math.hypot(*r)
+        if not math.isfinite(norm):
+            raise DomainError(f"Bloch vector must be finite, got {bloch!r}")
+        if norm > 1.0 + ATOL_EXACT:
             raise InvalidStateError("Bloch vector lies outside the unit ball")
-        rho = (ID2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z) / 2.0
-        return cls(rho)
+        return cls(pauli_matrix(0.5, [x / 2.0 for x in r]))
 
     @classmethod
     def up(cls) -> QubitState:
@@ -88,14 +87,15 @@ class QubitState:
 
     @property
     def bloch(self) -> np.ndarray:
-        """Expansion coefficients of rho over the Pauli basis (times 2)."""
-        return np.array(
-            [float(np.trace(self.rho @ s).real) for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)]
-        )
+        """The Pauli coefficients m of rho, times 2."""
+        c = pauli_decompose(self.rho)
+        return np.array([2.0 * c.mx, 2.0 * c.my, 2.0 * c.mz])
 
     @property
     def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
+        """tr(rho^2) = 2(m0^2 + |m|^2)."""
+        c = pauli_decompose(self.rho)
+        return 2.0 * (c.m0**2 + c.mx**2 + c.my**2 + c.mz**2)
 
     @property
     def is_pure(self) -> bool:
@@ -108,20 +108,18 @@ def bloch_roundtrip(state: QubitState) -> QubitState:
     return QubitState.from_bloch(state.bloch)
 
 
-def _rotation_angle(value) -> float:
-    """One finite real angle as a float, else DomainError: the rotations are not vectorised."""
-    angle = check_finite(value, "rotation angle")
-    if not isinstance(angle, float):
-        raise DomainError(f"rotation angle must be one real number, got {value!r}")
-    return angle
+def _real_number(value, what: str) -> float:
+    """One finite real number as a float, else DomainError, also for an array: the rotations are not vectorised."""
+    x = check_finite(value, what)
+    if not isinstance(x, float):
+        raise DomainError(f"{what} must be one real number, got {value!r}")
+    return x
 
 
 def su2_rotation(axis, theta: float) -> np.ndarray:
     """U = exp(i*theta * n.sigma) for a named axis or arbitrary axis vector."""
-    theta = _rotation_angle(theta)
-    n = axis_vector(axis)
-    ns = n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z
-    return math.cos(theta) * ID2 + 1j * math.sin(theta) * ns
+    theta = _real_number(theta, "rotation angle")
+    return pauli_matrix(math.cos(theta), 1j * math.sin(theta) * axis_vector(axis))
 
 
 def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
@@ -132,7 +130,7 @@ def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
 
 def so3_rotation(axis, angle: float) -> np.ndarray:
     """Right-handed real-space rotation matrix about `axis` by `angle` (Rodrigues)."""
-    angle = _rotation_angle(angle)
+    angle = _real_number(angle, "rotation angle")
     n = axis_vector(axis)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
@@ -140,7 +138,7 @@ def so3_rotation(axis, angle: float) -> np.ndarray:
 
 def bloch_rotation_for(axis, theta: float) -> np.ndarray:
     """The SO(3) rotation that su2_rotate(., axis, theta) induces on Bloch vectors."""
-    return so3_rotation(axis, -2.0 * _rotation_angle(theta))
+    return so3_rotation(axis, -2.0 * _real_number(theta, "rotation angle"))
 
 
 def gbit_dimension(s: int) -> int:
@@ -155,8 +153,10 @@ class ClassicalBitState:
     p1: float
 
     def __post_init__(self):
-        if not (0.0 <= self.p1 <= 1.0):
-            raise InvalidStateError(f"p1 must lie in [0, 1], got {self.p1}")
+        p1 = _real_number(self.p1, "p1")
+        if not (0.0 <= p1 <= 1.0):
+            raise InvalidStateError(f"p1 must lie in [0, 1], got {p1}")
+        object.__setattr__(self, "p1", p1)
 
     @property
     def p2(self) -> float:

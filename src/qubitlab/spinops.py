@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix
+from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, commutator, is_hermitian
+from .qubit import su2_rotation
 
 LZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
 
@@ -25,8 +26,6 @@ LY_TARGET = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / m
 
 # basis order (u, 0, d); "about |k>" acts on the two remaining basis vectors
 _COMPLEMENT = {"u": (1, 2), "0": (0, 2), "d": (0, 1)}
-_BLOCK_PAULI = {"x": np.array([[0, 1], [1, 0]], dtype=complex),
-                "y": np.array([[0, -1j], [1j, 0]], dtype=complex)}
 
 # (pauli axis, theta degrees, fixed basis vector) per step
 _LX_SEQUENCE = (("x", 90.0, "d"), ("x", 45.0, "u"), ("x", -45.0, "0"))
@@ -35,33 +34,28 @@ _LY_SEQUENCE = (("x", -90.0, "d"), ("x", 45.0, "u"), ("y", 45.0, "0"))
 
 def embedded_su2(pauli_axis: str, theta_deg: float, fixed: str) -> np.ndarray:
     """exp(i*theta*sigma_j) on the 2-dim subspace complementary to `fixed`."""
-    th = math.radians(theta_deg)
-    block = math.cos(th) * np.eye(2, dtype=complex) + 1j * math.sin(th) * _BLOCK_PAULI[pauli_axis]
-    i, j = _COMPLEMENT[fixed]
     u = np.eye(3, dtype=complex)
-    u[i, i], u[i, j] = block[0, 0], block[0, 1]
-    u[j, i], u[j, j] = block[1, 0], block[1, 1]
+    u[np.ix_(_COMPLEMENT[fixed], _COMPLEMENT[fixed])] = su2_rotation(pauli_axis, math.radians(theta_deg))
     return u
 
 
-def _sequential_conjugator(sequence) -> np.ndarray:
+def _construct_from_lz(sequence) -> np.ndarray:
+    """V LZ V^dagger for V = U1 U2^dagger U3^dagger, U_k = embedded_su2(*sequence[k])."""
     v = np.eye(3, dtype=complex)
-    for k, (axis, theta_deg, fixed) in enumerate(sequence):
-        u = embedded_su2(axis, theta_deg, fixed)
+    for k, step in enumerate(sequence):
+        u = embedded_su2(*step)
         v = v @ (u if k == 0 else u.conj().T)
-    return v
+    return v @ LZ @ v.conj().T
 
 
 def construct_lx_from_lz() -> np.ndarray:
     """Sequential-rotation construction of L_x (90 about |d>, 45 about |u>, -45 about |0>)."""
-    v = _sequential_conjugator(_LX_SEQUENCE)
-    return v @ LZ @ v.conj().T
+    return _construct_from_lz(_LX_SEQUENCE)
 
 
 def construct_ly_from_lz() -> np.ndarray:
     """Sequential-rotation construction of L_y (-90 about |d>, 45 about |u>, 45 about |0>)."""
-    v = _sequential_conjugator(_LY_SEQUENCE)
-    return v @ LZ @ v.conj().T
+    return _construct_from_lz(_LY_SEQUENCE)
 
 
 @dataclass(frozen=True)
@@ -127,14 +121,13 @@ def verify_pauli_embedding(triple: SpinOperatorTriple) -> SpinTripleReport:
         _check("ly upper block = sigma_y/sqrt2", ly[upper], s * SIGMA_Y),
         _check("ly lower block = sigma_y/sqrt2", ly[lower], s * SIGMA_Y),
         _check("lz corner block = sigma_z", lz[corner], SIGMA_Z),
-        _check("[lx,ly] = i lz", lx @ ly - ly @ lx, 1j * lz),
-        _check("[ly,lz] = i lx", ly @ lz - lz @ ly, 1j * lx),
-        _check("[lz,lx] = i ly", lz @ lx - lx @ lz, 1j * ly),
+        _check("[lx,ly] = i lz", commutator(lx, ly), 1j * lz),
+        _check("[ly,lz] = i lx", commutator(ly, lz), 1j * lx),
+        _check("[lz,lx] = i ly", commutator(lz, lx), 1j * ly),
     ]
     for name, op in (("lx", lx), ("ly", ly), ("lz", lz)):
-        if np.max(np.abs(op - op.conj().T)) <= ATOL_EXACT:
-            spectrum = np.sort(np.linalg.eigvalsh(op))
-            checks.append(_check(f"{name} spectrum = (-1, 0, +1)", spectrum, np.array([-1.0, 0.0, 1.0])))
+        if is_hermitian(op):  # eigvalsh returns the spectrum in ascending order
+            checks.append(_check(f"{name} spectrum = (-1, 0, +1)", np.linalg.eigvalsh(op), np.array([-1.0, 0.0, 1.0])))
         else:
-            checks.append(CheckResult(f"{name} Hermitian", False, float(np.max(np.abs(op - op.conj().T)))))
+            checks.append(_check(f"{name} Hermitian", op, op.conj().T))
     return SpinTripleReport(tuple(checks))

@@ -71,6 +71,24 @@ class TestDensities:
         assert BellKind.PHI_MINUS.symmetry_plane == "yz"
         assert BellKind.PHI_PLUS.symmetry_plane == "xz"
 
+    # every property of a kind, written out: plane, axis and amplitudes are derived from the signs
+    @pytest.mark.parametrize(
+        "kind,signs,plane,axis,amplitudes",
+        [
+            (BellKind.SINGLET, (-1, -1, -1), "all", None, (0, 1, -1, 0)),
+            (BellKind.PSI_PLUS, (1, 1, -1), "xy", "z", (0, 1, 1, 0)),
+            (BellKind.PHI_MINUS, (-1, 1, 1), "yz", "x", (1, 0, 0, -1)),
+            (BellKind.PHI_PLUS, (1, -1, 1), "xz", "y", (1, 0, 0, 1)),
+        ],
+    )
+    def test_each_kind_pinned(self, kind, signs, plane, axis, amplitudes):
+        assert kind.pauli_signs == signs
+        assert kind.symmetry_plane == plane
+        assert kind.invariance_axis == axis
+        v = bell_vector(kind)
+        assert v.dtype == complex
+        np.testing.assert_array_equal(v, np.array(amplitudes) / math.sqrt(2))
+
 
 class TestMeasurementOperator:
     def test_z_direction(self):

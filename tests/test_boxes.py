@@ -96,6 +96,19 @@ class TestBehaviorBox:
         with pytest.raises(InvalidStateError):
             BehaviorBox.from_json('{"settings": [3, 2], "outcomes": [1, -1], "p": []}')
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",  # not an object
+            "{",  # not JSON
+            '{"settings": [2, 2], "outcomes": [1, -1]}',  # no "p"
+            "[" * 10**5,  # nested past the parser's recursion limit
+        ],
+    )
+    def test_json_that_is_no_box_rejected(self, text):
+        with pytest.raises(InvalidStateError):
+            BehaviorBox.from_json(text)
+
     def test_nan_probability_rejected(self):
         p = np.full((2, 2, 2, 2), 0.25)
         p[1, 1, 1, 1] = np.nan

@@ -3,7 +3,10 @@
 Every entry point below routes its argument through `errors.check_int` or
 `errors.check_finite`, so a bool, a non-integer, a string, None, a value
 past either bound, NaN or inf raises DomainError (CLI exit 2) instead of
-playing a wrong game, computing NaN or raising a bare TypeError.
+playing a wrong game, computing NaN or raising a bare TypeError. Matrices
+pass `hilbert.as_matrix` and 3-vectors `errors.real_3vector` the same way:
+what is not a matrix or three real numbers raises DimensionError, and a
+non-finite entry raises DomainError.
 """
 
 import math
@@ -22,14 +25,16 @@ from qubitlab.bell import (
     plane_direction,
     sample_joint,
 )
-from qubitlab.boxes import MAX_SCAN_N, pr_box, tsirelson_scan
-from qubitlab.errors import DomainError, check_finite, check_int
+from qubitlab.boxes import MAX_SCAN_N, deterministic_box, pr_box, quantum_box, tsirelson_scan
+from qubitlab.errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
+from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
 from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcome_values, sample_outcomes
 from qubitlab.qubit import (
     MAX_GBIT_S,
     MAX_PATH_STEPS,
     ClassicalBitState,
     QubitState,
+    axis_vector,
     bloch_rotation_for,
     classical_pure_path,
     gbit_dimension,
@@ -50,6 +55,7 @@ from qubitlab.quoin import (
     verify_parity_theorem,
 )
 from qubitlab.rng import draws, philox
+from qubitlab.spinops import LZ, SpinOperatorTriple
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 X, Z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
@@ -241,3 +247,119 @@ class TestCheckFinite:
     def test_refusals(self, value):
         with pytest.raises(DomainError):
             check_finite(value, "angles")
+
+
+# name -> (call with the matrix, its dimension)
+MATRIX_ARGS = {
+    "pauli_decompose": (pauli_decompose, 2),
+    "tensor first factor": (lambda m: tensor(m, ID2), 2),
+    "tensor second factor": (lambda m: tensor(ID2, m), 2),
+    "commutator first": (lambda m: commutator(m, np.eye(2)), 2),
+    "commutator second": (lambda m: commutator(np.eye(3), m), 3),
+    "is_hermitian": (is_hermitian, 4),
+    "QubitState": (QubitState, 2),
+    "SpinOperatorTriple": (lambda m: SpinOperatorTriple(m, LZ, LZ), 3),
+}
+
+
+def bad_matrices(dim):
+    """(matrix, the error it must raise): numbers that are not a square matrix, then non-finite entries."""
+    ragged = [[0.0] * dim] * (dim - 1) + [[0.0]]
+    cases = [("ab", DimensionError), (None, DimensionError), (ragged, DimensionError), (np.zeros((dim, 5)), DimensionError)]
+    for bad in (math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 0)):
+        m = np.eye(dim, dtype=complex) / dim
+        m[0, 0] = bad
+        cases.append((m, DomainError))
+    return cases
+
+
+MATRIX_CASES = [
+    pytest.param(call, bad, error, id=f"{name}-{k}")
+    for name, (call, dim) in MATRIX_ARGS.items()
+    for k, (bad, error) in enumerate(bad_matrices(dim))
+]
+
+
+@pytest.mark.parametrize("call,bad,error", MATRIX_CASES)
+def test_matrix_argument_outside_its_domain_raises(call, bad, error):
+    with pytest.raises(error):
+        call(bad)
+
+
+@pytest.mark.parametrize("name", MATRIX_ARGS)
+def test_finite_matrix_accepted(name):
+    call, dim = MATRIX_ARGS[name]
+    call(np.eye(dim) / dim)
+    call((np.eye(dim) / dim).tolist())
+
+
+# name -> call with a 3-vector; each takes a nonzero vector other than (0, 0, 1), read as it stands or as an axis
+VECTOR_ARGS = {
+    "axis_vector": axis_vector,
+    "su2_rotation axis": lambda v: su2_rotation(v, 0.5),
+    "su2_rotate axis": lambda v: su2_rotate(STATE, v, 0.5),
+    "so3_rotation axis": lambda v: so3_rotation(v, 0.5),
+    "bloch_rotation_for axis": lambda v: bloch_rotation_for(v, 0.5),
+    "invariance_check axis": lambda v: invariance_check(BellKind.SINGLET, v, 0.5),
+    "QubitState.from_bloch": QubitState.from_bloch,
+}
+BAD_VECTORS = [
+    (["a", "b", "c"], DimensionError),
+    (None, DimensionError),
+    ([1.0, 0.0], DimensionError),
+    (np.zeros((3, 1)), DimensionError),
+    ([1.0, 0.0, "0"], DimensionError),
+    ([math.nan, 0.0, 0.0], DomainError),
+    ([0.0, math.inf, 0.0], DomainError),
+    ([0.0, 0.0, -math.inf], DomainError),
+    ([10**400, 0, 0], DomainError),
+]
+
+
+@pytest.mark.parametrize(
+    "name,bad,error", [pytest.param(n, b, e, id=f"{n}-{b!r}") for n in VECTOR_ARGS for b, e in BAD_VECTORS]
+)
+def test_vector_argument_outside_its_domain_raises(name, bad, error):
+    with pytest.raises(error):
+        VECTOR_ARGS[name](bad)
+
+
+@pytest.mark.parametrize("name", VECTOR_ARGS)
+def test_real_vectors_accepted(name):
+    VECTOR_ARGS[name]([0.6, 0, 0.8])
+    VECTOR_ARGS[name](np.array([0.0, 0.5, -0.5], dtype=np.float32))
+
+
+@pytest.mark.parametrize("tiny_or_huge", [1e-200, 1e200])
+def test_axis_of_any_finite_length_is_normalized(tiny_or_huge):
+    # the norm comes from math.hypot, which neither under- nor overflows on these
+    np.testing.assert_allclose(axis_vector([tiny_or_huge, tiny_or_huge, 0.0]), [math.sqrt(0.5), math.sqrt(0.5), 0.0])
+
+
+@pytest.mark.parametrize("bad", ["0.5", None, True, np.bool_(False), [0.5], math.nan, math.inf])
+def test_classical_bit_wants_one_real_number(bad):
+    with pytest.raises(DomainError):
+        ClassicalBitState(bad)
+
+
+@pytest.mark.parametrize("p1", [-0.1, 1.2])
+def test_classical_bit_wants_a_probability(p1):
+    with pytest.raises(InvalidStateError):
+        ClassicalBitState(p1)
+
+
+# name -> call with the outcomes or directions of one side
+BOX_ARGS = {
+    "deterministic_box alice": lambda v: deterministic_box(v, (1, 1)),
+    "deterministic_box bob": lambda v: deterministic_box((1, -1), v),
+    "quantum_box alice": lambda v: quantum_box(BellKind.SINGLET, v, [Z, X]),
+    "quantum_box bob": lambda v: quantum_box(BellKind.SINGLET, [Z, X], v),
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in BOX_ARGS for b in [None, 3, (), [X, Z, X], iter([])]]
+)
+def test_box_builder_wants_two_per_side(name, bad):
+    with pytest.raises(DomainError):
+        BOX_ARGS[name](bad)

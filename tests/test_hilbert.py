@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,9 @@ from qubitlab.hilbert import (
     SIGMA_Z,
     PauliCoefficients,
     commutator,
+    is_hermitian,
     pauli_decompose,
+    pauli_matrix,
     tensor,
     unit_vector,
 )
@@ -65,6 +69,27 @@ class TestPauliDecompose:
     def test_wrong_dimension_rejected(self):
         with pytest.raises(DimensionError):
             pauli_decompose(np.eye(3))
+
+    def test_huge_finite_entries_read_without_overflow(self):
+        c = pauli_decompose(np.array([[1e308, 1e308], [1e308, -1e308]]))
+        assert (c.m0, c.mx, c.my, c.mz) == (0.0, 1e308, 0.0, 1e308)
+        assert c.eigenvalue_pair() == (-math.hypot(1e308, 1e308), math.hypot(1e308, 1e308))
+        assert not is_hermitian(np.array([[0.0, 1e308], [-1e308, 0.0]]))
+
+
+class TestPauliMatrix:
+    def test_real_coefficients_give_the_hermitian_sum(self):
+        np.testing.assert_array_equal(
+            pauli_matrix(0.5, (0.25, -1.0, 2.0)), 0.5 * ID2 + 0.25 * SIGMA_X - SIGMA_Y + 2.0 * SIGMA_Z
+        )
+
+    def test_complex_coefficients_give_su2(self):
+        # exp(i*theta*n.sigma) = cos(theta) I + i sin(theta) n.sigma
+        n, theta = np.array([0.6, 0.0, 0.8]), 0.7
+        u = pauli_matrix(math.cos(theta), 1j * math.sin(theta) * n)
+        expected = math.cos(theta) * ID2 + 1j * math.sin(theta) * (0.6 * SIGMA_X + 0.8 * SIGMA_Z)
+        np.testing.assert_allclose(u, expected, rtol=0, atol=ATOL_EXACT)
+        np.testing.assert_allclose(u @ u.conj().T, ID2, rtol=0, atol=ATOL_EXACT)
 
 
 class TestTensor:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitlab.errors import DomainError, InvalidStateError
+from qubitlab.errors import DimensionError, DomainError, InvalidStateError
 from qubitlab.hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Z
 from qubitlab.qubit import (
     MAX_PATH_STEPS,
@@ -67,6 +67,27 @@ class TestQubitState:
     def test_bloch_vector_outside_ball_rejected(self):
         with pytest.raises(InvalidStateError):
             QubitState.from_bloch([1.0, 0.0, 0.1])
+
+    def test_non_hermitian_density_is_an_invalid_state(self):
+        with pytest.raises(InvalidStateError, match="Hermitian"):
+            QubitState(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_huge_finite_entries_rejected_without_overflow(self):
+        # pytest turns numpy's overflow warning into an error, so this also checks that none is raised
+        with pytest.raises(InvalidStateError, match="negative eigenvalue"):
+            QubitState(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
+    def test_bloch_string_and_nan_rejected_as_such(self):
+        with pytest.raises(DimensionError):
+            QubitState.from_bloch("abc")
+        with pytest.raises(DomainError, match="finite"):
+            QubitState.from_bloch([math.nan, 0.0, 0.0])
+
+    def test_readings_from_the_pauli_expansion(self):
+        state = QubitState.from_bloch([0.6, 0.0, 0.0])
+        assert state.bloch.dtype == float
+        np.testing.assert_allclose(state.bloch, [0.6, 0.0, 0.0], rtol=0, atol=ATOL_EXACT)
+        assert abs(state.purity - (1 + 0.36) / 2) <= ATOL_EXACT
 
 
 class TestSu2Rotation:
