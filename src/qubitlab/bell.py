@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int, unit_vector
-from .measure import MAX_TRIALS
+from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, unit_vector
+from .measure import _check_tally, tally
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,6 +60,14 @@ _PAULI_SIGNS = {
     BellKind.PHI_PLUS: (1, -1, 1),
 }
 
+
+def _check_kind(kind) -> BellKind:
+    """`kind` if it is a BellKind, else DomainError; a value string is not coerced."""
+    if not isinstance(kind, BellKind):
+        raise DomainError(f"Bell kind must be a BellKind, got {kind!r}")
+    return kind
+
+
 _PLANE_BASES = {
     "xy": ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
     "yz": ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),
@@ -70,14 +78,14 @@ _PLANE_BASES = {
 def bell_vector(kind: BellKind) -> np.ndarray:
     """State vector in the z basis (uu, ud, du, dd): anti-correlated in z when sz = -1, with relative sign sx."""
     import numpy as np
-    sx, _, sz = kind.pauli_signs
+    sx, _, sz = _check_kind(kind).pauli_signs
     return np.array((0, 1, sx, 0) if sz < 0 else (1, 0, 0, sx), dtype=complex) / math.sqrt(2)
 
 
 def pauli_expansion(kind: BellKind) -> np.ndarray:
     """Density matrix assembled from its identity-plus-correlator expansion."""
     from .hilbert import correlation_expansion
-    return correlation_expansion(kind.pauli_signs) / 4.0
+    return correlation_expansion(_check_kind(kind).pauli_signs) / 4.0
 
 
 @functools.cache  # built from the derived amplitudes and cross-checked against the Pauli expansion on first use
@@ -93,7 +101,7 @@ def _checked_density(kind: BellKind) -> np.ndarray:
 
 def bell_density(kind: BellKind) -> np.ndarray:
     """Projector onto the Bell state (a copy of the density checked on first use)."""
-    return _checked_density(kind).copy()
+    return _checked_density(_check_kind(kind)).copy()
 
 
 def plane_direction(plane: str, angle) -> tuple:
@@ -111,6 +119,7 @@ def plane_direction(plane: str, angle) -> tuple:
 
 def resolve_plane(kind: BellKind, plane: str | None = None) -> str:
     """Check `plane` for `kind`; None picks the symmetry plane ('xz' for the singlet)."""
+    kind = _check_kind(kind)
     if plane is None:
         return "xz" if kind.is_singlet else kind.symmetry_plane
     if kind.symmetry_plane not in ("all", plane):
@@ -148,13 +157,18 @@ class JointProbabilities:
 
     def conditional_average(self, alice_outcome: int) -> float:
         """E[Bob's outcome | Alice's outcome]."""
-        if alice_outcome not in (1, -1):
-            raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
-        p_bob_plus, p_bob_minus = (self.p_pp, self.p_pm) if alice_outcome == 1 else (self.p_mp, self.p_mm)
-        weight, signed = p_bob_plus + p_bob_minus, p_bob_plus - p_bob_minus
-        if weight <= ATOL_EXACT:
-            raise ConditioningError(f"conditioning outcome {alice_outcome:+d} has zero probability")
-        return signed / weight
+        return _conditional_average((self.p_pp, self.p_pm, self.p_mp, self.p_mm), alice_outcome)
+
+
+def _conditional_average(cells, alice_outcome: int) -> float:
+    """E[Bob | Alice] from the cells (pp, pm, mp, mm) of a joint table or a tally."""
+    if alice_outcome not in (1, -1):
+        raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
+    bob_plus, bob_minus = cells[:2] if alice_outcome == 1 else cells[2:]
+    weight = bob_plus + bob_minus
+    if weight <= ATOL_EXACT:
+        raise ConditioningError(f"Alice's outcome {alice_outcome:+d} has zero weight")
+    return (bob_plus - bob_minus) / weight
 
 
 def joint_probabilities(kind: BellKind, a_dir, b_dir) -> JointProbabilities:
@@ -166,7 +180,8 @@ def joint_probabilities(kind: BellKind, a_dir, b_dir) -> JointProbabilities:
 
 def correlator(kind: BellKind, a_dir, b_dir) -> float:
     """Expectation of the product of outcomes: E(a, b) = sum_i s_i a_i b_i."""
-    return correlate(kind.pauli_signs, unit_vector(a_dir, "Alice's direction"), unit_vector(b_dir, "Bob's direction"))
+    a, b = unit_vector(a_dir, "Alice's direction"), unit_vector(b_dir, "Bob's direction")
+    return correlate(_check_kind(kind).pauli_signs, a, b)
 
 
 def correlate(signs, a, b):
@@ -183,7 +198,7 @@ def closed_form_joint(kind: BellKind, theta: float) -> JointProbabilities:
     """
     like = math.cos(theta / 2.0) ** 2 / 2.0
     unlike = 0.5 - like
-    if kind.is_singlet:
+    if _check_kind(kind).is_singlet:
         return JointProbabilities(unlike, like, like, unlike)
     return JointProbabilities(like, unlike, unlike, like)
 
@@ -226,35 +241,21 @@ class JointSample:
 
     def __post_init__(self):
         import numpy as np
-        c = np.asarray(self.counts)
-        if c.shape != (2, 2) or (c < 0).any() or c.sum() != self.n:
-            raise DomainError("joint counts must be a nonnegative 2x2 table summing to the number of trials")
+        try:
+            (pp, pm), (mp, mm) = self.counts
+        except (TypeError, ValueError):
+            raise DomainError(f"joint counts must be a 2x2 table, got {self.counts!r}") from None
+        cells, n = _check_tally((pp, pm, mp, mm), self.n)
+        object.__setattr__(self, "counts", np.array(cells).reshape(2, 2))
+        object.__setattr__(self, "n", n)
 
     def conditional_mean(self, alice_outcome: int) -> float:
-        if alice_outcome not in (1, -1):
-            raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
-        row = self.counts[0 if alice_outcome == 1 else 1]
-        total = int(row.sum())
-        if total == 0:
-            raise ConditioningError(f"no samples with Alice outcome {alice_outcome:+d}")
-        return (int(row[0]) - int(row[1])) / total
+        """E[Bob's outcome | Alice's outcome] over the tallied trials."""
+        return _conditional_average(self.counts.ravel().tolist(), alice_outcome)
 
 
 def sample_joint(kind: BellKind, a_dir, b_dir, n: int, seed: int) -> JointSample:
-    """Draw n joint outcomes; draw i is a pure function of (seed, i).
-
-    Uniform draw u falls in cell k (order pp, pm, mp, mm) when
-    edges[k-1] <= u < edges[k] for the running sums `edges` of p_pp, p_pm,
-    p_mp. The last cell takes every draw at or above edges[2], so the counts
-    sum to n even where the float sum of the four probabilities is below 1.
-    """
-    import numpy as np
-    from .rng import uniform_blocks
-    n = check_int(n, "trial count", 1, MAX_TRIALS)
+    """Draw n joint outcomes, the `measure.tally` of (p_pp, p_pm, p_mp, p_mm); draw i is a function of (seed, i)."""
     jp = joint_probabilities(kind, a_dir, b_dir)
-    edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp])
-    below = [0, 0, 0]  # draws below each edge
-    for u in uniform_blocks(seed, n):
-        for k, edge in enumerate(edges):
-            below[k] += int(np.count_nonzero(u < edge))
-    return JointSample(np.diff([0, *below, n]).reshape(2, 2), n, seed)
+    pp, pm, mp, mm = tally((jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm), n, seed)
+    return JointSample(((pp, pm), (mp, mm)), n, seed)

@@ -4,7 +4,8 @@ Subcommands: project (single-qubit statistics), bell (joint probabilities and
 conditional averages), chsh (quantum / PR-box / local-deterministic analysis),
 game (guessing-game simulation and interactive play). Output formats: text
 (default), json (schema field `schema: 1`, byte-stable for a fixed command
-and seed), csv. Exit codes: 0 success, 1 verification failure, 2 usage error.
+and seed), csv (one row of the payload's scalars, by the rule in `_emit`).
+Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 Angles are radians; expressions like "pi/3", "2pi/3", "-3*pi/4" are accepted.
 With --degrees, plain numbers are degrees (pi expressions stay radians).
@@ -60,16 +61,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(payload: dict, rows: list[dict], fmt: str, out) -> None:
-    """Render one command's result: full payload as json/text, rows as csv."""
+def _emit(payload: dict, fmt: str, out) -> None:
+    """Render one command's payload as json, text, or one csv row."""
     if fmt == "json":
         print(json.dumps(payload), file=out)
     elif fmt == "csv":
+        # the scalars, and each scalar of a nested dict as a `key_sub` column; lists, schema and command are dropped
+        row = {}
+        for key, value in payload.items():
+            cells = {f"{key}_{sub}": v for sub, v in value.items()} if isinstance(value, dict) else {key: value}
+            row.update((col, v) for col, v in cells.items() if isinstance(v, (int, float, str)))
+        del row["schema"], row["command"]
         writer = csv.writer(out)
-        if rows:
-            writer.writerow(rows[0].keys())
-            for row in rows:
-                writer.writerow(_fmt(v) for v in row.values())
+        writer.writerow(row.keys())
+        writer.writerow(_fmt(v) for v in row.values())
     else:
         _emit_text(payload, out, indent="")
 
@@ -95,6 +100,14 @@ def _emit_text(obj, out, indent: str) -> None:
             print(f"{indent}{key}: {_fmt(value)}", file=out)
 
 
+def _within_band(counts, probs, n: int) -> bool:
+    """Whether each count's frequency lies in the 3-sigma binomial band of its probability."""
+    from . import measure
+    # a rounded correlator can leave a zero cell at -5.6e-17; its band is that of 0
+    probs = [min(max(p, 0.0), 1.0) for p in probs]
+    return all(abs(c / n - p) <= measure.binomial_band(p, n) for c, p in zip(counts, probs))
+
+
 # ---------------------------------------------------------------------------
 # project
 
@@ -112,32 +125,28 @@ def cmd_project(args, out) -> int:
         "p_minus": p_minus,
         "mean": mean,
     }
-    checks_failed = 0
+    within = True
     if args.trials:
         sample = measure.sample_outcomes(setup, args.trials, args.seed)
-        band = measure.binomial_band(p_plus, args.trials)
-        within = abs(sample.n_plus / sample.n - p_plus) <= band
-        checks_failed += not within
+        within = _within_band((sample.n_plus,), (p_plus,), sample.n)
         payload["empirical"] = {
             "trials": sample.n,
             "seed": sample.seed,
             "n_plus": sample.n_plus,
             "n_minus": sample.n_minus,
             "mean": sample.mean,
-            "band_3sigma": band,
-            "within_band": bool(within),
+            "band_3sigma": measure.binomial_band(p_plus, sample.n),
+            "within_band": within,
         }
-    row = {k: v for k, v in payload.items() if k not in ("schema", "command", "empirical")}
-    row.update({f"empirical_{k}": v for k, v in payload.get("empirical", {}).items()})
-    _emit(payload, [row], args.format, out)
-    return 1 if checks_failed else 0
+    _emit(payload, args.format, out)
+    return 0 if within else 1
 
 
 # ---------------------------------------------------------------------------
 # bell
 
 def cmd_bell(args, out) -> int:
-    from . import bell, measure
+    from . import bell
     kind = bell.BellKind(args.kind)
     plane = bell.resolve_plane(kind, args.plane)
     a_angle = parse_angle(args.a, args.degrees)
@@ -160,18 +169,13 @@ def cmd_bell(args, out) -> int:
         "conditional_mean_given_plus": jp.conditional_average(1),
         "conditional_mean_given_minus": jp.conditional_average(-1),
     }
-    checks_failed = 0
+    within = True
     if args.trials:
-        counts = [int(c) for c in bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts.reshape(-1)]
-        # a rounded correlator can leave a zero cell at -5.6e-17; its band is that of 0
-        expect = [min(max(p, 0.0), 1.0) for p in (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm)]
-        bands = [measure.binomial_band(p, args.trials) for p in expect]
-        within = all(abs(c / args.trials - p) <= b for c, p, b in zip(counts, expect, bands))
-        checks_failed += not within
+        counts = bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts.ravel().tolist()
+        within = _within_band(counts, (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm), args.trials)
         payload["empirical"] = {"trials": args.trials, "seed": args.seed, "counts": counts, "within_band": within}
-    row = {k: v for k, v in payload.items() if k not in ("schema", "command", "empirical")}
-    _emit(payload, [row], args.format, out)
-    return 1 if checks_failed else 0
+    _emit(payload, args.format, out)
+    return 0 if within else 1
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +190,13 @@ def _angles_or_default(args):
     return [0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0]
 
 
-def cmd_chsh(args, out, parser) -> int:
+def cmd_chsh(args, out) -> int:
     from . import bell, boxes
     if args.source != "quantum":
         if args.angles:
-            parser.error(f"--angles applies only to --source quantum, not {args.source}")
+            raise QubitLabError(f"--angles applies only to --source quantum, not {args.source}")
         if args.scan:
-            parser.error("--scan applies only to --source quantum")
+            raise QubitLabError("--scan applies only to --source quantum")
 
     payload = {"schema": 1, "command": "chsh", "source": args.source}
     if args.source == "prbox":
@@ -230,9 +234,7 @@ def cmd_chsh(args, out, parser) -> int:
                 "tsirelson_bound": TSIRELSON,
                 "within_bound": bool(scan.max_value <= TSIRELSON + 1e-9),
             }
-    row = {k: v for k, v in payload.items() if k not in ("schema", "command") and isinstance(v, (int, float, str, bool))}
-    row.update({f"scan_{k}": v for k, v in payload.get("scan", {}).items()})
-    _emit(payload, [row], args.format, out)
+    _emit(payload, args.format, out)
     if "scan" in payload and not payload["scan"]["within_bound"]:
         return 1
     return 0
@@ -270,17 +272,14 @@ def _parse_strategy(text: str):
     raise QubitLabError(f"unknown strategy {text!r} (want quoin, random, or classical:K)")
 
 
-def cmd_game(args, out, parser) -> int:
+def cmd_game(args, out) -> int:
     from . import quoin
-    try:
-        strategy = _parse_strategy(args.strategy)
-    except QubitLabError as exc:
-        parser.error(str(exc))
+    strategy = _parse_strategy(args.strategy)
     mech = quoin.QuoinMechanics.quantum_coin() if args.mech == "quantum" else quoin.QuoinMechanics.standard()
 
     if args.mode == "play":
         if not isinstance(strategy, quoin.QuoinStrategy):
-            parser.error("interactive play supports only the quoin strategy")
+            raise QubitLabError("interactive play supports only the quoin strategy")
         if not sys.stdin.isatty():
             print("interactive play needs a terminal; use `game simulate` instead", file=sys.stderr)
             return 2
@@ -315,8 +314,7 @@ def cmd_game(args, out, parser) -> int:
     }
     if args.transcript:
         payload["transcript_path"] = args.transcript
-    row = {k: v for k, v in payload.items() if k not in ("schema", "command")}
-    _emit(payload, [row], args.format, out)
+    _emit(payload, args.format, out)
     return 0
 
 
@@ -403,22 +401,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_COMMANDS = {"project": cmd_project, "bell": cmd_bell, "chsh": cmd_chsh, "game": cmd_game}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = sys.stdout
     try:
-        if args.cmd == "project":
-            return cmd_project(args, out)
-        if args.cmd == "bell":
-            return cmd_bell(args, out)
-        if args.cmd == "chsh":
-            return cmd_chsh(args, out, parser)
-        if args.cmd == "game":
-            return cmd_game(args, out, parser)
+        return _COMMANDS[args.cmd](args, sys.stdout)
     except QubitLabError as exc:
         parser.error(str(exc))
-    return 2
 
 
 if __name__ == "__main__":

@@ -36,9 +36,14 @@ def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
         raise DimensionError(
             f"dimension {a.shape[0]} unsupported here (want one of {tuple(dims)})"
         )
+    return _finite(a, "matrix entries")
+
+
+def _finite(a: np.ndarray, what: str) -> np.ndarray:
+    """`a` if every entry is finite, else DomainError."""
     # at most 16 entries: Python scalars are quicker than a numpy reduction here
     if not all(map(cmath.isfinite, a.ravel().tolist())):
-        raise DomainError("matrix entries must be finite")
+        raise DomainError(f"{what} must be finite")
     return a
 
 
@@ -89,7 +94,9 @@ def tensor(a, b) -> np.ndarray:
     """Kronecker product of two 2x2 operators (the only composite needed here)."""
     aa = as_matrix(a, dims=(2,))
     bb = as_matrix(b, dims=(2,))
-    return np.kron(aa, bb)
+    # np.kron's own broadcast product, without its general-shape set-up
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite((aa[:, None, :, None] * bb[None, :, None, :]).reshape(4, 4), "tensor product entries")
 
 
 def correlation_expansion(signs) -> np.ndarray:
@@ -103,4 +110,5 @@ def commutator(a, b) -> np.ndarray:
     bb = as_matrix(b)
     if aa.shape != bb.shape:
         raise DimensionError(f"dimension mismatch: {aa.shape[0]} vs {bb.shape[0]}")
-    return aa @ bb - bb @ aa
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(aa @ bb - bb @ aa, "commutator entries")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_int, unit_vector
+from .errors import ATOL_EXACT, DomainError, check_finite, check_int, unit_vector
 
 # about 10 s of Philox draws at ~10 ns per double
 MAX_TRIALS = 2**30
@@ -50,6 +50,15 @@ def expected_outcome(setup: SGSetup) -> float:
     return p_plus - p_minus
 
 
+def _check_tally(counts, n) -> tuple[tuple[int, ...], int]:
+    """Nonnegative integer counts that sum to n >= 1 trials, as ints, else DomainError."""
+    n = check_int(n, "trial count", 1)
+    counts = tuple(check_int(c, "outcome count") for c in counts)
+    if sum(counts) != n:
+        raise DomainError("outcome counts must sum to the number of trials")
+    return counts, n
+
+
 @dataclass(frozen=True)
 class OutcomeSample:
     """Tally of +1/-1 outcomes from one seeded run."""
@@ -60,12 +69,36 @@ class OutcomeSample:
     seed: int
 
     def __post_init__(self):
-        if self.n_plus + self.n_minus != self.n:
-            raise DomainError("outcome counts must sum to the number of trials")
+        counts, n = _check_tally((self.n_plus, self.n_minus), self.n)
+        for name, value in zip(("n_plus", "n_minus", "n"), (*counts, n)):
+            object.__setattr__(self, name, value)
 
     @property
     def mean(self) -> float:
         return (self.n_plus - self.n_minus) / self.n
+
+
+def tally(probs, n: int, seed: int) -> tuple[int, ...]:
+    """Counts of the n draws of philox(seed).random(n) in cells of probabilities `probs`.
+
+    Draw u falls in cell k when edges[k-1] <= u < edges[k] for the running
+    sums `edges` of all probabilities but the last. The last cell takes every
+    draw at or above the last edge, so the counts sum to n even where the
+    float sum of the probabilities is below 1. The draws are counted block by
+    block through `rng.uniform_blocks`, holding no per-trial array.
+    """
+    import numpy as np
+    from .rng import uniform_blocks
+    n = check_int(n, "trial count", 1, MAX_TRIALS)
+    p = check_finite(probs, "cell probabilities")
+    if np.ndim(p) != 1 or not p.size or p.min() < -ATOL_EXACT or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
+        raise DomainError(f"cell probabilities must be a distribution, got {probs!r}")
+    edges = np.cumsum(p[:-1])
+    below = [0] * len(edges)  # draws below each edge
+    for u in uniform_blocks(seed, n):
+        for k, edge in enumerate(edges):
+            below[k] += int(np.count_nonzero(u < edge))
+    return tuple(hi - lo for lo, hi in zip([0, *below], [*below, n]))
 
 
 def sample_outcome_values(setup: SGSetup, n: int, seed: int):
@@ -79,22 +112,20 @@ def sample_outcome_values(setup: SGSetup, n: int, seed: int):
 
 
 def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
-    """Seeded Monte Carlo tally; the empirical mean converges to cos(theta).
+    """Seeded Monte Carlo tally of (P(+1), P(-1)); the empirical mean converges to cos(theta).
 
-    Counts the draws of `sample_outcome_values` block by block, holding no
-    per-trial array.
+    It counts the draws of `sample_outcome_values`.
     """
-    import numpy as np
-    from .rng import uniform_blocks
-    n = check_int(n, "trial count", 1, MAX_TRIALS)
-    p_plus, _ = projection_probabilities(setup)
-    n_plus = sum(int(np.count_nonzero(u < p_plus)) for u in uniform_blocks(seed, n))
-    return OutcomeSample(n_plus, n - n_plus, n, seed)
+    n_plus, n_minus = tally(projection_probabilities(setup), n, seed)
+    return OutcomeSample(n_plus, n_minus, n, seed)
 
 
 def binomial_band(p: float, n: int, sigmas: float = 3.0) -> float:
     """Half-width of the `sigmas`-sigma band for an empirical frequency."""
     n = check_int(n, "trial count", 1)
-    if not 0.0 <= p <= 1.0:
+    p, sigmas = check_finite(p, "band probability"), check_finite(sigmas, "band width in sigmas")
+    if not (isinstance(p, float) and 0.0 <= p <= 1.0):
         raise DomainError(f"band probability must lie in [0, 1], got {p!r}")
+    if not (isinstance(sigmas, float) and sigmas >= 0.0):
+        raise DomainError(f"band width in sigmas must be nonnegative, got {sigmas!r}")
     return sigmas * math.sqrt(p * (1.0 - p) / n)

@@ -317,6 +317,8 @@ def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lan
     """
     if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
+    if mech is not None and not isinstance(mech, QuoinMechanics):
+        raise DomainError(f"mechanics must be a QuoinMechanics, got {mech!r}")
 
     def draw(stream: int, k: int):
         return draws(mech_seed if stream == STREAM_MECH else dealer_seed, stream, games, k)

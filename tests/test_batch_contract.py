@@ -1,7 +1,7 @@
 """Random-stream contract v1 on the batched path: `game simulate` without --transcript.
 
 That path is served by `monte_carlo`, which computes the draws block by block
-with `rng.game_bits`. The digests below were recorded from the per-game
+with `rng.draws`. The digests below were recorded from the per-game
 engine (`summarize(play_games(...))`) before the batched engine existed, over
 the grid of `tests/test_stream_contract.py`; they must match unchanged.
 """

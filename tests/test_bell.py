@@ -321,11 +321,26 @@ class TestSampling:
 
     @pytest.mark.parametrize(
         "counts,n",
-        [([[1, 1], [1, 1]], 5), ([[2, -1], [1, 1]], 3), ([1, 1, 1, 1], 4), ([[1, 1, 1], [1, 1, 1]], 6)],
+        [
+            ([[1, 1], [1, 1]], 5), ([[2, -1], [1, 1]], 3), ([1, 1, 1, 1], 4), ([[1, 1, 1], [1, 1, 1]], 6),
+            # float counts, a bool count, zero trials and a ragged table were accepted, or escaped as other errors
+            ([[1.0, 1.0], [1.0, 1.0]], 4), ([[0.5, 0.5], [1, 2]], 4), ([[True, 1], [1, 1]], 4), ([[0, 0], [0, 0]], 0),
+            ([[1, 1], [1]], 3), (None, 0), ([[1, 1], [1, 1]], 4.0),
+        ],
     )
     def test_joint_sample_invariants(self, counts, n):
         with pytest.raises(DomainError):
-            JointSample(np.array(counts), n, seed=0)
+            JointSample(counts, n, seed=0)
+
+    def test_nested_list_counts_become_an_int_table(self):
+        # conditional_mean used to raise AttributeError on a list table
+        sample = JointSample([[1, 1], [3, 1]], 6, seed=0)
+        assert sample.counts.tolist() == [[1, 1], [3, 1]] and sample.counts.dtype.kind == "i"
+        assert (sample.conditional_mean(1), sample.conditional_mean(-1)) == (0.0, 0.5)
+
+    def test_conditional_mean_on_an_empty_row_rejected(self):
+        with pytest.raises(ConditioningError):
+            JointSample(np.array([[0, 0], [2, 1]]), 3, seed=0).conditional_mean(1)
 
 
 class TestPlaneDirections:

@@ -2,12 +2,14 @@
 
 Each command runs in-process through `cli.main` in an empty directory, with a
 relative transcript path, no terminal on stdin and COLUMNS=80. The sha256 of
-its four outputs is pinned. A deliberate output change re-records the table:
+its four outputs is pinned. A deliberate output change re-records the table,
+which this prints with the commands whose digest moved listed below it:
 
     PYTHONPATH=src python tests/test_cli_pins.py
 """
 
 import contextlib
+import csv
 import hashlib
 import io
 import itertools
@@ -174,7 +176,7 @@ PINNED = {
     'bell --kind phi+ --a -0.7 --b 2.6 --format csv': 'e924ecd87b5f6ca5981c4ee00a9f996c5c40e56b12fcaced2c83aebe848e74b1',
     'bell --kind singlet --a 0.3 --b 1.9 --trials 5000 --format json': '5bf3f6795297af3325648882b831ef30788a0a5ce8f0d12c1489f4f086a6cbf7',
     'bell --kind singlet --a 0.3 --b 1.9 --trials 5000 --format text': '67c2ffce00d4ebfb6bb74da60d85f470ee97dd9f4b433cacd79982fde29f529c',
-    'bell --kind singlet --a 0.3 --b 1.9 --trials 5000 --format csv': '9fbbd0f84c4ffda46501271b0461c56720dc57e946b104954c74e6659df313f2',
+    'bell --kind singlet --a 0.3 --b 1.9 --trials 5000 --format csv': '43c4b5d2bf90e0e0a49ed9f9900a6cf42b7be608351e24ec5c0f5111970a92f3',
     'bell --kind phi- --a 1 --b 1 --trials 100 --seed 3 --format json': '32f372f94b0da0c24666737f6ff4d680d187691a2bd5f6c847154a2f19270aa1',
     'bell --kind phi+ --a 30 --b 75 --degrees --format json': '48d8a9e7f510299e72d9e57d45dcbe087fd9ae51072cdc1dfa3ecf41b6b43b81',
     'chsh --source prbox --format json': '914b9b67fe04db1cc359d76e47da483cf29ff38f9ce43a58c1acc73f79b57b76',
@@ -319,12 +321,46 @@ def test_every_command_is_pinned():
     assert len(COMMANDS) == len(_commands()) and set(COMMANDS) == set(PINNED)
 
 
+def row_rule(payload: dict) -> list[str]:
+    """The csv columns of a json payload.
+
+    Scalars stay, each scalar of a nested dict becomes a `key_sub` column, and
+    lists, `schema` and `command` are dropped.
+    """
+    columns = []
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            columns += [f"{key}_{sub}" for sub, v in value.items() if not isinstance(v, (list, dict))]
+        elif key not in ("schema", "command") and not isinstance(value, list):
+            columns.append(key)
+    return columns
+
+
+def stdout_of(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(argv))
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("cmd", [cmd for cmd, argv in COMMANDS.items() if argv[-2:] == ("--format", "csv")])
+def test_csv_header_is_the_row_rule_of_the_json_payload(cmd):
+    argv = COMMANDS[cmd]
+    header = next(csv.reader(io.StringIO(stdout_of(argv))))
+    assert header == row_rule(json.loads(stdout_of((*argv[:-1], "json"))))
+
+
 if __name__ == "__main__":
     os.environ["COLUMNS"] = "80"
     sys.stdin = io.StringIO("")
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        print("PINNED = {")
-        for cmd, argv in COMMANDS.items():
-            print(f"    {cmd!r}: {outcome(argv)!r},")
-        print("}")
+        table = {cmd: outcome(argv) for cmd, argv in COMMANDS.items()}
+    print("PINNED = {")
+    for cmd, digest in table.items():
+        print(f"    {cmd!r}: {digest!r},")
+    print("}")
+    moved = [cmd for cmd, digest in table.items() if PINNED.get(cmd) != digest]
+    print(f"\n# {len(moved)} command(s) differ from PINNED:")
+    for cmd in moved:
+        print(f"#   {cmd}")

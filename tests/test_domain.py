@@ -20,9 +20,16 @@ from qubitlab.bell import (
     BellKind,
     JointProbabilities,
     JointSample,
+    bell_density,
+    bell_vector,
+    closed_form_joint,
     conditional_average,
+    correlator,
     invariance_check,
+    joint_probabilities,
+    pauli_expansion,
     plane_direction,
+    resolve_plane,
     sample_joint,
 )
 from qubitlab.boxes import MAX_SCAN_N, deterministic_box, pr_box, quantum_box, tsirelson_scan
@@ -152,6 +159,48 @@ def test_plus_and_minus_one_accepted(name):
     OUTCOME_ARGS[name](np.int64(-1))
 
 
+# name -> call with the Bell kind, which must be a BellKind: its value string is not coerced
+KIND_ARGS = {
+    "correlator": lambda v: correlator(v, Z, X),
+    "joint_probabilities": lambda v: joint_probabilities(v, Z, X),
+    "closed_form_joint": lambda v: closed_form_joint(v, 0.5),
+    "invariance_check": lambda v: invariance_check(v, "z", 0.1),
+    "bell_density": bell_density,
+    "bell_vector": bell_vector,
+    "pauli_expansion": pauli_expansion,
+    "sample_joint": lambda v: sample_joint(v, Z, X, 3, 1),
+    "resolve_plane": resolve_plane,
+    "quantum_box": lambda v: quantum_box(v, [Z, X], [Z, X]),
+    "tsirelson_scan": lambda v: tsirelson_scan(v, None, n=4),
+}
+# name -> call with the game mechanics, which must be a QuoinMechanics or None
+MECH_ARGS = {
+    "monte_carlo": lambda v: monte_carlo(QuoinStrategy(), 3, 1, mech=v),
+    "play_game": lambda v: play_game(QuoinStrategy(), 1, 1, mech=v),
+    "play_games": lambda v: list(play_games(QuoinStrategy(), 3, 1, mech=v)),
+}
+OBJECT_CASES = [
+    *(pytest.param(KIND_ARGS[n], b, id=f"{n}-{b!r}") for n in KIND_ARGS for b in ["singlet", "SINGLET", None, 0]),
+    *(pytest.param(MECH_ARGS[n], b, id=f"{n}-{b!r}") for n in MECH_ARGS for b in ["quantum", "quoin", 1, ((0, 1), (1, 0))]),
+]
+
+
+@pytest.mark.parametrize("call,bad", OBJECT_CASES)
+def test_kind_or_mechanics_of_another_type_raises(call, bad):
+    # each used to escape as AttributeError
+    with pytest.raises(DomainError):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "call,ok",
+    [*((KIND_ARGS[n], k) for n in KIND_ARGS for k in BellKind), *((MECH_ARGS[n], m) for n in MECH_ARGS
+     for m in (None, QuoinMechanics.standard(), QuoinMechanics.quantum_coin()))],
+)
+def test_kinds_and_mechanics_accepted(call, ok):
+    call(ok)
+
+
 STATE = QubitState.up()
 # name -> call with the angle
 ANGLE_ARGS = {
@@ -201,7 +250,7 @@ def test_cli_angle_outside_its_domain_raises(text):
         cli.parse_angle(text)
 
 
-@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan, math.inf])
+@pytest.mark.parametrize("p", [-0.1, 1.1, math.nan, math.inf, "0.5", None, [0.5], True])
 def test_binomial_band_wants_a_probability(p):
     with pytest.raises(DomainError):
         binomial_band(p, 10)

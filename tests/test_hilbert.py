@@ -127,6 +127,12 @@ class TestTensor:
                 np.trace(tensor(a, b)), np.trace(a) * np.trace(b), atol=1e-10
             )
 
+    def test_overflowing_product_rejected(self):
+        # the product of two finite 1e200 entries used to come back as inf, with a RuntimeWarning
+        big = np.array([[1e200, 0], [0, 0]])
+        with pytest.raises(DomainError, match="finite"):
+            tensor(big, big)
+
     def test_unsupported_dimensions_rejected(self):
         with pytest.raises(DimensionError):
             tensor(np.eye(3), np.eye(2))
@@ -152,6 +158,10 @@ class TestCommutator:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             commutator(np.eye(2), np.eye(3))
+
+    def test_overflowing_product_rejected(self):
+        with pytest.raises(DomainError, match="finite"):
+            commutator([[1e200, 0], [0, 0]], [[0, 1e200], [0, 0]])
 
 
 class TestUnitVector:

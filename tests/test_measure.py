@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qubitlab.errors import DomainError
 from qubitlab.measure import (
@@ -13,8 +15,10 @@ from qubitlab.measure import (
     projection_probabilities,
     sample_outcome_values,
     sample_outcomes,
+    tally,
 )
 from qubitlab.qubit import so3_rotation
+from qubitlab.rng import BLOCK, philox
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -99,9 +103,15 @@ class TestSampling:
         with pytest.raises(DomainError):
             sample_outcomes(setup_at(0.5), 0, seed=1)
 
-    def test_count_invariant(self):
+    # all but the first were accepted; (0, 0, 0) then failed in `mean` with ZeroDivisionError
+    @pytest.mark.parametrize("counts", [(3, 3, 5), (-1, 6, 5), (2.5, 2.5, 5), (0, 0, 0), (True, 4, 5), (3, 2, 5.0)])
+    def test_count_invariant(self, counts):
         with pytest.raises(DomainError):
-            OutcomeSample(3, 3, 5, seed=0)
+            OutcomeSample(*counts, seed=0)
+
+    def test_numpy_counts_become_ints(self):
+        sample = OutcomeSample(np.int64(3), np.int32(2), np.uint8(5), seed=0)
+        assert (sample.n_plus, sample.n_minus, sample.n) == (3, 2, 5) and type(sample.n_plus) is int
 
     @pytest.mark.parametrize("n", [-1, 2.0, 3.5, True, np.bool_(True), "3", None, MAX_TRIALS + 1, 10**11])
     @pytest.mark.parametrize("sampler", [sample_outcomes, sample_outcome_values])
@@ -113,6 +123,46 @@ class TestSampling:
         sample = sample_outcomes(setup_at(0.5), np.int64(3), seed=1)
         assert (type(sample.n), type(sample.n_plus), type(sample.n_minus)) == (int, int, int)
         assert len(sample_outcome_values(setup_at(0.5), np.int32(3), seed=1)) == 3
+
+
+class TestTally:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).filter(lambda w: sum(w) > 0.0),
+        n=st.integers(1, 3 * BLOCK + 2),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    @example(weights=[0.3, 0.0, 0.7], n=BLOCK, seed=1)
+    @example(weights=[0.25, 0.25, 0.25, 0.25], n=BLOCK + 1, seed=2)
+    @example(weights=[1.0, 0.0], n=2 * BLOCK - 1, seed=3)
+    def test_equals_the_one_shot_searchsorted_count(self, weights, n, seed):
+        probs = [w / math.fsum(weights) for w in weights]
+        cell = np.searchsorted(np.cumsum(probs[:-1]), philox(seed).random(n), side="right")
+        assert tally(probs, n, seed) == tuple(np.bincount(cell, minlength=len(probs)).tolist())
+
+    def test_last_cell_takes_the_draws_above_every_edge(self):
+        # the cells sum to 1 - 2**-53 in floats; no draw is lost
+        counts = tally((0.5, 0.5 - 2**-53), 10**4, seed=4)
+        assert sum(counts) == 10**4
+
+    @pytest.mark.parametrize(
+        "probs", [(), (0.5,), (0.6, 0.6), (1.5, -0.5), (math.nan, 1.0), (math.inf, 0.0), ((0.5, 0.5),), ("0.5", "0.5"), 1.0]
+    )
+    def test_refuses_what_is_not_a_distribution(self, probs):
+        with pytest.raises(DomainError):
+            tally(probs, 10, seed=1)
+
+
+class TestBinomialBand:
+    @pytest.mark.parametrize("sigmas", [math.nan, math.inf, -1.0, -1e-300, "3", None, [3.0]])
+    def test_refuses_a_width_that_is_not_a_nonnegative_number(self, sigmas):
+        # NaN used to give a NaN band and a negative width a negative one
+        with pytest.raises(DomainError):
+            binomial_band(0.5, 10, sigmas)
+
+    def test_zero_width_and_integer_width(self):
+        assert binomial_band(0.5, 100, 0) == 0.0
+        assert binomial_band(0.5, 100, 2) == 2 * 0.05
 
 
 class TestRotationalInvariance:
