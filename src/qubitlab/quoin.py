@@ -95,8 +95,18 @@ class QuoinMechanics:
         return unequal
 
 
-def flip_pair(mech: QuoinMechanics, start, seed: int, trial: int) -> tuple[str, str]:
+def _check_mech(mech) -> QuoinMechanics:
+    """The mechanics, the standard ones for None; anything else is a DomainError."""
+    if mech is None:
+        return QuoinMechanics.standard()
+    if not isinstance(mech, QuoinMechanics):
+        raise DomainError(f"mechanics must be a QuoinMechanics, got {mech!r}")
+    return mech
+
+
+def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tuple[str, str]:
     """Outcome pair for one flip; a pure function of (seed, trial)."""
+    mech = _check_mech(mech)
     a, b = _start_bits(start)
     f = int(philox(seed, trial).integers(0, 2))
     return SYMBOLS[f], SYMBOLS[f ^ mech.u[a][b]]
@@ -140,7 +150,7 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
     unequal outcomes from a heads-heads start necessarily produces unequal
     outcomes from some start that must end equal.
     """
-    mech = mech or QuoinMechanics.standard()
+    mech = _check_mech(mech)
     valid, failures = [], []
     for ra, rb in itertools.product(RIGGINGS, repeat=2):
         for a, b in itertools.product((1, 0), repeat=2):  # HH, HT, TH, TT
@@ -317,14 +327,13 @@ def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lan
     """
     if not isinstance(strategy, Strategy):
         raise DomainError(f"unknown strategy {strategy!r}")
-    if mech is not None and not isinstance(mech, QuoinMechanics):
-        raise DomainError(f"mechanics must be a QuoinMechanics, got {mech!r}")
+    mech = _check_mech(mech)
 
     def draw(stream: int, k: int):
         return draws(mech_seed if stream == STREAM_MECH else dealer_seed, stream, games, k)
 
     bob, alice = hands or _deal(dealer_seed, games, lanes)
-    bought, guess, notes = strategy.play(mech or QuoinMechanics.standard(), lanes, alice, bob, draw)
+    bought, guess, notes = strategy.play(mech, lanes, alice, bob, draw)
     return bob, alice, bought, guess, popcount(alice & bob) & 1, notes
 
 
@@ -476,7 +485,7 @@ def verify_parity_theorem(
     (seed, deal index, lane). Deal d deals Alice hand d >> lanes and Bob hand
     d mod 2**lanes of the product order.
     """
-    mech = mech or QuoinMechanics.standard()
+    mech = _check_mech(mech)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     deals = np.arange(4**lanes)
     # each hand as the mask of its product-order index, so lane i is bit lanes - 1 - i

@@ -9,17 +9,21 @@ per-game purity spawn one stream per index.
 Because the generator is counter-based, drawing a stream in pieces gives the
 same doubles in the same order as one call: `uniform_blocks` streams
 philox(seed).random(n) through a buffer of at most BLOCK doubles. For the
-same reason any draw can be computed straight from its counter: one kernel
-recomputes numpy's SeedSequence key derivation (NEP 19) and Philox4x64-10
-(Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), and
-gives philox(seed, stream, g).integers(0, 2, k) as a bit mask, in `draws`,
-for one game index g (an int) or an array of them.
+same reason any draw can be computed straight from its key and counter:
+`draws` gives philox(seed, stream, g).integers(0, 2, k) as a bit mask for
+one game index g (an int) or an array of them. One key derivation, numpy's
+SeedSequence (NEP 19) recomputed on Python ints or uint64 arrays, serves
+both; the Philox4x64-10 words (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC 2011) then come from numpy's own C Philox, re-keyed
+through its public `state`, for an int, and from the rounds written here as
+array expressions, one lane per index, for an array.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import threading
 from collections.abc import Iterator
 
 import numpy as np
@@ -41,12 +45,28 @@ _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _ROUNDS = 10
 # (seed, stream) pairs whose SeedSequence pool state `_prefix` keeps; bounded, as a run may use many seeds
 PREFIXES = 256
+# draws of one int game index: its Philox words are allocated at once, 4 per 8 draws
+MAX_DRAWS = 1 << 12
+
+# `draws` re-keys the one C generator of `_bit_generator` and reads its words
+# under _LOCK (random_raw takes Philox's own lock, which is not reentrant)
+_LOCK = threading.Lock()
 
 
 def philox(seed: int, *stream: int) -> np.random.Generator:
     """Generator for the given seed and stream path."""
     ss = np.random.SeedSequence(check_int(seed, "seed"), spawn_key=tuple(check_int(s, "stream") for s in stream))
     return np.random.Generator(np.random.Philox(ss))
+
+
+@functools.cache
+def _bit_generator() -> np.random.Philox:
+    """The one Philox that `draws` re-keys per int game index, made on first use.
+
+    Importing numpy.random takes about 15 ms, which a process that replays no
+    single game, such as `game simulate`, then does not pay.
+    """
+    return np.random.Philox(0)
 
 
 def _words(n: int) -> list[int]:
@@ -57,18 +77,21 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hash_consts(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """Successive (xor, multiply) constants of one SeedSequence hash chain."""
-    h = init
-    while True:
-        nxt = h * mult & _MASK32
-        yield h, nxt
-        h = nxt
+def _chain(h: int, mult: int, n: int) -> list[int]:
+    """h and the next n constants of a SeedSequence hash chain, each the last times mult."""
+    chain = [h]
+    for _ in range(n):
+        chain.append(chain[-1] * mult & _MASK32)
+    return chain
+
+
+# hash i of a chain xors with constant i and multiplies by constant i + 1;
+# generate_state's chain B hashes the four pool words
+_HASH_B = _chain(_INIT_B, _MULT_B, _POOL)
 
 
 # the kernel below runs on Python ints for one stream and on uint64 arrays for many
-def _hashmix(value, consts):
-    xor, mult = next(consts)
+def _hashmix(value, xor: int, mult: int):
     value = (value ^ xor) * mult & _MASK32
     return value ^ (value >> 16)
 
@@ -78,11 +101,16 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _absorb(pool: list, consts, words) -> None:
-    """Mix the entropy words after the first four into the pool."""
+def _absorb(pool: list, h: int, words) -> int:
+    """Mix the entropy words after the first four into the pool, from chain A's constant h; the next constant."""
     for word in words:
         for dst in range(_POOL):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+            mult = h * _MULT_A & _MASK32
+            v = (word ^ h) * mult & _MASK32
+            v = _MIX_MULT_R * (v ^ v >> 16) & _MASK32
+            r = (_MIX_MULT_L * pool[dst] & _MASK32) - v & _MASK32
+            pool[dst], h = r ^ r >> 16, mult
+    return h
 
 
 @functools.lru_cache(maxsize=PREFIXES)
@@ -90,13 +118,14 @@ def _prefix(seed: int, stream: int) -> tuple[tuple[int, ...], int]:
     """The pool after the seed's words (zero-padded to the pool size) and the stream's, and the next constant."""
     seed_words = _words(seed)
     entropy = seed_words + [0] * (_POOL - len(seed_words)) + _words(stream)
-    consts = _hash_consts(_INIT_A, _MULT_A)
-    pool = [_hashmix(word, consts) for word in entropy[:_POOL]]
-    for src, dst in itertools.product(range(_POOL), repeat=2):
-        if src != dst:
-            pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    _absorb(pool, consts, entropy[_POOL:])
-    return tuple(pool), next(consts)[0]
+    # chain A: one constant per hash of the pool's words, then of its 12 ordered pairs
+    chain = _chain(_INIT_A, _MULT_A, _POOL * _POOL)
+    pool = [_hashmix(word, chain[i], chain[i + 1]) for i, word in enumerate(entropy[:_POOL])]
+    pairs = [(src, dst) for src, dst in itertools.product(range(_POOL), repeat=2) if src != dst]
+    for i, (src, dst) in enumerate(pairs, _POOL):
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], chain[i], chain[i + 1]))
+    h = _absorb(pool, chain[-1], entropy[_POOL:])
+    return tuple(pool), h
 
 
 def _indices(games) -> np.ndarray:
@@ -113,18 +142,16 @@ def _keys(seed: int, stream: int, game):
     """Philox key of SeedSequence(seed, spawn_key=(stream, game)), as two 64-bit words."""
     # checked before the cache, which takes True for 1
     pool, h = _prefix(check_int(seed, "seed"), check_int(stream, "stream"))
-    pool, consts = list(pool), _hash_consts(h, _MULT_A)
-    words = (_indices(game),) if isinstance(game, np.ndarray) else _words(check_int(game, "game index"))
-    _absorb(pool, consts, words)
-    # generate_state(2, uint64): four uint32 outputs, paired little-endian
-    consts = _hash_consts(_INIT_B, _MULT_B)
-    out = [_hashmix(word, consts) for word in pool]
+    pool = list(pool)
+    _absorb(pool, h, (_indices(game),) if isinstance(game, np.ndarray) else _words(check_int(game, "game index")))
+    # generate_state(2, uint64): four uint32 outputs of chain B, paired little-endian
+    out = [_hashmix(word, _HASH_B[i], _HASH_B[i + 1]) for i, word in enumerate(pool)]
     return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
 def _mulhilo(m: int, x):
     """Low and high 64-bit halves of m·x."""
-    if type(x) is int:
+    if type(x) is int:  # a round's inputs are ints until the key reaches them
         p = m * x
         return p & _MASK64, p >> 64
     # a uint64 array: from 32-bit partial products
@@ -135,35 +162,52 @@ def _mulhilo(m: int, x):
     return x * m, x_hi * m_hi + (t >> 32) + (u >> 32)
 
 
-def _philox_blocks(seed: int, stream: int, game, k: int) -> Iterator:
-    """Each Philox4x64-10 block that holds one of the first k draws, as the mask of its 8 draws.
-
-    Philox starts at counter 1 and yields four words per block;
-    `Generator.integers(0, 2)` takes one uint32 per draw, low half first, and
-    returns its top bit, so word j holds draws 2j (bit 31) and 2j + 1 (bit 63).
-    """
-    key0, key1 = _keys(seed, stream, game)
-    for counter in range(1, -(-k // 8) + 1):
+def _philox_rounds(key0: np.ndarray, key1: np.ndarray, blocks: int) -> list[np.ndarray]:
+    """The words of Philox4x64-10 blocks 1..blocks under an array of keys, four per block."""
+    words = []
+    for counter in range(1, blocks + 1):
         c0, c1, c2, c3, k0, k1 = counter, 0, 0, 0, key0, key1
         for _ in range(_ROUNDS):
             lo0, hi0 = _mulhilo(_M0, c0)
             lo1, hi1 = _mulhilo(_M1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0, k1 = k0 + _W0 & _MASK64, k1 + _W1 & _MASK64
-        yield sum((w >> 31 & 1) << 2 * j | (w >> 63) << 2 * j + 1 for j, w in enumerate((c0, c1, c2, c3)))
+            k0, k1 = k0 + _W0, k1 + _W1
+        words += (c0, c1, c2, c3)
+    return words
 
 
 def draws(seed: int, stream: int, game, k: int):
     """philox(seed, stream, game).integers(0, 2, k) as a mask, draw i in bit i.
 
-    `game` is an int of any size, for one stream, or a 1-d array of indices in
-    0..2**32 - 1, for one stream each (then k <= 64, and the masks are uint64).
+    `game` is an int of any size, for one stream (then k <= MAX_DRAWS), or a
+    1-d array of indices in 0..2**32 - 1, for one stream each (then k <= 64,
+    and the masks are uint64). The key comes from the SeedSequence
+    derivation above; for an int the words come from numpy's Philox re-keyed
+    to it, for an array from the rounds above, one lane per index.
+
+    Philox starts at counter 1 and yields four words per block;
+    `Generator.integers(0, 2)` takes one uint32 per draw, low half first, and
+    returns its top bit, so word j holds draws 2j (bit 31) and 2j + 1 (bit 63).
     """
     many = isinstance(game, np.ndarray)
-    k = check_int(k, "draw count", 0, 64 if many else None)
-    zero = _indices(game) & 0 if many else 0  # the masks of k = 0 draws, which take no Philox block
-    masks = (mask << 8 * b for b, mask in enumerate(_philox_blocks(seed, stream, game, k)))
-    return sum(masks, zero) & (1 << k) - 1
+    k = check_int(k, "draw count", 0, 64 if many else MAX_DRAWS)
+    key0, key1 = _keys(seed, stream, game)
+    blocks = -(-k // 8)
+    if many:
+        words = _philox_rounds(key0, key1, blocks)
+    else:
+        with _LOCK:
+            gen = _bit_generator()
+            # counter 0 and an empty buffer, so the first word read is block 1's
+            gen.state = {
+                "bit_generator": "Philox", "state": {"counter": (0, 0, 0, 0), "key": (key0, key1)},
+                "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+            words = gen.random_raw(4 * blocks).tolist()
+    mask = key0 & 0  # the zero mask of an int or of each index
+    for w in reversed(words):
+        mask = mask << 2 | w >> 62 & 2 | w >> 31 & 1
+    return mask & (1 << k) - 1
 
 
 def uniform_blocks(seed: int, n: int) -> Iterator[np.ndarray]:

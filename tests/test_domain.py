@@ -56,12 +56,14 @@ from qubitlab.quoin import (
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
+    enumerate_riggings,
+    flip_pair,
     monte_carlo,
     play_game,
     play_games,
     verify_parity_theorem,
 )
-from qubitlab.rng import draws, philox
+from qubitlab.rng import MAX_DRAWS, draws, philox
 from qubitlab.spinops import LZ, SpinOperatorTriple
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -78,7 +80,7 @@ INTEGER_ARGS = {
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
     "draws stream for an index array": (lambda v: draws(1, v, np.arange(1), 4), 0, None, 3, None),
     "draws game index": (lambda v: draws(1, 0, v, 4), 0, None, 3, None),
-    "draws draw count": (lambda v: draws(1, 0, 5, v), 0, None, 3, None),
+    "draws draw count": (lambda v: draws(1, 0, 5, v), 0, MAX_DRAWS, 3, None),
     "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
     "sample_outcomes trials": (lambda v: sample_outcomes(SETUP, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "sample_outcome_values trials": (lambda v: sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
@@ -178,6 +180,9 @@ MECH_ARGS = {
     "monte_carlo": lambda v: monte_carlo(QuoinStrategy(), 3, 1, mech=v),
     "play_game": lambda v: play_game(QuoinStrategy(), 1, 1, mech=v),
     "play_games": lambda v: list(play_games(QuoinStrategy(), 3, 1, mech=v)),
+    "flip_pair": lambda v: flip_pair(v, ("H", "H"), 1, 0),
+    "enumerate_riggings": enumerate_riggings,
+    "verify_parity_theorem": lambda v: verify_parity_theorem([0], 2, v),
 }
 OBJECT_CASES = [
     *(pytest.param(KIND_ARGS[n], b, id=f"{n}-{b!r}") for n in KIND_ARGS for b in ["singlet", "SINGLET", None, 0]),

@@ -1,13 +1,17 @@
 """Guards for the game engine.
 
-One kernel in `rng` recomputes numpy's SeedSequence and Philox4x64-10 on
-Python ints (one game index) and on arrays (many); `rng.draws` runs it on
-either. These tests hold it to the real generator, and
-`play_game`, `play_games` and `monte_carlo`, which all draw from that kernel,
-to the per-game engine they replaced, `tests/oracles.py`.
+`rng.draws` recomputes numpy's SeedSequence key derivation on Python ints
+(one game index) and on arrays (many), then takes the Philox4x64-10 words
+from numpy's C Philox, re-keyed, for an int and from its own array rounds
+for an array. These tests hold both paths to the real generator, also from
+several threads at once, and `play_game`, `play_games` and `monte_carlo`,
+which all draw through `rng.draws`, to the per-game engine they replaced,
+`tests/oracles.py`.
 """
 
 import itertools
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -65,8 +69,37 @@ class TestKernel:
     @pytest.mark.parametrize("game", WIDE_INDICES)
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**200 + 12345])
     def test_wide_int_index_matches_the_generator(self, seed, game):
-        for stream, k in itertools.product(range(3), (1, 5, 8, 16, 70)):
+        for stream, k in itertools.product(range(3), (0, 1, 5, 8, 16, 70, rng.MAX_DRAWS)):
             assert draws(seed, stream, game, k) == as_mask(philox(seed, stream, game).integers(0, 2, k))
+
+    def test_threads_share_the_rekeyed_generator(self):
+        # each thread re-keys the one C Philox; its masks must still be its own games'
+        cases = [
+            (seed, stream, game, k)
+            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 70))
+        ]
+        expected = {case: as_mask(philox(*case[:3]).integers(0, 2, case[3])) for case in cases}
+        barrier, mismatches = threading.Barrier(4, timeout=60), []
+
+        def worker(seed):
+            barrier.wait()
+            for _ in range(200):
+                for case in cases:
+                    if case[0] == seed and draws(*case) != expected[case]:
+                        mismatches.append(case)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, between the re-key and the read too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not mismatches
 
     def test_prefix_cache_is_bounded(self):
         for seed in range(10**6, 10**6 + rng.PREFIXES + 50):

@@ -8,7 +8,8 @@ from test_cli import run_python
 
 import qubitlab
 
-# runs cli.main(ARGV) in a fresh interpreter and prints the qubitlab modules it loaded, then whether numpy was
+# runs cli.main(ARGV) in a fresh interpreter and prints the qubitlab modules it loaded, then whether numpy
+# and numpy.random were
 RUN_MAIN = """
 import contextlib, io, json, sys
 from qubitlab import cli
@@ -19,6 +20,7 @@ except SystemExit:
     pass
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "qubitlab")))
 print(json.dumps("numpy" in sys.modules))
+print(json.dumps("numpy.random" in sys.modules))
 """
 
 SHELL = ["qubitlab", "qubitlab.cli", "qubitlab.errors"]
@@ -46,6 +48,9 @@ MODULE_SETS = {
 # the analytic commands run on floats; numpy comes with sampling, the scan, the
 # game, and the array printing of a non-extremal box's conservation trace
 NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal"}
+# numpy.random (about 15 ms) comes with sampling only: `game simulate` plays index arrays, which never
+# touch the generator `rng.draws` re-keys for one game index
+NUMPY_RANDOM = {"project-trials", "bell-trials"}
 
 
 @pytest.mark.parametrize("case", list(MODULE_SETS))
@@ -54,9 +59,10 @@ def test_subcommand_loads_only_its_modules(tmp_path, case):
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     proc = run_python(["-c", RUN_MAIN, json.dumps(argv)], timeout=60)
     assert proc.returncode == 0, proc.stderr
-    modules, numpy_loaded = map(json.loads, proc.stdout.splitlines())
+    modules, numpy_loaded, numpy_random_loaded = map(json.loads, proc.stdout.splitlines())
     assert modules == sorted(expected)
     assert numpy_loaded == (case not in NO_NUMPY)
+    assert numpy_random_loaded == (case in NUMPY_RANDOM)
 
 
 def test_bare_import_loads_no_submodule_and_no_numpy():
