@@ -37,7 +37,7 @@ def check_int(value, what: str, lo: int = 0, hi: int | None = None) -> int:
     A bool is refused although it is an Integral (np.bool_ is not one), and
     numpy ints become int.
     """
-    # plain ints skip the isinstance tests: rng.philox checks every stream word of every game
+    # plain ints skip the isinstance tests: rng.draws checks a seed and a stream on every draw of a game
     if type(value) is int and lo <= value and (hi is None or value <= hi):
         return value
     n = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else None

@@ -101,20 +101,10 @@ def tally(probs, n: int, seed: int) -> tuple[int, ...]:
     return tuple(hi - lo for lo, hi in zip([0, *below], [*below, n]))
 
 
-def sample_outcome_values(setup: SGSetup, n: int, seed: int):
-    """Numpy array of n outcomes in {+1, -1}; trial i is a pure function of (seed, i)."""
-    import numpy as np
-    from .rng import philox
-    n = check_int(n, "trial count", 1, MAX_TRIALS)
-    p_plus, _ = projection_probabilities(setup)
-    u = philox(seed).random(n)
-    return np.where(u < p_plus, 1, -1)
-
-
 def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
     """Seeded Monte Carlo tally of (P(+1), P(-1)); the empirical mean converges to cos(theta).
 
-    It counts the draws of `sample_outcome_values`.
+    Trial i is +1 when draw i of philox(seed).random(n) lies below P(+1).
     """
     n_plus, n_minus = tally(projection_probabilities(setup), n, seed)
     return OutcomeSample(n_plus, n_minus, n, seed)

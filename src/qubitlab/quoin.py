@@ -9,15 +9,16 @@ lane with fair draw f ends (f, f ^ u[a][b]). Chip accounting: the pair buys
 whatever remains on a correct guess, so a win nets chips_start -
 2*bits_bought and a loss forfeits the full stake.
 
-Random-stream contract v1 (see `rng`): game g draws its deal from
-philox(dealer_seed, STREAM_DEAL, g), its lane outcomes from
-philox(mech_seed, STREAM_MECH, g) and the strategy's coin flips from
-philox(dealer_seed, STREAM_STRATEGY, g), so games are pure functions of
-(seeds, game index). Every game runs through one engine on lane masks, and
-`rng.draws` computes those draws by counter for one game index (an int) or
-a block of GAME_BLOCK of them (an array) alike, so `play_game`, `play_games`
-and `monte_carlo` agree exactly. `verify_parity_theorem` takes its lane
-draws from one philox(seed) array per seed, row-major over the deals.
+Random-stream contract v2 (see `rng.draws`): game g reads the Philox block
+at counter g of three streams, its deal from draws(dealer_seed, STREAM_DEAL,
+g, 64), its lane outcomes from draws(mech_seed, STREAM_MECH, g, lanes) and
+the strategy's coin flip from draws(dealer_seed, STREAM_STRATEGY, g, 1), so
+games are pure functions of (seeds, game index). Every game runs through one
+engine on lane masks, and `rng.draws` computes those draws for one game
+index (an int) or a block of GAME_BLOCK of them (an array) alike, so
+`play_game`, `play_games` and `monte_carlo` agree exactly.
+`verify_parity_theorem` takes its lane draws from one philox(seed) array per
+seed, row-major over the deals.
 """
 
 from __future__ import annotations
@@ -31,21 +32,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_int
-from .rng import draws, philox
+from .rng import MAX_GAME, draws, philox
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
 # a lane mask indexes the 256-entry popcount table, and the parity exhaust
 # holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
 MAX_LANES = 8
-# monte_carlo plays 2**21 games in 2-4 s, and every index of a block stays below 2**32 for rng.draws
+# monte_carlo plays 2**21 games in 1-2 s
 MAX_GAMES = 2**21
+# seeds of one verify_parity_theorem call: at 8 lanes each seed takes about 5 ms
+MAX_PARITY_SEEDS = 256
 # games per block of play_games and monte_carlo; their arrays peak near 1 MiB
 GAME_BLOCK = 4096
 
 STREAM_DEAL = 0
 STREAM_MECH = 1
 STREAM_STRATEGY = 2
+# the dealer's widening word r of game g is at counter g + r * WIDEN of the deal stream, clear of every game's block
+WIDEN = 2**192
 
 SYMBOLS = ("T", "H")  # SYMBOLS[bit]
 
@@ -71,7 +76,12 @@ class QuoinMechanics:
     u: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        unequal = {_start_bits(pair) for pair in self.unequal_starts}
+        try:
+            unequal = {_start_bits(pair) for pair in self.unequal_starts}
+        except TypeError:
+            raise DomainError(f"unequal starts must be a collection of pairs, got {self.unequal_starts!r}") from None
+        # stored as a frozenset of symbol pairs whatever collection was given, so the mechanics stay hashable
+        object.__setattr__(self, "unequal_starts", frozenset((SYMBOLS[a], SYMBOLS[b]) for a, b in unequal))
         object.__setattr__(self, "u", tuple(tuple(int((a, b) in unequal) for b in (0, 1)) for a in (0, 1)))
 
     @classmethod
@@ -294,29 +304,40 @@ def parity_name(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
 
-def _deal(seed: int, games, lanes: int, width: int = 0):
+def _first_group(word, lanes: int, first: int):
+    """The first lane group of a 64-bit word, from group `first` on, that is not all zero; 0 if none is."""
+    full = (1 << lanes) - 1
+    if type(word) is int:
+        return next(filter(None, (word >> lanes * group & full for group in range(first, 64 // lanes))), 0)
+    hand = word >> lanes * first & full
+    for group in range(first + 1, 64 // lanes):
+        zero = hand == 0
+        if not zero.any():
+            break
+        hand |= zero * (word >> lanes * group & full)
+    return hand
+
+
+def _deal(seed: int, games, lanes: int):
     """The dealer's (bob, alice) masks for one game index (an int) or an array of them.
 
-    Lane group 0 of a game's deal stream is Bob's hand, and Alice's is the
-    first later group that is not all zero: with that hand excluded the
-    target parity is exactly 50/50. Every group in the Philox blocks of 8
-    draws that hold the first two is judged at once, and only the games
-    whose candidates are all zero deal again, a block wider.
+    Lane group 0 of a game's word on the deal stream is Bob's hand, and
+    Alice's is the first later group that is not all zero: with that hand
+    excluded the target parity is exactly 50/50. A game whose later groups
+    are all zero (at most 2**-54 of them, at 6 lanes) deals on one at a time,
+    from the first non-zero group of its widening words, r = 1, 2, ...
     """
-    full, width = (1 << lanes) - 1, width or 8 * -(-2 * lanes // 8)
-    deck = draws(seed, STREAM_DEAL, games, width)
-    alice = deck >> lanes & full
-    for group in range(2, width // lanes):
-        alice |= (alice == 0) * (deck >> lanes * group & full)
+    deck = draws(seed, STREAM_DEAL, games, 64)
+    bob, alice = deck & (1 << lanes) - 1, _first_group(deck, lanes, 1)
     if type(games) is int:
-        return deck & full, alice or _deal(seed, games, lanes, width + 8)[1]
-    todo = np.flatnonzero(alice == 0)
-    # many games deal on as one array; a few, or past 64 draws (a uint64 mask), one at a time
-    if todo.size > 16 and width < 64:
-        alice[todo] = _deal(seed, games[todo], lanes, width + 8)[1]
+        widening = 0
+        while not alice:
+            widening += 1
+            alice = _first_group(draws(seed, STREAM_DEAL, games + widening * WIDEN, 64), lanes, 0)
     else:
-        alice[todo] = [_deal(seed, int(games[g]), lanes, width + 8)[1] for g in todo]
-    return deck & full, alice
+        for i in np.flatnonzero(alice == 0):
+            alice[i] = _deal(seed, int(games[i]), lanes)[1]
+    return bob, alice
 
 
 def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
@@ -357,12 +378,16 @@ def play_game(
     deal: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> GameRecord:
     """Run one seeded round; pass `deal` = (bob_bits, alice_bits) to fix the hands."""
-    game_index = check_int(game_index, "game index")
+    game_index = check_int(game_index, "game index", 0, MAX_GAME)
     if deal is None:
         lanes, hands = check_int(lanes, "lanes", 1, MAX_LANES), None
     else:
-        bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
-        if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
+        try:
+            bob_bits, alice_bits = map(tuple, deal)
+            valid = len(bob_bits) == len(alice_bits) and all(v in (0, 1) for v in bob_bits + alice_bits)
+        except (TypeError, ValueError):  # not a pair of bit sequences
+            valid = False
+        if not valid:
             raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
         lanes = check_int(len(alice_bits), "lanes", 1, MAX_LANES)
         hands = tuple(sum(int(b) << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
@@ -378,7 +403,7 @@ class MonteCarloSummary:
 
 
 def _blocks(games: int) -> Iterator[np.ndarray]:
-    """Game indices 0..games-1 as uint32 arrays of at most GAME_BLOCK."""
+    """Game indices 0..games-1 as arrays of at most GAME_BLOCK."""
     for start in range(0, games, GAME_BLOCK):
         yield np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
 
@@ -479,20 +504,26 @@ def verify_parity_theorem(
 ) -> ParityTheoremReport:
     """Exhaust every deal: combined H count parity must equal double-1-lane parity.
 
-    The 4**lanes deals run in itertools.product order over (alice's lanes,
-    bob's lanes), and one philox(seed) draw of shape (deals, lanes) per seed
-    supplies the lane draws, so outcomes are reproducible functions of
-    (seed, deal index, lane). Deal d deals Alice hand d >> lanes and Bob hand
-    d mod 2**lanes of the product order.
+    `seeds` holds 1..MAX_PARITY_SEEDS seeds. The 4**lanes deals run in
+    itertools.product order over (alice's lanes, bob's lanes), and one
+    philox(seed) draw of shape (deals, lanes) per seed supplies the lane
+    draws, so outcomes are reproducible functions of (seed, deal index,
+    lane). Deal d deals Alice hand d >> lanes and Bob hand d mod 2**lanes of
+    the product order.
     """
     mech = _check_mech(mech)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
+    try:
+        seeds = list(itertools.islice(seeds, MAX_PARITY_SEEDS + 1))
+    except TypeError:
+        raise DomainError(f"seeds must be an iterable of seeds, got {seeds!r}") from None
+    if not 1 <= len(seeds) <= MAX_PARITY_SEEDS:
+        raise DomainError(f"seeds must hold 1..{MAX_PARITY_SEEDS} seeds")
     deals = np.arange(4**lanes)
     # each hand as the mask of its product-order index, so lane i is bit lanes - 1 - i
     alice, bob = deals >> lanes, deals & ((1 << lanes) - 1)
     weights = 1 << np.arange(lanes - 1, -1, -1)
     unequal, doubles = mech.unequal_lanes(alice, bob, lanes), popcount(alice & bob)
-    seeds = list(seeds)
     failing = []
     for seed in seeds:
         fair = philox(seed).integers(0, 2, (len(deals), lanes)) @ weights

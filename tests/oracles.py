@@ -1,5 +1,7 @@
 """Slow general forms that the library replaced, kept as references for differential tests."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +10,7 @@ from qubitlab import bell
 from qubitlab.boxes import TsirelsonScan
 from qubitlab.errors import DomainError, check_int
 from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
+from qubitlab.measure import MAX_TRIALS, SGSetup, projection_probabilities
 from qubitlab.quoin import (
     CHIPS_START,
     DEFAULT_LANES,
@@ -70,31 +73,49 @@ def matrix_scan(
 
 # ---------------------------------------------------------------------------
 # the per-game quoin engine that the lane-mask engine replaced: hands and lane
-# outcomes are bit tuples, and every draw comes from its game's own generator
+# outcomes are bit tuples, and every draw is read straight from numpy's Philox
+# by the recipe of random-stream contract v2 (README "Conventions")
+
+WIDENING = 2**192  # the dealer's widening words sit at counter g + r * WIDENING
 
 
-def game_rng(seed: int, stream: int, game_index: int) -> np.random.Generator:
-    """Generator for one game's draws on one stream (random-stream contract v1)."""
-    return philox(seed, stream, game_index)
+@functools.cache
+def recipe_key(seed: int, stream: int) -> np.ndarray:
+    """The one Philox key of a (seed, stream) pair."""
+    return np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64)
 
 
-def standard_dealer(rng: np.random.Generator, lanes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Fair independent bits, redrawing Alice's hand until it is not all zero.
+def recipe_bits(seed: int, stream: int, counter: int, k: int = 64) -> tuple[int, ...]:
+    """The first k draws at one counter of a stream, low bit first, from numpy alone."""
+    word = int(np.random.Philox(key=recipe_key(seed, stream), counter=counter).random_raw())
+    return tuple(word >> i & 1 for i in range(k))
+
+
+def alice_candidates(seed: int, game_index: int, lanes: int, first_widening: int = 0):
+    """Alice's candidate hands in the dealer's order, from widening word `first_widening` on.
+
+    Word 0 is the game's deal word, whose group 0 is Bob's; the groups that
+    follow it are candidates, and then every group of widening words 1, 2, ...
+    """
+    for r in itertools.count(first_widening):
+        bits = recipe_bits(seed, STREAM_DEAL, game_index + r * WIDENING)
+        for start in range(lanes if r == 0 else 0, 64 - lanes + 1, lanes):
+            yield bits[start : start + lanes]
+
+
+def standard_dealer(seed: int, game_index: int, lanes: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Bob's hand and the first candidate hand of Alice's that is not all zero.
 
     The guesser is never dealt the trivial all-zero hand; with it excluded
     the target parity is exactly 50/50 over Bob's bits.
     """
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    bob = tuple(rng.integers(0, 2, lanes).tolist())
-    alice = tuple(rng.integers(0, 2, lanes).tolist())
-    while not any(alice):
-        alice = tuple(rng.integers(0, 2, lanes).tolist())
-    return bob, alice
+    bob = recipe_bits(seed, STREAM_DEAL, game_index, lanes)
+    return bob, next(hand for hand in alice_candidates(seed, game_index, lanes) if any(hand))
 
 
-def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, rng: np.random.Generator):
-    """Outcome bits (1 = H) of one entangled pair per lane, started on the dealt bits."""
-    fair = rng.integers(0, 2, len(alice_bits)).tolist()
+def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, fair):
+    """Outcome bits (1 = H) of one entangled pair per lane, started on the dealt bits, from the fair draws."""
     return tuple(fair), tuple(f ^ mech.u[a][b] for f, a, b in zip(fair, alice_bits, bob_bits))
 
 
@@ -103,12 +124,12 @@ def target_parity(alice_bits, bob_bits) -> str:
     return parity_name(sum(a & b for a, b in zip(alice_bits, bob_bits)))
 
 
-# each strategy's play(self, mech, alice_bits, bob_bits, rng) -> (bits_bought, guess, transcript);
-# rng(stream) builds the game's generator on that stream
+# each strategy's play(self, mech, alice_bits, bob_bits, bits) -> (bits_bought, guess, transcript);
+# bits(stream, k) reads the game's first k draws on that stream
 
 
-def quoin_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-    alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, rng(STREAM_MECH))
+def quoin_play(self, mech, alice_bits, bob_bits, bits) -> tuple[int, str, tuple[str, ...]]:
+    alice_out, bob_out = lane_outcomes(mech, alice_bits, bob_bits, bits(STREAM_MECH, len(alice_bits)))
     bob_parity_bit = sum(bob_out) % 2
     alice_h = sum(alice_out)
     guess = parity_name(alice_h + bob_parity_bit)
@@ -121,7 +142,7 @@ def quoin_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[s
     return 1, guess, transcript
 
 
-def classical_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
+def classical_play(self, mech, alice_bits, bob_bits, bits) -> tuple[int, str, tuple[str, ...]]:
     if self.k > len(alice_bits):
         raise DomainError(f"cannot buy {self.k} bits across {len(alice_bits)} lanes")
     one_lanes = [i for i, v in enumerate(alice_bits) if v]
@@ -139,8 +160,8 @@ def classical_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tup
     return len(asked), guess, transcript
 
 
-def random_play(self, mech, alice_bits, bob_bits, rng) -> tuple[int, str, tuple[str, ...]]:
-    guess = parity_name(int(rng(STREAM_STRATEGY).integers(0, 2)))
+def random_play(self, mech, alice_bits, bob_bits, bits) -> tuple[int, str, tuple[str, ...]]:
+    guess = parity_name(bits(STREAM_STRATEGY, 1)[0])
     return 0, guess, (f"alice guesses {guess} blind",)
 
 
@@ -153,7 +174,7 @@ def play_game(strategy, dealer_seed, mech_seed, *, game_index=0, mech=None, lane
     if type(strategy) not in PLAY:
         raise DomainError(f"unknown strategy {strategy!r}")
     if deal is None:
-        bob_bits, alice_bits = standard_dealer(game_rng(dealer_seed, STREAM_DEAL, game_index), lanes)
+        bob_bits, alice_bits = standard_dealer(dealer_seed, game_index, lanes)
     else:
         bob_bits, alice_bits = tuple(deal[0]), tuple(deal[1])
         if len(bob_bits) != len(alice_bits) or not all(v in (0, 1) for v in bob_bits + alice_bits):
@@ -161,10 +182,10 @@ def play_game(strategy, dealer_seed, mech_seed, *, game_index=0, mech=None, lane
         check_int(len(alice_bits), "lanes", 1, MAX_LANES)
         bob_bits, alice_bits = tuple(map(int, bob_bits)), tuple(map(int, alice_bits))
 
-    def rng(stream: int) -> np.random.Generator:
-        return game_rng(mech_seed if stream == STREAM_MECH else dealer_seed, stream, game_index)
+    def bits(stream: int, k: int) -> tuple[int, ...]:
+        return recipe_bits(mech_seed if stream == STREAM_MECH else dealer_seed, stream, game_index, k)
 
-    bits_bought, guess, transcript = PLAY[type(strategy)](strategy, mech, alice_bits, bob_bits, rng)
+    bits_bought, guess, transcript = PLAY[type(strategy)](strategy, mech, alice_bits, bob_bits, bits)
     target = target_parity(alice_bits, bob_bits)
     return GameRecord(bob_bits, alice_bits, target, bits_bought, guess, CHIPS_START, transcript)
 
@@ -174,3 +195,10 @@ def play_games(strategy, games, seed, *, mech=None, lanes=DEFAULT_LANES):
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
+
+
+def sample_outcome_values(setup: SGSetup, n: int, seed: int) -> np.ndarray:
+    """n outcomes in {+1, -1} from one philox(seed).random(n) draw, the trials `measure.sample_outcomes` counts."""
+    n = check_int(n, "trial count", 1, MAX_TRIALS)
+    p_plus, _ = projection_probabilities(setup)
+    return np.where(philox(seed).random(n) < p_plus, 1, -1)

@@ -6,6 +6,10 @@ its four outputs is pinned. A deliberate output change re-records the table,
 which this prints with the commands whose digest moved listed below it:
 
     PYTHONPATH=src python tests/test_cli_pins.py
+
+The `game` rows and the interactive game also pin the random-stream contract
+(README "Conventions"): a change that moves them changes the contract, and
+must bump its version and re-record them on purpose.
 """
 
 import contextlib
@@ -21,6 +25,7 @@ import tempfile
 import pytest
 
 from qubitlab import cli
+from qubitlab.quoin import QuoinMechanics
 
 TRANSCRIPT = "t.jsonl"
 FORMATS = ("json", "text", "csv")
@@ -80,6 +85,14 @@ def _commands() -> list[tuple[str, ...]]:
         ("game", "simulate", "--games", "100", "--format", "text"),
         ("game", "simulate", "--strategy", "classical:2", "--games", "100", "--lanes", "4", "--format", "csv"),
     ]
+    # the game grid: 300 games per strategy, mechanics, lane count and seed, through play_games (with a
+    # transcript) and through monte_carlo (without one)
+    grid = itertools.product(("quoin", "random", "classical:3"), ("quoin", "quantum"), (1, 5, 8), (7, 424242))
+    for (strategy, mech, lanes, seed), transcript in itertools.product(grid, (True, False)):
+        cmds.append(
+            ("game", "simulate", f"--strategy={strategy}", f"--mech={mech}", f"--lanes={lanes}", f"--seed={seed}",
+             "--games=300", "--format=json", *(("--transcript", TRANSCRIPT) if transcript else ()))
+        )
 
     # usage errors and refused inputs: exit 2
     cmds += [
@@ -207,65 +220,137 @@ PINNED = {
     'chsh --source quantum --kind phi- --plane yz --scan 60 --format text': 'be9547b6b2a5cca5ac226f4ab70a6878a9169fc1fa93514604c696f6b15eae9d',
     'chsh --source quantum --kind psi+ --scan 7 --format json': 'b228f302b130bc32ce8afdc799752961aa432b62474804e4cd7d1a1fab492230',
     'chsh --source quantum --kind psi+ --scan 7 --format text': 'fa2c76877648127a676466c64300a247bf70367f7f8415f3765883b597cac5da',
-    'game simulate --strategy quoin --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '12cfac10eed929e17261157cd917d3f37c1488339a7a9f280f4853df03ea0dde',
-    'game simulate --strategy quoin --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '29dcac32e709b4eded8bf8ecc764c80754bdb1f17a8049ebf982248e3d5c262d',
-    'game simulate --strategy quoin --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'ff4f8c72278ff2ea23ecda16a30b22c3d9e480219d8fff26dbd171f66fc939ff',
-    'game simulate --strategy quoin --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '0e2eee46467ed02703e3af0f5d2d3da34c2084c598b8d098c0975a4d088d050a',
-    'game simulate --strategy quoin --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '60dbaaa92748b2ce505ac2a53cb1009a7728736ac7d20069183458b6b0422c6d',
-    'game simulate --strategy quoin --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '90fa86e2814720d61d91b91fd650f72586c7c9eabbbc9949149fd80b38497d95',
-    'game simulate --strategy quoin --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '31f1b9c5061682ae4121b9d5872aba4570c57319b439df5c9e559a6ebac861fd',
-    'game simulate --strategy quoin --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '0f7c3b80f65d73fff34acde1cbe7c146833f23c9e7e14b1a432b677060da5590',
-    'game simulate --strategy random --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '8dda34225a1e51e0cf1e93baa4abce402f49cd7367e7b9a13ddf6b79412a6bd4',
-    'game simulate --strategy random --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '3ecd8c7280f71a290e85a9a91dd7ddd369bf16a9e196a3fbc03c71b250b13ee3',
-    'game simulate --strategy random --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '36e69dbede1a6d49f445add7ecfb2d3a548123842066364f83d76ab88e02d727',
-    'game simulate --strategy random --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '73198cead43c3d79a237542adf2b5776a1e7c6d7e3f0827db4d149d1fd062682',
-    'game simulate --strategy random --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '64fc607c83c32ee85c83b9a21bd0e741a602394a920bab7423358a153842896e',
-    'game simulate --strategy random --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '6b16a19fb7f28a716148e630456d66fec60822430c09ab192550108c88beda09',
-    'game simulate --strategy random --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '014f3fc6113198ab81715eb87db12a1086631e6b2ee551478fc14c950782e4b4',
-    'game simulate --strategy random --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '897cf8441fcc879cdda6acb57d1e8933cff2d919650595ffbac5d20363bfe579',
-    'game simulate --strategy classical:0 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '050020d745fc8ef1857f1959f1af460acc85cd1249e49672bbdda0030e1de825',
-    'game simulate --strategy classical:0 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '3cc1caf0e6b0c6888cc5a035d457b05dda242db1199ec7701312795fdec5e8e6',
-    'game simulate --strategy classical:0 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '9acc8e01ee02ace7d831f5e2418fa056647db05cc459e7d385d359ce8a1868b1',
-    'game simulate --strategy classical:0 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'a64207bd3b5475cde8d53f829b3155965c2cbac7a6fd1d4a050f6815853eb7fc',
-    'game simulate --strategy classical:0 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'ad9561624d69d7c63a756e3cfe3e1560347a8bfe50ac59fef1c80da502e2bbbe',
-    'game simulate --strategy classical:0 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'b0e82d5f9f43f39cc4b003d6f2d0e0d0cac72c4a5249bd68cf1082a74851cac2',
-    'game simulate --strategy classical:0 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '0afaf8e0fd85ffc164d39c5e60fc9489ed5e627febcb0abca36a742292770a76',
-    'game simulate --strategy classical:0 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '32e29f6947364d0120cc5d836d7fdf2fce72a5dde34b590a06f2320cd1431235',
-    'game simulate --strategy classical:1 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '5bf2612c4876a1d778d55fb176f83394fe510f84dd538c8719fef1b41f210d93',
-    'game simulate --strategy classical:1 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '525cfcd9ca85196aedef9175b5a457d362e1b30456c55ea5dd03fb93d52e5ab9',
-    'game simulate --strategy classical:1 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '966d2fa11ada809c6ff64065c088dccf04c0a7cc878725e3b6e29d6677189c1c',
-    'game simulate --strategy classical:1 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '9918781a0855b345f61b94baeb6bdc80b83323443f71c70d6b04fd661b48fd69',
-    'game simulate --strategy classical:1 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'b9df43fd7254dca5df071926664a287161d0cd0180586ae82b7aab8f85e25a4f',
-    'game simulate --strategy classical:1 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '19994c3007594481bc8a6a559960c7b85c9460114a42b6a9757abdf0f4e4f186',
-    'game simulate --strategy classical:1 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '1588335d71372bcf89de6e74774c2c07e9acf9dbeff82cc0acb2d4e3ff030c59',
-    'game simulate --strategy classical:1 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '39c712fcddfcce57c241af257548fa0affd071270cc11f888428d38636cfd6a0',
+    'game simulate --strategy quoin --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'ccc7efeb44bde49d8ff25490e9801f6f0389904cee4b0eaec4f0a8ffab480ba3',
+    'game simulate --strategy quoin --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'f27fb1a651cc09174fdb6cb4627d471f514e8e9b7c08b7cd58b01b126b6678d3',
+    'game simulate --strategy quoin --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'e71c56fdaf477c9885824c493e52ed4a1946c42f9bd1d7425ad03542a6a85030',
+    'game simulate --strategy quoin --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '302b807dea0aba818ee839e062b8bac9ef4c4e834bfc0e15cfb2bd9bc428e3d5',
+    'game simulate --strategy quoin --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'e4bddd8d9004b80ac97985a249ba893da2e88b2e5aa211d1ddc1aab5bc31716f',
+    'game simulate --strategy quoin --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'dd8294204b1795bd6aec48bddf833e073a4080780968bdb0d2be4d49deae589a',
+    'game simulate --strategy quoin --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'ac356209f3a5f335b2d3ac9e493d04de133d5b8c6fff0d31891562a07de38654',
+    'game simulate --strategy quoin --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'b7045996f9b023b8e93ae467700af80444bda6957483979f4e364dadd3b3b1d8',
+    'game simulate --strategy random --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'fe7a1a03dcfbd75bdc8c52830cbd341e3d0a1e4878b135a8e4343f84e51e1304',
+    'game simulate --strategy random --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'be7920a4fa88732b570574bc2460bbce4e763bf6f58f27de465a26f5b0eeb44f',
+    'game simulate --strategy random --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'b50e3570ee914de534d40afff583a88a3b504887cec181d0e4491f5772f872e0',
+    'game simulate --strategy random --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '9c086464e6b6363331a6629606028b44c1ce0d3fdf624d3f0181c7768534608b',
+    'game simulate --strategy random --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'd4d4a927e25f7e7da750434f05a06dd52ce54b4b9fa04573241c39207c7f8346',
+    'game simulate --strategy random --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '09fa22274dba64841b17ea398f865b6e5b2e5cf5068d921445f9d3986f70b3a8',
+    'game simulate --strategy random --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '0fd3cb257979b225897d5548cbc90b2f35dadd01d18d98385d515e0ab1d99d75',
+    'game simulate --strategy random --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '1c2b027247c11c3c1aec946b7fa75c974042ff8b57022188946ec75f6d283b46',
+    'game simulate --strategy classical:0 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '85807f4eae9f4988312e8444e0a380aad66c0b830ce3db37528efb51b2e97cf9',
+    'game simulate --strategy classical:0 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'f891508eccbaae3954e645c8f46d5bd201aa70fd908d7082966e51057ce1188f',
+    'game simulate --strategy classical:0 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'c9b1fe9f7121d05536df785460cba0901fdb12a5215cc13cdb1c5e88c7c32ce4',
+    'game simulate --strategy classical:0 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'da91f28cb905ce447b9b474fc656dd6fc1c3b14af9c1cdb52f7b1ed6f69077f4',
+    'game simulate --strategy classical:0 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': 'c8644dba6e7cc730a372b1ef8b84d8db802bbf0f0eb31bc89916a53df8f859c8',
+    'game simulate --strategy classical:0 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'a9b864651db8adfede8f1a88053ec7e3e0ec32e5226e8ba1c44edafe0051a9e4',
+    'game simulate --strategy classical:0 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '2aca5f77724f4ad67409addc1f4deba510b9ed34e5fb7d0c4c7a1fb309efc9c3',
+    'game simulate --strategy classical:0 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'baaf48b76e2b260bd170f7831dab9b444639f71e544a3c08e4666fbeb42d7afe',
+    'game simulate --strategy classical:1 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '17f6f9978a50aa8824bcdc0ad82f44473c4add3fbdac834604f7bac90cc57ae4',
+    'game simulate --strategy classical:1 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '3351dec7aad08a26496e3bdc2ea09566668b922893130734a77c940e04b8b1a9',
+    'game simulate --strategy classical:1 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '86e11fad1512e89442806a83a488cef34f718ec9f4ca7c011917675514622b87',
+    'game simulate --strategy classical:1 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '2a46cd53f15b10a90263934d00d5e0256e1a225599f9d408b8237e2f18fdb313',
+    'game simulate --strategy classical:1 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '04dc59c92ca510e25c2adee86553a13f1fb3d9a0d772179eb40b9647a721b9dc',
+    'game simulate --strategy classical:1 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'b939c84c3fc816b4cac00c104667cd32e4add1f02608672dd9d6fc5c4becb0a7',
+    'game simulate --strategy classical:1 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '4ca7681780b6c29b6d6dead50856696ff4bc6fdf560f66b50299656912b65ac2',
+    'game simulate --strategy classical:1 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '16bec47670cb4a4625d4f8152b40867f9f42aadda0ccd33ae7be4c6f53c17ae9',
     'game simulate --strategy classical:3 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
-    'game simulate --strategy classical:3 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '63e84ba264dc0c580cda0a3cd8641ac8542651cc0f4d47ebc11137ee27dd4545',
-    'game simulate --strategy classical:3 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '86f25c1f2f041f2d903b9474afebc33dbe7e46312af4b037eeb9b581c3d77579',
-    'game simulate --strategy classical:3 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '7cc2c94433167a5a76a1591d508cb4b72ad7d4ef65efde74fb7b1c40028d00cc',
+    'game simulate --strategy classical:3 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'a6f615547724fb01f246000c4abc7dddcbc6d55de5e534285b855da613111cd1',
+    'game simulate --strategy classical:3 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'd53bdce44656e4f14150468fb3fc46911922cb52b2fb4828d4978d5346fd44e3',
+    'game simulate --strategy classical:3 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'ae4f78f50bdf97e2edaddfe851837d4c3cc3788161dec60556c1ef6727bb480a',
     'game simulate --strategy classical:3 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
-    'game simulate --strategy classical:3 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '250d99c90ff21f6b07d2132d9c94ece0147ad892119a9ec4c92ce21fe13eb474',
-    'game simulate --strategy classical:3 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '3eb9378b245f5764bbaf33257a64f8915b5f02c05c89985c17547f6043c11464',
-    'game simulate --strategy classical:3 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '953ccdf30e68082b3b6456822e08c49ac9e613cd531223103f325c508c461765',
+    'game simulate --strategy classical:3 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': '9f4595c73c9e35d47ab9d1ba9d82a4f5e197aabb6a5d043afddad867517ba3ab',
+    'game simulate --strategy classical:3 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '0d4b045f947d1d432c5688a0bf187d11591e2db69ca562e8d5f33faf60c39855',
+    'game simulate --strategy classical:3 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'dea9a483154ff7adbd83056f42269f722b1ed9a6119c22ddf41e9c86334b3bad',
     'game simulate --strategy classical:5 --mech quoin --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '35cdb193d9d0d1e9a0215ea776d09202c08ecce1c911c5f8abf2735d00e1e94a',
     'game simulate --strategy classical:5 --mech quoin --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'cbf13ff7f9e6914b4d785925a66ad031c402b617bcfc77c43d57c72e277a17cd',
-    'game simulate --strategy classical:5 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '9fb8a796185971823064d75d03bd3d1adf2e66474b4aa86c25999e98eeff4a5a',
-    'game simulate --strategy classical:5 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'c8d02c8ad21ebfa7e9f02c332bcb6fc8ba2d4997d1ee26a9d88d20edc93e651c',
+    'game simulate --strategy classical:5 --mech quoin --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'eebcd7ece6d784556dbc6f5c0b8e0f39d8ce4cb98628236fbaf49f5ee7b3d398',
+    'game simulate --strategy classical:5 --mech quoin --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '94394b3ca7846f0d6a0e3a7ed4fa27998770fdef7feb1325e8e1f64f5f5797f4',
     'game simulate --strategy classical:5 --mech quantum --lanes 1 --games 40 --seed 11 --transcript t.jsonl --format json': '35cdb193d9d0d1e9a0215ea776d09202c08ecce1c911c5f8abf2735d00e1e94a',
     'game simulate --strategy classical:5 --mech quantum --lanes 3 --games 40 --seed 11 --transcript t.jsonl --format json': 'cbf13ff7f9e6914b4d785925a66ad031c402b617bcfc77c43d57c72e277a17cd',
-    'game simulate --strategy classical:5 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': '11068de5807bb78c9b12481b064b2e8befd14b80f2ddc29729c6a0eddd3cc9ff',
-    'game simulate --strategy classical:5 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': '8645fe71b1bc1099116b4755f6c42d63822125c7c10fd141a8cef97306b2f65e',
-    'game simulate --strategy quoin --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': 'ecacbd749ca8f2bf7e983855810d5804650649735f507b5ec46c320126660376',
-    'game simulate --strategy random --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': 'f727e12d64abd5b8d8e317dad7f30ad681b54b1585a6ea61ec49298ea0247ea3',
-    'game simulate --strategy classical:1 --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': 'df9414389a6f83d7b2d00f84df5fa7dda899d1db026551bce27e2a4263416e18',
-    'game simulate --strategy quoin --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': 'cd9db5af9ace44f57096d4a4ffc72464ed605069b299fe779e647e1a79293a7c',
-    'game simulate --strategy random --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': 'b80872a532034fab6150b1f048d5487442442c482bc118d13375c22bee50a221',
-    'game simulate --strategy classical:1 --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': 'd1b89bd87f61c97a4ca7e04ed620d8e1539f316cdb776c5bb0b8e3b597ec33d3',
-    'game simulate --games 5000 --transcript t.jsonl --format json': '1bf76653403acc58522eb44cb032c698c606ee8c7d1d81ac7083ac18926cb49d',
-    'game simulate --strategy random --games 5000 --mech quantum --format text': 'ab72cae0963e05180c52cb1b7c54a24724e7a400dc4c4c76618b5762f538bacb',
-    'game simulate --strategy classical:3 --games 5000 --lanes 8 --format csv': 'b77454cf8fafbd4e835926ef5acfde4ce95ec852cabecd4699d96435ebde767c',
+    'game simulate --strategy classical:5 --mech quantum --lanes 5 --games 40 --seed 11 --transcript t.jsonl --format json': 'fe54a77e3ec81bde841b10a45dc877d2c78316182c2727451ccbb82da35d02c8',
+    'game simulate --strategy classical:5 --mech quantum --lanes 8 --games 40 --seed 11 --transcript t.jsonl --format json': 'ad3f566aace9cda58050a9a5e2f53ef0b0843ce7a35f07c2bd2a83c0b427689b',
+    'game simulate --strategy quoin --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': '3ad047fbe527d97c877146be64d16a1a69588fa9b1590acdf1e7a889d1f4e9c8',
+    'game simulate --strategy random --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': 'ee8af91018ca09274d74027209bdb910b0a111b169e61d6de33a9f6239612039',
+    'game simulate --strategy classical:1 --games 30 --seed 18446744073709551621 --transcript t.jsonl --format json': '572c40843b62165d9df159fe69d0ad0eff127898d1b22954f0b77cef5a99f454',
+    'game simulate --strategy quoin --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': '10a219b78236ab841ce888d64a9622b945a7d94d06b75dcf0d27152b27aa0cef',
+    'game simulate --strategy random --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': 'f303b05cf9c5e84487d1c727fcb26ea02b143498b8e2942cdd06504c1e36df10',
+    'game simulate --strategy classical:1 --games 30 --seed 1606938044258990275541962092341162602522202993782792835301379 --transcript t.jsonl --format json': 'a4fb5e9eeff7cb3ec1cce24d6e3d7dfa78fbfd11cce99c35239702b3cf290c3e',
+    'game simulate --games 5000 --transcript t.jsonl --format json': '888beae5c0250aef2ecf284dc83aa2e3df0e794e75afbc195a022eef2e10a846',
+    'game simulate --strategy random --games 5000 --mech quantum --format text': 'd98ed7e2d4f00adad0a3f49f190b9d61aed3d1f0101f18e0acd0f4af250ea7ac',
+    'game simulate --strategy classical:3 --games 5000 --lanes 8 --format csv': 'c30b65977e78b81d069ac7abdaad8b74e019d399408258ed82f126825247f589',
     'game simulate --games 100 --format text': '9b46c4f4541868233813c792df582e2c4311a0d85cb2d59fb50931c2f2f7efab',
-    'game simulate --strategy classical:2 --games 100 --lanes 4 --format csv': '02c12513328856614c04ee98e0267f581fa6c41bf0bc181c8cdd3ed08ea22362',
+    'game simulate --strategy classical:2 --games 100 --lanes 4 --format csv': 'cf5d874f06ad49b782a0da14fb52621efe274687bfa5fc76e3d6686c99b20175',
+    'game simulate --strategy=quoin --mech=quoin --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': 'd0bc0cf9b2516c0671afd7bd539b690046dfc47e7783de46d6edfea47c40e829',
+    'game simulate --strategy=quoin --mech=quoin --lanes=1 --seed=7 --games=300 --format=json': '4b494b52aa845f4154d9fecfdc4982df96b4acf46d12e3b6f0806bfd5291375d',
+    'game simulate --strategy=quoin --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': 'de09124b2b32186960ef9ad9ca53913f94655a7910bb566086d344992f3682f3',
+    'game simulate --strategy=quoin --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json': 'b4f7c5764818c611dacfe731b45df5450da22dfcc38cd644f2fb5f88d42703c7',
+    'game simulate --strategy=quoin --mech=quoin --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': '07c48e44cc2a8bf7eb269ba7ee93111c2105ca21f16fc7fcf9ad5999de377881',
+    'game simulate --strategy=quoin --mech=quoin --lanes=5 --seed=7 --games=300 --format=json': '33dc42d7545831ed06e94965657b9bdbecc8521972e47ddd6a300336eae9c123',
+    'game simulate --strategy=quoin --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': '91cc3463f6ec50d52aac102a4bbe2873fad4fcc5200ebb838201a383b7ba8acc',
+    'game simulate --strategy=quoin --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json': 'd55dee3aec1997570d2ef9c75b99bfdb9f490b21934203eabc84f7cf127bbf6e',
+    'game simulate --strategy=quoin --mech=quoin --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': 'd69d51c9360f46dd8c363e32bf93f3804270e519f12719fca235b09759d7d3ea',
+    'game simulate --strategy=quoin --mech=quoin --lanes=8 --seed=7 --games=300 --format=json': '2e25a3de8c22926048c11b36b16328a3efe9b5976ce8c0913b5d6c52ba992864',
+    'game simulate --strategy=quoin --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': '8f1f3629e72f16030ac235afe55af1e5af3df44ce63ae9ee092855c4f81d4d29',
+    'game simulate --strategy=quoin --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json': 'a1d3b718c198a0d44795fa1a1be6b6501156f20574b8621838d2eb422f4077c3',
+    'game simulate --strategy=quoin --mech=quantum --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': '47b081ed6acacc73edcfb219bd55f0a30c4c496d70fe4e95bb0969cff41b4a1b',
+    'game simulate --strategy=quoin --mech=quantum --lanes=1 --seed=7 --games=300 --format=json': '5eaff68f17b5fc7d0dc201c6159fc697b1e9c817487abe8025930059cb6bf394',
+    'game simulate --strategy=quoin --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': '4d646e09b5a30824c857bc607fd845a004f4a6617a8a49756a12c68004524a12',
+    'game simulate --strategy=quoin --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json': '4214934551af32cf63f88170a3bd9d25887cfde06cb3786648e9d1d8f6a64a1c',
+    'game simulate --strategy=quoin --mech=quantum --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': '4f3862f2ceb2051d6fe44221395fd4e8228f99bd9684701dceb875813908673c',
+    'game simulate --strategy=quoin --mech=quantum --lanes=5 --seed=7 --games=300 --format=json': 'bc9e84a368440eb3013af301b881426f24c83af184fe943682560bf033363624',
+    'game simulate --strategy=quoin --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': '9513a88563b558281298b45689a1db80478134270133a42f64e6ff09af5d95c1',
+    'game simulate --strategy=quoin --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json': 'bfe0e81fc5d2c85eba3d5ac304b684967f728a9dfdeaac2d66a9d8f402ade3dd',
+    'game simulate --strategy=quoin --mech=quantum --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': 'ac2644249589ef06d2fc3a07da7257bb3a52e0e100974580712ab8e73d9ecd92',
+    'game simulate --strategy=quoin --mech=quantum --lanes=8 --seed=7 --games=300 --format=json': 'b0ad5d9bf6949750dafc303d9b7d902ab1d16f1f356a27b650b7fd44f041f2f8',
+    'game simulate --strategy=quoin --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': '904dff6ea9b3ed0b94b1e4d6dc92bf294d8d575294f9cb4c9b3f2beeea3a9e28',
+    'game simulate --strategy=quoin --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json': '721f12f89caa00c768cbaab459b219e021a08875bdbe041392a3853190690cf9',
+    'game simulate --strategy=random --mech=quoin --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': '901b9e1a26cebea72d1943187ca8567d3674994d13c478e55ec9938f0a48b1ae',
+    'game simulate --strategy=random --mech=quoin --lanes=1 --seed=7 --games=300 --format=json': '1c3fb1409e3259d39df44987f65f5774f9920ac584a41da157f68a04b62bb0a6',
+    'game simulate --strategy=random --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': '91e20664a6bc73322cb3b0d6081d6f65a9bc7efbef07164417016cabc307473d',
+    'game simulate --strategy=random --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json': '117e1d5bb114d19580f131e6a25ca0fc9b9f0c92a1770e76aef4810946ef2b97',
+    'game simulate --strategy=random --mech=quoin --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': '3f8f598d810051b8ed375c43056362a5cf71c1a26baf42ca3ce211092994d977',
+    'game simulate --strategy=random --mech=quoin --lanes=5 --seed=7 --games=300 --format=json': 'af287616c343f592fec9c66b6987eebca3a6ddd003b5d27d0a5197d0be9ab2ab',
+    'game simulate --strategy=random --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': '7ae878ccf5bd0c3ae3552f4b1927470086e49259878df4dc22fda59b630520c5',
+    'game simulate --strategy=random --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json': '4b7590eeec866c711ca335fcb15bb8478a2bb2a3c21523ec2abd87beb5b92368',
+    'game simulate --strategy=random --mech=quoin --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': 'a8c63b38bc599339fba7122062228ff6924c66e4c55ce34f080be1589cf8e614',
+    'game simulate --strategy=random --mech=quoin --lanes=8 --seed=7 --games=300 --format=json': '521dc59981213e2458aa8271011ef09d35af9d3c41b8e065cd5e587ed6423510',
+    'game simulate --strategy=random --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': 'f95f148e5db1fe13f8e6c611d181d444b20675ff21d6f91c5529bb882b540f06',
+    'game simulate --strategy=random --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json': 'e472c636f53a3e2a6ef5f1b9e1106147d9d8b8aea43a8834ddfb9b70a59bb356',
+    'game simulate --strategy=random --mech=quantum --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': '9907677970cfc8ff75452382739d03abb5d81010b422d96408ce8c697849aa37',
+    'game simulate --strategy=random --mech=quantum --lanes=1 --seed=7 --games=300 --format=json': 'bc79655364ddd1a5c26a0079d7d28377ecdaaae5126373ab867dcc48c9193130',
+    'game simulate --strategy=random --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': '5f80db152f86d2f63a00041cb59f6a6f742a1ac05a0e8d4a04e0dd6845e94003',
+    'game simulate --strategy=random --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json': 'f0a5b2d5fceb4b558dca2544154cdb36f0d4bd21d56e6db290681f328486926a',
+    'game simulate --strategy=random --mech=quantum --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': 'd9092f96e91b5a8f5895ee657b3c2f2a316139857b0ce11efc2739d5ffc9c05a',
+    'game simulate --strategy=random --mech=quantum --lanes=5 --seed=7 --games=300 --format=json': 'a00f2916aff10e00c988faa9d7f7f96af2d26af643a57d8a1948ace0378696d3',
+    'game simulate --strategy=random --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': '5071719177dbfee802dcc278869835aa304b8c9a68da9642096aed75f43e718c',
+    'game simulate --strategy=random --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json': '9ada5eb8d175447d1f38a010034688484f664443a2ac82713086bb152236031a',
+    'game simulate --strategy=random --mech=quantum --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': '1770466cf74543dcd2619a64595b659b4d6ee590abfc9e285eaf905639df33d3',
+    'game simulate --strategy=random --mech=quantum --lanes=8 --seed=7 --games=300 --format=json': '9fdcf6971629008002f18e8081618fa3e17ca20c3bf54512e3111c5d1e3c77fc',
+    'game simulate --strategy=random --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': '38f684fc3157c422ae0316c00fedeb8c3cf627f54ab25a3a1bda98a53fbb84f3',
+    'game simulate --strategy=random --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json': '59c5fe2a7f2f0b4a7904003b5adda81725cb3072132209b503f13397a24e20f5',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=1 --seed=7 --games=300 --format=json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=1 --seed=424242 --games=300 --format=json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': '225913d82decd2972a9d238a63c7aed4893d77b0cb28833bcbf2770225d41945',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=5 --seed=7 --games=300 --format=json': '7d38742b55cb06cb43fad1cd07785e0a2004b96cd04a27cb460a20ccea41ece4',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': 'c39a1b696398cfe0a524750ab6b9d021239ad00bdb87d9383c23b623dfc82adb',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=5 --seed=424242 --games=300 --format=json': '21f6b310cc2a99edba64b02fec49c5eab9cfcb8b3b3411c66d887aced6d8fb64',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': '5c23a252afd14f026f254b33340d66657643eeb516935043669181a5077ab238',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=8 --seed=7 --games=300 --format=json': '41fe4a59cf7abca7b4ddd30f7132d87b4351703445e9afd7280404afa7e18a12',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': '35c35857bf6c31859d6643153d6031b8e1014c45e5256609127e2dbc9d7ddd67',
+    'game simulate --strategy=classical:3 --mech=quoin --lanes=8 --seed=424242 --games=300 --format=json': '3ad3e3b42b9b70c2fe7c764ebf6381c74c018765f1f692e1d7e333c75add1a4f',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=1 --seed=7 --games=300 --format=json --transcript t.jsonl': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=1 --seed=7 --games=300 --format=json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json --transcript t.jsonl': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=1 --seed=424242 --games=300 --format=json': '2a1e7160bdbc3409c5aa15134fe7780897b4290951b9a40f61ae9cad8d9559b1',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=5 --seed=7 --games=300 --format=json --transcript t.jsonl': '2bcf36cb81752eb83d409ea1da67eca949a95f24c3c0c5ff99bfed3f0532fc5b',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=5 --seed=7 --games=300 --format=json': '1d2162f26ef5eb0d87be379815c513329d5f86b5947c944ed56e353b96720062',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json --transcript t.jsonl': 'c88a2165c84058acaf41389cc7d48b8f33f16c83bfcade90b115fd86d6eea4f6',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=5 --seed=424242 --games=300 --format=json': '806903fead30735ac478cece62ffbca0c925e34c703934e98c1b804595cb4cf1',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=8 --seed=7 --games=300 --format=json --transcript t.jsonl': 'ac2c48680b0f7c6ca422017a2936b2f5ce0c7f3a6ccfcdf4641d57506ba2ddbe',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=8 --seed=7 --games=300 --format=json': '87081615d5d036730ec13ba23af2dff7bdba5763520384fc879b0ff0a5b61d51',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json --transcript t.jsonl': 'a88192cc1b4898a7b93040b31819e517ac7aabfbf4fa7077c26ea3357a9e2afd',
+    'game simulate --strategy=classical:3 --mech=quantum --lanes=8 --seed=424242 --games=300 --format=json': '0247c5db935d5bb69c4153f0adfbcdcc39908dac6ae88fcf49709c25f60785e2',
     'project --theta nan': '48a7c02bce0593124ad65e3965fb60e1bcf7dfbaec81f8c22c290b9b92b708eb',
     'project --theta -3*pi/4': '17f82884a75fdd9af6ad84e739f800e92a5273f43a528fa8c332312e12db9bb8',
     'project --theta inf': 'b758d9cf0c371401ce5c0ec1a69a2e9524966bd34681b397f24c2e7a0b800eb3',
@@ -321,6 +406,29 @@ def test_every_command_is_pinned():
     assert len(COMMANDS) == len(_commands()) and set(COMMANDS) == set(PINNED)
 
 
+# `game play` needs a terminal, so the interactive game is pinned through its injected IO:
+# seed 11, 5 lanes, buying Bob's parity bit and then guessing even
+INTERACTIVE_LINES = [
+    "the dealer set your lanes to [0, 1, 0, 0, 1] (Bob's side is hidden)",
+    'you flip your quoins per your bits and see: HHTTH',
+    "Bob's message: his H count is odd (1)",
+    'protocol guess: even',
+    "Bob's lanes were [0, 1, 0, 1, 1]; the answer is even",
+    'you win: net +4 chips',
+]
+INTERACTIVE_RECORD = '{"bob_bits": [0, 1, 0, 1, 1], "alice_bits": [0, 1, 0, 0, 1], "target_parity": "even", "bits_bought": 1, "guess": "even", "chips_start": 6, "chips_net": 4, "transcript": ["alice outcomes: HHTTH", "bob outcomes: HTTTT"]}'
+
+
+def interactive() -> tuple[list[str], str]:
+    said, answers = [], iter(["y", "even"])
+    record = cli.run_interactive_game(11, QuoinMechanics.standard(), 5, lambda prompt: next(answers), said.append)
+    return said, record.to_json()
+
+
+def test_interactive_game_is_pinned():
+    assert interactive() == (INTERACTIVE_LINES, INTERACTIVE_RECORD)
+
+
 def row_rule(payload: dict) -> list[str]:
     """The csv columns of a json payload.
 
@@ -360,7 +468,15 @@ if __name__ == "__main__":
     for cmd, digest in table.items():
         print(f"    {cmd!r}: {digest!r},")
     print("}")
+    lines, record = interactive()
+    print("\nINTERACTIVE_LINES = [")
+    for line in lines:
+        print(f"    {line!r},")
+    print("]")
+    print(f"INTERACTIVE_RECORD = {record!r}")
     moved = [cmd for cmd, digest in table.items() if PINNED.get(cmd) != digest]
+    if (lines, record) != (INTERACTIVE_LINES, INTERACTIVE_RECORD):
+        moved.append("(the interactive game)")
     print(f"\n# {len(moved)} command(s) differ from PINNED:")
     for cmd in moved:
         print(f"#   {cmd}")

@@ -35,7 +35,7 @@ from qubitlab.bell import (
 from qubitlab.boxes import MAX_SCAN_N, deterministic_box, pr_box, quantum_box, tsirelson_scan
 from qubitlab.errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
-from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcome_values, sample_outcomes
+from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcomes
 from qubitlab.qubit import (
     MAX_GBIT_S,
     MAX_PATH_STEPS,
@@ -63,7 +63,7 @@ from qubitlab.quoin import (
     play_games,
     verify_parity_theorem,
 )
-from qubitlab.rng import MAX_DRAWS, draws, philox
+from qubitlab.rng import MAX_GAME, draws, philox
 from qubitlab.spinops import LZ, SpinOperatorTriple
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -79,11 +79,11 @@ INTEGER_ARGS = {
     "draws seed for an index array": (lambda v: draws(v, 0, np.arange(1), 4), 0, None, 3, None),
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
     "draws stream for an index array": (lambda v: draws(1, v, np.arange(1), 4), 0, None, 3, None),
-    "draws game index": (lambda v: draws(1, 0, v, 4), 0, None, 3, None),
-    "draws draw count": (lambda v: draws(1, 0, 5, v), 0, MAX_DRAWS, 3, None),
+    "draws counter": (lambda v: draws(1, 0, v, 4), 0, 2**256 - 1, 3, None),
+    "draws draw count": (lambda v: draws(1, 0, 5, v), 0, 64, 3, None),
     "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
     "sample_outcomes trials": (lambda v: sample_outcomes(SETUP, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
-    "sample_outcome_values trials": (lambda v: sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
+    "sample_outcome_values trials": (lambda v: oracles.sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
     "sample_joint trials": (lambda v: sample_joint(BellKind.SINGLET, Z, X, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "binomial_band trials": (lambda v: binomial_band(0.5, v), 1, None, 4, None),
     "monte_carlo games": (lambda v: monte_carlo(RandomStrategy(), v, 1), 1, MAX_GAMES, 3, lambda r: r.games),
@@ -92,14 +92,14 @@ INTEGER_ARGS = {
     "play_games games": (lambda v: list(play_games(RandomStrategy(), v, 1)), 1, MAX_GAMES, 3, len),
     "play_games lanes": (lambda v: list(play_games(QuoinStrategy(), 2, 1, lanes=v)), 1, MAX_LANES, 3, None),
     "play_game lanes": (lambda v: play_game(QuoinStrategy(), 1, 1, lanes=v), 1, MAX_LANES, 3, lambda r: len(r.bob_bits)),
-    "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, None, 3, None),
+    "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, MAX_GAME, 3, None),
     "play_game dealer seed": (lambda v: play_game(RandomStrategy(), v, 1), 0, None, 3, None),
     "play_game mech seed": (lambda v: play_game(QuoinStrategy(), 1, v), 0, None, 3, None),
     "run_interactive_game lanes": (
         lambda v: cli.run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
         1, MAX_LANES, 3, lambda r: len(r.bob_bits),
     ),
-    "standard_dealer lanes": (lambda v: oracles.standard_dealer(philox(1), v), 1, MAX_LANES, 3, lambda r: len(r[0])),
+    "standard_dealer lanes": (lambda v: oracles.standard_dealer(1, 0, v), 1, MAX_LANES, 3, lambda r: len(r[0])),
     "verify_parity_theorem lanes": (lambda v: verify_parity_theorem([0], v), 1, MAX_LANES, 3, None),
     "ClassicalBitsStrategy k": (ClassicalBitsStrategy, 0, None, 3, lambda r: r.k),
     "BehaviorBox.alice_marginal x": (lambda v: PR_BOX.alice_marginal(v, 0), 0, 1, 1, None),

@@ -1,12 +1,12 @@
 """Guards for the game engine.
 
-`rng.draws` recomputes numpy's SeedSequence key derivation on Python ints
-(one game index) and on arrays (many), then takes the Philox4x64-10 words
-from numpy's C Philox, re-keyed, for an int and from its own array rounds
-for an array. These tests hold both paths to the real generator, also from
-several threads at once, and `play_game`, `play_games` and `monte_carlo`,
-which all draw through `rng.draws`, to the per-game engine they replaced,
-`tests/oracles.py`.
+`rng.draws` reads random-stream contract v2: game g's draws on a stream are
+the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g), from
+numpy's C Philox, re-keyed, for an int and from its own array rounds for an
+array. These tests hold both paths to that recipe, also from several threads
+at once, and `play_game`, `play_games` and `monte_carlo`, which all draw
+through `rng.draws`, to the per-game engine of `tests/oracles.py`, which
+plays from the recipe alone.
 """
 
 import itertools
@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitlab import quoin
+from qubitlab import quoin, rng
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
     ClassicalBitsStrategy,
@@ -32,23 +32,18 @@ from qubitlab.quoin import (
     play_games,
     summarize,
 )
-from qubitlab import rng
-from qubitlab.rng import draws, philox
+from qubitlab.rng import MAX_GAME, draws
 
-# game indices past one uint32 word: SeedSequence takes them as several words
-WIDE_INDICES = [2**32, 2**40 + 3, 2**64 + 5]
-
-
-def real_bits(seed, stream, games, k):
-    return np.array([philox(seed, stream, int(g)).integers(0, 2, k) for g in games]).reshape(len(games), k)
+# game indices past one uint32 word, up to the last one
+WIDE_INDICES = [2**32, 2**40 + 3, 2**63 + 5, MAX_GAME]
 
 
 def as_mask(bits):
     return sum(int(b) << i for i, b in enumerate(bits))
 
 
-def real_masks(seed, stream, games, k):
-    return [as_mask(row) for row in real_bits(seed, stream, games, k)]
+def recipe_masks(seed, stream, games, k):
+    return [as_mask(oracles.recipe_bits(seed, stream, int(g), k)) for g in games]
 
 
 class TestKernel:
@@ -56,29 +51,35 @@ class TestKernel:
     @given(
         seed=st.integers(0, 2**70),
         stream=st.integers(0, 2),
-        games=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
-        k=st.integers(1, 64),
+        games=st.lists(st.integers(0, MAX_GAME), min_size=1, max_size=6),
+        k=st.integers(0, 64),
     )
-    def test_rows_match_the_generator(self, seed, stream, games, k):
-        # guards against numpy changing how Generator.integers consumes words
-        expected = real_masks(seed, stream, games, k)
-        # the same kernel on one int index, and on the index array
+    def test_ints_and_arrays_match_the_recipe(self, seed, stream, games, k):
+        expected = recipe_masks(seed, stream, games, k)
+        # the C generator on one int index, and the array rounds on the index array
         assert [draws(seed, stream, g, k) for g in games] == expected
-        assert draws(seed, stream, np.array(games), k).tolist() == expected
+        assert draws(seed, stream, np.array(games, dtype=np.uint64), k).tolist() == expected
 
     @pytest.mark.parametrize("game", WIDE_INDICES)
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**200 + 12345])
-    def test_wide_int_index_matches_the_generator(self, seed, game):
-        for stream, k in itertools.product(range(3), (0, 1, 5, 8, 16, 70, rng.MAX_DRAWS)):
-            assert draws(seed, stream, game, k) == as_mask(philox(seed, stream, game).integers(0, 2, k))
+    def test_wide_seeds_and_indices_match_the_recipe(self, seed, game):
+        for stream, k in itertools.product(range(3), (0, 1, 5, 8, 16, 64)):
+            assert draws(seed, stream, game, k) == recipe_masks(seed, stream, [game], k)[0]
+            assert draws(seed, stream, np.array([game], dtype=np.uint64), k).tolist() == [draws(seed, stream, game, k)]
+
+    @pytest.mark.parametrize("widening", [1, 2, 2**64 - 1])
+    def test_widening_counters_match_the_recipe(self, widening):
+        for game in (0, 5, MAX_GAME):
+            counter = game + widening * oracles.WIDENING
+            assert draws(3, 0, counter, 64) == as_mask(oracles.recipe_bits(3, 0, counter))
 
     def test_threads_share_the_rekeyed_generator(self):
         # each thread re-keys the one C Philox; its masks must still be its own games'
         cases = [
             (seed, stream, game, k)
-            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 70))
+            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 64))
         ]
-        expected = {case: as_mask(philox(*case[:3]).integers(0, 2, case[3])) for case in cases}
+        expected = {case: recipe_masks(*case[:2], [case[2]], case[3])[0] for case in cases}
         barrier, mismatches = threading.Barrier(4, timeout=60), []
 
         def worker(seed):
@@ -101,11 +102,11 @@ class TestKernel:
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
 
-    def test_prefix_cache_is_bounded(self):
-        for seed in range(10**6, 10**6 + rng.PREFIXES + 50):
+    def test_key_cache_is_bounded(self):
+        for seed in range(10**6, 10**6 + rng.KEYS + 50):
             draws(seed, 0, 3, 4)
-        assert rng._prefix.cache_info().currsize <= rng.PREFIXES
-        assert rng._prefix.cache_info().maxsize == rng.PREFIXES
+        assert rng._key.cache_info().currsize <= rng.KEYS
+        assert rng._key.cache_info().maxsize == rng.KEYS
 
     @pytest.mark.parametrize("seed", [True, np.bool_(True)])
     def test_bool_seed_rejected_before_the_cache(self, seed):
@@ -117,22 +118,27 @@ class TestKernel:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
     def test_consecutive_games_and_wide_seeds(self, seed):
-        games = np.arange(2**32 - 40, 2**32, dtype=np.int64)
-        assert draws(seed, 1, games, 24).tolist() == real_masks(seed, 1, games, 24)
+        for games in (np.arange(2**32 - 40, 2**32 + 40), np.arange(MAX_GAME - 40, MAX_GAME + 1, dtype=np.uint64)):
+            assert draws(seed, 1, games, 24).tolist() == recipe_masks(seed, 1, games, 24)
 
-    def test_split_draws_equal_one_draw(self):
-        # the dealer draws its hands in pieces; the uint32 buffer carries over
-        gen = philox(5, 0, 9)
-        pieces = np.concatenate([gen.integers(0, 2, 3), gen.integers(0, 2, 5), gen.integers(0, 2, 7)])
-        assert draws(5, 0, np.array([9]), 15).tolist() == [as_mask(pieces)]
-        assert draws(5, 0, 9, 15) == as_mask(pieces)
+    def test_adjacent_games_are_uncorrelated(self):
+        # every bit of game g against every bit of game g + 1 on each stream: as +-1 values, each of
+        # the 64 x 64 mean products is 0 +- 1/sqrt(n) for independent fair bits; all must lie within 5 sigma
+        n, chunk = 2**17, 2**13
+        for stream in range(3):
+            words = draws(11, stream, np.arange(n + 1), 64)
+            products = np.zeros((64, 64))
+            for start in range(0, n, chunk):
+                block = words[start : start + chunk + 1]
+                signs = 1.0 - 2.0 * (block[:, None] >> np.arange(64, dtype=np.uint64) & 1).astype(np.float32)
+                products += signs[:-1].T @ signs[1:]
+            assert np.abs(products / n).max() < 5 / np.sqrt(n), stream
 
     def test_empty_shapes(self):
         empty = draws(3, 0, np.array([], dtype=np.int64), 5)
         assert empty.dtype == np.uint64 and empty.shape == (0,)
 
     def test_zero_draws_give_one_zero_mask_per_index(self):
-        # a sum over no Philox blocks used to return the int 0
         masks = draws(3, 0, np.array([1, 2]), 0)
         assert masks.dtype == np.uint64 and masks.tolist() == [0, 0]
         assert draws(3, 0, 1, 0) == 0
@@ -140,52 +146,72 @@ class TestKernel:
     @pytest.mark.parametrize("seed", [-1, -(2**40), True, np.bool_(False), 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
-            philox(seed)
+            rng.philox(seed)
         with pytest.raises(DomainError):
             draws(seed, 0, np.array([0]), 4)
 
     def test_numpy_seed_accepted(self):
-        assert draws(np.int64(7), 0, np.array([3]), 8).tolist() == real_masks(7, 0, [3], 8)
+        assert draws(np.int64(7), 0, np.array([3]), 8).tolist() == recipe_masks(7, 0, [3], 8)
 
     @pytest.mark.parametrize(
         "games,k",
-        [([-1], 4), ([2**32], 4), ([0.5], 4), ([[0, 1]], 4), ([0], -1), ([0], 2.0), ([0], True)],
+        [
+            (np.array([-1]), 4), (np.array([MAX_GAME + 1], dtype=np.uint64), 4), (np.array([0.5]), 4),
+            (np.array([[0, 1]]), 4), (np.array(3), 4), (np.array([0]), -1), (np.array([0]), 65),
+            (np.array([0]), 2.0), (np.array([0]), True), (2**256, 4), (-1, 4), (0, 65),
+        ],
     )
     def test_bad_indices_and_widths_rejected(self, games, k):
         with pytest.raises(DomainError):
-            draws(1, 0, np.array(games), k)
+            draws(1, 0, games, k)
 
     def test_bad_stream_rejected(self):
         with pytest.raises(DomainError):
             draws(1, -1, np.array([0]), 4)
         with pytest.raises(DomainError):
-            philox(1, 0, -3)
+            rng.philox(1, 0, -3)
 
 
 def oracle_deals(seed, games, lanes):
-    return [tuple(as_mask(hand) for hand in oracles.standard_dealer(philox(seed, 0, int(g)), lanes)) for g in games]
+    return [tuple(as_mask(hand) for hand in oracles.standard_dealer(seed, int(g), lanes)) for g in games]
 
 
 class TestDealer:
     @pytest.mark.parametrize("lanes", [1, 3, 4, 6, 8])
     def test_block_dealer_matches_the_oracle(self, lanes):
-        # at 3 lanes one game in 8 has no non-zero candidate in its first Philox block:
-        # many games still dealing go on as one array, the last few one at a time
         games = np.arange(2000, dtype=np.uint32)
         bob, alice = quoin._deal(13, games, lanes)
         assert list(zip(bob.tolist(), alice.tolist())) == oracle_deals(13, games, lanes)
 
-    def test_games_dealing_past_64_draws_go_on_as_ints(self, monkeypatch):
+    @pytest.mark.parametrize("widenings", [1, 2])
+    @pytest.mark.parametrize("lanes", [2, 6])
+    def test_forced_widening_deals_from_the_widening_words(self, monkeypatch, lanes, widenings):
+        # no word before widening word `widenings` holds a candidate: the deal word keeps only Bob's hand
         real = quoin.draws
 
-        def no_candidates_in_arrays(seed, stream, game, k):
-            mask = real(seed, stream, game, k)
-            return mask if type(game) is int else mask & 0b11  # only Bob's hand at 2 lanes
+        def no_candidates_before(seed, stream, counter, k):
+            mask = real(seed, stream, counter, k)
+            if isinstance(counter, np.ndarray) or counter < quoin.WIDEN:
+                return mask & (1 << lanes) - 1
+            return mask if counter >= widenings * quoin.WIDEN else 0
 
-        monkeypatch.setattr(quoin, "draws", no_candidates_in_arrays)
+        monkeypatch.setattr(quoin, "draws", no_candidates_before)
         games = np.arange(40, dtype=np.uint32)
-        bob, alice = quoin._deal(13, games, 2)
-        assert list(zip(bob.tolist(), alice.tolist())) == oracle_deals(13, games, 2)
+        bob, alice = quoin._deal(13, games, lanes)
+        expected = [
+            (as_mask(oracles.recipe_bits(13, 0, g, lanes)),
+             as_mask(next(h for h in oracles.alice_candidates(13, g, lanes, widenings) if any(h))))
+            for g in range(40)
+        ]
+        assert list(zip(bob.tolist(), alice.tolist())) == expected
+        assert [quoin._deal(13, g, lanes) for g in range(40)] == expected
+
+    def test_widening_words_are_the_oracles_last_resort(self):
+        # the oracle reads its widening words only when the deal word holds no candidate
+        candidates = oracles.alice_candidates(13, 7, 5)
+        first_word = [next(candidates) for _ in range(64 // 5 - 1)]
+        assert first_word == [oracles.recipe_bits(13, 0, 7)[i : i + 5] for i in range(5, 60, 5)]
+        assert next(candidates) == oracles.recipe_bits(13, 0, 7 + oracles.WIDENING)[:5]
 
 
 STRATEGIES = {
@@ -227,7 +253,7 @@ class TestMonteCarloMatchesOracle:
     @given(
         seed=st.integers(0, 2**70),
         mech_seed=st.integers(0, 2**70),
-        games=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=6),
+        games=st.lists(st.integers(0, MAX_GAME), min_size=1, max_size=6),
         lanes=st.integers(1, 8),
         name=st.sampled_from(sorted(STRATEGIES)),
         mech=st.sampled_from(sorted(MECHANICS)),
@@ -240,7 +266,7 @@ class TestMonteCarloMatchesOracle:
 
         expected = each(oracles, seed)
         assert each(quoin, seed) == expected
-        block = np.array(games, dtype=np.uint32)
+        block = np.array(games, dtype=np.uint64)
         assert outcome(lambda: list(quoin._block_records(strategy, seed, block, **kw))) == expected
         # the mechanics draws follow mech_seed, the deal and the coin flips the dealer seed
         assert each(quoin, mech_seed) == each(oracles, mech_seed)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import sample_outcome_values
 
 from qubitlab.errors import DomainError
 from qubitlab.measure import (
@@ -13,7 +14,6 @@ from qubitlab.measure import (
     binomial_band,
     expected_outcome,
     projection_probabilities,
-    sample_outcome_values,
     sample_outcomes,
     tally,
 )

@@ -13,6 +13,7 @@ from qubitlab.errors import DomainError
 from qubitlab.quoin import (
     MAX_GAMES,
     MAX_LANES,
+    MAX_PARITY_SEEDS,
     ClassicalBitsStrategy,
     GameRecord,
     QuoinMechanics,
@@ -80,6 +81,20 @@ class TestMechanics:
     def test_malformed_mechanics_rejected(self, starts):
         with pytest.raises(DomainError):
             QuoinMechanics(frozenset(starts))
+
+    @pytest.mark.parametrize("starts", [5, None, [1], [("H", "H"), None]])
+    def test_starts_that_are_no_collection_of_pairs_rejected(self, starts):
+        # each used to escape as TypeError
+        with pytest.raises(DomainError):
+            QuoinMechanics(starts)
+
+    @pytest.mark.parametrize("starts", [[("H", "H")], (["H", "H"],), {("H", "H")}])
+    def test_any_collection_of_pairs_stores_a_frozenset(self, starts):
+        # a list used to be stored as given, which made the frozen mechanics unhashable
+        mech = QuoinMechanics(starts)
+        assert mech.unequal_starts == frozenset({("H", "H")})
+        assert mech == QuoinMechanics.standard()
+        assert hash(mech) == hash(QuoinMechanics.standard())
 
 
 class TestRiggings:
@@ -184,7 +199,12 @@ class TestGameAccounting:
             ClassicalBitsStrategy(-1)
 
     @pytest.mark.parametrize(
-        "deal", [((2, 0), (1, 1)), (("1", 0), (1, 1)), ((1, 0), (1, -1)), ((), ())]
+        "deal",
+        [
+            ((2, 0), (1, 1)), (("1", 0), (1, 1)), ((1, 0), (1, -1)), ((), ()),
+            # these used to escape as TypeError, TypeError, IndexError and ValueError
+            5, (None, None), ((1,),), (np.array([[1, 0]]), np.array([[1, 0]])), ((1,), (1,), (1,)),
+        ],
     )
     def test_bad_deal_rejected(self, deal):
         with pytest.raises(DomainError):
@@ -289,6 +309,18 @@ class TestParityTheorem:
         report = verify_parity_theorem(seeds=range(4))
         assert report.holds
         assert report.checked == 4 * 2**10
+
+    @pytest.mark.parametrize(
+        "seeds", [[], (), 5, None, range(MAX_PARITY_SEEDS + 1), itertools.count(), [None], ["x"], [-1]]
+    )
+    def test_seed_sets_outside_the_bound_rejected(self, seeds):
+        # no seeds used to report a vacuous `holds`, and 5 escaped as TypeError
+        with pytest.raises(DomainError):
+            verify_parity_theorem(seeds=seeds, lanes=1)
+
+    def test_seed_bound_accepted(self):
+        report = verify_parity_theorem(seeds=iter(range(MAX_PARITY_SEEDS)), lanes=1)
+        assert report.holds and report.checked == 4 * MAX_PARITY_SEEDS
 
     def test_holds_for_quantum_coin_trivially(self):
         # with every lane ending equal the combined count is always even,

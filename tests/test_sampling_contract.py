@@ -4,7 +4,7 @@ Trials are philox(seed).random(n), consumed in blocks of rng.BLOCK. The table
 below was recorded from the one-shot samplers that drew all n uniforms at once
 (`searchsorted` + `bincount` for the joint counts), so it pins the block
 streaming to the same counts, across block boundaries. `sample_outcome_values`
-and the one-shot draw inside this file are the oracles.
+of `tests/oracles.py` and the one-shot draw inside this file are the oracles.
 """
 
 import contextlib
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sample_outcome_values
 
 from qubitlab import bell, cli, measure
 from qubitlab.rng import BLOCK, philox, uniform_blocks
@@ -209,7 +210,7 @@ class TestStreamingMatchesOneShot:
     def test_outcomes(self, n, seed, theta):
         setup = sg_setup(theta)
         sample = measure.sample_outcomes(setup, n, seed)
-        assert sample.n_plus == int(np.count_nonzero(measure.sample_outcome_values(setup, n, seed) == 1))
+        assert sample.n_plus == int(np.count_nonzero(sample_outcome_values(setup, n, seed) == 1))
 
     @settings(max_examples=40, deadline=None)
     @given(
