@@ -86,6 +86,16 @@ class BehaviorBox:
         return cls([[[flat[k : k + 2], flat[k + 2 : k + 4]] for k in (8 * x, 8 * x + 4)] for x in (0, 1)])
 
 
+def _check_box(box, atol: float = 0.0) -> tuple[BehaviorBox, float]:
+    """The box and the tolerance, which must be one finite number >= 0, else DomainError."""
+    if not isinstance(box, BehaviorBox):
+        raise DomainError(f"not a BehaviorBox: {box!r}")
+    atol = check_finite(atol, "atol")
+    if not isinstance(atol, float) or atol < 0:
+        raise DomainError(f"atol must be one finite number >= 0, got {atol!r}")
+    return box, atol
+
+
 def _box(alice, bob, corr) -> BehaviorBox:
     """The box with mean outcomes A = alice, B = bob and correlators E = corr, by the one rule.
 
@@ -106,6 +116,7 @@ class NoSignallingReport:
 
 def no_signalling_check(box: BehaviorBox, atol: float = ATOL_EXACT) -> NoSignallingReport:
     """Marginals of each party must not depend on the other party's setting."""
+    box, atol = _check_box(box, atol)
     violations = []
     for x in (0, 1):
         m0, m1 = box.alice_marginal(x, 0), box.alice_marginal(x, 1)
@@ -128,7 +139,7 @@ class ChshResult:
 
 
 def chsh_value(box: BehaviorBox) -> ChshResult:
-    e = box.correlators()
+    e = _check_box(box)[0].correlators()
     total = e[0][0] + e[0][1] + e[1][0] + e[1][1]
     values = {(x, y): abs(total - 2.0 * e[x][y]) for x in (0, 1) for y in (0, 1)}
     minus_on = max(values, key=values.get)  # the first of equal maxima
@@ -218,6 +229,7 @@ def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> Conservat
     their signs, and the box is inconsistent exactly when E(a',b') demands
     the other sign.
     """
+    box, atol = _check_box(box, atol)
     e = box.correlators()
     if max(abs(abs(v) - 1.0) for row in e for v in row) > atol:
         import numpy as np  # numpy's array printing, until the payload schema changes

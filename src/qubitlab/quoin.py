@@ -131,7 +131,7 @@ RIGGINGS = {"H": (1, 1), "T": (0, 0), "S": (0, 1), "O": (1, 0)}
 
 def apply_rigging(rigging: str, start: str) -> str:
     """Deterministic single-coin rule: ends-heads, ends-tails, same, or other."""
-    if rigging not in RIGGINGS or start not in SYMBOLS:
+    if not (isinstance(rigging, str) and isinstance(start, str)) or rigging not in RIGGINGS or start not in SYMBOLS:
         raise DomainError(f"unknown rigging {rigging!r} or start {start!r} (want {'/'.join(RIGGINGS)}, H/T)")
     return SYMBOLS[RIGGINGS[rigging][SYMBOLS.index(start)]]
 
@@ -300,6 +300,12 @@ class GameRecord:
         )
 
 
+def _check_record(rec) -> GameRecord:
+    if not isinstance(rec, GameRecord):
+        raise DomainError(f"not a GameRecord: {rec!r}")
+    return rec
+
+
 def parity_name(count: int) -> str:
     return "even" if count % 2 == 0 else "odd"
 
@@ -435,7 +441,7 @@ def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
     games = wins = net = 0
     for rec in records:
         games += 1
-        wins += rec.correct
+        wins += _check_record(rec).correct
         net += rec.chips_net
     if games < 1:
         raise DomainError("no game records to summarize")
@@ -470,7 +476,7 @@ def monte_carlo(
 def write_transcript(records, fp) -> None:
     """Emit one GameRecord JSON object per line."""
     for rec in records:
-        fp.write(rec.to_json() + "\n")
+        fp.write(_check_record(rec).to_json() + "\n")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ what is not a matrix or three real numbers raises DimensionError, and a
 non-finite entry raises DomainError.
 """
 
+import io
 import math
 
 import numpy as np
@@ -32,7 +33,16 @@ from qubitlab.bell import (
     resolve_plane,
     sample_joint,
 )
-from qubitlab.boxes import MAX_SCAN_N, deterministic_box, pr_box, quantum_box, tsirelson_scan
+from qubitlab.boxes import (
+    MAX_SCAN_N,
+    chsh_value,
+    conservation_filter,
+    deterministic_box,
+    no_signalling_check,
+    pr_box,
+    quantum_box,
+    tsirelson_scan,
+)
 from qubitlab.errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
 from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcomes
@@ -56,12 +66,15 @@ from qubitlab.quoin import (
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
+    apply_rigging,
     enumerate_riggings,
     flip_pair,
     monte_carlo,
     play_game,
     play_games,
+    summarize,
     verify_parity_theorem,
+    write_transcript,
 )
 from qubitlab.rng import MAX_GAME, draws, philox
 from qubitlab.spinops import LZ, SpinOperatorTriple
@@ -417,3 +430,64 @@ BOX_ARGS = {
 def test_box_builder_wants_two_per_side(name, bad):
     with pytest.raises(DomainError):
         BOX_ARGS[name](bad)
+
+
+# name -> call with the object, which must be a BehaviorBox, a list of GameRecords or a rigging and start string
+TYPED_ARGS = {
+    "chsh_value": chsh_value,
+    "no_signalling_check": no_signalling_check,
+    "conservation_filter": conservation_filter,
+    "summarize": lambda v: summarize([v]),
+    "write_transcript": lambda v: write_transcript([v], io.StringIO()),
+    "apply_rigging rigging": lambda v: apply_rigging(v, "H"),
+    "apply_rigging start": lambda v: apply_rigging("H", v),
+}
+TYPED_OK = {
+    "chsh_value": PR_BOX,
+    "no_signalling_check": PR_BOX,
+    "conservation_filter": PR_BOX,
+    "summarize": play_game(QuoinStrategy(), 1, 1),
+    "write_transcript": play_game(QuoinStrategy(), 1, 1),
+    "apply_rigging rigging": "S",
+    "apply_rigging start": "T",
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in TYPED_ARGS for b in [None, 1, ["H"], ("H",), {}]]
+)
+def test_argument_of_another_type_raises(name, bad):
+    # each used to escape as AttributeError or TypeError
+    with pytest.raises(DomainError):
+        TYPED_ARGS[name](bad)
+
+
+@pytest.mark.parametrize("name", TYPED_ARGS)
+def test_arguments_of_the_right_type_accepted(name):
+    TYPED_ARGS[name](TYPED_OK[name])
+
+
+ATOL_ARGS = {
+    "no_signalling_check": lambda v: no_signalling_check(PR_BOX, atol=v),
+    "conservation_filter": lambda v: conservation_filter(PR_BOX, atol=v),
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [
+        pytest.param(n, b, id=f"{n}-{b!r}")
+        for n in ATOL_ARGS
+        for b in [math.nan, math.inf, -1.0, -1e-300, np.float64(math.nan), True, None, "0", [0.1], np.array([0.1])]
+    ],
+)
+def test_tolerance_must_be_finite_and_nonnegative(name, bad):
+    # NaN used to pass every box, and a negative tolerance called the PR box not extremal
+    with pytest.raises(DomainError):
+        ATOL_ARGS[name](bad)
+
+
+def test_tolerances_accepted():
+    for atol in (0, 0.0, 1e-12, np.float64(0.5), 3):
+        assert no_signalling_check(PR_BOX, atol=atol).passed
+        assert conservation_filter(PR_BOX, atol=atol).status == "inconsistent"

@@ -1,12 +1,15 @@
 """Guards for the game engine.
 
 `rng.draws` reads random-stream contract v2: game g's draws on a stream are
-the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g), from
-numpy's C Philox, re-keyed, for an int and from its own array rounds for an
-array. These tests hold both paths to that recipe, also from several threads
-at once, and `play_game`, `play_games` and `monte_carlo`, which all draw
-through `rng.draws`, to the per-game engine of `tests/oracles.py`, which
-plays from the recipe alone.
+the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g). It
+reads them from numpy's C Philox, re-keyed once per run of consecutive game
+indices: an int index is a run of one, read with one scalar `random_raw()`,
+and each run of an index array is one `random_raw(4 * n)` read. These tests
+hold both paths to that recipe, on arrays of many runs and from several
+threads at once, check that a block of games costs one re-key, and hold
+`play_game`, `play_games` and `monte_carlo`, which all draw through
+`rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
+the recipe alone.
 """
 
 import itertools
@@ -56,7 +59,7 @@ class TestKernel:
     )
     def test_ints_and_arrays_match_the_recipe(self, seed, stream, games, k):
         expected = recipe_masks(seed, stream, games, k)
-        # the C generator on one int index, and the array rounds on the index array
+        # one scalar read per int index, and one read per run of the index array
         assert [draws(seed, stream, g, k) for g in games] == expected
         assert draws(seed, stream, np.array(games, dtype=np.uint64), k).tolist() == expected
 
@@ -73,20 +76,48 @@ class TestKernel:
             counter = game + widening * oracles.WIDENING
             assert draws(3, 0, counter, 64) == as_mask(oracles.recipe_bits(3, 0, counter))
 
+    @pytest.mark.parametrize(
+        "games",
+        [
+            [9, 8, 7, 6, 5],  # descending: every index its own run
+            [5, 5, 6, 6, 7, 3, 3],  # duplicated indices, each repeat starting a run
+            [0, 100, 1, 101, 2, 102, 3, 4, 5],  # interleaved runs
+            [*range(2**32 - 3, 2**32 + 3), 7, 8],  # a run crossing 2**32, then a short one
+            [40, 41, *range(MAX_GAME - 4, MAX_GAME + 1)],  # a run ending at the last game index
+            [MAX_GAME, 0, MAX_GAME - 1, MAX_GAME],  # no wrap from the last index back to 0
+        ],
+        ids=["descending", "duplicated", "interleaved", "across-2**32", "to-MAX_GAME", "no-wrap"],
+    )
+    def test_arrays_of_many_runs_match_the_recipe(self, games):
+        for dtype in (np.uint64, np.int64) if max(games) < 2**63 else (np.uint64,):
+            for seed, stream, k in ((0, 0, 64), (2**64 + 5, 1, 8), (424242, 2, 1)):
+                masks = draws(seed, stream, np.array(games, dtype=dtype), k)
+                assert masks.tolist() == recipe_masks(seed, stream, games, k), (dtype, seed, stream)
+
     def test_threads_share_the_rekeyed_generator(self):
-        # each thread re-keys the one C Philox; its masks must still be its own games'
+        # each thread re-keys the one C Philox, for int indices and for index arrays of several runs;
+        # its masks must still be its own games'
+        arrays = {seed: np.array([seed, seed + 1, seed + 2, 2**40 + seed, 2**40 + seed + 1, 7], dtype=np.uint64)
+                  for seed in range(4)}
         cases = [
             (seed, stream, game, k)
-            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 64))
+            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 64), ("array", 64))
         ]
-        expected = {case: recipe_masks(*case[:2], [case[2]], case[3])[0] for case in cases}
+        expected = {
+            case: recipe_masks(*case[:2], arrays[case[0]] if case[2] == "array" else [case[2]], case[3])
+            for case in cases
+        }
         barrier, mismatches = threading.Barrier(4, timeout=60), []
 
         def worker(seed):
             barrier.wait()
             for _ in range(200):
                 for case in cases:
-                    if case[0] == seed and draws(*case) != expected[case]:
+                    if case[0] != seed:
+                        continue
+                    s, stream, game, k = case
+                    got = draws(s, stream, arrays[s], k).tolist() if game == "array" else [draws(s, stream, game, k)]
+                    if got != expected[case]:
                         mismatches.append(case)
 
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
@@ -101,6 +132,27 @@ class TestKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert not mismatches
+
+    @pytest.mark.parametrize("strategy", [QuoinStrategy(), RandomStrategy(), ClassicalBitsStrategy(2)])
+    def test_a_block_of_games_rekeys_once_per_draws_call(self, monkeypatch, strategy):
+        calls, rekeys = [], []
+        real_draws, real_rekey = quoin.draws, rng._rekey
+
+        def counted_draws(*args):
+            calls.append(args)
+            return real_draws(*args)
+
+        def counted_rekey(*args):
+            rekeys.append(args)
+            return real_rekey(*args)
+
+        monkeypatch.setattr(quoin, "draws", counted_draws)
+        monkeypatch.setattr(rng, "_rekey", counted_rekey)
+        summary = monte_carlo(strategy, quoin.GAME_BLOCK, 7, lanes=3)
+        assert summary.games == quoin.GAME_BLOCK
+        # a block is one run of consecutive games: one re-key per draws call, not one per game
+        assert 1 <= len(calls) <= 3
+        assert len(rekeys) == len(calls)
 
     def test_key_cache_is_bounded(self):
         for seed in range(10**6, 10**6 + rng.KEYS + 50):
