@@ -2,7 +2,8 @@
 
 Outcomes are always +1 or -1 (units hbar/2 = 1); the classical projection
 cos(theta) of the prepared spin onto the measured axis survives only as the
-mean of those two values.
+mean of those two values. A sampled trial is a raw word of the seed's Philox
+stream (`rng.word_blocks`), tallied exactly as the double numpy draws from it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ATOL_EXACT, DomainError, check_finite, check_int, unit_vector
 
-# about 10 s of Philox draws at ~10 ns per double
+# about 8 s of Philox words at ~7 ns each in a 4-cell tally
 MAX_TRIALS = 2**30
 
 
@@ -79,32 +80,34 @@ class OutcomeSample:
 
 
 def tally(probs, n: int, seed: int) -> tuple[int, ...]:
-    """Counts of the n draws of philox(seed).random(n) in cells of probabilities `probs`.
+    """Counts of the n draws of Generator(Philox(seed)).random(n) in cells of probabilities `probs`.
 
     Draw u falls in cell k when edges[k-1] <= u < edges[k] for the running
     sums `edges` of all probabilities but the last. The last cell takes every
     draw at or above the last edge, so the counts sum to n even where the
-    float sum of the probabilities is below 1. The draws are counted block by
-    block through `rng.uniform_blocks`, holding no per-trial array.
+    float sum of the probabilities is below 1. The draws are counted as raw
+    words, block by block through `rng.word_blocks`, holding no per-trial array.
     """
     import numpy as np
-    from .rng import uniform_blocks
+    from .rng import word_blocks
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     p = check_finite(probs, "cell probabilities")
     if np.ndim(p) != 1 or not p.size or p.min() < -ATOL_EXACT or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
         raise DomainError(f"cell probabilities must be a distribution, got {probs!r}")
-    edges = np.cumsum(p[:-1])
-    below = [0] * len(edges)  # draws below each edge
-    for u in uniform_blocks(seed, n):
-        for k, edge in enumerate(edges):
-            below[k] += int(np.count_nonzero(u < edge))
+    # numpy's double from word w is (w >> 11) * 2**-53, so u < e holds exactly when
+    # w < ceil(e * 2**53) << 11; the limit is clamped to 0 (no word) .. 2**64 (every word)
+    limits = [min(max(math.ceil(e * 2**53), 0), 2**53) << 11 for e in np.cumsum(p[:-1]).tolist()]
+    below = [0] * len(limits)  # draws below each edge
+    for words in word_blocks(seed, n):
+        for k, limit in enumerate(limits):
+            below[k] += words.size if limit == 2**64 else int(np.count_nonzero(words < np.uint64(limit)))
     return tuple(hi - lo for lo, hi in zip([0, *below], [*below, n]))
 
 
 def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
     """Seeded Monte Carlo tally of (P(+1), P(-1)); the empirical mean converges to cos(theta).
 
-    Trial i is +1 when draw i of philox(seed).random(n) lies below P(+1).
+    Trial i is +1 when draw i of Generator(Philox(seed)).random(n) lies below P(+1).
     """
     n_plus, n_minus = tally(projection_probabilities(setup), n, seed)
     return OutcomeSample(n_plus, n_minus, n, seed)

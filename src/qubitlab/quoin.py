@@ -16,9 +16,9 @@ the strategy's coin flip from draws(dealer_seed, STREAM_STRATEGY, g, 1), so
 games are pure functions of (seeds, game index). Every game runs through one
 engine on lane masks, and `rng.draws` computes those draws for one game
 index (an int) or a block of GAME_BLOCK of them (an array) alike, so
-`play_game`, `play_games` and `monte_carlo` agree exactly.
-`verify_parity_theorem` takes its lane draws from one philox(seed) array per
-seed, row-major over the deals.
+`play_game`, `play_games` and `monte_carlo` agree exactly. Outside the game,
+`flip_pair`'s trial t is lane 0 of game t on the mechanics stream, and the
+parity exhaust's deal d reads game d's lane outcomes there.
 """
 
 from __future__ import annotations
@@ -32,16 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, check_int
-from .rng import MAX_GAME, draws, philox
+from .rng import MAX_GAME, draws
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
 # a lane mask indexes the 256-entry popcount table, and the parity exhaust
-# holds 4**lanes * lanes int64 draws: 4 MiB at 8 lanes
+# reads 4**(lanes + 1) Philox words per seed: 2 MiB at 8 lanes
 MAX_LANES = 8
 # monte_carlo plays 2**21 games in 1-2 s
 MAX_GAMES = 2**21
-# seeds of one verify_parity_theorem call: at 8 lanes each seed takes about 5 ms
+# seeds of one verify_parity_theorem call: at 8 lanes each seed takes about 4 ms
 MAX_PARITY_SEEDS = 256
 # games per block of play_games and monte_carlo; their arrays peak near 1 MiB
 GAME_BLOCK = 4096
@@ -115,10 +115,10 @@ def _check_mech(mech) -> QuoinMechanics:
 
 
 def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tuple[str, str]:
-    """Outcome pair for one flip; a pure function of (seed, trial)."""
+    """Outcome pair for one flip: lane 0 of game `trial` (0..MAX_GAME) on the mechanics stream of `seed`."""
     mech = _check_mech(mech)
     a, b = _start_bits(start)
-    f = int(philox(seed, trial).integers(0, 2))
+    f = draws(seed, STREAM_MECH, check_int(trial, "trial", 0, MAX_GAME), 1)
     return SYMBOLS[f], SYMBOLS[f ^ mech.u[a][b]]
 
 
@@ -300,10 +300,16 @@ class GameRecord:
         )
 
 
-def _check_record(rec) -> GameRecord:
-    if not isinstance(rec, GameRecord):
-        raise DomainError(f"not a GameRecord: {rec!r}")
-    return rec
+def _check_records(records) -> Iterator[GameRecord]:
+    """The GameRecords of an iterable, each checked as it is read; anything else is a DomainError."""
+    try:
+        records = iter(records)
+    except TypeError:
+        raise DomainError(f"records must be an iterable of GameRecords, got {records!r}") from None
+    for rec in records:
+        if not isinstance(rec, GameRecord):
+            raise DomainError(f"not a GameRecord: {rec!r}")
+        yield rec
 
 
 def parity_name(count: int) -> str:
@@ -439,9 +445,9 @@ def play_games(
 def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
     """Aggregate rounds in one pass; the CI half-width is the 3-sigma binomial band."""
     games = wins = net = 0
-    for rec in records:
+    for rec in _check_records(records):
         games += 1
-        wins += _check_record(rec).correct
+        wins += rec.correct
         net += rec.chips_net
     if games < 1:
         raise DomainError("no game records to summarize")
@@ -474,9 +480,12 @@ def monte_carlo(
 
 
 def write_transcript(records, fp) -> None:
-    """Emit one GameRecord JSON object per line."""
-    for rec in records:
-        fp.write(_check_record(rec).to_json() + "\n")
+    """Emit one GameRecord JSON object per line to a text file `fp`."""
+    write = getattr(fp, "write", None)
+    if not callable(write):
+        raise DomainError(f"transcript file must have a write method, got {fp!r}")
+    for rec in _check_records(records):
+        write(rec.to_json() + "\n")
 
 
 @dataclass(frozen=True)
@@ -495,11 +504,10 @@ class ParityTheoremReport:
 
     @functools.cached_property
     def failures(self) -> tuple[str, ...]:
-        hands = list(itertools.product((0, 1), repeat=self.lanes))
         out = []
         for seed, deals, combined_h in self.failing:
             for d, h in zip(deals.tolist(), combined_h.tolist()):
-                alice, bob = hands[d >> self.lanes], hands[d & (len(hands) - 1)]
+                alice, bob = lane_bits(d >> self.lanes, self.lanes), lane_bits(d & (1 << self.lanes) - 1, self.lanes)
                 doubles = sum(a & b for a, b in zip(alice, bob))
                 out.append(f"seed {seed} deal alice={alice} bob={bob}: {h} H vs {doubles} double-1 lanes")
         return tuple(out)
@@ -510,12 +518,10 @@ def verify_parity_theorem(
 ) -> ParityTheoremReport:
     """Exhaust every deal: combined H count parity must equal double-1-lane parity.
 
-    `seeds` holds 1..MAX_PARITY_SEEDS seeds. The 4**lanes deals run in
-    itertools.product order over (alice's lanes, bob's lanes), and one
-    philox(seed) draw of shape (deals, lanes) per seed supplies the lane
-    draws, so outcomes are reproducible functions of (seed, deal index,
-    lane). Deal d deals Alice hand d >> lanes and Bob hand d mod 2**lanes of
-    the product order.
+    `seeds` holds 1..MAX_PARITY_SEEDS seeds. Deal d in 0..4**lanes - 1 deals
+    Alice the mask d >> lanes and Bob the mask d mod 2**lanes (lane i at bit
+    i, as in the game), and its lane outcomes are game d's on the mechanics
+    stream, draws(seed, STREAM_MECH, d, lanes): one run of games per seed.
     """
     mech = _check_mech(mech)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
@@ -525,14 +531,12 @@ def verify_parity_theorem(
         raise DomainError(f"seeds must be an iterable of seeds, got {seeds!r}") from None
     if not 1 <= len(seeds) <= MAX_PARITY_SEEDS:
         raise DomainError(f"seeds must hold 1..{MAX_PARITY_SEEDS} seeds")
-    deals = np.arange(4**lanes)
-    # each hand as the mask of its product-order index, so lane i is bit lanes - 1 - i
-    alice, bob = deals >> lanes, deals & ((1 << lanes) - 1)
-    weights = 1 << np.arange(lanes - 1, -1, -1)
+    deals = np.arange(4**lanes, dtype=np.uint64)
+    alice, bob = deals >> lanes, deals & (1 << lanes) - 1
     unequal, doubles = mech.unequal_lanes(alice, bob, lanes), popcount(alice & bob)
     failing = []
     for seed in seeds:
-        fair = philox(seed).integers(0, 2, (len(deals), lanes)) @ weights
+        fair = draws(seed, STREAM_MECH, deals, lanes)
         combined_h = popcount(fair) + popcount(fair ^ unequal)
         failed = np.flatnonzero((combined_h ^ doubles) & 1)
         if failed.size:

@@ -1,19 +1,13 @@
-"""Counter-based random streams.
+"""Counter-based random streams: every draw in the package is a raw 64-bit word of one numpy C Philox.
 
-All stochastic code in the package draws from numpy's Philox4x64-10 (Salmon
-et al., "Parallel Random Numbers: As Easy as 1, 2, 3", SC 2011), keyed by
-(seed, *stream) through SeedSequence spawn keys: distinct stream paths under
-the same seed are statistically independent, and every draw is a
-reproducible function of (seed, stream path, counter).
-
-Because the generator is counter-based, drawing a stream in pieces gives the
-same doubles in the same order as one call: `uniform_blocks` streams
-philox(seed).random(n) through a buffer of at most BLOCK doubles. For the
-same reason one key per (seed, stream) serves every game: random-stream
-contract v2 gives game g the block Philox(key, counter=g) reads first (see
-`draws`), so consecutive games read consecutive blocks of numpy's own C
-Philox: one re-key through its public `state` and one `random_raw` read per
-run of consecutive game indices (an int index is a run of one).
+The words are Philox4x64-10's (Salmon et al., "Parallel Random Numbers: As
+Easy as 1, 2, 3", SC 2011) under the key `_key` derives from (seed, *stream),
+the key numpy's Philox(SeedSequence(seed, spawn_key=stream)) uses, so each
+word is a reproducible function of (seed, stream path, counter). The one
+generator is re-keyed through its public `state` and read under one lock,
+once per run of consecutive words: `word_blocks` reads the seed's words
+0..n-1 (numpy's Philox(seed) draws) a block at a time, and `draws` reads word
+0 of game g's block (random-stream contract v2), once per run of games.
 """
 
 from __future__ import annotations
@@ -26,30 +20,24 @@ import numpy as np
 
 from .errors import DomainError, check_int
 
-# 512 KiB of float64, small enough to stay in a per-core L2 cache
+# 512 KiB of 64-bit words, small enough to stay in a per-core L2 cache
 BLOCK = 1 << 16
 
 # game indices, for an int and an array alike: g + 1, the counter of game g's block, fits counter word 0
 MAX_GAME = 2**64 - 2
-# (seed, stream) pairs whose Philox key `_key` keeps; bounded, as a run may use many seeds
+# (seed, *stream) paths whose Philox key `_key` keeps; bounded, as a run may use many seeds
 KEYS = 256
 
-# `draws` re-keys this one C generator per run of consecutive counters and reads
-# its words under _LOCK (random_raw takes Philox's own lock, which is not reentrant)
+# every read re-keys this one C generator and reads its words under _LOCK
+# (random_raw takes Philox's own lock, which is not reentrant)
 _BIT_GENERATOR = np.random.Philox(0)
 _LOCK = threading.Lock()
 
 
-def philox(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for the given seed and stream path."""
-    ss = np.random.SeedSequence(check_int(seed, "seed"), spawn_key=tuple(check_int(s, "stream") for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
 @functools.lru_cache(maxsize=KEYS)
-def _key(seed: int, stream: int) -> tuple[int, int]:
-    """K(seed, stream): the key numpy's Philox(SeedSequence(seed, spawn_key=(stream,))) uses, as two ints."""
-    return tuple(np.random.SeedSequence(seed, spawn_key=(stream,)).generate_state(2, np.uint64).tolist())
+def _key(seed: int, *stream: int) -> tuple[int, int]:
+    """K(seed, *stream): the key numpy's Philox(SeedSequence(seed, spawn_key=stream)) uses, as two ints."""
+    return tuple(np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64).tolist())
 
 
 def _rekey(key: tuple[int, int], counter: int) -> np.random.Philox:
@@ -93,16 +81,17 @@ def draws(seed: int, stream: int, counter, k: int):
     return word & (1 << k) - 1
 
 
-def uniform_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
-    """philox(seed).random(n) as successive views of one reused buffer.
+def word_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
+    """numpy's Philox(seed).random_raw(n) as blocks of at most BLOCK words, one re-key and read each.
 
-    Each view holds at most BLOCK doubles and is overwritten by the next one,
-    so consume it before advancing; the concatenated views equal the one-shot
-    draw exactly.
+    numpy's Generator(Philox(seed)).random(n) is the same words as doubles, (w >> 11) * 2**-53.
     """
-    gen = philox(seed)
-    buf = np.empty(min(n, BLOCK))
-    for start in range(0, n, BLOCK):
-        view = buf[: min(BLOCK, n - start)]
-        gen.random(out=view)
-        yield view
+    n = check_int(n, "word count", 0)
+    key = _key(check_int(seed, "seed"))
+
+    def read(start: int) -> np.ndarray:
+        with _LOCK:
+            # BLOCK is a multiple of 4, so word `start` opens the block at counter start // 4 + 1
+            return _rekey(key, start // 4).random_raw(min(BLOCK, n - start))
+
+    return map(read, range(0, n, BLOCK))

@@ -27,7 +27,6 @@ from qubitlab.quoin import (
     coin_symbols,
     parity_name,
 )
-from qubitlab.rng import philox
 
 
 def measurement_operator(direction) -> np.ndarray:
@@ -197,8 +196,13 @@ def play_games(strategy, games, seed, *, mech=None, lanes=DEFAULT_LANES):
     return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
 
 
+def recipe_uniforms(seed: int, n: int) -> np.ndarray:
+    """The n sampled trials of a seed as doubles, from numpy alone: Generator(Philox(seed)).random(n)."""
+    return np.random.Generator(np.random.Philox(seed)).random(n)
+
+
 def sample_outcome_values(setup: SGSetup, n: int, seed: int) -> np.ndarray:
-    """n outcomes in {+1, -1} from one philox(seed).random(n) draw, the trials `measure.sample_outcomes` counts."""
+    """n outcomes in {+1, -1} from one recipe_uniforms(seed, n) draw, the trials `measure.sample_outcomes` counts."""
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     p_plus, _ = projection_probabilities(setup)
-    return np.where(philox(seed).random(n) < p_plus, 1, -1)
+    return np.where(recipe_uniforms(seed, n) < p_plus, 1, -1)

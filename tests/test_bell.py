@@ -289,12 +289,13 @@ class TestSampling:
             assert abs(correlator(kind, a_dir, b_dir) - jp.correlator) <= ATOL_EXACT
 
     def test_top_draw_lands_in_the_last_cell(self, monkeypatch):
-        # here the four probabilities sum to 1 - 2**-53 in floats, so a draw
-        # of 1 - 2**-53 lies above every running sum; it still counts, as mm
+        # here the four probabilities sum to 1 - 2**-53 in floats, so the top word 2**64 - 1,
+        # the draw 1 - 2**-53, lies above every running sum; it still counts, as mm
         a, b = plane_direction("xz", 1.56), plane_direction("xz", 0.0)
         jp = joint_probabilities(BellKind.SINGLET, a, b)
         assert np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm])[-1] == 1 - 2**-53
-        monkeypatch.setattr(rng, "uniform_blocks", lambda seed, n: iter([np.array([0.0, 1 - 2**-53])]))
+        words = np.array([0, 2**64 - 1], dtype=np.uint64)
+        monkeypatch.setattr(rng, "word_blocks", lambda seed, n: iter([words]))
         counts = sample_joint(BellKind.SINGLET, a, b, 2, seed=0).counts
         assert counts.tolist() == [[1, 0], [0, 1]]
 

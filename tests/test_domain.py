@@ -76,7 +76,7 @@ from qubitlab.quoin import (
     verify_parity_theorem,
     write_transcript,
 )
-from qubitlab.rng import MAX_GAME, draws, philox
+from qubitlab.rng import MAX_GAME, draws, word_blocks
 from qubitlab.spinops import LZ, SpinOperatorTriple
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
@@ -86,8 +86,12 @@ PR_BOX = pr_box()
 
 # name -> (call with the value, lo, hi or None, a valid value, the int the result echoes back or None)
 INTEGER_ARGS = {
-    "philox seed": (lambda v: philox(v), 0, None, 3, None),
-    "philox stream": (lambda v: philox(1, v), 0, None, 3, None),
+    "sample_outcomes seed": (lambda v: sample_outcomes(SETUP, 3, v), 0, None, 3, None),
+    "sample_joint seed": (lambda v: sample_joint(BellKind.SINGLET, Z, X, 3, v), 0, None, 3, None),
+    "word_blocks seed": (lambda v: word_blocks(v, 3), 0, None, 3, None),
+    "word_blocks word count": (lambda v: word_blocks(1, v), 0, None, 3, None),
+    "flip_pair seed": (lambda v: flip_pair(None, ("H", "H"), v, 0), 0, None, 3, None),
+    "flip_pair trial": (lambda v: flip_pair(None, ("H", "H"), 1, v), 0, MAX_GAME, 3, None),
     "draws seed": (lambda v: draws(v, 0, 5, 4), 0, None, 3, None),
     "draws seed for an index array": (lambda v: draws(v, 0, np.arange(1), 4), 0, None, 3, None),
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
@@ -432,13 +436,17 @@ def test_box_builder_wants_two_per_side(name, bad):
         BOX_ARGS[name](bad)
 
 
-# name -> call with the object, which must be a BehaviorBox, a list of GameRecords or a rigging and start string
+RECORD = play_game(QuoinStrategy(), 1, 1)
+# name -> call with the object, which must be a BehaviorBox, a GameRecord, an iterable of them,
+# a file with a write method, or a rigging and start string
 TYPED_ARGS = {
     "chsh_value": chsh_value,
     "no_signalling_check": no_signalling_check,
     "conservation_filter": conservation_filter,
     "summarize": lambda v: summarize([v]),
+    "summarize records": summarize,
     "write_transcript": lambda v: write_transcript([v], io.StringIO()),
+    "write_transcript file": lambda v: write_transcript([RECORD], v),
     "apply_rigging rigging": lambda v: apply_rigging(v, "H"),
     "apply_rigging start": lambda v: apply_rigging("H", v),
 }
@@ -446,8 +454,10 @@ TYPED_OK = {
     "chsh_value": PR_BOX,
     "no_signalling_check": PR_BOX,
     "conservation_filter": PR_BOX,
-    "summarize": play_game(QuoinStrategy(), 1, 1),
-    "write_transcript": play_game(QuoinStrategy(), 1, 1),
+    "summarize": RECORD,
+    "summarize records": [RECORD],
+    "write_transcript": RECORD,
+    "write_transcript file": io.StringIO(),
     "apply_rigging rigging": "S",
     "apply_rigging start": "T",
 }
@@ -465,6 +475,13 @@ def test_argument_of_another_type_raises(name, bad):
 @pytest.mark.parametrize("name", TYPED_ARGS)
 def test_arguments_of_the_right_type_accepted(name):
     TYPED_ARGS[name](TYPED_OK[name])
+
+
+@pytest.mark.parametrize("records", [None, 1, RECORD])
+def test_transcript_records_must_be_iterable(records):
+    # None used to escape as TypeError; an empty iterable writes nothing
+    with pytest.raises(DomainError):
+        write_transcript(records, io.StringIO())
 
 
 ATOL_ARGS = {

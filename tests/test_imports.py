@@ -48,7 +48,7 @@ MODULE_SETS = {
 # the analytic commands run on floats; numpy comes with sampling, the scan, the
 # game, and the array printing of a non-extremal box's conservation trace
 NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal"}
-# numpy.random (about 15 ms) comes with sampling and with the game: every game draw is keyed by
+# numpy.random (about 15 ms) comes with sampling and with the game: every draw is keyed by
 # numpy's SeedSequence, once per (seed, stream), also where `game simulate` plays index arrays
 NUMPY_RANDOM = {"project-trials", "bell-trials", "game", "game-transcript"}
 

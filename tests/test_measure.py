@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import sample_outcome_values
+from oracles import recipe_uniforms, sample_outcome_values
 
 from qubitlab.errors import DomainError
 from qubitlab.measure import (
@@ -18,7 +18,7 @@ from qubitlab.measure import (
     tally,
 )
 from qubitlab.qubit import so3_rotation
-from qubitlab.rng import BLOCK, philox
+from qubitlab.rng import BLOCK
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -128,16 +128,24 @@ class TestSampling:
 class TestTally:
     @settings(max_examples=60, deadline=None)
     @given(
-        weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4).filter(lambda w: sum(w) > 0.0),
+        probs=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4)
+        .filter(lambda w: sum(w) > 0.0)
+        .map(lambda w: [v / math.fsum(w) for v in w]),
         n=st.integers(1, 3 * BLOCK + 2),
         seed=st.integers(0, 2**63 - 1),
     )
-    @example(weights=[0.3, 0.0, 0.7], n=BLOCK, seed=1)
-    @example(weights=[0.25, 0.25, 0.25, 0.25], n=BLOCK + 1, seed=2)
-    @example(weights=[1.0, 0.0], n=2 * BLOCK - 1, seed=3)
-    def test_equals_the_one_shot_searchsorted_count(self, weights, n, seed):
-        probs = [w / math.fsum(weights) for w in weights]
-        cell = np.searchsorted(np.cumsum(probs[:-1]), philox(seed).random(n), side="right")
+    @example(probs=[0.3, 0.0, 0.7], n=BLOCK, seed=1)
+    @example(probs=[0.25, 0.25, 0.25, 0.25], n=BLOCK + 1, seed=2)
+    @example(probs=[1.0, 0.0], n=2 * BLOCK - 1, seed=3)
+    # edges at and just past the ends of [0, 1), where tally's integer word limit is clamped
+    @example(probs=[0.0, 1.0], n=5, seed=4)
+    @example(probs=[-1e-13, 1 + 1e-13], n=5, seed=5)
+    @example(probs=[2**-53, 1 - 2**-53], n=BLOCK + 3, seed=6)
+    @example(probs=[1 - 2**-53, 2**-53], n=BLOCK + 3, seed=7)
+    @example(probs=[1.0, 0.0], n=5, seed=8)
+    @example(probs=[1 + 1e-13, -1e-13], n=5, seed=9)
+    def test_equals_the_one_shot_searchsorted_count(self, probs, n, seed):
+        cell = np.searchsorted(np.cumsum(probs[:-1]), recipe_uniforms(seed, n), side="right")
         assert tally(probs, n, seed) == tuple(np.bincount(cell, minlength=len(probs)).tolist())
 
     def test_last_cell_takes_the_draws_above_every_edge(self):

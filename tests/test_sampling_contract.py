@@ -1,10 +1,12 @@
 """Sampled counts a fixed setting, trial count and seed must reproduce.
 
-Trials are philox(seed).random(n), consumed in blocks of rng.BLOCK. The table
-below was recorded from the one-shot samplers that drew all n uniforms at once
-(`searchsorted` + `bincount` for the joint counts), so it pins the block
-streaming to the same counts, across block boundaries. `sample_outcome_values`
-of `tests/oracles.py` and the one-shot draw inside this file are the oracles.
+Trials are the draws of numpy's Generator(Philox(seed)).random(n), read as raw
+words in blocks of rng.BLOCK. The table below was recorded from the one-shot
+samplers that drew all n uniforms at once (`searchsorted` + `bincount` for the
+joint counts), so it pins the block streaming and the word comparison to the
+same counts, across block boundaries. `recipe_uniforms` and
+`sample_outcome_values` of `tests/oracles.py` and the one-shot draw inside this
+file are the oracles.
 """
 
 import contextlib
@@ -17,10 +19,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sample_outcome_values
+from oracles import recipe_uniforms, sample_outcome_values
 
 from qubitlab import bell, cli, measure
-from qubitlab.rng import BLOCK, philox, uniform_blocks
+from qubitlab.rng import BLOCK, word_blocks
 
 NS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 10**6)
 SEEDS = (0, 7, 424242)
@@ -165,7 +167,7 @@ def one_shot_joint(kind, a_dir, b_dir, n, seed):
     """The whole draw at once: searchsorted over the first three edges, then bincount."""
     jp = bell.joint_probabilities(kind, a_dir, b_dir)
     edges = np.cumsum([jp.p_pp, jp.p_pm, jp.p_mp])
-    idx = np.searchsorted(edges, philox(seed).random(n), side="right")
+    idx = np.searchsorted(edges, recipe_uniforms(seed, n), side="right")
     return tuple(int(c) for c in np.bincount(idx, minlength=4))
 
 
@@ -195,9 +197,12 @@ def test_cli_sampled_output_pinned(command, seed):
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
 def test_blocks_concatenate_to_the_one_shot_draw(n):
-    blocks = [b.copy() for b in uniform_blocks(3, n)]
+    blocks = list(word_blocks(3, n))
     assert all(len(b) <= BLOCK for b in blocks)
-    np.testing.assert_array_equal(np.concatenate(blocks), philox(3).random(n))
+    words = np.concatenate(blocks)
+    np.testing.assert_array_equal(words, np.random.Philox(3).random_raw(n))
+    # numpy's double from word w is (w >> 11) * 2**-53
+    np.testing.assert_array_equal((words >> np.uint64(11)) * 2.0**-53, recipe_uniforms(3, n))
 
 
 class TestStreamingMatchesOneShot:
