@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, unit_vector
+from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int, unit_vector
 from .measure import _check_tally, tally
 
 if TYPE_CHECKING:
@@ -248,6 +248,7 @@ class JointSample:
         cells, n = _check_tally((pp, pm, mp, mm), self.n)
         object.__setattr__(self, "counts", np.array(cells).reshape(2, 2))
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", check_int(self.seed, "seed"))
 
     def conditional_mean(self, alice_outcome: int) -> float:
         """E[Bob's outcome | Alice's outcome] over the tallied trials."""

@@ -335,7 +335,7 @@ def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
     alice_bits, bob_bits = quoin.lane_bits(alice, lanes), quoin.lane_bits(bob, lanes)
     outcomes = strategy.transcript(lanes, alice, bob, hint, alice_out, bob_out)[:2]
     say(f"the dealer set your lanes to {list(alice_bits)} (Bob's side is hidden)")
-    say(f"you flip your quoins per your bits and see: {quoin.coin_symbols(quoin.lane_bits(alice_out, lanes))}")
+    say(f"you flip your quoins per your bits and see: {quoin.lane_symbols(alice_out, lanes)}")
     bits_bought = 0
     answer = input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower()
     if answer.startswith("y"):

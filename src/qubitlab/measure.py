@@ -71,7 +71,7 @@ class OutcomeSample:
 
     def __post_init__(self):
         counts, n = _check_tally((self.n_plus, self.n_minus), self.n)
-        for name, value in zip(("n_plus", "n_minus", "n"), (*counts, n)):
+        for name, value in zip(("n_plus", "n_minus", "n", "seed"), (*counts, n, check_int(self.seed, "seed"))):
             object.__setattr__(self, name, value)
 
     @property

@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -198,6 +198,12 @@ def lane_bits(mask: int, lanes: int) -> tuple[int, ...]:
     return tuple(int(mask) >> i & 1 for i in range(lanes))
 
 
+@functools.cache  # at most 2**MAX_LANES entries per lane count
+def lane_symbols(mask: int, lanes: int) -> str:
+    """H/T string of lanes 0..lanes-1 of one mask."""
+    return coin_symbols(lane_bits(mask, lanes))
+
+
 @dataclass(frozen=True)
 class QuoinStrategy:
     """Flip per dealt bits, buy Bob's one parity bit, guess the combined parity."""
@@ -209,8 +215,8 @@ class QuoinStrategy:
 
     def transcript(self, lanes, alice, bob, guess, alice_out, bob_out) -> tuple[str, ...]:
         return (
-            f"alice outcomes: {coin_symbols(lane_bits(alice_out, lanes))}",
-            f"bob outcomes: {coin_symbols(lane_bits(bob_out, lanes))}",
+            f"alice outcomes: {lane_symbols(alice_out, lanes)}",
+            f"bob outcomes: {lane_symbols(bob_out, lanes)}",
             f"bob sends parity bit {popcount(bob_out) & 1} (1 chip)",
             f"alice counts {popcount(alice_out)} H, guesses {parity_name(guess)}",
         )
@@ -265,9 +271,33 @@ def _net_chips(correct, bits_bought, chips_start: int = CHIPS_START):
     return correct * (2 * chips_start - 2 * bits_bought) - chips_start
 
 
+# every row of 0/1 bits over 1..MAX_LANES lanes, as Python ints, keyed by itself
+_BIT_ROWS = {row: row for lanes in range(1, MAX_LANES + 1) for row in itertools.product((0, 1), repeat=lanes)}
+PARITIES = ("even", "odd")
+
+
+def _bit_row(bits) -> tuple[int, ...]:
+    """A tuple or list of 0/1 bits over 1..MAX_LANES lanes as a tuple of Python ints; () for anything else."""
+    try:
+        return _BIT_ROWS[tuple(bits)] if isinstance(bits, (tuple, list)) else ()
+    except (KeyError, TypeError):  # not 0/1 bits, or unhashable ones
+        return ()
+
+
+@functools.cache  # one entry per row of _BIT_ROWS
+def _bits_json(row: tuple[int, ...]) -> str:
+    """The JSON list of one bit row."""
+    return str(list(row))
+
+
 @dataclass(frozen=True)
 class GameRecord:
-    """One guessing-game round with its chip-ledger outcome."""
+    """One guessing-game round with its chip-ledger outcome.
+
+    Bit rows and the transcript are stored as tuples (a list becomes one, and
+    each bit a Python int); a field `to_json` cannot render exactly is a
+    DomainError.
+    """
 
     bob_bits: tuple[int, ...]
     alice_bits: tuple[int, ...]
@@ -276,6 +306,24 @@ class GameRecord:
     guess: str
     chips_start: int = CHIPS_START
     transcript: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        bob, alice = _bit_row(self.bob_bits), _bit_row(self.alice_bits)
+        if not bob or len(bob) != len(alice):
+            rows = f"{self.bob_bits!r}, {self.alice_bits!r}"
+            raise DomainError(f"bit rows must be 0/1 bits over the same 1..{MAX_LANES} lanes, got {rows}")
+        for value in (self.target_parity, self.guess):
+            if type(value) is not str or value not in PARITIES:
+                raise DomainError(f"a parity must be 'even' or 'odd', got {value!r}")
+        transcript = tuple(self.transcript) if isinstance(self.transcript, (tuple, list)) else (None,)
+        if not all(type(line) is str for line in transcript):
+            raise DomainError(f"transcript must be a sequence of strings, got {self.transcript!r}")
+        # the normalised fields in one write to the instance dict, past the frozen __setattr__
+        self.__dict__.update(
+            bob_bits=bob, alice_bits=alice, transcript=transcript,
+            bits_bought=check_int(self.bits_bought, "bits bought"),
+            chips_start=check_int(self.chips_start, "chips at the start"),
+        )
 
     @property
     def correct(self) -> bool:
@@ -286,17 +334,12 @@ class GameRecord:
         return _net_chips(self.correct, self.bits_bought, self.chips_start)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "bob_bits": list(self.bob_bits),
-                "alice_bits": list(self.alice_bits),
-                "target_parity": self.target_parity,
-                "bits_bought": self.bits_bought,
-                "guess": self.guess,
-                "chips_start": self.chips_start,
-                "chips_net": self.chips_net,
-                "transcript": list(self.transcript),
-            }
+        """The record as one JSON object, byte for byte json.dumps of its fields with chips_net after chips_start."""
+        return (
+            f'{{"bob_bits": {_bits_json(self.bob_bits)}, "alice_bits": {_bits_json(self.alice_bits)}, '
+            f'"target_parity": "{self.target_parity}", "bits_bought": {self.bits_bought}, "guess": "{self.guess}", '
+            f'"chips_start": {self.chips_start}, "chips_net": {self.chips_net}, '
+            f'"transcript": [{", ".join(map(encode_basestring_ascii, self.transcript))}]}}'
         )
 
 
@@ -320,7 +363,10 @@ def _first_group(word, lanes: int, first: int):
     """The first lane group of a 64-bit word, from group `first` on, that is not all zero; 0 if none is."""
     full = (1 << lanes) - 1
     if type(word) is int:
-        return next(filter(None, (word >> lanes * group & full for group in range(first, 64 // lanes))), 0)
+        for group in range(first, 64 // lanes):
+            if hand := word >> lanes * group & full:
+                return hand
+        return 0
     hand = word >> lanes * first & full
     for group in range(first + 1, 64 // lanes):
         zero = hand == 0
@@ -395,14 +441,13 @@ def play_game(
         lanes, hands = check_int(lanes, "lanes", 1, MAX_LANES), None
     else:
         try:
-            bob_bits, alice_bits = map(tuple, deal)
-            valid = len(bob_bits) == len(alice_bits) and all(v in (0, 1) for v in bob_bits + alice_bits)
+            bob_bits, alice_bits = (_bit_row(tuple(bits)) for bits in deal)
         except (TypeError, ValueError):  # not a pair of bit sequences
-            valid = False
-        if not valid:
-            raise DomainError(f"hands must be 0/1 bits over the same lanes, got {deal!r}")
-        lanes = check_int(len(alice_bits), "lanes", 1, MAX_LANES)
-        hands = tuple(sum(int(b) << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
+            bob_bits = alice_bits = ()
+        if not bob_bits or len(bob_bits) != len(alice_bits):
+            raise DomainError(f"hands must be 0/1 bits over the same 1..{MAX_LANES} lanes, got {deal!r}")
+        lanes = len(alice_bits)
+        hands = tuple(sum(b << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
     return _record(strategy, lanes, *_play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands))
 
 

@@ -7,7 +7,9 @@ word is a reproducible function of (seed, stream path, counter). The one
 generator is re-keyed through its public `state` and read under one lock,
 once per run of consecutive words: `word_blocks` reads the seed's words
 0..n-1 (numpy's Philox(seed) draws) a block at a time, and `draws` reads word
-0 of game g's block (random-stream contract v2), once per run of games.
+0 of game g's block (random-stream contract v2), once per run of games. An
+int counter reads the aligned run of CHUNK blocks that holds it, kept for
+reuse, so games replayed one at a time at consecutive indices share a read.
 """
 
 from __future__ import annotations
@@ -27,6 +29,10 @@ BLOCK = 1 << 16
 MAX_GAME = 2**64 - 2
 # (seed, *stream) paths whose Philox key `_key` keeps; bounded, as a run may use many seeds
 KEYS = 256
+# an int counter c reads word 0 of the CHUNK blocks at counters c - c % CHUNK onwards (a power of 2, so
+# a run never crosses 2**256); `_chunk` keeps the last CHUNKS runs, each about 1 KiB of Python ints
+CHUNK = 16
+CHUNKS = 128
 
 # every read re-keys this one C generator and reads its words under _LOCK
 # (random_raw takes Philox's own lock, which is not reentrant)
@@ -50,6 +56,18 @@ def _rekey(key: tuple[int, int], counter: int) -> np.random.Philox:
     return _BIT_GENERATOR
 
 
+def _run(key: tuple[int, int], counter: int, n: int) -> np.ndarray:
+    """Word 0 of each block at counters counter, counter + 1, ... (n of them): one re-key and one read; hold _LOCK."""
+    return _rekey(key, counter).random_raw(4 * n)[::4]
+
+
+@functools.lru_cache(maxsize=CHUNKS)
+def _chunk(key: tuple[int, int], start: int) -> tuple[int, ...]:
+    """Word 0 of each block at counters start, start + 1, ... (CHUNK of them; start a multiple of CHUNK) as ints."""
+    with _LOCK:
+        return tuple(_run(key, start, CHUNK).tolist())
+
+
 def draws(seed: int, stream: int, counter, k: int):
     """The low k bits of Philox(key=K(seed, stream), counter=counter).random_raw(); draw i is bit i.
 
@@ -58,6 +76,7 @@ def draws(seed: int, stream: int, counter, k: int):
     counter g + 1 under the stream's one key (see `_key`). `counter` is one
     int in 0..2**256 - 1, which takes the dealer's widening counters too, or a
     1-d integer array of game indices in 0..MAX_GAME, whose masks are uint64.
+    An array reads each run of consecutive indices; an int, its cached chunk.
     """
     k = check_int(k, "draw count", 0, 64)
     # checked before the cache, which takes True for 1
@@ -73,11 +92,10 @@ def draws(seed: int, stream: int, counter, k: int):
         cuts = [0, *(np.flatnonzero(np.diff(games) != 1) + 1).tolist(), games.size] if games.size else []
         with _LOCK:
             for lo, hi in zip(cuts, cuts[1:]):
-                word[lo:hi] = _rekey(key, int(games[lo])).random_raw(4 * (hi - lo))[::4]
+                word[lo:hi] = _run(key, int(games[lo]), hi - lo)
     else:
         counter = check_int(counter, "Philox counter", 0, 2**256 - 1)
-        with _LOCK:
-            word = _rekey(key, counter).random_raw()
+        word = _chunk(key, counter - counter % CHUNK)[counter % CHUNK]
     return word & (1 << k) - 1
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -165,6 +166,22 @@ def random_play(self, mech, alice_bits, bob_bits, bits) -> tuple[int, str, tuple
 
 
 PLAY = {QuoinStrategy: quoin_play, ClassicalBitsStrategy: classical_play, RandomStrategy: random_play}
+
+
+def record_json(record: GameRecord) -> str:
+    """json.dumps of a record's fields in field order, chips_net after chips_start: what `to_json` must print."""
+    return json.dumps(
+        {
+            "bob_bits": list(record.bob_bits),
+            "alice_bits": list(record.alice_bits),
+            "target_parity": record.target_parity,
+            "bits_bought": record.bits_bought,
+            "guess": record.guess,
+            "chips_start": record.chips_start,
+            "chips_net": record.chips_net,
+            "transcript": list(record.transcript),
+        }
+    )
 
 
 def play_game(strategy, dealer_seed, mech_seed, *, game_index=0, mech=None, lanes=DEFAULT_LANES, deal=None):

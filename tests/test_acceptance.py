@@ -33,6 +33,7 @@ from qubitlab.quoin import (
     QuoinStrategy,
     enumerate_riggings,
     monte_carlo,
+    play_game,
     verify_parity_theorem,
 )
 from qubitlab.qubit import QubitState, bloch_rotation_for, su2_rotate
@@ -171,16 +172,21 @@ def test_criterion_09_quoin_game():
         QuoinStrategy(), n, seed=109, mech=QuoinMechanics.quantum_coin()
     )
     elapsed = time.perf_counter() - start
+    # the per-index path: games replayed one at a time at consecutive indices, each rendered as its record line
+    start = time.perf_counter()
+    lines = [play_game(QuoinStrategy(), 109, 109, game_index=g).to_json() for g in range(n)]
+    replay = time.perf_counter() - start
     ok = (
         quoin_summary.win_rate == 1.0
         and quoin_summary.mean_chips_net == 4.0
         and abs(quantum_summary.win_rate - 0.5) <= 0.015
+        and len(lines) == n
     )
     _report(
         9,
         "quoin strategy always nets +4; quantum coins drop to chance",
-        ok and elapsed < 5.0,
-        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s",
+        ok and elapsed < 5.0 and replay < 1.0,
+        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; {n} replayed lines {replay:.2f}s",
     )
 
 

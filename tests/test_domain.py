@@ -45,7 +45,7 @@ from qubitlab.boxes import (
 )
 from qubitlab.errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
-from qubitlab.measure import MAX_TRIALS, SGSetup, binomial_band, sample_outcomes
+from qubitlab.measure import MAX_TRIALS, OutcomeSample, SGSetup, binomial_band, sample_outcomes
 from qubitlab.qubit import (
     MAX_GBIT_S,
     MAX_PATH_STEPS,
@@ -63,6 +63,7 @@ from qubitlab.quoin import (
     MAX_GAMES,
     MAX_LANES,
     ClassicalBitsStrategy,
+    GameRecord,
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
@@ -86,8 +87,11 @@ PR_BOX = pr_box()
 
 # name -> (call with the value, lo, hi or None, a valid value, the int the result echoes back or None)
 INTEGER_ARGS = {
-    "sample_outcomes seed": (lambda v: sample_outcomes(SETUP, 3, v), 0, None, 3, None),
-    "sample_joint seed": (lambda v: sample_joint(BellKind.SINGLET, Z, X, 3, v), 0, None, 3, None),
+    # the samples used to store any seed, a numpy seed as numpy
+    "sample_outcomes seed": (lambda v: sample_outcomes(SETUP, 3, v), 0, None, 3, lambda r: r.seed),
+    "sample_joint seed": (lambda v: sample_joint(BellKind.SINGLET, Z, X, 3, v), 0, None, 3, lambda r: r.seed),
+    "OutcomeSample seed": (lambda v: OutcomeSample(1, 0, 1, v), 0, None, 3, lambda r: r.seed),
+    "JointSample seed": (lambda v: JointSample(((1, 0), (0, 0)), 1, v), 0, None, 3, lambda r: r.seed),
     "word_blocks seed": (lambda v: word_blocks(v, 3), 0, None, 3, None),
     "word_blocks word count": (lambda v: word_blocks(1, v), 0, None, 3, None),
     "flip_pair seed": (lambda v: flip_pair(None, ("H", "H"), v, 0), 0, None, 3, None),
@@ -112,6 +116,8 @@ INTEGER_ARGS = {
     "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, MAX_GAME, 3, None),
     "play_game dealer seed": (lambda v: play_game(RandomStrategy(), v, 1), 0, None, 3, None),
     "play_game mech seed": (lambda v: play_game(QuoinStrategy(), 1, v), 0, None, 3, None),
+    "GameRecord bits_bought": (lambda v: GameRecord((1,), (1,), "odd", v, "odd"), 0, None, 1, lambda r: r.bits_bought),
+    "GameRecord chips_start": (lambda v: GameRecord((1,), (1,), "odd", 1, "odd", v), 0, None, 6, lambda r: r.chips_start),
     "run_interactive_game lanes": (
         lambda v: cli.run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
         1, MAX_LANES, 3, lambda r: len(r.bob_bits),
@@ -482,6 +488,30 @@ def test_transcript_records_must_be_iterable(records):
     # None used to escape as TypeError; an empty iterable writes nothing
     with pytest.raises(DomainError):
         write_transcript(records, io.StringIO())
+
+
+# a GameRecord field `to_json` cannot render exactly -> the bad values; each used to be accepted, and then
+# raised TypeError in to_json or printed JSON that no game produces
+RECORD_FIELDS = ("bob_bits", "alice_bits", "target_parity", "bits_bought", "guess", "chips_start", "transcript")
+BAD_RECORD_FIELDS = {
+    "bob_bits": [(2, 0, 1, 1, 0), (1, 0, 1, 1, 0.5), (1, 0, 1, 1), (), (1,) * 9, "10110", None, 5, {1: 0},
+                 np.array([1, 0, 1, 1, 0]), ((1,), (0,), (1,), (1,), (0,)), (1, 0, 1, 1, "0"), (1, 0, 1, 1, None)],
+    "alice_bits": [(1, 0, 0, 1), (1, 0, 0, 1, 1, 0), (1, 0, 0, 1, -1), range(2)],
+    "target_parity": ["Even", "", 0, None, b"even", ("even",)],
+    "guess": ["ODD", 1, True, None],
+    "bits_bought": [True, 1.0, "1", -1, None],
+    "chips_start": [np.bool_(True), 6.5, "6", None],
+    "transcript": ["line", None, 3, ("line", 2), ["line", b"bytes"], ("line", None)],
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n, values in BAD_RECORD_FIELDS.items() for b in values]
+)
+def test_game_record_refuses_what_to_json_cannot_render(name, bad):
+    fields = dict(zip(RECORD_FIELDS, ((1, 0, 1, 1, 0), (1, 0, 0, 1, 1), "even", 1, "even", 6, ("a line",))))
+    with pytest.raises(DomainError):
+        GameRecord(**{**fields, name: bad})
 
 
 ATOL_ARGS = {

@@ -3,10 +3,11 @@
 `rng.draws` reads random-stream contract v2: game g's draws on a stream are
 the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g). It
 reads them from numpy's C Philox, re-keyed once per run of consecutive game
-indices: an int index is a run of one, read with one scalar `random_raw()`,
-and each run of an index array is one `random_raw(4 * n)` read. These tests
-hold both paths to that recipe, on arrays of many runs and from several
-threads at once, check that a block of games costs one re-key, and hold
+indices: each run of an index array is one `random_raw(4 * n)` read, and an
+int counter is a word of the cached, aligned run of `rng.CHUNK` blocks that
+holds it. These tests hold both to that recipe, on arrays of many runs, at
+chunk edges and counter-word carries and from several threads at once,
+check that a block of games costs one re-key, and hold
 `play_game`, `play_games` and `monte_carlo`, which all draw through
 `rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
 the recipe alone.
@@ -25,6 +26,7 @@ from hypothesis import strategies as st
 
 from qubitlab import quoin, rng
 from qubitlab.errors import DomainError
+from qubitlab.measure import tally
 from qubitlab.quoin import (
     ClassicalBitsStrategy,
     QuoinMechanics,
@@ -35,7 +37,7 @@ from qubitlab.quoin import (
     play_games,
     summarize,
 )
-from qubitlab.rng import MAX_GAME, draws
+from qubitlab.rng import CHUNK, MAX_GAME, draws
 
 # game indices past one uint32 word, up to the last one
 WIDE_INDICES = [2**32, 2**40 + 3, 2**63 + 5, MAX_GAME]
@@ -95,32 +97,48 @@ class TestKernel:
                 assert masks.tolist() == recipe_masks(seed, stream, games, k), (dtype, seed, stream)
 
     def test_threads_share_the_rekeyed_generator(self):
-        # each thread re-keys the one C Philox, for int indices and for index arrays of several runs;
-        # its masks must still be its own games'
+        # each thread re-keys the one C Philox, for int indices and for index arrays of several runs, beside
+        # a sampler that re-keys it block by block; its masks must still be its own games', and the counts
+        # the sampler's. The int sweeps touch more chunks than the cache keeps, so ints keep reading too.
         arrays = {seed: np.array([seed, seed + 1, seed + 2, 2**40 + seed, 2**40 + seed + 1, 7], dtype=np.uint64)
                   for seed in range(4)}
+        sweeps = {seed: [g * CHUNK + seed for g in range(rng.CHUNKS // 4 + 8)] for seed in range(4)}
         cases = [
             (seed, stream, game, k)
-            for seed in range(4) for stream in range(3) for game, k in ((seed, 16), (2**40 + seed, 64), ("array", 64))
+            for seed in range(4)
+            for stream in range(3)
+            for game, k in ((seed, 16), (2**40 + seed, 64), ("array", 64), ("sweep", 64))
         ]
+        games = {"array": arrays, "sweep": sweeps}
         expected = {
-            case: recipe_masks(*case[:2], arrays[case[0]] if case[2] == "array" else [case[2]], case[3])
+            case: recipe_masks(*case[:2], games[case[2]][case[0]] if case[2] in games else [case[2]], case[3])
             for case in cases
         }
-        barrier, mismatches = threading.Barrier(4, timeout=60), []
+        probs, n = (0.2, 0.3, 0.5), 3 * rng.BLOCK + 5
+        expected_tally = tally(probs, n, seed=9)
+        barrier, mismatches = threading.Barrier(5, timeout=60), []
 
         def worker(seed):
             barrier.wait()
-            for _ in range(200):
+            for _ in range(20):
                 for case in cases:
                     if case[0] != seed:
                         continue
                     s, stream, game, k = case
-                    got = draws(s, stream, arrays[s], k).tolist() if game == "array" else [draws(s, stream, game, k)]
+                    if game == "array":
+                        got = draws(s, stream, arrays[s], k).tolist()
+                    else:
+                        got = [draws(s, stream, g, k) for g in (sweeps[s] if game == "sweep" else [game])]
                     if got != expected[case]:
                         mismatches.append(case)
 
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(4)]
+        def sampler():
+            barrier.wait()
+            for _ in range(6):
+                if tally(probs, n, seed=9) != expected_tally:
+                    mismatches.append("tally")
+
+        threads = [threading.Thread(target=sampler), *(threading.Thread(target=worker, args=(s,)) for s in range(4))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, between the re-key and the read too
         try:
@@ -153,6 +171,45 @@ class TestKernel:
         # a block is one run of consecutive games: one re-key per draws call, not one per game
         assert 1 <= len(calls) <= 3
         assert len(rekeys) == len(calls)
+
+    # counters at both edges of a chunk, across the carries of counter words 0 and 1, at widening
+    # counters g + r * 2**192 and at the top of the counter range
+    RUN_EDGES = [
+        0, CHUNK, 7 * CHUNK, 2**32, 2**64, 2**128, oracles.WIDENING, CHUNK + 2 * oracles.WIDENING,
+        MAX_GAME + 1 + (2**64 - 1) * oracles.WIDENING, 2**256 - CHUNK,
+    ]
+
+    @pytest.mark.parametrize("edge", RUN_EDGES)
+    def test_int_counters_read_their_chunk(self, edge):
+        counters = [c for c in range(edge - 2, edge + 2) if 0 <= c < 2**256] + [edge + CHUNK - 1, 2**256 - 1]
+        for order in (counters, counters[::-1]):  # from a cold cache, each chunk first read at either end
+            rng._chunk.cache_clear()
+            for seed, stream in ((5, 0), (2**64 + 5, 2)):
+                assert [draws(seed, stream, c, 64) for c in order] == recipe_masks(seed, stream, order, 64)
+
+    def test_chunk_cache_is_bounded(self):
+        draws(1, 0, 0, 64)
+        rng._chunk.cache_clear()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for start in range(0, (rng.CHUNKS + 50) * CHUNK, CHUNK):
+                draws(10**6, 1, start + 3, 64)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert rng._chunk.cache_info().currsize == rng._chunk.cache_info().maxsize == rng.CHUNKS
+        assert held <= 256 * 1024
+
+    def test_consecutive_ints_share_one_read_per_chunk(self, monkeypatch):
+        rekeys = []
+        real_rekey = rng._rekey
+        monkeypatch.setattr(rng, "_rekey", lambda *args: rekeys.append(args) or real_rekey(*args))
+        rng._chunk.cache_clear()
+        for g in range(5 * CHUNK + 3, 9 * CHUNK + 3):
+            play_game(QuoinStrategy(), 41, 42, game_index=g)
+        # games 83..146 lie in chunks 5..9: five reads on each of the deal and mechanics streams, widening words aside
+        assert len(rekeys) - sum(counter >= oracles.WIDENING for _, counter in rekeys) == 2 * 5
 
     def test_key_cache_is_bounded(self):
         for seed in range(10**6, 10**6 + rng.KEYS + 50):

@@ -5,10 +5,12 @@ import re
 import tracemalloc
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qubitlab import cli
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
     MAX_GAMES,
@@ -27,6 +29,7 @@ from qubitlab.quoin import (
     play_games,
     verify_parity_theorem,
 )
+from qubitlab.rng import MAX_GAME
 
 TABLE_DEAL = ((1, 0, 1, 1, 0), (1, 0, 0, 1, 1))  # (bob, alice)
 
@@ -243,6 +246,68 @@ class TestGameAccounting:
         a = play_game(QuoinStrategy(), 9, 9, game_index=4)
         b = play_game(QuoinStrategy(), 9, 9, game_index=4)
         assert a == b
+
+
+MECHANICS = [QuoinMechanics.standard(), QuoinMechanics.quantum_coin()]
+
+
+def strategies_for(lanes):
+    """Every strategy that can play `lanes` lanes: the quoin one, the random one, and k = 0..lanes classical bits."""
+    return st.sampled_from([QuoinStrategy(), RandomStrategy(), *map(ClassicalBitsStrategy, range(lanes + 1))])
+
+
+class TestRecordFormatter:
+    """`GameRecord.to_json` is the one record formatter: its bytes are json.dumps of the record's fields."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lanes=st.integers(1, MAX_LANES), mech=st.sampled_from(MECHANICS))
+    def test_play_game_lines_are_json_dumps(self, data, lanes, mech):
+        strategy = data.draw(strategies_for(lanes))
+        seed, game = data.draw(st.integers(0, 2**70)), data.draw(st.integers(0, MAX_GAME))
+        record = play_game(strategy, seed, seed + 1, game_index=game, mech=mech, lanes=lanes)
+        assert record.to_json() == oracles.record_json(record)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), lanes=st.integers(1, MAX_LANES), mech=st.sampled_from(MECHANICS))
+    def test_play_games_lines_are_json_dumps(self, data, lanes, mech):
+        strategy = data.draw(strategies_for(lanes))
+        for record in play_games(strategy, data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**40)),
+                                 mech=mech, lanes=lanes):
+            assert record.to_json() == oracles.record_json(record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**40),
+        lanes=st.integers(1, MAX_LANES),
+        mech=st.sampled_from(MECHANICS),
+        answers=st.tuples(st.sampled_from(["y", "n"]), st.sampled_from(["even", "odd", "?"])),
+    )
+    def test_interactive_game_lines_are_json_dumps(self, seed, lanes, mech, answers):
+        replies = iter(answers)
+        record = cli.run_interactive_game(seed, mech, lanes, lambda prompt: next(replies), lambda line: None)
+        assert record.to_json() == oracles.record_json(record)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, MAX_LANES).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, 1)] * n), min_size=2,
+                                                                  max_size=2)),
+        parities=st.lists(st.sampled_from(["even", "odd"]), min_size=2, max_size=2),
+        bought=st.integers(0, 2**70),
+        chips=st.integers(0, 2**70),
+        # every code point, lone surrogates and control characters included
+        transcript=st.lists(st.text(st.characters(exclude_categories=())), max_size=5),
+    )
+    def test_any_valid_fields_render_as_json_dumps(self, rows, parities, bought, chips, transcript):
+        record = GameRecord(rows[0], rows[1], parities[0], bought, parities[1], chips, transcript)
+        assert record.to_json() == oracles.record_json(record)
+        assert json.loads(record.to_json())["transcript"] == transcript
+
+    def test_lists_and_numpy_values_are_stored_as_tuples_of_ints(self):
+        record = GameRecord([1, np.int64(0)], [True, 1.0], "odd", np.int64(1), "odd", 6, ["line"])
+        assert record == GameRecord((1, 0), (1, 1), "odd", 1, "odd", 6, ("line",))
+        assert all(type(b) is int for b in record.bob_bits + record.alice_bits)
+        assert type(record.bits_bought) is int
+        assert record.to_json() == oracles.record_json(record)
 
 
 class TestDealers:
