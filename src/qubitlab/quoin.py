@@ -273,6 +273,8 @@ def _net_chips(correct, bits_bought, chips_start: int = CHIPS_START):
 
 # every row of 0/1 bits over 1..MAX_LANES lanes, as Python ints, keyed by itself
 _BIT_ROWS = {row: row for lanes in range(1, MAX_LANES + 1) for row in itertools.product((0, 1), repeat=lanes)}
+# the JSON list of each bit row
+_BIT_JSON = {row: str(list(row)) for row in _BIT_ROWS}
 PARITIES = ("even", "odd")
 
 
@@ -282,12 +284,6 @@ def _bit_row(bits) -> tuple[int, ...]:
         return _BIT_ROWS[tuple(bits)] if isinstance(bits, (tuple, list)) else ()
     except (KeyError, TypeError):  # not 0/1 bits, or unhashable ones
         return ()
-
-
-@functools.cache  # one entry per row of _BIT_ROWS
-def _bits_json(row: tuple[int, ...]) -> str:
-    """The JSON list of one bit row."""
-    return str(list(row))
 
 
 @dataclass(frozen=True)
@@ -336,7 +332,7 @@ class GameRecord:
     def to_json(self) -> str:
         """The record as one JSON object, byte for byte json.dumps of its fields with chips_net after chips_start."""
         return (
-            f'{{"bob_bits": {_bits_json(self.bob_bits)}, "alice_bits": {_bits_json(self.alice_bits)}, '
+            f'{{"bob_bits": {_BIT_JSON[self.bob_bits]}, "alice_bits": {_BIT_JSON[self.alice_bits]}, '
             f'"target_parity": "{self.target_parity}", "bits_bought": {self.bits_bought}, "guess": "{self.guess}", '
             f'"chips_start": {self.chips_start}, "chips_net": {self.chips_net}, '
             f'"transcript": [{", ".join(map(encode_basestring_ascii, self.transcript))}]}}'
@@ -356,7 +352,7 @@ def _check_records(records) -> Iterator[GameRecord]:
 
 
 def parity_name(count: int) -> str:
-    return "even" if count % 2 == 0 else "odd"
+    return PARITIES[count % 2]
 
 
 def _first_group(word, lanes: int, first: int):

@@ -99,10 +99,11 @@ class TestKernel:
     def test_threads_share_the_rekeyed_generator(self):
         # each thread re-keys the one C Philox, for int indices and for index arrays of several runs, beside
         # a sampler that re-keys it block by block; its masks must still be its own games', and the counts
-        # the sampler's. The int sweeps touch more chunks than the cache keeps, so ints keep reading too.
+        # the sampler's. Each worker's int sweeps touch more chunks per round than the cache keeps, so every
+        # int read, the single int games' too, misses the cache and re-keys the generator in every round.
         arrays = {seed: np.array([seed, seed + 1, seed + 2, 2**40 + seed, 2**40 + seed + 1, 7], dtype=np.uint64)
                   for seed in range(4)}
-        sweeps = {seed: [g * CHUNK + seed for g in range(rng.CHUNKS // 4 + 8)] for seed in range(4)}
+        sweeps = {seed: [g * CHUNK + seed for g in range(1, rng.CHUNKS // 2 + 1)] for seed in range(4)}
         cases = [
             (seed, stream, game, k)
             for seed in range(4)
@@ -116,11 +117,11 @@ class TestKernel:
         }
         probs, n = (0.2, 0.3, 0.5), 3 * rng.BLOCK + 5
         expected_tally = tally(probs, n, seed=9)
-        barrier, mismatches = threading.Barrier(5, timeout=60), []
+        barrier, mismatches, tallies, done = threading.Barrier(5, timeout=60), [], [], threading.Event()
 
         def worker(seed):
             barrier.wait()
-            for _ in range(20):
+            for _ in range(200):
                 for case in cases:
                     if case[0] != seed:
                         continue
@@ -134,22 +135,27 @@ class TestKernel:
 
         def sampler():
             barrier.wait()
-            for _ in range(6):
-                if tally(probs, n, seed=9) != expected_tally:
+            while not done.is_set():
+                tallies.append(tally(probs, n, seed=9))
+                if tallies[-1] != expected_tally:
                     mismatches.append("tally")
 
+        rng._chunk.cache_clear()
         threads = [threading.Thread(target=sampler), *(threading.Thread(target=worker, args=(s,)) for s in range(4))]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, between the re-key and the read too
         try:
             for t in threads:
                 t.start()
-            for t in threads:
+            for t in threads[1:]:
                 t.join(timeout=60)
         finally:
+            done.set()
+            threads[0].join(timeout=60)
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert not mismatches
+        assert not mismatches and tallies
+        assert rng._chunk.cache_info().hits == 0
 
     @pytest.mark.parametrize("strategy", [QuoinStrategy(), RandomStrategy(), ClassicalBitsStrategy(2)])
     def test_a_block_of_games_rekeys_once_per_draws_call(self, monkeypatch, strategy):
