@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import bell
-from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_finite, check_int
+from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_finite, check_int, unit_vector
 
 OUTCOMES = (1, -1)
 # largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
@@ -138,12 +138,16 @@ class ChshResult:
     minus_on: tuple[int, int]
 
 
-def chsh_value(box: BehaviorBox) -> ChshResult:
-    e = _check_box(box)[0].correlators()
+def _chsh(e) -> tuple:
+    """ChshResult's fields for a 2x2 correlator table e[x][y]: the value, e, and the (x, y) of the minus sign."""
     total = e[0][0] + e[0][1] + e[1][0] + e[1][1]
-    values = {(x, y): abs(total - 2.0 * e[x][y]) for x in (0, 1) for y in (0, 1)}
-    minus_on = max(values, key=values.get)  # the first of equal maxima
-    return ChshResult(values[minus_on], e, minus_on)
+    values = [abs(total - 2.0 * v) for row in e for v in row]  # row-major (x, y)
+    k = values.index(max(values))  # the first of equal maxima
+    return values[k], e, divmod(k, 2)
+
+
+def chsh_value(box: BehaviorBox) -> ChshResult:
+    return ChshResult(*_chsh(_check_box(box)[0].correlators()))
 
 
 def deterministic_box(alice_outcomes, bob_outcomes) -> BehaviorBox:
@@ -170,9 +174,9 @@ class LhvScanResult:
 
 
 def lhv_max_chsh() -> LhvScanResult:
-    """Brute-force the CHSH maximum over all local deterministic strategies."""
+    """Brute-force the CHSH maximum over the correlator tables E_xy = a_x * b_y of the deterministic strategies."""
     pairs = list(itertools.product(itertools.product(OUTCOMES, repeat=2), repeat=2))
-    values = [chsh_value(deterministic_box(a, b)).value for a, b in pairs]
+    values = [_chsh([[ax * by for by in b] for ax in a])[0] for a, b in pairs]
     best = max(values)
     hits = [pair for pair, v in zip(pairs, values) if abs(v - best) <= ATOL_EXACT]
     return LhvScanResult(best, *hits[0], len(pairs), len(hits))
@@ -209,7 +213,10 @@ def quantum_box(kind: bell.BellKind, a_dirs, b_dirs) -> BehaviorBox:
         (a0, a1), (b0, b1) = a_dirs, b_dirs
     except (TypeError, ValueError):  # None, or not two directions
         raise DomainError("need exactly two measurement directions per side") from None
-    return _box((0, 0), (0, 0), [[bell.correlator(kind, a, b) for b in (b0, b1)] for a in (a0, a1)])
+    a = [unit_vector(d, "Alice's direction") for d in (a0, a1)]
+    b = [unit_vector(d, "Bob's direction") for d in (b0, b1)]
+    signs = bell._check_kind(kind).pauli_signs
+    return _box((0, 0), (0, 0), [[bell.correlate(signs, ax, by) for by in b] for ax in a])
 
 
 @dataclass(frozen=True)
@@ -280,21 +287,30 @@ def tsirelson_scan(
     """
     import numpy as np
     n = check_int(n, "grid size n", 2, MAX_SCAN_N)
-    if np.shape(check_finite(alice_angles, "Alice's angles")) != (2,):
+    angles = check_finite(alice_angles, "Alice's angles")
+    if np.shape(angles) != (2,):
         raise DomainError(f"need exactly two Alice angles, got {alice_angles!r}")
     plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
-    a = [c[:, None] for c in bell.plane_direction(plane, alice_angles)]  # [x, 1] per component
+    a = [c[:, None] for c in bell.plane_direction(plane, angles)]  # [x, 1] per component
     e = bell.correlate(kind.pauli_signs, a, bell.plane_direction(plane, grid))  # [x, k]
     s = e[0] + e[1]
-    parts = [(m * f, m * g) for c in e for f, g in ((s - 2.0 * c, s), (s, s - 2.0 * c)) for m in (1.0, -1.0)]
-    top = max(f.max() + g.max() for f, g in parts)
+    rows = np.stack((s - 2.0 * e[0], s - 2.0 * e[1], s))
+    rows = np.concatenate((rows, -rows))  # every part f or g: +/-(s - 2 E_a), +/-(s - 2 E_a'), +/-s
+    top = rows.max(axis=1).tolist()
+    # (row of f, row of g) per placement: the minus on E_x at k0, then at k1, each with the sign + then -
+    parts = [(f + m, g + m) for x in (0, 1) for f, g in ((x, 2), (2, x)) for m in (0, 3)]
+    peaks = [top[f] + top[g] for f, g in parts]
     hits = []
-    for f, g in (part for part in parts if part[0].max() + part[1].max() >= top - 1e-12):
-        k0 = np.flatnonzero(f >= f.max() - 1e-12)[:, None]
-        k1 = np.flatnonzero(g >= g.max() - 1e-12)
-        best = np.max([abs(s[k0] + s[k1] - 2.0 * c) for c in (*e[:, k0], *e[:, k1])], axis=0)
+    for f, g in (part for part, peak in zip(parts, peaks) if peak >= max(peaks) - 1e-12):
+        k0, k1 = (np.flatnonzero(rows[r] >= top[r] - 1e-12) for r in (f, g))
+        if len(k0) == len(k1) == 1:  # the common case: one grid pair
+            (i,), (j,) = k0.tolist(), k1.tolist()
+            hits.append((float(max(abs(s[i] + s[j] - 2.0 * c) for c in (e[0, i], e[1, i], e[0, j], e[1, j]))), i, j))
+            continue
+        corr = np.concatenate(np.broadcast_arrays(e[:, k0, None], e[:, None, k1]))  # [4, k0, k1]
+        best = np.abs(s[k0, None] + s[k1] - 2.0 * corr).max(axis=0)
         i, j = np.unravel_index(int(best.argmax()), best.shape)
-        hits.append((float(best[i, j]), int(k0[i, 0]), int(k1[j])))
+        hits.append((float(best[i, j]), int(k0[i]), int(k1[j])))
     value, k0, k1 = max(hits, key=lambda hit: (hit[0], -hit[1], -hit[2]))
-    return TsirelsonScan(value, float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles))
+    return TsirelsonScan(value, float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(angles.tolist()))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, as_matrix, commutator, is_hermitian
+from .errors import DomainError
+from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, _finite, as_matrix
 from .qubit import su2_rotation
 
 LZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
@@ -98,9 +99,18 @@ class SpinTripleReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _check(name: str, actual: np.ndarray, expected: np.ndarray, atol=ATOL_EXACT) -> CheckResult:
-    dev = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
-    return CheckResult(name, dev <= atol, dev)
+_S2 = 1.0 / math.sqrt(2)
+# the visible Pauli blocks: lx upper and lower, ly upper and lower, lz corner
+_BLOCK_TARGETS = np.stack((_S2 * SIGMA_X, _S2 * SIGMA_X, _S2 * SIGMA_Y, _S2 * SIGMA_Y, SIGMA_Z))
+_NAMES = (
+    "lx upper block = sigma_x/sqrt2", "lx lower block = sigma_x/sqrt2", "ly upper block = sigma_y/sqrt2",
+    "ly lower block = sigma_y/sqrt2", "lz corner block = sigma_z", "[lx,ly] = i lz", "[ly,lz] = i lx", "[lz,lx] = i ly",
+)
+
+
+def _deviations(actual: np.ndarray, expected: np.ndarray) -> list[float]:
+    """max |actual - expected| over each item of a stack."""
+    return np.abs(actual - expected).max(axis=tuple(range(1, actual.ndim))).tolist()
 
 
 def verify_pauli_embedding(triple: SpinOperatorTriple) -> SpinTripleReport:
@@ -110,24 +120,18 @@ def verify_pauli_embedding(triple: SpinOperatorTriple) -> SpinTripleReport:
     For lx and ly the overlapping upper/lower 2x2 blocks carry sigma_x/sqrt(2)
     and sigma_y/sqrt(2); for lz it is the corner block that carries sigma_z.
     """
-    lx, ly, lz = triple.lx, triple.ly, triple.lz
-    s = 1.0 / math.sqrt(2)
-    upper = np.ix_((0, 1), (0, 1))
-    lower = np.ix_((1, 2), (1, 2))
-    corner = np.ix_((0, 2), (0, 2))
-    checks = [
-        _check("lx upper block = sigma_x/sqrt2", lx[upper], s * SIGMA_X),
-        _check("lx lower block = sigma_x/sqrt2", lx[lower], s * SIGMA_X),
-        _check("ly upper block = sigma_y/sqrt2", ly[upper], s * SIGMA_Y),
-        _check("ly lower block = sigma_y/sqrt2", ly[lower], s * SIGMA_Y),
-        _check("lz corner block = sigma_z", lz[corner], SIGMA_Z),
-        _check("[lx,ly] = i lz", commutator(lx, ly), 1j * lz),
-        _check("[ly,lz] = i lx", commutator(ly, lz), 1j * lx),
-        _check("[lz,lx] = i ly", commutator(lz, lx), 1j * ly),
-    ]
-    for name, op in (("lx", lx), ("ly", ly), ("lz", lz)):
-        if is_hermitian(op):  # eigvalsh returns the spectrum in ascending order
-            checks.append(_check(f"{name} spectrum = (-1, 0, +1)", np.linalg.eigvalsh(op), np.array([-1.0, 0.0, 1.0])))
-        else:
-            checks.append(_check(f"{name} Hermitian", op, op.conj().T))
-    return SpinTripleReport(tuple(checks))
+    if not isinstance(triple, SpinOperatorTriple):
+        raise DomainError(f"not a SpinOperatorTriple: {triple!r}")
+    ops = np.stack((triple.lx, triple.ly, triple.lz))
+    nxt = ops[[1, 2, 0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = _finite(ops @ nxt - nxt @ ops, "commutator entries")  # [lx,ly], [ly,lz], [lz,lx]
+        asymmetry = _deviations(ops, ops.conj().swapaxes(1, 2))
+    blocks = np.stack((ops[0, :2, :2], ops[0, 1:, 1:], ops[1, :2, :2], ops[1, 1:, 1:], ops[2, ::2, ::2]))
+    devs = _deviations(blocks, _BLOCK_TARGETS) + _deviations(comm, 1j * ops[[2, 0, 1]])
+    hermitian = [d <= ATOL_EXACT for d in asymmetry]
+    # eigvalsh returns each spectrum in ascending order
+    spectra = iter(_deviations(np.linalg.eigvalsh(ops[hermitian]), np.array([-1.0, 0.0, 1.0])))
+    devs += [next(spectra) if h else asym for h, asym in zip(hermitian, asymmetry)]
+    names = _NAMES + tuple(f"l{a} spectrum = (-1, 0, +1)" if h else f"l{a} Hermitian" for a, h in zip("xyz", hermitian))
+    return SpinTripleReport(tuple(CheckResult(name, dev <= ATOL_EXACT, dev) for name, dev in zip(names, devs)))

@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 from qubitlab import bell
-from qubitlab.boxes import TsirelsonScan
-from qubitlab.errors import DomainError, check_int
-from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, unit_vector
+from qubitlab.boxes import OUTCOMES, LhvScanResult, TsirelsonScan, chsh_value, deterministic_box
+from qubitlab.errors import ATOL_EXACT, DomainError, check_int
+from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, is_hermitian, unit_vector
 from qubitlab.measure import MAX_TRIALS, SGSetup, projection_probabilities
 from qubitlab.quoin import (
     CHIPS_START,
@@ -28,6 +28,7 @@ from qubitlab.quoin import (
     coin_symbols,
     parity_name,
 )
+from qubitlab.spinops import CheckResult, SpinOperatorTriple, SpinTripleReport
 
 
 def measurement_operator(direction) -> np.ndarray:
@@ -69,6 +70,45 @@ def matrix_scan(
     return TsirelsonScan(
         float(best[k0, k1]), float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(alice_angles)
     )
+
+
+def box_enumeration() -> LhvScanResult:
+    """lhv_max_chsh by building each of the 16 deterministic strategy boxes and taking its chsh_value."""
+    pairs = list(itertools.product(itertools.product(OUTCOMES, repeat=2), repeat=2))
+    values = [chsh_value(deterministic_box(a, b)).value for a, b in pairs]
+    best = max(values)
+    hits = [pair for pair, v in zip(pairs, values) if abs(v - best) <= ATOL_EXACT]
+    return LhvScanResult(best, *hits[0], len(pairs), len(hits))
+
+
+def _check(name: str, actual, expected) -> CheckResult:
+    dev = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
+    return CheckResult(name, dev <= ATOL_EXACT, dev)
+
+
+def pauli_embedding_checks(triple: SpinOperatorTriple) -> SpinTripleReport:
+    """verify_pauli_embedding one check at a time: each block, commutator and spectrum on its own."""
+    lx, ly, lz = triple.lx, triple.ly, triple.lz
+    s = 1.0 / math.sqrt(2)
+    upper = np.ix_((0, 1), (0, 1))
+    lower = np.ix_((1, 2), (1, 2))
+    corner = np.ix_((0, 2), (0, 2))
+    checks = [
+        _check("lx upper block = sigma_x/sqrt2", lx[upper], s * SIGMA_X),
+        _check("lx lower block = sigma_x/sqrt2", lx[lower], s * SIGMA_X),
+        _check("ly upper block = sigma_y/sqrt2", ly[upper], s * SIGMA_Y),
+        _check("ly lower block = sigma_y/sqrt2", ly[lower], s * SIGMA_Y),
+        _check("lz corner block = sigma_z", lz[corner], SIGMA_Z),
+        _check("[lx,ly] = i lz", commutator(lx, ly), 1j * lz),
+        _check("[ly,lz] = i lx", commutator(ly, lz), 1j * lx),
+        _check("[lz,lx] = i ly", commutator(lz, lx), 1j * ly),
+    ]
+    for name, op in (("lx", lx), ("ly", ly), ("lz", lz)):
+        if is_hermitian(op):
+            checks.append(_check(f"{name} spectrum = (-1, 0, +1)", np.linalg.eigvalsh(op), np.array([-1.0, 0.0, 1.0])))
+        else:
+            checks.append(_check(f"{name} Hermitian", op, op.conj().T))
+    return SpinTripleReport(tuple(checks))
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,14 @@ def test_criterion_04_average_only_conservation():
 
 def test_criterion_05_lhv_bound():
     scan = lhv_max_chsh()
+    start = time.perf_counter()
+    repeats = [lhv_max_chsh() for _ in range(2000)]
+    elapsed = time.perf_counter() - start
     _report(
         5,
         "local deterministic strategies max out at CHSH = 2",
-        scan.max_value == 2.0 and scan.n_strategies == 16,
-        f"max {scan.max_value}, {scan.n_maximizers}/16 maximizers",
+        scan.max_value == 2.0 and scan.n_strategies == 16 and set(repeats) == {scan} and elapsed < 0.5,
+        f"max {scan.max_value}, {scan.n_maximizers}/16 maximizers; 2000 enumerations {elapsed:.2f}s",
     )
 
 
@@ -127,12 +130,15 @@ def test_criterion_06_tsirelson_bound():
     canonical = chsh_value(box).value
     scan = tsirelson_scan(BellKind.SINGLET, "xz", n=180)
     elapsed = time.perf_counter() - start
-    ok = abs(canonical - TSIRELSON) <= 1e-9 and scan.max_value <= TSIRELSON + 1e-9
+    start = time.perf_counter()
+    repeats = [tsirelson_scan(BellKind.SINGLET, "xz", n=180) for _ in range(1000)]
+    scans = time.perf_counter() - start
+    ok = abs(canonical - TSIRELSON) <= 1e-9 and scan.max_value <= TSIRELSON + 1e-9 and set(repeats) == {scan}
     _report(
         6,
         "canonical angles reach 2*sqrt(2); 180x180 scan respects the bound",
-        ok and elapsed < 10.0,
-        f"canonical {canonical:.9f}, scan max {scan.max_value:.9f}, {elapsed:.2f}s",
+        ok and elapsed < 10.0 and scans < 1.0,
+        f"canonical {canonical:.9f}, scan max {scan.max_value:.9f}, {elapsed:.2f}s; 1000 scans {scans:.2f}s",
     )
 
 

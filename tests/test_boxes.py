@@ -4,6 +4,7 @@ import json
 import math
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -166,6 +167,12 @@ class TestChsh:
         assert scan.n_strategies == 16
         # every deterministic strategy pair reaches exactly 2
         assert scan.n_maximizers == 16
+
+    def test_lhv_tables_equal_box_enumeration(self):
+        # the correlator tables against the 16 deterministic boxes through chsh_value
+        scan = lhv_max_chsh()
+        assert scan == oracles.box_enumeration()
+        assert type(scan.max_value) is float
 
     @settings(max_examples=150, deadline=None)
     @given(weights=st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16))

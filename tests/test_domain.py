@@ -78,7 +78,7 @@ from qubitlab.quoin import (
     write_transcript,
 )
 from qubitlab.rng import MAX_GAME, draws, word_blocks
-from qubitlab.spinops import LZ, SpinOperatorTriple
+from qubitlab.spinops import LZ, SpinOperatorTriple, verify_pauli_embedding
 
 SETUP = SGSetup([0.0, 0.0, 1.0], [1.0, 0.0, 0.0])
 X, Z = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
@@ -272,6 +272,14 @@ def test_tsirelson_scan_wants_exactly_two_alice_angles(angles):
         tsirelson_scan(n=4, alice_angles=angles)
 
 
+@pytest.mark.parametrize("angles", [np.array([0.0, 1.5]), (0, 1), [np.float32(0.5), 1]])
+def test_tsirelson_scan_echoes_alice_angles_as_floats(angles):
+    # an ndarray used to leave numpy.float64 values in the result, and ints stayed ints
+    echoed = tsirelson_scan(n=4, alice_angles=angles).alice_angles
+    assert echoed == tuple(float(a) for a in angles)
+    assert [type(a) for a in echoed] == [float, float]
+
+
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "9" * 400 + "pi"])
 def test_cli_angle_outside_its_domain_raises(text):
     with pytest.raises(DomainError):
@@ -443,10 +451,11 @@ def test_box_builder_wants_two_per_side(name, bad):
 
 
 RECORD = play_game(QuoinStrategy(), 1, 1)
-# name -> call with the object, which must be a BehaviorBox, a GameRecord, an iterable of them,
-# a file with a write method, or a rigging and start string
+# name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a GameRecord,
+# an iterable of them, a file with a write method, or a rigging and start string
 TYPED_ARGS = {
     "chsh_value": chsh_value,
+    "verify_pauli_embedding": verify_pauli_embedding,
     "no_signalling_check": no_signalling_check,
     "conservation_filter": conservation_filter,
     "summarize": lambda v: summarize([v]),
@@ -458,6 +467,7 @@ TYPED_ARGS = {
 }
 TYPED_OK = {
     "chsh_value": PR_BOX,
+    "verify_pauli_embedding": SpinOperatorTriple.canonical(),
     "no_signalling_check": PR_BOX,
     "conservation_filter": PR_BOX,
     "summarize": RECORD,
@@ -470,7 +480,7 @@ TYPED_OK = {
 
 
 @pytest.mark.parametrize(
-    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in TYPED_ARGS for b in [None, 1, ["H"], ("H",), {}]]
+    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in TYPED_ARGS for b in [None, 1, "x", ["H"], ("H",), {}]]
 )
 def test_argument_of_another_type_raises(name, bad):
     # each used to escape as AttributeError or TypeError

@@ -1,7 +1,12 @@
 import math
 
 import numpy as np
+import oracles
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from qubitlab.errors import DomainError
 from qubitlab.hilbert import ATOL_EXACT, commutator
 from qubitlab.spinops import (
     LX_TARGET,
@@ -80,3 +85,44 @@ class TestVerification:
         report = verify_pauli_embedding(triple)
         assert not report.passed
         assert any("spectrum" in c.name for c in report.failures)
+
+    def test_asymmetry_past_the_float_range_fails_the_hermitian_check(self):
+        # |m01 - conj(m10)| overflows; Python's complex abs used to raise OverflowError here
+        lx = np.zeros((3, 3), dtype=complex)
+        lx[0, 1] = 1.5e308 * (1 + 1j)
+        report = verify_pauli_embedding(SpinOperatorTriple(lx, np.zeros((3, 3)), np.zeros((3, 3))))
+        check = report.checks[8]  # after the 5 blocks and 3 commutators
+        assert check.name == "lx Hermitian" and not check.passed and check.deviation == math.inf
+
+
+CANONICAL = (construct_lx_from_lz(), construct_ly_from_lz(), LZ)
+entries = st.complex_numbers(max_magnitude=10.0, allow_nan=False, allow_infinity=False)
+matrices = st.lists(entries, min_size=9, max_size=9).map(lambda v: np.array(v).reshape(3, 3))
+hermitian = matrices.map(lambda m: (m + m.conj().T) / 2.0)
+near_canonical = matrices.map(lambda m: tuple(op + 1e-13 * m for op in CANONICAL))
+# every product in a commutator of these overflows
+huge_entries = st.tuples(st.floats(1e200, 1e300), st.sampled_from([1, -1, 1j, -1j])).map(lambda t: t[0] * t[1])
+huge = st.lists(huge_entries, min_size=9, max_size=9).map(lambda v: np.array(v).reshape(3, 3))
+
+
+class TestAgainstPerCheckOracle:
+    @given(
+        st.one_of(
+            st.permutations(CANONICAL),
+            st.floats(-3.0, 3.0).map(lambda c: tuple(c * op for op in CANONICAL)),
+            near_canonical,
+            st.tuples(hermitian, hermitian, hermitian),
+            st.tuples(*[matrices | hermitian] * 3),
+        )
+    )
+    def test_report_equals_oracle(self, ops):
+        triple = SpinOperatorTriple(*ops)
+        assert verify_pauli_embedding(triple) == oracles.pauli_embedding_checks(triple)
+
+    @given(st.tuples(huge, huge, huge))
+    def test_huge_entries_raise_commutator_error(self, ops):
+        triple = SpinOperatorTriple(*ops)
+        for verify in (verify_pauli_embedding, oracles.pauli_embedding_checks):
+            with pytest.raises(DomainError, match="commutator"):
+                verify(triple)
+
