@@ -8,8 +8,7 @@ extremal boxes consistent or inconsistent with a single fixed spin direction
 per setting label.
 
 A box is 16 Python floats in nested tuples, and every box built here comes
-from the one rule in `_box`. Numpy is imported only by `tsirelson_scan` and
-by the trace of a non-extremal box.
+from the one rule in `_box`. Numpy is imported only by `tsirelson_scan`.
 """
 
 from __future__ import annotations
@@ -227,6 +226,34 @@ class ConservationVerdict:
     trace: tuple[str, ...]
 
 
+def _places(v: float) -> int:
+    """numpy's fraction digits for v in scientific form at precision 6: the fewer of its repr's and trimmed .6e's."""
+    shortest = len(repr(v).lstrip("-").split("e")[0].replace(".", "").strip("0")) - 1
+    rounded = f"{v:.6e}".split("e")[0].rstrip("0")
+    return min(shortest, len(rounded) - rounded.index(".") - 1)
+
+
+def _table_text(e) -> str:
+    """np.array2string(np.array(e), precision=6) of a 2x2 table of correlators, byte for byte, without numpy.
+
+    numpy's rules for finite |v| < 1e8: scientific form when the smallest nonzero |v| < 1e-4 or
+    the largest over it > 1e3, each value then printed to the most fraction digits any value needs
+    and each exponent padded to the widest; else each value rounded to 6 fraction digits,
+    trailing zeros trimmed, whole parts right- and fractions left-justified.
+    """
+    flat = [v for row in e for v in row]
+    mags = [abs(v) for v in flat if v]
+    if mags and (min(mags) < 1e-4 or max(mags) / min(mags) > 1e3):
+        p = max(map(_places, flat))
+        mant, exp = zip(*(f"{v:#.{p}e}".split("e") for v in flat))
+        width = max(map(len, exp)) - 1
+        texts = [m.rjust(max(map(len, mant))) + "e" + x[0] + x[1:].zfill(width) for m, x in zip(mant, exp)]
+    else:
+        whole, frac = zip(*(f"{v:.6f}".rstrip("0").split(".") for v in flat))
+        texts = [w.rjust(max(map(len, whole))) + "." + f.ljust(max(map(len, frac))) for w, f in zip(whole, frac)]
+    return "[[{} {}]\n [{} {}]]".format(*texts)
+
+
 def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> ConservationVerdict:
     """Treat each +/-1 correlator as equality/antipodality of setting directions.
 
@@ -239,10 +266,8 @@ def conservation_filter(box: BehaviorBox, atol: float = ATOL_EXACT) -> Conservat
     box, atol = _check_box(box, atol)
     e = box.correlators()
     if max(abs(abs(v) - 1.0) for row in e for v in row) > atol:
-        import numpy as np  # numpy's array printing, until the payload schema changes
         return ConservationVerdict(
-            "not_applicable",
-            ("box is not extremal: correlators " + np.array2string(np.array(e), precision=6) + " are not all +/-1",),
+            "not_applicable", (f"box is not extremal: correlators {_table_text(e)} are not all +/-1",)
         )
     neg = [[v < 0 for v in row] for row in e]  # rounding can leave |E| a hair below 1, so only the signs are read
     trace = [

@@ -48,9 +48,14 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 
 
 def is_hermitian(m, atol: float = ATOL_EXACT) -> bool:
-    """|m_ij - conj(m_ji)| <= atol for every entry; Python complex arithmetic overflows to inf without a warning."""
+    """|m_ij - conj(m_ji)| <= atol for every entry; a difference too large for a float is not within atol."""
     rows = as_matrix(m).tolist()
-    return all(abs(x - rows[j][i].conjugate()) <= atol for i, row in enumerate(rows) for j, x in enumerate(row[i:], i))
+    try:
+        return all(
+            abs(x - rows[j][i].conjugate()) <= atol for i, row in enumerate(rows) for j, x in enumerate(row[i:], i)
+        )
+    except OverflowError:  # Python's abs of a complex raises where numpy's gives inf
+        return False
 
 
 def pauli_matrix(m0, m) -> np.ndarray:

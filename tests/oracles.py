@@ -81,6 +81,11 @@ def box_enumeration() -> LhvScanResult:
     return LhvScanResult(best, *hits[0], len(pairs), len(hits))
 
 
+def correlator_text(e) -> str:
+    """numpy's printing of a 2x2 correlator table, as a non-extremal box's conservation trace shows it."""
+    return np.array2string(np.array(e), precision=6)
+
+
 def _check(name: str, actual, expected) -> CheckResult:
     dev = float(np.max(np.abs(np.asarray(actual) - np.asarray(expected))))
     return CheckResult(name, dev <= ATOL_EXACT, dev)

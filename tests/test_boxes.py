@@ -9,10 +9,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qubitlab import boxes
 from qubitlab.bell import BellKind, plane_direction
 from qubitlab.boxes import (
     MAX_SCAN_N,
     BehaviorBox,
+    ConservationVerdict,
     chsh_value,
     conservation_filter,
     deterministic_box,
@@ -24,7 +26,7 @@ from qubitlab.boxes import (
     sign_pattern_box,
     tsirelson_scan,
 )
-from qubitlab.errors import DomainError, InvalidStateError
+from qubitlab.errors import ATOL_EXACT, DomainError, InvalidStateError
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -259,6 +261,59 @@ class TestConservationFilter:
                 box = deterministic_box(a, b)
                 assert conservation_filter(box).status == "consistent"
                 assert chsh_value(box).value <= 2.0
+
+
+# the values where numpy's printing changes course: the switch to scientific form at 1e-4 and at a ratio of 1e3
+# (1.0 / 1e-3 is 1e3 exactly), their neighbours, 1 +/- 1 ulp, rounding ties and carries at 6 digits, cos(pi/2),
+# the smallest normal and subnormal numbers
+EDGE_VALUES = [
+    0.0, 1.0, math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0), 1e-3, math.nextafter(1e-3, 0.0),
+    1e-4, math.nextafter(1e-4, 0.0), math.nextafter(1e-4, 1.0), 9.9999995e-05, 9.999999999999999e-05,
+    0.0078125, 2.0**-9, 0.9999995, 0.1234565,
+    6.123233995736766e-17, 2.2250738585072014e-308, math.nextafter(2.2250738585072014e-308, 0.0), 1e-323, 5e-324,
+]
+EDGES = EDGE_VALUES + [-v for v in EDGE_VALUES]
+SIGNS = st.sampled_from((1.0, -1.0))
+TABLE_VALUES = st.one_of(
+    st.floats(-1.0, 1.0),
+    st.builds(lambda s, x: s * 10.0**x, SIGNS, st.floats(-323.3, 0.0)),  # log-uniform magnitudes down to 5e-324
+    st.builds(round, st.floats(-1.0, 1.0), st.integers(0, 8)),
+    st.sampled_from(EDGES),
+)
+
+
+def box_json(tables) -> str:
+    """A box whose setting pair k carries the correlator 0.5 - (0.5 - d) + d (sign +) or its negative (sign -)."""
+    flat = [p for sign, d in tables for p in ((0.5, 0.5 - d, 0.0, d) if sign > 0 else (0.5 - d, 0.5, d, 0.0))]
+    return json.dumps({"settings": [2, 2], "outcomes": [1, -1], "p": flat})
+
+
+class TestCorrelatorText:
+    """boxes._table_text against numpy's array2string, which it replaced in the conservation trace."""
+
+    def test_every_pair_of_edge_values(self):
+        # all-zero tables and signed zeros among them
+        for u, v in itertools.product(EDGES, repeat=2):
+            for e in ([[u, v], [v, u]], [[u, 0.5], [-0.25, v]]):
+                assert boxes._table_text(e) == oracles.correlator_text(e), e
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(TABLE_VALUES, min_size=4, max_size=4))
+    def test_equals_numpy_printing(self, flat):
+        e = [flat[:2], flat[2:]]
+        assert boxes._table_text(e) == oracles.correlator_text(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(SIGNS, TABLE_VALUES.map(lambda v: min(abs(v), 0.5))), min_size=4, max_size=4))
+    def test_trace_of_a_box_read_from_json(self, tables):
+        box = BehaviorBox.from_json(box_json(tables))
+        e = box.correlators()
+        verdict = conservation_filter(box)
+        if max(abs(abs(v) - 1.0) for row in e for v in row) > ATOL_EXACT:
+            text = f"box is not extremal: correlators {oracles.correlator_text(e)} are not all +/-1"
+            assert verdict == ConservationVerdict("not_applicable", (text,))
+        else:
+            assert verdict.status in ("consistent", "inconsistent")
 
 
 class TestExtremalFamily:

@@ -43,7 +43,7 @@ from qubitlab.boxes import (
     quantum_box,
     tsirelson_scan,
 )
-from qubitlab.errors import DimensionError, DomainError, InvalidStateError, check_finite, check_int
+from qubitlab.errors import DimensionError, DomainError, HermiticityError, InvalidStateError, check_finite, check_int
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
 from qubitlab.measure import MAX_TRIALS, OutcomeSample, SGSetup, binomial_band, sample_outcomes
 from qubitlab.qubit import (
@@ -376,6 +376,21 @@ def test_finite_matrix_accepted(name):
     call, dim = MATRIX_ARGS[name]
     call(np.eye(dim) / dim)
     call((np.eye(dim) / dim).tolist())
+
+
+# finite entries whose asymmetry |m_01 - conj(m_10)| is past the float range: Python's abs of the complex
+# difference raised OverflowError
+HUGE_ASYMMETRY = [[0, 1.5e308 + 1.5e308j], [0, 0]]
+
+
+@pytest.mark.parametrize(
+    "call,error", [(pauli_decompose, HermiticityError), (QubitState, InvalidStateError)], ids=lambda v: v.__name__
+)
+def test_overflowing_asymmetry_is_not_hermitian(call, error):
+    assert is_hermitian(HUGE_ASYMMETRY) is False
+    assert is_hermitian([[0, 1.5e308 + 1.5e308j], [1.5e308 - 1.5e308j, 0]]) is True
+    with pytest.raises(error):
+        call(HUGE_ASYMMETRY)
 
 
 # name -> call with a 3-vector; each takes a nonzero vector other than (0, 0, 1), read as it stands or as an axis

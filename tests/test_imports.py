@@ -45,9 +45,9 @@ MODULE_SETS = {
     "game-transcript": (["game", "simulate", "--games", "10", "--transcript", "{tmp}/t.jsonl"], GAME),
 }
 
-# the analytic commands run on floats; numpy comes with sampling, the scan, the
-# game, and the array printing of a non-extremal box's conservation trace
-NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal"}
+# the analytic commands run on floats, a non-extremal box's conservation trace included;
+# numpy comes with sampling, the Tsirelson scan and the game
+NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal", "chsh-quantum"}
 # numpy.random (about 15 ms) comes with sampling and with the game: every draw is keyed by
 # numpy's SeedSequence, once per (seed, stream), also where `game simulate` plays index arrays
 NUMPY_RANDOM = {"project-trials", "bell-trials", "game", "game-transcript"}
