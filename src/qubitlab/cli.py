@@ -14,8 +14,9 @@ With --degrees, plain numbers are degrees (pi expressions stay radians).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import itertools
+import functools
 import json
 import math
 import re
@@ -278,6 +279,8 @@ def cmd_game(args, out) -> int:
     mech = quoin.QuoinMechanics.quantum_coin() if args.mech == "quantum" else quoin.QuoinMechanics.standard()
 
     if args.mode == "play":
+        if args.transcript is not None:
+            raise QubitLabError("--transcript applies only to game simulate")
         if not isinstance(strategy, quoin.QuoinStrategy):
             raise QubitLabError("interactive play supports only the quoin strategy")
         if not sys.stdin.isatty():
@@ -286,19 +289,14 @@ def cmd_game(args, out) -> int:
         run_interactive_game(args.seed, mech, args.lanes, input, lambda s: print(s, file=out))
         return 0
 
-    if args.transcript:
-        # play game 0 before opening the file, so a strategy that cannot play
-        # these lanes fails without leaving one behind
-        records = quoin.play_games(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
-        records = itertools.chain([next(records)], records)
-        try:
-            fp = open(args.transcript, "w", encoding="utf-8")
-        except OSError as exc:
-            raise QubitLabError(f"cannot write the transcript: {exc}") from None
-        with fp:
-            summary = quoin.summarize(_written(records, fp))
-    else:
-        summary = quoin.monte_carlo(strategy, args.games, args.seed, mech=mech, lanes=args.lanes)
+    try:
+        with contextlib.ExitStack() as files:
+            # the transcript opens at the first block's lines, so a strategy that cannot play these lanes leaves none
+            opened = functools.cache(lambda: files.enter_context(open(args.transcript, "w", encoding="utf-8")))
+            write = None if args.transcript is None else lambda lines: opened().write("\n".join(lines) + "\n")
+            summary = quoin._simulate(strategy, args.games, args.seed, mech, args.lanes, write)
+    except OSError as exc:
+        raise QubitLabError(f"cannot write the transcript: {exc}") from None
     payload = {
         "schema": 1,
         "command": "game",
@@ -312,18 +310,10 @@ def cmd_game(args, out) -> int:
         "mean_chips_net": summary.mean_chips_net,
         "ci_halfwidth": summary.ci_halfwidth,
     }
-    if args.transcript:
+    if args.transcript is not None:
         payload["transcript_path"] = args.transcript
     _emit(payload, args.format, out)
     return 0
-
-
-def _written(records, fp):
-    """Pass records through, writing each one to the transcript as it goes."""
-    from . import quoin
-    for rec in records:
-        quoin.write_transcript((rec,), fp)
-        yield rec
 
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
@@ -331,7 +321,7 @@ def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
     from . import quoin
     lanes = check_int(lanes, "lanes", 1, quoin.MAX_LANES)
     strategy = quoin.QuoinStrategy()
-    bob, alice, _, hint, target, (alice_out, bob_out) = quoin._play(strategy, seed, seed, 0, mech, lanes)
+    bob, alice, _, hint, target, alice_out, bob_out = quoin._play(strategy, seed, seed, 0, mech, lanes)
     alice_bits, bob_bits = quoin.lane_bits(alice, lanes), quoin.lane_bits(bob, lanes)
     outcomes = strategy.transcript(lanes, alice, bob, hint, alice_out, bob_out)[:2]
     say(f"the dealer set your lanes to {list(alice_bits)} (Bob's side is hidden)")

@@ -286,6 +286,16 @@ def _bit_row(bits) -> tuple[int, ...]:
         return ()
 
 
+def _record_json(bob_bits, alice_bits, target_parity, bits_bought, guess, chips_start, transcript, chips_net) -> str:
+    """One record's fields as one JSON object, byte for byte json.dumps of them with chips_net after chips_start."""
+    return (
+        f'{{"bob_bits": {_BIT_JSON[bob_bits]}, "alice_bits": {_BIT_JSON[alice_bits]}, '
+        f'"target_parity": "{target_parity}", "bits_bought": {bits_bought}, "guess": "{guess}", '
+        f'"chips_start": {chips_start}, "chips_net": {chips_net}, '
+        f'"transcript": [{", ".join(map(encode_basestring_ascii, transcript))}]}}'
+    )
+
+
 @dataclass(frozen=True)
 class GameRecord:
     """One guessing-game round with its chip-ledger outcome.
@@ -330,13 +340,8 @@ class GameRecord:
         return _net_chips(self.correct, self.bits_bought, self.chips_start)
 
     def to_json(self) -> str:
-        """The record as one JSON object, byte for byte json.dumps of its fields with chips_net after chips_start."""
-        return (
-            f'{{"bob_bits": {_BIT_JSON[self.bob_bits]}, "alice_bits": {_BIT_JSON[self.alice_bits]}, '
-            f'"target_parity": "{self.target_parity}", "bits_bought": {self.bits_bought}, "guess": "{self.guess}", '
-            f'"chips_start": {self.chips_start}, "chips_net": {self.chips_net}, '
-            f'"transcript": [{", ".join(map(encode_basestring_ascii, self.transcript))}]}}'
-        )
+        """The record as one JSON object: the one record formatter, `_record_json`, of its fields and chips_net."""
+        return _record_json(*vars(self).values(), self.chips_net)  # the instance dict holds the fields in order
 
 
 def _check_records(records) -> Iterator[GameRecord]:
@@ -397,7 +402,7 @@ def _deal(seed: int, games, lanes: int):
 def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
     """The game engine: play one game index (an int) or a block of them (an array).
 
-    Returns (bob, alice, bits_bought, guess, target, notes) as masks and
+    Returns (bob, alice, bits_bought, guess, target, *notes) as masks and
     parity bits: Python ints for one game, arrays for a block.
     """
     if not isinstance(strategy, Strategy):
@@ -409,16 +414,13 @@ def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lan
 
     bob, alice = hands or _deal(dealer_seed, games, lanes)
     bought, guess, notes = strategy.play(mech, lanes, alice, bob, draw)
-    return bob, alice, bought, guess, popcount(alice & bob) & 1, notes
+    return bob, alice, bought, guess, popcount(alice & bob) & 1, *notes
 
 
-def _record(strategy: Strategy, lanes: int, bob, alice, bought, guess, target, notes) -> GameRecord:
-    """One game's record, from the Python ints of its masks and parity bits."""
-    transcript = strategy.transcript(lanes, alice, bob, guess, *notes)
-    return GameRecord(
-        lane_bits(bob, lanes), lane_bits(alice, lanes), parity_name(target), bought, parity_name(guess),
-        CHIPS_START, transcript,
-    )
+def _fields(strategy: Strategy, lanes: int, bob, alice, bought, guess, target, *notes) -> tuple:
+    """One game's GameRecord fields in order, from the Python ints of its row (see `_rows`)."""
+    fields = lane_bits(bob, lanes), lane_bits(alice, lanes), PARITIES[target], bought, PARITIES[guess], CHIPS_START
+    return *fields, strategy.transcript(lanes, alice, bob, guess, *notes)
 
 
 def play_game(
@@ -444,7 +446,8 @@ def play_game(
             raise DomainError(f"hands must be 0/1 bits over the same 1..{MAX_LANES} lanes, got {deal!r}")
         lanes = len(alice_bits)
         hands = tuple(sum(b << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
-    return _record(strategy, lanes, *_play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands))
+    row = _play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands)
+    return GameRecord(*_fields(strategy, lanes, *row))
 
 
 @dataclass(frozen=True)
@@ -455,18 +458,16 @@ class MonteCarloSummary:
     ci_halfwidth: float
 
 
-def _blocks(games: int) -> Iterator[np.ndarray]:
-    """Game indices 0..games-1 as arrays of at most GAME_BLOCK."""
+def _played(strategy: Strategy, games: int, seed: int, mech, lanes: int) -> Iterator[tuple]:
+    """`_play`'s columns of games 0..games-1, played lazily a block of at most GAME_BLOCK games at a time."""
     for start in range(0, games, GAME_BLOCK):
-        yield np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
+        indices = np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
+        yield _play(strategy, seed, seed, indices, mech, lanes)
 
 
-def _block_records(strategy: Strategy, seed: int, games: np.ndarray, mech, lanes: int) -> Iterator[GameRecord]:
-    """The records of an array of games, played as one block."""
-    bob, alice, bought, guess, target, notes = _play(strategy, seed, seed, games, mech, lanes)
-    columns = [np.broadcast_to(col, games.shape).tolist() for col in (bob, alice, bought, guess, target, *notes)]
-    for row in zip(*columns):
-        yield _record(strategy, lanes, *row[:5], row[5:])
+def _rows(block) -> Iterator[tuple]:
+    """The rows of Python ints of a block's columns, each (bob, alice, bought, guess, target, *notes)."""
+    return zip(*(np.broadcast_to(col, block[0].shape).tolist() for col in block))
 
 
 def play_games(
@@ -480,7 +481,8 @@ def play_games(
     """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed, a block at a time."""
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    return itertools.chain.from_iterable(_block_records(strategy, seed, g, mech, lanes) for g in _blocks(games))
+    blocks = _played(strategy, games, seed, mech, lanes)
+    return (GameRecord(*_fields(strategy, lanes, *row)) for block in blocks for row in _rows(block))
 
 
 def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
@@ -508,15 +510,23 @@ def monte_carlo(
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> MonteCarloSummary:
-    """summarize(play_games(...)), played a block at a time without building records."""
+    """summarize(play_games(...)), from the one block loop `_simulate`, which builds no records."""
+    return _simulate(strategy, games, seed, mech, lanes)
+
+
+def _simulate(strategy: Strategy, games: int, seed: int, mech, lanes: int, write=None) -> MonteCarloSummary:
+    """The one block loop: play and tally games 0..games-1 by blocks, giving `write` each block's to_json lines."""
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
-    for g in _blocks(games):
-        _, _, bought, guess, target, _ = _play(strategy, seed, seed, g, mech, lanes)
+    for block in _played(strategy, games, seed, mech, lanes):
+        bought, guess, target = block[2:5]
         correct = guess == target
+        nets = _net_chips(correct, np.asarray(bought, dtype=np.int64))
         wins += int(np.count_nonzero(correct))
-        net += int(_net_chips(correct, np.asarray(bought, dtype=np.int64)).sum())
+        net += int(nets.sum())
+        if write is not None:
+            write([_record_json(*_fields(strategy, lanes, *row), n) for row, n in zip(_rows(block), nets.tolist())])
     return _summary(games, wins, net)
 
 

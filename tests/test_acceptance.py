@@ -3,6 +3,7 @@
 Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 """
 
+import io
 import math
 import time
 
@@ -26,6 +27,7 @@ from qubitlab.boxes import (
     quantum_box,
     tsirelson_scan,
 )
+from qubitlab import quoin
 from qubitlab.hilbert import commutator
 from qubitlab.measure import SGSetup, binomial_band, expected_outcome, projection_probabilities, sample_outcomes
 from qubitlab.quoin import (
@@ -189,17 +191,29 @@ def test_criterion_09_quoin_game():
     start = time.perf_counter()
     lines = [play_game(QuoinStrategy(), 109, 109, game_index=g).to_json() for g in range(n)]
     replay = time.perf_counter() - start
+    # the `game simulate --transcript` path: one block loop tallies the games and renders their lines
+    buf = io.StringIO()
+
+    def write(block):
+        buf.write("\n".join(block) + "\n")
+
+    start = time.perf_counter()
+    written = quoin._simulate(QuoinStrategy(), n, 109, None, quoin.DEFAULT_LANES, write)
+    transcript = time.perf_counter() - start
     ok = (
         quoin_summary.win_rate == 1.0
         and quoin_summary.mean_chips_net == 4.0
         and abs(quantum_summary.win_rate - 0.5) <= 0.015
         and len(lines) == n
+        and written == quoin_summary
+        and buf.getvalue() == "".join(line + "\n" for line in lines)
     )
     _report(
         9,
         "quoin strategy always nets +4; quantum coins drop to chance",
-        ok and elapsed < 5.0 and replay < 1.0,
-        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; {n} replayed lines {replay:.2f}s",
+        ok and elapsed < 5.0 and replay < 1.0 and transcript < 0.5,
+        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; {n} replayed lines {replay:.2f}s; "
+        f"{n}-game transcript {transcript:.2f}s",
     )
 
 

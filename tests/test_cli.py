@@ -423,6 +423,35 @@ class TestUnwritableTranscript:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    # 10 games fail when the file is closed, 5000 games (over one block) when a block is written
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("games", ["10", "5000"])
+    def test_full_device_exits_2(self, games):
+        proc = run_module(["game", "simulate", "--games", games, "--transcript", "/dev/full"], timeout=30)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "cannot write the transcript: [Errno 28]" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_empty_path_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["game", "simulate", "--games", "5", "--transcript", ""])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write the transcript" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_play_refuses_a_transcript(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["game", "play", "--transcript", "games.jsonl"])
+        assert exc.value.code == 2
+        assert "--transcript applies only to game simulate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 # argv fuzz: valid sizes stay small (games <= 2000, trials <= 10**5, scan <= 720),
 # and every option also draws out-of-range numbers and junk

@@ -85,8 +85,8 @@ def _commands() -> list[tuple[str, ...]]:
         ("game", "simulate", "--games", "100", "--format", "text"),
         ("game", "simulate", "--strategy", "classical:2", "--games", "100", "--lanes", "4", "--format", "csv"),
     ]
-    # the game grid: 300 games per strategy, mechanics, lane count and seed, through play_games (with a
-    # transcript) and through monte_carlo (without one)
+    # the game grid: 300 games per strategy, mechanics, lane count and seed, each through the one block loop
+    # with a transcript (its lines rendered from the block's rows) and without one (the tally alone)
     grid = itertools.product(("quoin", "random", "classical:3"), ("quoin", "quantum"), (1, 5, 8), (7, 424242))
     for (strategy, mech, lanes, seed), transcript in itertools.product(grid, (True, False)):
         cmds.append(

@@ -29,6 +29,7 @@ from qubitlab.errors import DomainError
 from qubitlab.measure import tally
 from qubitlab.quoin import (
     ClassicalBitsStrategy,
+    GameRecord,
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
@@ -379,8 +380,14 @@ class TestMonteCarloMatchesOracle:
 
         expected = each(oracles, seed)
         assert each(quoin, seed) == expected
-        block = np.array(games, dtype=np.uint64)
-        assert outcome(lambda: list(quoin._block_records(strategy, seed, block, **kw))) == expected
+
+        # the same games played as one block of arbitrary indices, then read back as rows
+        def block():
+            indices = np.array(games, dtype=np.uint64)
+            rows = quoin._rows(quoin._play(strategy, seed, seed, indices, MECHANICS[mech], lanes))
+            return [GameRecord(*quoin._fields(strategy, lanes, *row)) for row in rows]
+
+        assert outcome(block) == expected
         # the mechanics draws follow mech_seed, the deal and the coin flips the dealer seed
         assert each(quoin, mech_seed) == each(oracles, mech_seed)
 

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import oracles
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubitlab import cli
+from qubitlab import cli, quoin
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
     MAX_GAMES,
@@ -27,6 +28,7 @@ from qubitlab.quoin import (
     monte_carlo,
     play_game,
     play_games,
+    summarize,
     verify_parity_theorem,
 )
 from qubitlab.rng import MAX_GAME
@@ -274,6 +276,26 @@ class TestRecordFormatter:
         for record in play_games(strategy, data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**40)),
                                  mech=mech, lanes=lanes):
             assert record.to_json() == oracles.record_json(record)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=st.data(),
+        lanes=st.integers(1, MAX_LANES),
+        mech=st.sampled_from(MECHANICS),
+        block=st.sampled_from([1, 3, 16, 37]),
+    )
+    def test_block_lines_are_the_oracle_records(self, data, lanes, mech, block):
+        # `game simulate --transcript`'s path: the lines come from the block loop's rows, not from GameRecords;
+        # small blocks, so a few games cross block boundaries and end on a partial block
+        strategy = data.draw(strategies_for(lanes))
+        seed, games = data.draw(st.integers(0, 2**70)), data.draw(st.integers(1, 3 * block + 2))
+        lines, kw = [], {"mech": mech, "lanes": lanes}
+        with mock.patch.object(quoin, "GAME_BLOCK", block):
+            summary = quoin._simulate(strategy, games, seed, mech, lanes, lines.extend)
+            records = list(oracles.play_games(strategy, games, seed, **kw))
+            assert lines == [oracles.record_json(record) for record in records]
+            assert summary == monte_carlo(strategy, games, seed, **kw) == summarize(records)
+            assert summary == summarize(play_games(strategy, games, seed, **kw))
 
     @settings(max_examples=60, deadline=None)
     @given(
