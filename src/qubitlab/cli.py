@@ -279,8 +279,9 @@ def cmd_game(args, out) -> int:
     mech = quoin.QuoinMechanics.quantum_coin() if args.mech == "quantum" else quoin.QuoinMechanics.standard()
 
     if args.mode == "play":
-        if args.transcript is not None:
-            raise QubitLabError("--transcript applies only to game simulate")
+        for option in ("transcript", "games", "format"):
+            if getattr(args, option) is not None:
+                raise QubitLabError(f"--{option} applies only to game simulate")
         if not isinstance(strategy, quoin.QuoinStrategy):
             raise QubitLabError("interactive play supports only the quoin strategy")
         if not sys.stdin.isatty():
@@ -289,12 +290,13 @@ def cmd_game(args, out) -> int:
         run_interactive_game(args.seed, mech, args.lanes, input, lambda s: print(s, file=out))
         return 0
 
+    games = 10000 if args.games is None else args.games
     try:
         with contextlib.ExitStack() as files:
             # the transcript opens at the first block's lines, so a strategy that cannot play these lanes leaves none
             opened = functools.cache(lambda: files.enter_context(open(args.transcript, "w", encoding="utf-8")))
             write = None if args.transcript is None else lambda lines: opened().write("\n".join(lines) + "\n")
-            summary = quoin._simulate(strategy, args.games, args.seed, mech, args.lanes, write)
+            summary = quoin._simulate(strategy, games, args.seed, mech, args.lanes, write)
     except OSError as exc:
         raise QubitLabError(f"cannot write the transcript: {exc}") from None
     payload = {
@@ -312,7 +314,7 @@ def cmd_game(args, out) -> int:
     }
     if args.transcript is not None:
         payload["transcript_path"] = args.transcript
-    _emit(payload, args.format, out)
+    _emit(payload, args.format or "text", out)
     return 0
 
 
@@ -384,10 +386,12 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("mode", choices=("simulate", "play"))
     p.add_argument("--strategy", default="quoin", help="quoin, random, or classical:K")
-    p.add_argument("--games", type=int, default=10000)
+    p.add_argument("--games", type=int)
     p.add_argument("--lanes", type=int, default=DEFAULT_LANES)
     p.add_argument("--mech", choices=("quoin", "quantum"), default="quoin")
     p.add_argument("--transcript", help="write one GameRecord JSON line per game to this path")
+    # --games (10000) and --format (text) take their defaults in game simulate; game play refuses both
+    p.set_defaults(format=None)
     return parser
 
 

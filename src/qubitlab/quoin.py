@@ -15,7 +15,7 @@ g, 64), its lane outcomes from draws(mech_seed, STREAM_MECH, g, lanes) and
 the strategy's coin flip from draws(dealer_seed, STREAM_STRATEGY, g, 1), so
 games are pure functions of (seeds, game index). Every game runs through one
 engine on lane masks, and `rng.draws` computes those draws for one game
-index (an int) or a block of GAME_BLOCK of them (an array) alike, so
+index (an int) or a block of GAME_BLOCK games (a range) alike, so
 `play_game`, `play_games` and `monte_carlo` agree exactly. Outside the game,
 `flip_pair`'s trial t is lane 0 of game t on the mechanics stream, and the
 parity exhaust's deal d reads game d's lane outcomes there.
@@ -189,7 +189,7 @@ _POPCOUNT_ARRAY = np.array(_POPCOUNT, dtype=np.uint8)
 
 def popcount(mask):
     """Number of lanes set in a mask: an int for an int, a uint8 array for a mask array."""
-    return _POPCOUNT[mask] if type(mask) is int else _POPCOUNT_ARRAY[mask]
+    return _POPCOUNT[mask] if type(mask) is int else _POPCOUNT_ARRAY.take(mask)
 
 
 @functools.cache  # at most 2**MAX_LANES entries per lane count
@@ -368,17 +368,20 @@ def _first_group(word, lanes: int, first: int):
             if hand := word >> lanes * group & full:
                 return hand
         return 0
+    # each later group is read only at the games whose hand is still zero
     hand = word >> lanes * first & full
+    zero = np.flatnonzero(hand == 0)
     for group in range(first + 1, 64 // lanes):
-        zero = hand == 0
-        if not zero.any():
+        if not zero.size:
             break
-        hand |= zero * (word >> lanes * group & full)
+        sub = word[zero] >> lanes * group & full
+        hand[zero] = sub
+        zero = zero[sub == 0]
     return hand
 
 
 def _deal(seed: int, games, lanes: int):
-    """The dealer's (bob, alice) masks for one game index (an int) or an array of them.
+    """The dealer's (bob, alice) masks for one game index (an int) or a block of them (a range or an array).
 
     Lane group 0 of a game's word on the deal stream is Bob's hand, and
     Alice's is the first later group that is not all zero: with that hand
@@ -400,7 +403,7 @@ def _deal(seed: int, games, lanes: int):
 
 
 def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
-    """The game engine: play one game index (an int) or a block of them (an array).
+    """The game engine: play one game index (an int) or a block of them (a range or an array).
 
     Returns (bob, alice, bits_bought, guess, target, *notes) as masks and
     parity bits: Python ints for one game, arrays for a block.
@@ -461,8 +464,7 @@ class MonteCarloSummary:
 def _played(strategy: Strategy, games: int, seed: int, mech, lanes: int) -> Iterator[tuple]:
     """`_play`'s columns of games 0..games-1, played lazily a block of at most GAME_BLOCK games at a time."""
     for start in range(0, games, GAME_BLOCK):
-        indices = np.arange(start, min(start + GAME_BLOCK, games), dtype=np.uint32)
-        yield _play(strategy, seed, seed, indices, mech, lanes)
+        yield _play(strategy, seed, seed, range(start, min(start + GAME_BLOCK, games)), mech, lanes)
 
 
 def _rows(block) -> Iterator[tuple]:
@@ -587,7 +589,7 @@ def verify_parity_theorem(
     unequal, doubles = mech.unequal_lanes(alice, bob, lanes), popcount(alice & bob)
     failing = []
     for seed in seeds:
-        fair = draws(seed, STREAM_MECH, deals, lanes)
+        fair = draws(seed, STREAM_MECH, range(4**lanes), lanes)
         combined_h = popcount(fair) + popcount(fair ^ unequal)
         failed = np.flatnonzero((combined_h ^ doubles) & 1)
         if failed.size:

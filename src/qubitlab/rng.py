@@ -7,9 +7,10 @@ word is a reproducible function of (seed, stream path, counter). The one
 generator is re-keyed through its public `state` and read under one lock,
 once per run of consecutive words: `word_blocks` reads the seed's words
 0..n-1 (numpy's Philox(seed) draws) a block at a time, and `draws` reads word
-0 of game g's block (random-stream contract v2), once per run of games. An
-int counter reads the aligned run of CHUNK blocks that holds it, kept for
-reuse, so games replayed one at a time at consecutive indices share a read.
+0 of game g's block (random-stream contract v2), once per run of games: a
+block of GAME_BLOCK games (a range) is one run. An int counter reads the
+aligned run of CHUNK blocks that holds it, kept for reuse, so games replayed
+one at a time at consecutive indices share a read.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .errors import DomainError, check_int
 # 512 KiB of 64-bit words, small enough to stay in a per-core L2 cache
 BLOCK = 1 << 16
 
-# game indices, for an int and an array alike: g + 1, the counter of game g's block, fits counter word 0
+# game indices, for an int, a range and an array alike: g + 1, the counter of game g's block, fits counter word 0
 MAX_GAME = 2**64 - 2
 # (seed, *stream) paths whose Philox key `_key` keeps; bounded, as a run may use many seeds
 KEYS = 256
@@ -74,14 +75,21 @@ def draws(seed: int, stream: int, counter, k: int):
     Random-stream contract v2: game g's first k <= 64 draws on a stream are
     draws(seed, stream, g, k), the bits of word 0 of the Philox block at
     counter g + 1 under the stream's one key (see `_key`). `counter` is one
-    int in 0..2**256 - 1, which takes the dealer's widening counters too, or a
-    1-d integer array of game indices in 0..MAX_GAME, whose masks are uint64.
-    An array reads each run of consecutive indices; an int, its cached chunk.
+    int in 0..2**256 - 1, which takes the dealer's widening counters too, a
+    block of GAME_BLOCK games (a range by step 1) or a 1-d integer array of
+    game indices in 0..MAX_GAME, whose masks are uint64. A range is one run,
+    an array one per run of consecutive indices, an int its cached chunk.
     """
     k = check_int(k, "draw count", 0, 64)
-    # checked before the cache, which takes True for 1
-    key = _key(check_int(seed, "seed"), check_int(stream, "stream"))
-    if isinstance(counter, np.ndarray):
+    seed, stream = check_int(seed, "seed"), check_int(stream, "stream")
+    if isinstance(counter, range) and (counter.step != 1 or counter.start < 0 or counter.stop > MAX_GAME + 1):
+        raise DomainError(f"a range of game indices must step by 1 within 0..{MAX_GAME}, got {counter!r}")
+    # seed, stream and a range are checked before the cache, which takes True for 1
+    key = _key(seed, stream)
+    if isinstance(counter, range):
+        with _LOCK:
+            word = _run(key, counter.start, len(counter))
+    elif isinstance(counter, np.ndarray):
         if counter.ndim != 1 or counter.dtype.kind not in "iu":
             raise DomainError("game indices must be a 1-d integer array")
         if counter.size and (counter.min() < 0 or counter.max() > MAX_GAME):

@@ -200,6 +200,10 @@ def test_criterion_09_quoin_game():
     start = time.perf_counter()
     written = quoin._simulate(QuoinStrategy(), n, 109, None, quoin.DEFAULT_LANES, write)
     transcript = time.perf_counter() - start
+    # many small runs, each on a seed whose keys are not yet cached
+    start = time.perf_counter()
+    small = {monte_carlo(QuoinStrategy(), 300, seed) for seed in range(10**6, 10**6 + 2000)}
+    small_runs = time.perf_counter() - start
     ok = (
         quoin_summary.win_rate == 1.0
         and quoin_summary.mean_chips_net == 4.0
@@ -207,23 +211,27 @@ def test_criterion_09_quoin_game():
         and len(lines) == n
         and written == quoin_summary
         and buf.getvalue() == "".join(line + "\n" for line in lines)
+        and small == {monte_carlo(QuoinStrategy(), 300, 0)}
     )
     _report(
         9,
         "quoin strategy always nets +4; quantum coins drop to chance",
-        ok and elapsed < 5.0 and replay < 1.0 and transcript < 0.5,
+        ok and elapsed < 5.0 and replay < 1.0 and transcript < 0.5 and small_runs < 1.0,
         f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; {n} replayed lines {replay:.2f}s; "
-        f"{n}-game transcript {transcript:.2f}s",
+        f"{n}-game transcript {transcript:.2f}s; 2000 runs of 300 games {small_runs:.2f}s",
     )
 
 
 def test_criterion_10_parity_theorem():
     report = verify_parity_theorem(seeds=range(32))
+    start = time.perf_counter()
+    repeats = [verify_parity_theorem(seeds=range(32)) for _ in range(50)]
+    elapsed = time.perf_counter() - start
     _report(
         10,
         "combined-H parity equals double-1-lane parity on all 2^10 deals x 32 seeds",
-        report.holds and report.checked == 32 * 2**10,
-        f"{report.checked} checks",
+        report.holds and report.checked == 32 * 2**10 and repeats == [report] * 50 and elapsed < 1.0,
+        f"{report.checked} checks; 50 exhausts {elapsed:.2f}s",
     )
 
 

@@ -175,6 +175,11 @@ class TestGame:
         assert code == 0
         assert abs(payload["win_rate"] - 0.5) <= 3 * math.sqrt(0.25 / 10000)
 
+    def test_simulate_defaults_to_10000_games_as_text(self, capsys):
+        code, out = run_cli(capsys, "game", "simulate", "--strategy", "random")
+        assert code == 0
+        assert "games: 10000" in out.splitlines() and "schema: 1" in out.splitlines()
+
     def test_simulate_classical(self, capsys):
         code, payload = run_json(
             capsys, "game", "simulate", "--strategy", "classical:3", "--games", "500"
@@ -451,6 +456,19 @@ class TestUnwritableTranscript:
         assert exc.value.code == 2
         assert "--transcript applies only to game simulate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    # game play used to ignore both, even an explicit default; it plays one game and prints text
+    @pytest.mark.parametrize(
+        "option,value", [("--games", "5"), ("--games", "10000"), ("--format", "json"), ("--format", "text")]
+    )
+    def test_play_refuses_games_and_format(self, capsys, monkeypatch, option, value):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["game", "play", option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} applies only to game simulate" in captured.err
 
 
 # argv fuzz: valid sizes stay small (games <= 2000, trials <= 10**5, scan <= 720),

@@ -16,7 +16,7 @@ import numpy as np
 import oracles
 import pytest
 
-from qubitlab import cli
+from qubitlab import cli, rng
 from qubitlab.bell import (
     BellKind,
     JointProbabilities,
@@ -103,6 +103,9 @@ INTEGER_ARGS = {
     "draws counter": (lambda v: draws(1, 0, v, 4), 0, 2**256 - 1, 3, None),
     "draws draw count": (lambda v: draws(1, 0, 5, v), 0, 64, 3, None),
     "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
+    "draws seed for a range": (lambda v: draws(v, 0, range(3), 4), 0, None, 3, None),
+    "draws stream for a range": (lambda v: draws(1, v, range(3), 4), 0, None, 3, None),
+    "draws draw count for a range": (lambda v: draws(1, 0, range(3), v), 0, 64, 3, None),
     "sample_outcomes trials": (lambda v: sample_outcomes(SETUP, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "sample_outcome_values trials": (lambda v: oracles.sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
     "sample_joint trials": (lambda v: sample_joint(BellKind.SINGLET, Z, X, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
@@ -161,6 +164,18 @@ def test_numpy_integer_accepted_as_int(name):
     result = call(np.int64(ok))
     if echo is not None:
         assert type(echo(result)) is int and echo(result) == ok
+
+
+# draws takes a range of game indices by step 1 within 0..MAX_GAME, and refuses any other before the key cache
+BAD_RANGES = [range(0, 8, 2), range(-1, 3), range(MAX_GAME - 1, MAX_GAME + 2), range(3, 0, -1), range(0, 4, -1)]
+
+
+@pytest.mark.parametrize("games", BAD_RANGES, ids=repr)
+def test_range_outside_the_game_indices_raises_before_the_cache(games):
+    before = rng._key.cache_info()
+    with pytest.raises(DomainError):
+        draws(10**9 + 7, 0, games, 4)
+    assert rng._key.cache_info() == before
 
 
 # name -> call with Alice's outcome, which is +1 or -1

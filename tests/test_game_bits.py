@@ -3,11 +3,12 @@
 `rng.draws` reads random-stream contract v2: game g's draws on a stream are
 the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g). It
 reads them from numpy's C Philox, re-keyed once per run of consecutive game
-indices: each run of an index array is one `random_raw(4 * n)` read, and an
-int counter is a word of the cached, aligned run of `rng.CHUNK` blocks that
-holds it. These tests hold both to that recipe, on arrays of many runs, at
-chunk edges and counter-word carries and from several threads at once,
-check that a block of games costs one re-key, and hold
+indices: a range of games and each run of an index array are one
+`random_raw(4 * n)` read, and an int counter is a word of the cached, aligned
+run of `rng.CHUNK` blocks that holds it. These tests hold all three to that
+recipe, on arrays of many runs, at chunk edges and counter-word carries and
+from several threads at once, check that a block of games re-keys each
+stream it uses once and the parity exhaust each seed once, and hold
 `play_game`, `play_games` and `monte_carlo`, which all draw through
 `rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
 the recipe alone.
@@ -97,6 +98,21 @@ class TestKernel:
                 masks = draws(seed, stream, np.array(games, dtype=dtype), k)
                 assert masks.tolist() == recipe_masks(seed, stream, games, k), (dtype, seed, stream)
 
+    # ranges at 0, across chunk edges and 2**32, ending at MAX_GAME, and empty ones
+    RANGES = [
+        range(0, 1), range(0, 3 * CHUNK + 1), range(CHUNK - 2, CHUNK + 2), range(7 * CHUNK - 1, 9 * CHUNK + 1),
+        range(2**32 - 3, 2**32 + 3), range(MAX_GAME - 2 * CHUNK, MAX_GAME + 1), range(MAX_GAME, MAX_GAME + 1),
+        range(0, 0), range(5, 3), range(MAX_GAME + 1, MAX_GAME + 1),
+    ]
+
+    @pytest.mark.parametrize("games", RANGES, ids=repr)
+    def test_ranges_match_the_index_array_and_the_recipe(self, games):
+        for seed, stream, k in ((0, 0, 64), (2**64 + 5, 1, 8), (424242, 2, 1)):
+            masks = draws(seed, stream, games, k)
+            assert masks.dtype == np.uint64 and masks.shape == (len(games),)
+            assert masks.tolist() == draws(seed, stream, np.array(games, dtype=np.uint64), k).tolist()
+            assert masks.tolist() == recipe_masks(seed, stream, games, k), (seed, stream)
+
     def test_threads_share_the_rekeyed_generator(self):
         # each thread re-keys the one C Philox, for int indices and for index arrays of several runs, beside
         # a sampler that re-keys it block by block; its masks must still be its own games', and the counts
@@ -160,6 +176,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("strategy", [QuoinStrategy(), RandomStrategy(), ClassicalBitsStrategy(2)])
     def test_a_block_of_games_rekeys_once_per_draws_call(self, monkeypatch, strategy):
+        streams = {QuoinStrategy: (0, 1), RandomStrategy: (0, 2), ClassicalBitsStrategy: (0,)}[type(strategy)]
         calls, rekeys = [], []
         real_draws, real_rekey = quoin.draws, rng._rekey
 
@@ -173,11 +190,21 @@ class TestKernel:
 
         monkeypatch.setattr(quoin, "draws", counted_draws)
         monkeypatch.setattr(rng, "_rekey", counted_rekey)
-        summary = monte_carlo(strategy, quoin.GAME_BLOCK, 7, lanes=3)
-        assert summary.games == quoin.GAME_BLOCK
-        # a block is one run of consecutive games: one re-key per draws call, not one per game
-        assert 1 <= len(calls) <= 3
-        assert len(rekeys) == len(calls)
+        games = 2 * quoin.GAME_BLOCK + 5
+        assert monte_carlo(strategy, games, 7, lanes=3).games == games
+        # a block is one run of consecutive games: one re-key per draws call, not one per game, and so
+        # one re-key of each stream the strategy uses, at the block's first game (widening words aside)
+        starts = range(0, games, quoin.GAME_BLOCK)
+        assert len(calls) == len(rekeys) == len(starts) * len(streams)
+        reads = sorted(read for read in rekeys if read[1] < quoin.WIDEN)
+        assert reads == sorted((rng._key(7, stream), start) for stream in streams for start in starts)
+
+    def test_the_parity_exhaust_rekeys_once_per_seed(self, monkeypatch):
+        rekeys = []
+        real_rekey = rng._rekey
+        monkeypatch.setattr(rng, "_rekey", lambda *args: rekeys.append(args) or real_rekey(*args))
+        assert quoin.verify_parity_theorem(range(3), quoin.MAX_LANES).holds
+        assert rekeys == [(rng._key(seed, quoin.STREAM_MECH), 0) for seed in range(3)]
 
     # counters at both edges of a chunk, across the carries of counter words 0 and 1, at widening
     # counters g + r * 2**192 and at the top of the counter range
@@ -226,11 +253,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("seed", [True, np.bool_(True)])
     def test_bool_seed_rejected_before_the_cache(self, seed):
-        draws(1, 0, 3, 4)  # caches seed 1, which True equals
-        with pytest.raises(DomainError):
-            draws(seed, 0, 3, 4)
-        with pytest.raises(DomainError):
-            draws(1, seed, 3, 4)
+        for games in (3, range(3)):
+            draws(1, 0, games, 4)  # caches seed 1, which True equals
+            with pytest.raises(DomainError):
+                draws(seed, 0, games, 4)
+            with pytest.raises(DomainError):
+                draws(1, seed, games, 4)
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
     def test_consecutive_games_and_wide_seeds(self, seed):
@@ -293,9 +321,10 @@ def oracle_deals(seed, games, lanes):
 class TestDealer:
     @pytest.mark.parametrize("lanes", [1, 3, 4, 6, 8])
     def test_block_dealer_matches_the_oracle(self, lanes):
-        games = np.arange(2000, dtype=np.uint32)
-        bob, alice = quoin._deal(13, games, lanes)
-        assert list(zip(bob.tolist(), alice.tolist())) == oracle_deals(13, games, lanes)
+        expected = oracle_deals(13, range(2000), lanes)
+        for games in (range(2000), np.arange(2000, dtype=np.uint32)):
+            bob, alice = quoin._deal(13, games, lanes)
+            assert list(zip(bob.tolist(), alice.tolist())) == expected
 
     @pytest.mark.parametrize("widenings", [1, 2])
     @pytest.mark.parametrize("lanes", [2, 6])
@@ -305,20 +334,37 @@ class TestDealer:
 
         def no_candidates_before(seed, stream, counter, k):
             mask = real(seed, stream, counter, k)
-            if isinstance(counter, np.ndarray) or counter < quoin.WIDEN:
+            if type(counter) is not int or counter < quoin.WIDEN:
                 return mask & (1 << lanes) - 1
             return mask if counter >= widenings * quoin.WIDEN else 0
 
         monkeypatch.setattr(quoin, "draws", no_candidates_before)
-        games = np.arange(40, dtype=np.uint32)
-        bob, alice = quoin._deal(13, games, lanes)
         expected = [
             (as_mask(oracles.recipe_bits(13, 0, g, lanes)),
              as_mask(next(h for h in oracles.alice_candidates(13, g, lanes, widenings) if any(h))))
             for g in range(40)
         ]
-        assert list(zip(bob.tolist(), alice.tolist())) == expected
+        for games in (range(40), np.arange(40, dtype=np.uint32)):
+            bob, alice = quoin._deal(13, games, lanes)
+            assert list(zip(bob.tolist(), alice.tolist())) == expected
         assert [quoin._deal(13, g, lanes) for g in range(40)] == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lanes=st.integers(1, quoin.MAX_LANES), first=st.sampled_from([0, 1]))
+    def test_first_group_of_a_word_array_matches_the_int_path(self, data, lanes, first):
+        # each word has a chosen run of zero lane groups from group `first` on, then a non-zero group unless
+        # the run reaches the last whole group, as the last word's does; the groups before `first` and the
+        # spare top bits are random
+        groups, full = 64 // lanes, (1 << lanes) - 1
+        words = []
+        for zeros in [*data.draw(st.lists(st.integers(0, groups - first), max_size=12)), groups - first]:
+            word = data.draw(st.integers(0, 2**64 - 1)) & ~(((1 << lanes * zeros) - 1) << lanes * first)
+            if first + zeros < groups:
+                word |= data.draw(st.integers(1, full)) << lanes * (first + zeros)
+            words.append(word)
+        hands = [quoin._first_group(word, lanes, first) for word in words]
+        assert hands[-1] == 0
+        assert quoin._first_group(np.array(words, dtype=np.uint64), lanes, first).tolist() == hands
 
     def test_widening_words_are_the_oracles_last_resort(self):
         # the oracle reads its widening words only when the deal word holds no candidate

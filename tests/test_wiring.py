@@ -80,8 +80,7 @@ class TestParityExhaust:
 
         monkeypatch.setattr(quoin, "draws", counted_draws)
         assert quoin.verify_parity_theorem(range(3), MAX_LANES).holds
-        assert [(seed, stream, k) for seed, stream, _, k in calls] == [(s, STREAM_MECH, MAX_LANES) for s in range(3)]
-        assert all(np.array_equal(deals, np.arange(4**MAX_LANES)) for _, _, deals, _ in calls)
+        assert calls == [(s, STREAM_MECH, range(4**MAX_LANES), MAX_LANES) for s in range(3)]
 
 
 class TestTallyWords:
@@ -163,3 +162,8 @@ class TestOneWiring:
         assert not [(f, scope, name) for f, scope, name, _ in names if name in builders]
         assert [(f, scope) for f, scope, name, called in names if name == "Philox" and called] == [("rng.py", None)]
         assert [(f, scope) for f, scope, name, called in names if name == "Lock" and called] == [("rng.py", None)]
+
+    def test_one_reader_of_raw_words(self):
+        # a run of blocks (`_run`) and a block of the seed's words (`word_blocks`' reader) are the only reads
+        readers = {(f, scope) for f, scope, name, _ in names_by_scope() if name == "random_raw"}
+        assert readers == {("rng.py", "_run"), ("rng.py", "read")}
