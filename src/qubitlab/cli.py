@@ -356,10 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def common(p):
+    def common(p, angles=True):
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--degrees", action="store_true", help="plain numeric angles are degrees")
+        if angles:
+            p.add_argument("--degrees", action="store_true", help="plain numeric angles are degrees")
 
     p = sub.add_parser("project", help="single-qubit projection statistics at angle theta")
     common(p)
@@ -383,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan", type=int, default=0, help="run an NxN in-plane angle scan")
 
     p = sub.add_parser("game", help="quoin guessing game")
-    common(p)
+    common(p, angles=False)
     p.add_argument("mode", choices=("simulate", "play"))
     p.add_argument("--strategy", default="quoin", help="quoin, random, or classical:K")
     p.add_argument("--games", type=int)

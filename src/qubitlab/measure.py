@@ -113,12 +113,10 @@ def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
     return OutcomeSample(n_plus, n_minus, n, seed)
 
 
-def binomial_band(p: float, n: int, sigmas: float = 3.0) -> float:
-    """Half-width of the `sigmas`-sigma band for an empirical frequency."""
+def binomial_band(p: float, n: int) -> float:
+    """Half-width of the 3-sigma band for an empirical frequency (the CLI's `band_3sigma`)."""
     n = check_int(n, "trial count", 1)
-    p, sigmas = check_finite(p, "band probability"), check_finite(sigmas, "band width in sigmas")
+    p = check_finite(p, "band probability")
     if not (isinstance(p, float) and 0.0 <= p <= 1.0):
         raise DomainError(f"band probability must lie in [0, 1], got {p!r}")
-    if not (isinstance(sigmas, float) and sigmas >= 0.0):
-        raise DomainError(f"band width in sigmas must be nonnegative, got {sigmas!r}")
-    return sigmas * math.sqrt(p * (1.0 - p) / n)
+    return 3.0 * math.sqrt(p * (1.0 - p) / n)

@@ -381,7 +381,7 @@ def _first_group(word, lanes: int, first: int):
 
 
 def _deal(seed: int, games, lanes: int):
-    """The dealer's (bob, alice) masks for one game index (an int) or a block of them (a range or an array).
+    """The dealer's (bob, alice) masks for one game index (an int) or a block of them (a range).
 
     Lane group 0 of a game's word on the deal stream is Bob's hand, and
     Alice's is the first later group that is not all zero: with that hand
@@ -403,7 +403,7 @@ def _deal(seed: int, games, lanes: int):
 
 
 def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lanes: int, hands=None):
-    """The game engine: play one game index (an int) or a block of them (a range or an array).
+    """The game engine: play one game index (an int) or a block of them (a range).
 
     Returns (bob, alice, bits_bought, guess, target, *notes) as masks and
     parity bits: Python ints for one game, arrays for a block.

@@ -3,14 +3,14 @@
 The words are Philox4x64-10's (Salmon et al., "Parallel Random Numbers: As
 Easy as 1, 2, 3", SC 2011) under the key `_key` derives from (seed, *stream),
 the key numpy's Philox(SeedSequence(seed, spawn_key=stream)) uses, so each
-word is a reproducible function of (seed, stream path, counter). The one
-generator is re-keyed through its public `state` and read under one lock,
-once per run of consecutive words: `word_blocks` reads the seed's words
-0..n-1 (numpy's Philox(seed) draws) a block at a time, and `draws` reads word
-0 of game g's block (random-stream contract v2), once per run of games: a
-block of GAME_BLOCK games (a range) is one run. An int counter reads the
-aligned run of CHUNK blocks that holds it, kept for reuse, so games replayed
-one at a time at consecutive indices share a read.
+word is a reproducible function of (seed, stream path, counter). Every word
+comes from `_run`, which re-keys the one generator through its public `state`
+and reads a run of consecutive words under one lock: `word_blocks` reads the
+seed's words 0..n-1 (numpy's Philox(seed) draws) a block at a time, and
+`draws` reads word 0 of game g's block (random-stream contract v2), a block of
+GAME_BLOCK games (a range) in one run. An int counter reads the aligned run of
+CHUNK blocks that holds it, kept for reuse, so games replayed one at a time at
+consecutive indices share a read.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .errors import DomainError, check_int
 # 512 KiB of 64-bit words, small enough to stay in a per-core L2 cache
 BLOCK = 1 << 16
 
-# game indices, for an int, a range and an array alike: g + 1, the counter of game g's block, fits counter word 0
+# game indices, for an int and a range alike: g + 1, the counter of game g's block, fits counter word 0
 MAX_GAME = 2**64 - 2
 # (seed, *stream) paths whose Philox key `_key` keeps; bounded, as a run may use many seeds
 KEYS = 256
@@ -35,7 +35,7 @@ KEYS = 256
 CHUNK = 16
 CHUNKS = 128
 
-# every read re-keys this one C generator and reads its words under _LOCK
+# `_run` re-keys this one C generator and reads its words under _LOCK
 # (random_raw takes Philox's own lock, which is not reentrant)
 _BIT_GENERATOR = np.random.Philox(0)
 _LOCK = threading.Lock()
@@ -47,26 +47,21 @@ def _key(seed: int, *stream: int) -> tuple[int, int]:
     return tuple(np.random.SeedSequence(seed, spawn_key=stream).generate_state(2, np.uint64).tolist())
 
 
-def _rekey(key: tuple[int, int], counter: int) -> np.random.Philox:
-    """The C generator, re-keyed to read word 0 of the block at counter + 1 next (its buffer empty); hold _LOCK."""
-    _BIT_GENERATOR.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [counter >> 64 * i & 2**64 - 1 for i in range(4)], "key": key},
-        "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return _BIT_GENERATOR
-
-
 def _run(key: tuple[int, int], counter: int, n: int) -> np.ndarray:
-    """Word 0 of each block at counters counter, counter + 1, ... (n of them): one re-key and one read; hold _LOCK."""
-    return _rekey(key, counter).random_raw(4 * n)[::4]
+    """n raw words from word 0 of the block at counter + 1 on: one re-key and one read under _LOCK."""
+    with _LOCK:
+        _BIT_GENERATOR.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [counter >> 64 * i & 2**64 - 1 for i in range(4)], "key": key},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return _BIT_GENERATOR.random_raw(n)
 
 
 @functools.lru_cache(maxsize=CHUNKS)
 def _chunk(key: tuple[int, int], start: int) -> tuple[int, ...]:
     """Word 0 of each block at counters start, start + 1, ... (CHUNK of them; start a multiple of CHUNK) as ints."""
-    with _LOCK:
-        return tuple(_run(key, start, CHUNK).tolist())
+    return tuple(_run(key, start, 4 * CHUNK)[::4].tolist())
 
 
 def draws(seed: int, stream: int, counter, k: int):
@@ -75,10 +70,9 @@ def draws(seed: int, stream: int, counter, k: int):
     Random-stream contract v2: game g's first k <= 64 draws on a stream are
     draws(seed, stream, g, k), the bits of word 0 of the Philox block at
     counter g + 1 under the stream's one key (see `_key`). `counter` is one
-    int in 0..2**256 - 1, which takes the dealer's widening counters too, a
-    block of GAME_BLOCK games (a range by step 1) or a 1-d integer array of
-    game indices in 0..MAX_GAME, whose masks are uint64. A range is one run,
-    an array one per run of consecutive indices, an int its cached chunk.
+    int in 0..2**256 - 1, which takes the dealer's widening counters too, or
+    a block of GAME_BLOCK games: a range by step 1 within 0..MAX_GAME, whose
+    masks are uint64. A range is one run, an int its cached chunk.
     """
     k = check_int(k, "draw count", 0, 64)
     seed, stream = check_int(seed, "seed"), check_int(stream, "stream")
@@ -87,20 +81,7 @@ def draws(seed: int, stream: int, counter, k: int):
     # seed, stream and a range are checked before the cache, which takes True for 1
     key = _key(seed, stream)
     if isinstance(counter, range):
-        with _LOCK:
-            word = _run(key, counter.start, len(counter))
-    elif isinstance(counter, np.ndarray):
-        if counter.ndim != 1 or counter.dtype.kind not in "iu":
-            raise DomainError("game indices must be a 1-d integer array")
-        if counter.size and (counter.min() < 0 or counter.max() > MAX_GAME):
-            raise DomainError(f"game indices must lie in 0..{MAX_GAME}")
-        games = counter.astype(np.uint64)
-        word = np.empty(games.size, dtype=np.uint64)
-        # a run of consecutive games reads consecutive blocks: one re-key at its first game, word 0 of each block
-        cuts = [0, *(np.flatnonzero(np.diff(games) != 1) + 1).tolist(), games.size] if games.size else []
-        with _LOCK:
-            for lo, hi in zip(cuts, cuts[1:]):
-                word[lo:hi] = _run(key, int(games[lo]), hi - lo)
+        word = _run(key, counter.start, 4 * len(counter))[::4]
     else:
         counter = check_int(counter, "Philox counter", 0, 2**256 - 1)
         word = _chunk(key, counter - counter % CHUNK)[counter % CHUNK]
@@ -108,16 +89,11 @@ def draws(seed: int, stream: int, counter, k: int):
 
 
 def word_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
-    """numpy's Philox(seed).random_raw(n) as blocks of at most BLOCK words, one re-key and read each.
+    """numpy's Philox(seed).random_raw(n) as blocks of at most BLOCK words, one `_run` each.
 
     numpy's Generator(Philox(seed)).random(n) is the same words as doubles, (w >> 11) * 2**-53.
     """
     n = check_int(n, "word count", 0)
     key = _key(check_int(seed, "seed"))
-
-    def read(start: int) -> np.ndarray:
-        with _LOCK:
-            # BLOCK is a multiple of 4, so word `start` opens the block at counter start // 4 + 1
-            return _rekey(key, start // 4).random_raw(min(BLOCK, n - start))
-
-    return map(read, range(0, n, BLOCK))
+    # BLOCK is a multiple of 4, so word `start` opens the block at counter start // 4 + 1
+    return (_run(key, start // 4, min(BLOCK, n - start)) for start in range(0, n, BLOCK))

@@ -192,6 +192,17 @@ class TestGame:
             cli.main(["game", "simulate", "--strategy", "psychic"])
         assert exc.value.code == 2
 
+    # the game reads no angle; --degrees used to be accepted and ignored
+    @pytest.mark.parametrize("mode", ["simulate", "play"])
+    def test_game_refuses_degrees(self, capsys, monkeypatch, mode):
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["game", mode, "--degrees"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --degrees" in captured.err
+
     def test_play_refuses_non_tty(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(""))
         code = cli.main(["game", "play", "--strategy", "quoin", "--seed", "11"])
@@ -332,13 +343,14 @@ class TestParserLiterals:
 
 
 # sha256 of each --help text at 80 columns under Python 3.11's argparse, recorded before the parser
-# stopped reading bell.BellKind and quoin.DEFAULT_LANES
+# stopped reading bell.BellKind and quoin.DEFAULT_LANES; game's was re-recorded when it dropped --degrees,
+# which removed its one usage token and one option line and changed nothing else
 HELP_SHA256 = {
     "": "281a02155576fc81d7e2a34b66941dec76ff83705d498d06617fe6f3f738d261",
     "project": "f80e6d7b88a988176eea237777d87e457fe23e114460c83864357b2bee63b9d2",
     "bell": "dd846c4ef5ef71e1f97ce126cb61a0689c278e03aa7d0954a0a963c449204345",
     "chsh": "f23f59becd0802b9b2f3acfb01367aafb59d23ed40f9396aab84b54ce2eb9c86",
-    "game": "9dc49ba6d1d2973f353bc05eb839974233807f67be30895858af982bb29a0cba",
+    "game": "4954a4164ee6513ba877cf8593aa456a2796e1d1453bcf28d757f027d328715c",
 }
 
 

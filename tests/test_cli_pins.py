@@ -390,7 +390,7 @@ PINNED = {
     'project --help': '5968e4490b2c99772f8d0b7aef6c3601ee6258132822cc9c1ada527cf168f225',
     'bell --help': '6eb53001c2ed8530b55f2866e9486be18563bac2a794a3fcf052cac6976dcdcb',
     'chsh --help': '8afc934b5667558d86bc40df5e866d5b2a382635164ddaf44cb9e0bc216e6f1d',
-    'game --help': '12d1a321ba334a113911caf975bc9189a038fe82eecaa2eb87e061e906830523',
+    'game --help': '37187a227fd2a0e2510c97f97d8c5874d52e912b736675ca56a0876bf0a840c4',
 }
 
 

@@ -97,12 +97,9 @@ INTEGER_ARGS = {
     "flip_pair seed": (lambda v: flip_pair(None, ("H", "H"), v, 0), 0, None, 3, None),
     "flip_pair trial": (lambda v: flip_pair(None, ("H", "H"), 1, v), 0, MAX_GAME, 3, None),
     "draws seed": (lambda v: draws(v, 0, 5, 4), 0, None, 3, None),
-    "draws seed for an index array": (lambda v: draws(v, 0, np.arange(1), 4), 0, None, 3, None),
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
-    "draws stream for an index array": (lambda v: draws(1, v, np.arange(1), 4), 0, None, 3, None),
     "draws counter": (lambda v: draws(1, 0, v, 4), 0, 2**256 - 1, 3, None),
     "draws draw count": (lambda v: draws(1, 0, 5, v), 0, 64, 3, None),
-    "draws draw count for an index array": (lambda v: draws(1, 0, np.arange(3), v), 0, 64, 3, None),
     "draws seed for a range": (lambda v: draws(v, 0, range(3), 4), 0, None, 3, None),
     "draws stream for a range": (lambda v: draws(1, v, range(3), 4), 0, None, 3, None),
     "draws draw count for a range": (lambda v: draws(1, 0, range(3), v), 0, 64, 3, None),
@@ -176,6 +173,13 @@ def test_range_outside_the_game_indices_raises_before_the_cache(games):
     with pytest.raises(DomainError):
         draws(10**9 + 7, 0, games, 4)
     assert rng._key.cache_info() == before
+
+
+# a counter is an int or a range; an index array or a list of indices is neither
+@pytest.mark.parametrize("games", [np.arange(3), np.array([5], dtype=np.uint64), np.array(5), [0, 1, 2]], ids=repr)
+def test_index_array_or_list_counter_raises(games):
+    with pytest.raises(DomainError):
+        draws(1, 0, games, 4)
 
 
 # name -> call with Alice's outcome, which is +1 or -1

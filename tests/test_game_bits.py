@@ -1,14 +1,13 @@
 """Guards for the game engine.
 
 `rng.draws` reads random-stream contract v2: game g's draws on a stream are
-the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g). It
-reads them from numpy's C Philox, re-keyed once per run of consecutive game
-indices: a range of games and each run of an index array are one
-`random_raw(4 * n)` read, and an int counter is a word of the cached, aligned
-run of `rng.CHUNK` blocks that holds it. These tests hold all three to that
-recipe, on arrays of many runs, at chunk edges and counter-word carries and
-from several threads at once, check that a block of games re-keys each
-stream it uses once and the parity exhaust each seed once, and hold
+the bits of word 0 of numpy's Philox(key=K(seed, stream), counter=g). Every
+word comes from `rng._run`, one re-key of numpy's C Philox and one read: a
+range of games is one `_run` of 4 * n words, and an int counter is a word of
+the cached, aligned run of `rng.CHUNK` blocks that holds it. These tests hold
+both to that recipe, at chunk edges and counter-word carries and from
+several threads at once, check that a block of games re-keys each stream it
+uses once and the parity exhaust each seed once, and hold
 `play_game`, `play_games` and `monte_carlo`, which all draw through
 `rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
 the recipe alone.
@@ -59,44 +58,27 @@ class TestKernel:
         seed=st.integers(0, 2**70),
         stream=st.integers(0, 2),
         games=st.lists(st.integers(0, MAX_GAME), min_size=1, max_size=6),
+        length=st.integers(0, 3 * CHUNK),
         k=st.integers(0, 64),
     )
-    def test_ints_and_arrays_match_the_recipe(self, seed, stream, games, k):
-        expected = recipe_masks(seed, stream, games, k)
-        # one scalar read per int index, and one read per run of the index array
-        assert [draws(seed, stream, g, k) for g in games] == expected
-        assert draws(seed, stream, np.array(games, dtype=np.uint64), k).tolist() == expected
+    def test_ints_and_ranges_match_the_recipe(self, seed, stream, games, length, k):
+        # one scalar read per int index, and one read for a range of games from the first index
+        assert [draws(seed, stream, g, k) for g in games] == recipe_masks(seed, stream, games, k)
+        block = range(games[0], min(games[0] + length, MAX_GAME + 1))
+        assert draws(seed, stream, block, k).tolist() == recipe_masks(seed, stream, block, k)
 
     @pytest.mark.parametrize("game", WIDE_INDICES)
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 5, 2**200 + 12345])
     def test_wide_seeds_and_indices_match_the_recipe(self, seed, game):
         for stream, k in itertools.product(range(3), (0, 1, 5, 8, 16, 64)):
             assert draws(seed, stream, game, k) == recipe_masks(seed, stream, [game], k)[0]
-            assert draws(seed, stream, np.array([game], dtype=np.uint64), k).tolist() == [draws(seed, stream, game, k)]
+            assert draws(seed, stream, range(game, game + 1), k).tolist() == [draws(seed, stream, game, k)]
 
     @pytest.mark.parametrize("widening", [1, 2, 2**64 - 1])
     def test_widening_counters_match_the_recipe(self, widening):
         for game in (0, 5, MAX_GAME):
             counter = game + widening * oracles.WIDENING
             assert draws(3, 0, counter, 64) == as_mask(oracles.recipe_bits(3, 0, counter))
-
-    @pytest.mark.parametrize(
-        "games",
-        [
-            [9, 8, 7, 6, 5],  # descending: every index its own run
-            [5, 5, 6, 6, 7, 3, 3],  # duplicated indices, each repeat starting a run
-            [0, 100, 1, 101, 2, 102, 3, 4, 5],  # interleaved runs
-            [*range(2**32 - 3, 2**32 + 3), 7, 8],  # a run crossing 2**32, then a short one
-            [40, 41, *range(MAX_GAME - 4, MAX_GAME + 1)],  # a run ending at the last game index
-            [MAX_GAME, 0, MAX_GAME - 1, MAX_GAME],  # no wrap from the last index back to 0
-        ],
-        ids=["descending", "duplicated", "interleaved", "across-2**32", "to-MAX_GAME", "no-wrap"],
-    )
-    def test_arrays_of_many_runs_match_the_recipe(self, games):
-        for dtype in (np.uint64, np.int64) if max(games) < 2**63 else (np.uint64,):
-            for seed, stream, k in ((0, 0, 64), (2**64 + 5, 1, 8), (424242, 2, 1)):
-                masks = draws(seed, stream, np.array(games, dtype=dtype), k)
-                assert masks.tolist() == recipe_masks(seed, stream, games, k), (dtype, seed, stream)
 
     # ranges at 0, across chunk edges and 2**32, ending at MAX_GAME, and empty ones
     RANGES = [
@@ -106,28 +88,27 @@ class TestKernel:
     ]
 
     @pytest.mark.parametrize("games", RANGES, ids=repr)
-    def test_ranges_match_the_index_array_and_the_recipe(self, games):
+    def test_ranges_match_the_ints_and_the_recipe(self, games):
         for seed, stream, k in ((0, 0, 64), (2**64 + 5, 1, 8), (424242, 2, 1)):
             masks = draws(seed, stream, games, k)
             assert masks.dtype == np.uint64 and masks.shape == (len(games),)
-            assert masks.tolist() == draws(seed, stream, np.array(games, dtype=np.uint64), k).tolist()
+            assert masks.tolist() == [draws(seed, stream, g, k) for g in games]
             assert masks.tolist() == recipe_masks(seed, stream, games, k), (seed, stream)
 
     def test_threads_share_the_rekeyed_generator(self):
-        # each thread re-keys the one C Philox, for int indices and for index arrays of several runs, beside
+        # each thread re-keys the one C Philox, for int indices and for several ranges in a row, beside
         # a sampler that re-keys it block by block; its masks must still be its own games', and the counts
         # the sampler's. Each worker's int sweeps touch more chunks per round than the cache keeps, so every
         # int read, the single int games' too, misses the cache and re-keys the generator in every round.
-        arrays = {seed: np.array([seed, seed + 1, seed + 2, 2**40 + seed, 2**40 + seed + 1, 7], dtype=np.uint64)
-                  for seed in range(4)}
+        ranges = {s: (range(s, s + 3), range(2**40 + s, 2**40 + s + 2), range(7, 8)) for s in range(4)}
         sweeps = {seed: [g * CHUNK + seed for g in range(1, rng.CHUNKS // 2 + 1)] for seed in range(4)}
         cases = [
             (seed, stream, game, k)
             for seed in range(4)
             for stream in range(3)
-            for game, k in ((seed, 16), (2**40 + seed, 64), ("array", 64), ("sweep", 64))
+            for game, k in ((seed, 16), (2**40 + seed, 64), ("ranges", 64), ("sweep", 64))
         ]
-        games = {"array": arrays, "sweep": sweeps}
+        games = {"ranges": {s: [g for r in ranges[s] for g in r] for s in range(4)}, "sweep": sweeps}
         expected = {
             case: recipe_masks(*case[:2], games[case[2]][case[0]] if case[2] in games else [case[2]], case[3])
             for case in cases
@@ -143,8 +124,8 @@ class TestKernel:
                     if case[0] != seed:
                         continue
                     s, stream, game, k = case
-                    if game == "array":
-                        got = draws(s, stream, arrays[s], k).tolist()
+                    if game == "ranges":
+                        got = [mask for r in ranges[s] for mask in draws(s, stream, r, k).tolist()]
                     else:
                         got = [draws(s, stream, g, k) for g in (sweeps[s] if game == "sweep" else [game])]
                     if got != expected[case]:
@@ -177,34 +158,35 @@ class TestKernel:
     @pytest.mark.parametrize("strategy", [QuoinStrategy(), RandomStrategy(), ClassicalBitsStrategy(2)])
     def test_a_block_of_games_rekeys_once_per_draws_call(self, monkeypatch, strategy):
         streams = {QuoinStrategy: (0, 1), RandomStrategy: (0, 2), ClassicalBitsStrategy: (0,)}[type(strategy)]
-        calls, rekeys = [], []
-        real_draws, real_rekey = quoin.draws, rng._rekey
+        calls, runs = [], []
+        real_draws, real_run = quoin.draws, rng._run
 
         def counted_draws(*args):
             calls.append(args)
             return real_draws(*args)
 
-        def counted_rekey(*args):
-            rekeys.append(args)
-            return real_rekey(*args)
+        def counted_run(*args):
+            runs.append(args)
+            return real_run(*args)
 
         monkeypatch.setattr(quoin, "draws", counted_draws)
-        monkeypatch.setattr(rng, "_rekey", counted_rekey)
+        monkeypatch.setattr(rng, "_run", counted_run)
         games = 2 * quoin.GAME_BLOCK + 5
         assert monte_carlo(strategy, games, 7, lanes=3).games == games
         # a block is one run of consecutive games: one re-key per draws call, not one per game, and so
         # one re-key of each stream the strategy uses, at the block's first game (widening words aside)
         starts = range(0, games, quoin.GAME_BLOCK)
-        assert len(calls) == len(rekeys) == len(starts) * len(streams)
-        reads = sorted(read for read in rekeys if read[1] < quoin.WIDEN)
+        assert len(calls) == len(runs) == len(starts) * len(streams)
+        reads = sorted(read[:2] for read in runs if read[1] < quoin.WIDEN)
         assert reads == sorted((rng._key(7, stream), start) for stream in streams for start in starts)
 
     def test_the_parity_exhaust_rekeys_once_per_seed(self, monkeypatch):
-        rekeys = []
-        real_rekey = rng._rekey
-        monkeypatch.setattr(rng, "_rekey", lambda *args: rekeys.append(args) or real_rekey(*args))
+        runs = []
+        real_run = rng._run
+        monkeypatch.setattr(rng, "_run", lambda *args: runs.append(args) or real_run(*args))
         assert quoin.verify_parity_theorem(range(3), quoin.MAX_LANES).holds
-        assert rekeys == [(rng._key(seed, quoin.STREAM_MECH), 0) for seed in range(3)]
+        # word 0 of each of the 4**lanes deals' blocks
+        assert runs == [(rng._key(seed, quoin.STREAM_MECH), 0, 4 * 4**quoin.MAX_LANES) for seed in range(3)]
 
     # counters at both edges of a chunk, across the carries of counter words 0 and 1, at widening
     # counters g + r * 2**192 and at the top of the counter range
@@ -236,14 +218,15 @@ class TestKernel:
         assert held <= 256 * 1024
 
     def test_consecutive_ints_share_one_read_per_chunk(self, monkeypatch):
-        rekeys = []
-        real_rekey = rng._rekey
-        monkeypatch.setattr(rng, "_rekey", lambda *args: rekeys.append(args) or real_rekey(*args))
+        runs = []
+        real_run = rng._run
+        monkeypatch.setattr(rng, "_run", lambda *args: runs.append(args) or real_run(*args))
         rng._chunk.cache_clear()
         for g in range(5 * CHUNK + 3, 9 * CHUNK + 3):
             play_game(QuoinStrategy(), 41, 42, game_index=g)
         # games 83..146 lie in chunks 5..9: five reads on each of the deal and mechanics streams, widening words aside
-        assert len(rekeys) - sum(counter >= oracles.WIDENING for _, counter in rekeys) == 2 * 5
+        assert {n for _, _, n in runs} == {4 * CHUNK}
+        assert len(runs) - sum(counter >= oracles.WIDENING for _, counter, _ in runs) == 2 * 5
 
     def test_key_cache_is_bounded(self):
         for seed in range(10**6, 10**6 + rng.KEYS + 50):
@@ -262,7 +245,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**128 + 1, 2**200 + 12345])
     def test_consecutive_games_and_wide_seeds(self, seed):
-        for games in (np.arange(2**32 - 40, 2**32 + 40), np.arange(MAX_GAME - 40, MAX_GAME + 1, dtype=np.uint64)):
+        for games in (range(2**32 - 40, 2**32 + 40), range(MAX_GAME - 40, MAX_GAME + 1)):
             assert draws(seed, 1, games, 24).tolist() == recipe_masks(seed, 1, games, 24)
 
     def test_adjacent_games_are_uncorrelated(self):
@@ -270,7 +253,7 @@ class TestKernel:
         # the 64 x 64 mean products is 0 +- 1/sqrt(n) for independent fair bits; all must lie within 5 sigma
         n, chunk = 2**17, 2**13
         for stream in range(3):
-            words = draws(11, stream, np.arange(n + 1), 64)
+            words = draws(11, stream, range(n + 1), 64)
             products = np.zeros((64, 64))
             for start in range(0, n, chunk):
                 block = words[start : start + chunk + 1]
@@ -278,30 +261,21 @@ class TestKernel:
                 products += signs[:-1].T @ signs[1:]
             assert np.abs(products / n).max() < 5 / np.sqrt(n), stream
 
-    def test_empty_shapes(self):
-        empty = draws(3, 0, np.array([], dtype=np.int64), 5)
-        assert empty.dtype == np.uint64 and empty.shape == (0,)
-
     def test_zero_draws_give_one_zero_mask_per_index(self):
-        masks = draws(3, 0, np.array([1, 2]), 0)
+        masks = draws(3, 0, range(1, 3), 0)
         assert masks.dtype == np.uint64 and masks.tolist() == [0, 0]
         assert draws(3, 0, 1, 0) == 0
 
     @pytest.mark.parametrize("seed", [-1, -(2**40), True, np.bool_(False), 1.5, "3", None])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(DomainError):
-            draws(seed, 0, np.array([0]), 4)
+            draws(seed, 0, range(1), 4)
 
     def test_numpy_seed_accepted(self):
-        assert draws(np.int64(7), 0, np.array([3]), 8).tolist() == recipe_masks(7, 0, [3], 8)
+        assert draws(np.int64(7), 0, range(3, 4), 8).tolist() == recipe_masks(7, 0, [3], 8)
 
     @pytest.mark.parametrize(
-        "games,k",
-        [
-            (np.array([-1]), 4), (np.array([MAX_GAME + 1], dtype=np.uint64), 4), (np.array([0.5]), 4),
-            (np.array([[0, 1]]), 4), (np.array(3), 4), (np.array([0]), -1), (np.array([0]), 65),
-            (np.array([0]), 2.0), (np.array([0]), True), (2**256, 4), (-1, 4), (0, 65),
-        ],
+        "games,k", [(range(1), -1), (range(1), 65), (range(1), 2.0), (range(1), True), (2**256, 4), (-1, 4), (0, 65)]
     )
     def test_bad_indices_and_widths_rejected(self, games, k):
         with pytest.raises(DomainError):
@@ -309,7 +283,7 @@ class TestKernel:
 
     def test_bad_stream_rejected(self):
         with pytest.raises(DomainError):
-            draws(1, -1, np.array([0]), 4)
+            draws(1, -1, range(1), 4)
         with pytest.raises(DomainError):
             draws(1, -1, 0, 4)
 
@@ -322,9 +296,8 @@ class TestDealer:
     @pytest.mark.parametrize("lanes", [1, 3, 4, 6, 8])
     def test_block_dealer_matches_the_oracle(self, lanes):
         expected = oracle_deals(13, range(2000), lanes)
-        for games in (range(2000), np.arange(2000, dtype=np.uint32)):
-            bob, alice = quoin._deal(13, games, lanes)
-            assert list(zip(bob.tolist(), alice.tolist())) == expected
+        bob, alice = quoin._deal(13, range(2000), lanes)
+        assert list(zip(bob.tolist(), alice.tolist())) == expected
 
     @pytest.mark.parametrize("widenings", [1, 2])
     @pytest.mark.parametrize("lanes", [2, 6])
@@ -344,9 +317,8 @@ class TestDealer:
              as_mask(next(h for h in oracles.alice_candidates(13, g, lanes, widenings) if any(h))))
             for g in range(40)
         ]
-        for games in (range(40), np.arange(40, dtype=np.uint32)):
-            bob, alice = quoin._deal(13, games, lanes)
-            assert list(zip(bob.tolist(), alice.tolist())) == expected
+        bob, alice = quoin._deal(13, range(40), lanes)
+        assert list(zip(bob.tolist(), alice.tolist())) == expected
         assert [quoin._deal(13, g, lanes) for g in range(40)] == expected
 
     @settings(max_examples=300, deadline=None)
@@ -427,13 +399,16 @@ class TestMonteCarloMatchesOracle:
         expected = each(oracles, seed)
         assert each(quoin, seed) == expected
 
-        # the same games played as one block of arbitrary indices, then read back as rows
-        def block():
-            indices = np.array(games, dtype=np.uint64)
-            rows = quoin._rows(quoin._play(strategy, seed, seed, indices, MECHANICS[mech], lanes))
-            return [GameRecord(*quoin._fields(strategy, lanes, *row)) for row in rows]
+        # blocks at the same indices: a range of up to 3 games from each, played and read back as rows
+        blocks = [range(g, min(g + 3, MAX_GAME + 1)) for g in games]
 
-        assert outcome(block) == expected
+        def block():
+            plays = (quoin._play(strategy, seed, seed, b, MECHANICS[mech], lanes) for b in blocks)
+            return [GameRecord(*quoin._fields(strategy, lanes, *row)) for play in plays for row in quoin._rows(play)]
+
+        assert outcome(block) == outcome(lambda: [
+            oracles.play_game(strategy, seed, seed, game_index=g, **kw) for b in blocks for g in b
+        ])
         # the mechanics draws follow mech_seed, the deal and the coin flips the dealer seed
         assert each(quoin, mech_seed) == each(oracles, mech_seed)
 

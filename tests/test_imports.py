@@ -49,7 +49,7 @@ MODULE_SETS = {
 # numpy comes with sampling, the Tsirelson scan and the game
 NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal", "chsh-quantum"}
 # numpy.random (about 15 ms) comes with sampling and with the game: every draw is keyed by
-# numpy's SeedSequence, once per (seed, stream), also where `game simulate` plays index arrays
+# numpy's SeedSequence, once per (seed, stream), also where `game simulate` plays blocks of games
 NUMPY_RANDOM = {"project-trials", "bell-trials", "game", "game-transcript"}
 
 

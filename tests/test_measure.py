@@ -161,18 +161,6 @@ class TestTally:
             tally(probs, 10, seed=1)
 
 
-class TestBinomialBand:
-    @pytest.mark.parametrize("sigmas", [math.nan, math.inf, -1.0, -1e-300, "3", None, [3.0]])
-    def test_refuses_a_width_that_is_not_a_nonnegative_number(self, sigmas):
-        # NaN used to give a NaN band and a negative width a negative one
-        with pytest.raises(DomainError):
-            binomial_band(0.5, 10, sigmas)
-
-    def test_zero_width_and_integer_width(self):
-        assert binomial_band(0.5, 100, 0) == 0.0
-        assert binomial_band(0.5, 100, 2) == 2 * 0.05
-
-
 class TestRotationalInvariance:
     def test_common_rotation_leaves_probabilities_alone(self):
         rng = np.random.default_rng(31)

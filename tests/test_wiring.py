@@ -98,7 +98,7 @@ class TestTallyWords:
         # the sampler re-keys the same C Philox as the games, block by block
         probs, n = (0.2, 0.3, 0.5), 3 * BLOCK + 5
         expected_tally = tally(probs, n, seed=9)
-        games = np.arange(100, 164)
+        games = range(100, 164)
         expected_games = {seed: draws(seed, STREAM_MECH, games, 64).tolist() for seed in range(3)}
         barrier, mismatches = threading.Barrier(4, timeout=60), []
 
@@ -164,6 +164,8 @@ class TestOneWiring:
         assert [(f, scope) for f, scope, name, called in names if name == "Lock" and called] == [("rng.py", None)]
 
     def test_one_reader_of_raw_words(self):
-        # a run of blocks (`_run`) and a block of the seed's words (`word_blocks`' reader) are the only reads
-        readers = {(f, scope) for f, scope, name, _ in names_by_scope() if name == "random_raw"}
-        assert readers == {("rng.py", "_run"), ("rng.py", "read")}
+        # `_run` is the one read of raw words, for `draws` and `word_blocks` alike, and the one holder of the lock
+        names = names_by_scope()
+        assert {(f, scope) for f, scope, name, _ in names if name == "random_raw"} == {("rng.py", "_run")}
+        # _LOCK is made at module level and named once more, where `_run` enters it
+        assert [(f, scope) for f, scope, name, _ in names if name == "_LOCK"] == [("rng.py", None), ("rng.py", "_run")]
