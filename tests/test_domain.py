@@ -103,6 +103,9 @@ INTEGER_ARGS = {
     "draws seed for a range": (lambda v: draws(v, 0, range(3), 4), 0, None, 3, None),
     "draws stream for a range": (lambda v: draws(1, v, range(3), 4), 0, None, 3, None),
     "draws draw count for a range": (lambda v: draws(1, 0, range(3), v), 0, 64, 3, None),
+    "draws seed for an empty range": (lambda v: draws(v, 0, range(0), 4), 0, None, 3, None),
+    "draws stream for an empty range": (lambda v: draws(1, v, range(5, 5), 4), 0, None, 3, None),
+    "draws draw count for an empty range": (lambda v: draws(1, 0, range(0), v), 0, 64, 3, None),
     "sample_outcomes trials": (lambda v: sample_outcomes(SETUP, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
     "sample_outcome_values trials": (lambda v: oracles.sample_outcome_values(SETUP, v, 1), 1, MAX_TRIALS, 3, len),
     "sample_joint trials": (lambda v: sample_joint(BellKind.SINGLET, Z, X, v, 1), 1, MAX_TRIALS, 3, lambda r: r.n),
@@ -175,8 +178,15 @@ def test_range_outside_the_game_indices_raises_before_the_cache(games):
     assert rng._key.cache_info() == before
 
 
-# a counter is an int or a range; an index array or a list of indices is neither
-@pytest.mark.parametrize("games", [np.arange(3), np.array([5], dtype=np.uint64), np.array(5), [0, 1, 2]], ids=repr)
+# a counter is an int or a range; an index array, of any dtype or shape, and a list or tuple of indices are neither
+INDEX_SEQUENCES = [
+    np.arange(3), np.array([5], dtype=np.uint64), np.array(5), [0, 1, 2], (0, 1, 2), np.array([9, 8, 7]),
+    np.array([], dtype=np.int64), np.array([-1]), np.array([MAX_GAME + 1], dtype=np.uint64), np.array([0.5]),
+    np.array([[0, 1]]),
+]
+
+
+@pytest.mark.parametrize("games", INDEX_SEQUENCES, ids=repr)
 def test_index_array_or_list_counter_raises(games):
     with pytest.raises(DomainError):
         draws(1, 0, games, 4)

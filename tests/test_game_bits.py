@@ -80,6 +80,25 @@ class TestKernel:
             counter = game + widening * oracles.WIDENING
             assert draws(3, 0, counter, 64) == as_mask(oracles.recipe_bits(3, 0, counter))
 
+    # scattered games are read one int at a time, numpy ints of either signedness too, with the recipe's masks
+    @pytest.mark.parametrize(
+        "games",
+        [
+            [9, 8, 7, 6, 5],  # descending
+            [5, 5, 6, 6, 7, 3, 3],  # duplicated indices
+            [0, 100, 1, 101, 2, 102, 3, 4, 5],  # interleaved runs
+            [*range(2**32 - 3, 2**32 + 3), 7, 8],  # a run crossing 2**32, then a short one
+            [40, 41, *range(MAX_GAME - 4, MAX_GAME + 1)],  # a run ending at the last game index
+            [MAX_GAME, 0, MAX_GAME - 1, MAX_GAME],  # no wrap from the last index back to 0
+        ],
+        ids=["descending", "duplicated", "interleaved", "across-2**32", "to-MAX_GAME", "no-wrap"],
+    )
+    def test_scattered_ints_match_the_recipe(self, games):
+        for dtype in (int, np.uint64, np.int64) if max(games) < 2**63 else (int, np.uint64):
+            for seed, stream, k in ((0, 0, 64), (2**64 + 5, 1, 8), (424242, 2, 1)):
+                masks = [draws(seed, stream, dtype(g), k) for g in games]
+                assert masks == recipe_masks(seed, stream, games, k), (dtype, seed, stream)
+
     # ranges at 0, across chunk edges and 2**32, ending at MAX_GAME, and empty ones
     RANGES = [
         range(0, 1), range(0, 3 * CHUNK + 1), range(CHUNK - 2, CHUNK + 2), range(7 * CHUNK - 1, 9 * CHUNK + 1),

@@ -161,6 +161,17 @@ class TestTally:
             tally(probs, 10, seed=1)
 
 
+class TestBinomialBand:
+    @pytest.mark.parametrize("p,n,band", [(0.5, 100, 3 * 0.05), (0.5, 1, 3 * 0.5), (0.0, 10, 0.0), (1.0, 10, 0.0)])
+    def test_band_is_three_sigmas(self, p, n, band):
+        assert binomial_band(p, n) == band
+
+    def test_takes_no_width(self):
+        # the 3-sigma width is fixed: `band_3sigma` is the one band the CLI reports
+        with pytest.raises(TypeError):
+            binomial_band(0.5, 10, 2)
+
+
 class TestRotationalInvariance:
     def test_common_rotation_leaves_probabilities_alone(self):
         rng = np.random.default_rng(31)
