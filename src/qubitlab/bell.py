@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int, unit_vector
+from .errors import (ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int,
+                     real_number, unit_vector)
 from .measure import _check_tally, tally
 
 if TYPE_CHECKING:
@@ -104,17 +105,23 @@ def bell_density(kind: BellKind) -> np.ndarray:
     return _checked_density(_check_kind(kind)).copy()
 
 
+def _check_plane(plane) -> str:
+    """`plane` if it is one of the plane strings 'xy', 'yz' and 'xz', else DomainError."""
+    if not isinstance(plane, str) or plane not in _PLANE_BASES:
+        raise DomainError(f"unknown plane {plane!r} (want one of xy, yz, xz)")
+    return plane
+
+
 def plane_direction(plane: str, angle) -> tuple:
     """Unit vector at `angle` in plane 'xy', 'yz' or 'xz': floats for a scalar, one array per component for an array."""
-    if plane not in _PLANE_BASES:
-        raise DomainError(f"unknown plane {plane!r} (want one of xy, yz, xz)")
+    bases = _PLANE_BASES[_check_plane(plane)]
     t = check_finite(angle, "in-plane angle")
     if isinstance(t, float):
         c, s = math.cos(t), math.sin(t)
     else:
         import numpy as np
         c, s = np.cos(t), np.sin(t)
-    return tuple(c * p + s * q for p, q in zip(*_PLANE_BASES[plane]))
+    return tuple(c * p + s * q for p, q in zip(*bases))
 
 
 def resolve_plane(kind: BellKind, plane: str | None = None) -> str:
@@ -122,7 +129,7 @@ def resolve_plane(kind: BellKind, plane: str | None = None) -> str:
     kind = _check_kind(kind)
     if plane is None:
         return "xz" if kind.is_singlet else kind.symmetry_plane
-    if kind.symmetry_plane not in ("all", plane):
+    if kind.symmetry_plane not in ("all", _check_plane(plane)):
         raise DomainError(f"{kind.value} correlates in plane {kind.symmetry_plane}, not {plane}")
     return plane
 
@@ -196,7 +203,7 @@ def closed_form_joint(kind: BellKind, theta: float) -> JointProbabilities:
     Triplets: like outcomes with probability cos^2(theta/2)/2 each, unlike
     sin^2(theta/2)/2 each; the singlet swaps the roles at every angle.
     """
-    like = math.cos(theta / 2.0) ** 2 / 2.0
+    like = math.cos(real_number(theta, "relative angle") / 2.0) ** 2 / 2.0
     unlike = 0.5 - like
     if _check_kind(kind).is_singlet:
         return JointProbabilities(unlike, like, like, unlike)

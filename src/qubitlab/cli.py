@@ -93,10 +93,7 @@ def _emit_text(obj, out, indent: str) -> None:
             else:
                 print(f"{indent}{key}:", file=out)
                 for item in value:
-                    if isinstance(item, dict):
-                        _emit_text(item, out, indent + "  ")
-                    else:
-                        print(f"{indent}  {_fmt(item)}", file=out)
+                    print(f"{indent}  {_fmt(item)}", file=out)
         else:
             print(f"{indent}{key}: {_fmt(value)}", file=out)
 

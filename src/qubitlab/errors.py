@@ -72,6 +72,14 @@ def check_finite(value, what: str):
     return float(a) if a.ndim == 0 else a.astype(float)
 
 
+def real_number(value, what: str) -> float:
+    """One finite real number as a float; anything else, an array included, is a DomainError."""
+    x = check_finite(value, what)
+    if not isinstance(x, float):
+        raise DomainError(f"{what} must be one real number, got {value!r}")
+    return x
+
+
 def real_3vector(v, what: str) -> tuple[float, float, float]:
     """Three real numbers as a float 3-tuple, else DimensionError; one past the float range is a DomainError."""
     try:

@@ -92,7 +92,9 @@ def tally(probs, n: int, seed: int) -> tuple[int, ...]:
     from .rng import word_blocks
     n = check_int(n, "trial count", 1, MAX_TRIALS)
     p = check_finite(probs, "cell probabilities")
-    if np.ndim(p) != 1 or not p.size or p.min() < -ATOL_EXACT or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
+    bad = np.ndim(p) != 1 or not p.size or p.min() < -ATOL_EXACT or p.max() > 1.0 + ATOL_EXACT
+    # an entry above 1 fails before the sum, which overflows at entries near the float range
+    if bad or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
         raise DomainError(f"cell probabilities must be a distribution, got {probs!r}")
     # numpy's double from word w is (w >> 11) * 2**-53, so u < e holds exactly when
     # w < ceil(e * 2**53) << 11; the limit is clamped to 0 (no word) .. 2**64 (every word)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HermiticityError, InvalidStateError, check_finite, check_int, real_3vector
+from .errors import DomainError, HermiticityError, InvalidStateError, check_int, real_3vector, real_number
 from .hilbert import ATOL_EXACT, as_matrix, pauli_decompose, pauli_matrix
 
 # classification tolerance for pure/mixed, looser than exact algebra since
@@ -108,17 +108,9 @@ def bloch_roundtrip(state: QubitState) -> QubitState:
     return QubitState.from_bloch(state.bloch)
 
 
-def _real_number(value, what: str) -> float:
-    """One finite real number as a float, else DomainError, also for an array: the rotations are not vectorised."""
-    x = check_finite(value, what)
-    if not isinstance(x, float):
-        raise DomainError(f"{what} must be one real number, got {value!r}")
-    return x
-
-
 def su2_rotation(axis, theta: float) -> np.ndarray:
     """U = exp(i*theta * n.sigma) for a named axis or arbitrary axis vector."""
-    theta = _real_number(theta, "rotation angle")
+    theta = real_number(theta, "rotation angle")
     return pauli_matrix(math.cos(theta), 1j * math.sin(theta) * axis_vector(axis))
 
 
@@ -130,7 +122,7 @@ def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
 
 def so3_rotation(axis, angle: float) -> np.ndarray:
     """Right-handed real-space rotation matrix about `axis` by `angle` (Rodrigues)."""
-    angle = _real_number(angle, "rotation angle")
+    angle = real_number(angle, "rotation angle")
     n = axis_vector(axis)
     k = np.array([[0.0, -n[2], n[1]], [n[2], 0.0, -n[0]], [-n[1], n[0], 0.0]])
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
@@ -138,7 +130,7 @@ def so3_rotation(axis, angle: float) -> np.ndarray:
 
 def bloch_rotation_for(axis, theta: float) -> np.ndarray:
     """The SO(3) rotation that su2_rotate(., axis, theta) induces on Bloch vectors."""
-    return so3_rotation(axis, -2.0 * _real_number(theta, "rotation angle"))
+    return so3_rotation(axis, -2.0 * real_number(theta, "rotation angle"))
 
 
 def gbit_dimension(s: int) -> int:
@@ -153,7 +145,7 @@ class ClassicalBitState:
     p1: float
 
     def __post_init__(self):
-        p1 = _real_number(self.p1, "p1")
+        p1 = real_number(self.p1, "p1")
         if not (0.0 <= p1 <= 1.0):
             raise InvalidStateError(f"p1 must lie in [0, 1], got {p1}")
         object.__setattr__(self, "p1", p1)

@@ -16,7 +16,7 @@ the strategy's coin flip from draws(dealer_seed, STREAM_STRATEGY, g, 1), so
 games are pure functions of (seeds, game index). Every game runs through one
 engine on lane masks, and `rng.draws` computes those draws for one game
 index (an int) or a block of GAME_BLOCK games (a range) alike, so
-`play_game`, `play_games` and `monte_carlo` agree exactly. Outside the game,
+`play_game` and `monte_carlo` agree exactly. Outside the game,
 `flip_pair`'s trial t is lane 0 of game t on the mechanics stream, and the
 parity exhaust's deal d reads game d's lane outcomes there.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
@@ -43,7 +43,7 @@ MAX_LANES = 8
 MAX_GAMES = 2**21
 # seeds of one verify_parity_theorem call: at 8 lanes each seed takes about 4 ms
 MAX_PARITY_SEEDS = 256
-# games per block of play_games and monte_carlo; their arrays peak near 1 MiB
+# games per block of monte_carlo; its arrays peak near 1 MiB
 GAME_BLOCK = 4096
 
 STREAM_DEAL = 0
@@ -344,18 +344,6 @@ class GameRecord:
         return _record_json(*vars(self).values(), self.chips_net)  # the instance dict holds the fields in order
 
 
-def _check_records(records) -> Iterator[GameRecord]:
-    """The GameRecords of an iterable, each checked as it is read; anything else is a DomainError."""
-    try:
-        records = iter(records)
-    except TypeError:
-        raise DomainError(f"records must be an iterable of GameRecords, got {records!r}") from None
-    for rec in records:
-        if not isinstance(rec, GameRecord):
-            raise DomainError(f"not a GameRecord: {rec!r}")
-        yield rec
-
-
 def parity_name(count: int) -> str:
     return PARITIES[count % 2]
 
@@ -461,47 +449,9 @@ class MonteCarloSummary:
     ci_halfwidth: float
 
 
-def _played(strategy: Strategy, games: int, seed: int, mech, lanes: int) -> Iterator[tuple]:
-    """`_play`'s columns of games 0..games-1, played lazily a block of at most GAME_BLOCK games at a time."""
-    for start in range(0, games, GAME_BLOCK):
-        yield _play(strategy, seed, seed, range(start, min(start + GAME_BLOCK, games)), mech, lanes)
-
-
 def _rows(block) -> Iterator[tuple]:
     """The rows of Python ints of a block's columns, each (bob, alice, bought, guess, target, *notes)."""
     return zip(*(np.broadcast_to(col, block[0].shape).tolist() for col in block))
-
-
-def play_games(
-    strategy: Strategy,
-    games: int,
-    seed: int,
-    *,
-    mech: QuoinMechanics | None = None,
-    lanes: int = DEFAULT_LANES,
-) -> Iterator[GameRecord]:
-    """Lazily play rounds 0..games-1 with `seed` as dealer and mechanics seed, a block at a time."""
-    games = check_int(games, "game count", 1, MAX_GAMES)
-    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
-    blocks = _played(strategy, games, seed, mech, lanes)
-    return (GameRecord(*_fields(strategy, lanes, *row)) for block in blocks for row in _rows(block))
-
-
-def summarize(records: Iterable[GameRecord]) -> MonteCarloSummary:
-    """Aggregate rounds in one pass; the CI half-width is the 3-sigma binomial band."""
-    games = wins = net = 0
-    for rec in _check_records(records):
-        games += 1
-        wins += rec.correct
-        net += rec.chips_net
-    if games < 1:
-        raise DomainError("no game records to summarize")
-    return _summary(games, wins, net)
-
-
-def _summary(games: int, wins: int, net: int) -> MonteCarloSummary:
-    w = wins / games
-    return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
 
 
 def monte_carlo(
@@ -512,7 +462,7 @@ def monte_carlo(
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
 ) -> MonteCarloSummary:
-    """summarize(play_games(...)), from the one block loop `_simulate`, which builds no records."""
+    """Play and tally games 0..games-1 with `seed` as dealer and mechanics seed; the CI is the 3-sigma binomial band."""
     return _simulate(strategy, games, seed, mech, lanes)
 
 
@@ -521,7 +471,8 @@ def _simulate(strategy: Strategy, games: int, seed: int, mech, lanes: int, write
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
-    for block in _played(strategy, games, seed, mech, lanes):
+    for start in range(0, games, GAME_BLOCK):
+        block = _play(strategy, seed, seed, range(start, min(start + GAME_BLOCK, games)), mech, lanes)
         bought, guess, target = block[2:5]
         correct = guess == target
         nets = _net_chips(correct, np.asarray(bought, dtype=np.int64))
@@ -529,7 +480,8 @@ def _simulate(strategy: Strategy, games: int, seed: int, mech, lanes: int, write
         net += int(nets.sum())
         if write is not None:
             write([_record_json(*_fields(strategy, lanes, *row), n) for row, n in zip(_rows(block), nets.tolist())])
-    return _summary(games, wins, net)
+    w = wins / games
+    return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
 
 
 def write_transcript(records, fp) -> None:
@@ -537,7 +489,13 @@ def write_transcript(records, fp) -> None:
     write = getattr(fp, "write", None)
     if not callable(write):
         raise DomainError(f"transcript file must have a write method, got {fp!r}")
-    for rec in _check_records(records):
+    try:
+        records = iter(records)
+    except TypeError:
+        raise DomainError(f"records must be an iterable of GameRecords, got {records!r}") from None
+    for rec in records:
+        if not isinstance(rec, GameRecord):
+            raise DomainError(f"not a GameRecord: {rec!r}")
         write(rec.to_json() + "\n")
 
 

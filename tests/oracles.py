@@ -22,6 +22,7 @@ from qubitlab.quoin import (
     STREAM_STRATEGY,
     ClassicalBitsStrategy,
     GameRecord,
+    MonteCarloSummary,
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
@@ -256,6 +257,14 @@ def play_games(strategy, games, seed, *, mech=None, lanes=DEFAULT_LANES):
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     return (play_game(strategy, seed, seed, game_index=g, mech=mech, lanes=lanes) for g in range(games))
+
+
+def summary(records) -> MonteCarloSummary:
+    """What `monte_carlo` must return for these records: their count, win rate, mean net and 3-sigma band."""
+    records = list(records)
+    n, wins, net = len(records), sum(r.correct for r in records), sum(r.chips_net for r in records)
+    rate = wins / n
+    return MonteCarloSummary(n, rate, net / n, 3.0 * math.sqrt(rate * (1.0 - rate) / n))
 
 
 def recipe_uniforms(seed: int, n: int) -> np.ndarray:

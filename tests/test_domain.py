@@ -72,8 +72,6 @@ from qubitlab.quoin import (
     flip_pair,
     monte_carlo,
     play_game,
-    play_games,
-    summarize,
     verify_parity_theorem,
     write_transcript,
 )
@@ -113,8 +111,6 @@ INTEGER_ARGS = {
     "monte_carlo games": (lambda v: monte_carlo(RandomStrategy(), v, 1), 1, MAX_GAMES, 3, lambda r: r.games),
     "monte_carlo seed": (lambda v: monte_carlo(RandomStrategy(), 3, v), 0, None, 3, None),
     "monte_carlo lanes": (lambda v: monte_carlo(QuoinStrategy(), 3, 1, lanes=v), 1, MAX_LANES, 3, None),
-    "play_games games": (lambda v: list(play_games(RandomStrategy(), v, 1)), 1, MAX_GAMES, 3, len),
-    "play_games lanes": (lambda v: list(play_games(QuoinStrategy(), 2, 1, lanes=v)), 1, MAX_LANES, 3, None),
     "play_game lanes": (lambda v: play_game(QuoinStrategy(), 1, 1, lanes=v), 1, MAX_LANES, 3, lambda r: len(r.bob_bits)),
     "play_game game index": (lambda v: play_game(RandomStrategy(), 1, 1, game_index=v), 0, MAX_GAME, 3, None),
     "play_game dealer seed": (lambda v: play_game(RandomStrategy(), v, 1), 0, None, 3, None),
@@ -231,7 +227,6 @@ KIND_ARGS = {
 MECH_ARGS = {
     "monte_carlo": lambda v: monte_carlo(QuoinStrategy(), 3, 1, mech=v),
     "play_game": lambda v: play_game(QuoinStrategy(), 1, 1, mech=v),
-    "play_games": lambda v: list(play_games(QuoinStrategy(), 3, 1, mech=v)),
     "flip_pair": lambda v: flip_pair(v, ("H", "H"), 1, 0),
     "enumerate_riggings": enumerate_riggings,
     "verify_parity_theorem": lambda v: verify_parity_theorem([0], 2, v),
@@ -266,6 +261,7 @@ ANGLE_ARGS = {
     "invariance_check": lambda v: invariance_check(BellKind.SINGLET, "z", v),
     "so3_rotation": lambda v: so3_rotation("z", v),
     "bloch_rotation_for": lambda v: bloch_rotation_for("z", v),
+    "closed_form_joint": lambda v: closed_form_joint(BellKind.SINGLET, v),
     "plane_direction": lambda v: plane_direction("xz", v),
     "plane_direction array": lambda v: plane_direction("xz", [0.0, v]),
     "tsirelson_scan first Alice angle": lambda v: tsirelson_scan(n=4, alice_angles=(v, 0.0)),
@@ -287,8 +283,8 @@ def test_finite_angles_accepted(name):
     ANGLE_ARGS[name](np.float32(-2))
 
 
-# the rotations take one angle; an array would reach math.cos and raise a bare TypeError
-@pytest.mark.parametrize("name", ["su2_rotation", "su2_rotate", "so3_rotation", "bloch_rotation_for"])
+# the rotations and closed_form_joint take one angle; an array would reach math.cos and raise a bare TypeError
+@pytest.mark.parametrize("name", ["su2_rotation", "su2_rotate", "so3_rotation", "bloch_rotation_for", "closed_form_joint"])
 @pytest.mark.parametrize("angles", [[0.1, 0.2], np.array([0.1, 0.2]), np.array([0.1]), [[0.5]]])
 def test_rotation_wants_one_angle(name, angles):
     with pytest.raises(DomainError):
@@ -307,6 +303,31 @@ def test_tsirelson_scan_echoes_alice_angles_as_floats(angles):
     echoed = tsirelson_scan(n=4, alice_angles=angles).alice_angles
     assert echoed == tuple(float(a) for a in angles)
     assert [type(a) for a in echoed] == [float, float]
+
+
+# name -> call with the coordinate plane, which must be one of the strings 'xy', 'yz' and 'xz'
+PLANE_ARGS = {
+    "resolve_plane singlet": lambda v: resolve_plane(BellKind.SINGLET, v),
+    "resolve_plane phi+": lambda v: resolve_plane(BellKind.PHI_PLUS, v),
+    "plane_direction": lambda v: plane_direction(v, 0.5),
+    "tsirelson_scan": lambda v: tsirelson_scan(BellKind.SINGLET, v, n=4),
+}
+
+
+@pytest.mark.parametrize(
+    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in PLANE_ARGS for b in ["qq", "XZ", "", 3, ["xz"], b"xz"]]
+)
+def test_plane_other_than_the_three_raises(name, bad):
+    # the singlet used to return any plane unchecked, and a list then escaped as TypeError: unhashable type
+    with pytest.raises(DomainError):
+        PLANE_ARGS[name](bad)
+
+
+@pytest.mark.parametrize("name", PLANE_ARGS)
+def test_plane_strings_accepted(name):
+    for plane in ("xy", "yz", "xz") if "phi+" not in name else ("xz",):
+        PLANE_ARGS[name](plane)
+        PLANE_ARGS[name](np.str_(plane))
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e400", "9" * 400 + "pi"])
@@ -486,9 +507,11 @@ BOX_ARGS = {
 }
 
 
-@pytest.mark.parametrize(
-    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in BOX_ARGS for b in [None, 3, (), [X, Z, X], iter([])]]
-)
+# id -> a value that is not two outcomes or directions; the iterator gets a fixed id, as its repr holds an address
+BAD_SIDES = {"None": None, "3": 3, "()": (), repr([X, Z, X]): [X, Z, X], "iterator": iter([])}
+
+
+@pytest.mark.parametrize("name,bad", [pytest.param(n, b, id=f"{n}-{i}") for n in BOX_ARGS for i, b in BAD_SIDES.items()])
 def test_box_builder_wants_two_per_side(name, bad):
     with pytest.raises(DomainError):
         BOX_ARGS[name](bad)
@@ -502,9 +525,8 @@ TYPED_ARGS = {
     "verify_pauli_embedding": verify_pauli_embedding,
     "no_signalling_check": no_signalling_check,
     "conservation_filter": conservation_filter,
-    "summarize": lambda v: summarize([v]),
-    "summarize records": summarize,
     "write_transcript": lambda v: write_transcript([v], io.StringIO()),
+    "write_transcript records": lambda v: write_transcript(v, io.StringIO()),
     "write_transcript file": lambda v: write_transcript([RECORD], v),
     "apply_rigging rigging": lambda v: apply_rigging(v, "H"),
     "apply_rigging start": lambda v: apply_rigging("H", v),
@@ -514,9 +536,8 @@ TYPED_OK = {
     "verify_pauli_embedding": SpinOperatorTriple.canonical(),
     "no_signalling_check": PR_BOX,
     "conservation_filter": PR_BOX,
-    "summarize": RECORD,
-    "summarize records": [RECORD],
     "write_transcript": RECORD,
+    "write_transcript records": [RECORD],
     "write_transcript file": io.StringIO(),
     "apply_rigging rigging": "S",
     "apply_rigging start": "T",
@@ -524,7 +545,13 @@ TYPED_OK = {
 
 
 @pytest.mark.parametrize(
-    "name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in TYPED_ARGS for b in [None, 1, "x", ["H"], ("H",), {}]]
+    "name,bad",
+    [
+        pytest.param(n, b, id=f"{n}-{b!r}")
+        for n in TYPED_ARGS
+        for b in [None, 1, "x", ["H"], ("H",), {}]
+        if not (n == "write_transcript records" and b == {})  # an empty iterable is an empty transcript
+    ],
 )
 def test_argument_of_another_type_raises(name, bad):
     # each used to escape as AttributeError or TypeError

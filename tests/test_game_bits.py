@@ -7,8 +7,8 @@ range of games is one `_run` of 4 * n words, and an int counter is a word of
 the cached, aligned run of `rng.CHUNK` blocks that holds it. These tests hold
 both to that recipe, at chunk edges and counter-word carries and from
 several threads at once, check that a block of games re-keys each stream it
-uses once and the parity exhaust each seed once, and hold
-`play_game`, `play_games` and `monte_carlo`, which all draw through
+uses once and the parity exhaust each seed once, and hold `play_game`,
+`monte_carlo` and the block loop's transcript lines, which all draw through
 `rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
 the recipe alone.
 """
@@ -35,8 +35,6 @@ from qubitlab.quoin import (
     RandomStrategy,
     monte_carlo,
     play_game,
-    play_games,
-    summarize,
 )
 from qubitlab.rng import CHUNK, MAX_GAME, draws
 
@@ -394,10 +392,9 @@ class TestMonteCarloMatchesOracle:
             expected = outcome(lambda: list(oracles.play_games(strategy, 100, seed, **kw)))
             # a strategy that cannot buy k bits across the lanes fails on every path
             assert (expected is DomainError) == (name == "classical:3" and lanes < 3), name
-            assert outcome(lambda: list(play_games(strategy, 100, seed, **kw))) == expected, name
             singles = outcome(lambda: [play_game(strategy, seed, seed, game_index=g, **kw) for g in range(100)])
             assert singles == expected, name
-            summary = expected if expected is DomainError else summarize(expected)
+            summary = expected if expected is DomainError else oracles.summary(expected)
             assert outcome(lambda: monte_carlo(strategy, 100, seed, **kw)) == summary, name
 
     @settings(max_examples=60, deadline=None)
@@ -443,9 +440,10 @@ class TestMonteCarloMatchesOracle:
         games = quoin.GAME_BLOCK + 37
         for strategy in (QuoinStrategy(), RandomStrategy()):
             kw = {"mech": QuoinMechanics.quantum_coin(), "lanes": 2}
-            expected = list(oracles.play_games(strategy, games, 9, **kw))
-            assert list(play_games(strategy, games, 9, **kw)) == expected
-            assert monte_carlo(strategy, games, 9, **kw) == summarize(expected)
+            expected, lines = list(oracles.play_games(strategy, games, 9, **kw)), []
+            quoin._simulate(strategy, games, 9, kw["mech"], kw["lanes"], lines.extend)
+            assert lines == [oracles.record_json(record) for record in expected]
+            assert monte_carlo(strategy, games, 9, **kw) == oracles.summary(expected)
 
     def test_object_without_play_block_rejected(self):
         class Impostor:
@@ -461,7 +459,7 @@ class TestMonteCarloMatchesOracle:
             with pytest.raises(DomainError):
                 monte_carlo(strategy, 10, 1)
             with pytest.raises(DomainError):
-                list(play_games(strategy, 10, 1))
+                play_game(strategy, 10, 1)
 
     def test_memory_stays_in_blocks(self):
         tracemalloc.start()

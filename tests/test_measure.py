@@ -154,7 +154,12 @@ class TestTally:
         assert sum(counts) == 10**4
 
     @pytest.mark.parametrize(
-        "probs", [(), (0.5,), (0.6, 0.6), (1.5, -0.5), (math.nan, 1.0), (math.inf, 0.0), ((0.5, 0.5),), ("0.5", "0.5"), 1.0]
+        "probs",
+        [
+            (), (0.5,), (0.6, 0.6), (1.5, -0.5), (math.nan, 1.0), (math.inf, 0.0), ((0.5, 0.5),), ("0.5", "0.5"), 1.0,
+            # entries above 1: the sum of the first used to overflow in math.fsum
+            (1e308, 1e308, 1e308), (1e308, -1e308), (1 + 1e-11, -1e-11),
+        ],
     )
     def test_refuses_what_is_not_a_distribution(self, probs):
         with pytest.raises(DomainError):

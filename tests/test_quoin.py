@@ -27,8 +27,6 @@ from qubitlab.quoin import (
     flip_pair,
     monte_carlo,
     play_game,
-    play_games,
-    summarize,
     verify_parity_theorem,
 )
 from qubitlab.rng import MAX_GAME
@@ -271,10 +269,10 @@ class TestRecordFormatter:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), lanes=st.integers(1, MAX_LANES), mech=st.sampled_from(MECHANICS))
-    def test_play_games_lines_are_json_dumps(self, data, lanes, mech):
-        strategy = data.draw(strategies_for(lanes))
-        for record in play_games(strategy, data.draw(st.integers(1, 40)), data.draw(st.integers(0, 2**40)),
-                                 mech=mech, lanes=lanes):
+    def test_consecutive_game_lines_are_json_dumps(self, data, lanes, mech):
+        strategy, seed = data.draw(strategies_for(lanes)), data.draw(st.integers(0, 2**40))
+        for game in range(data.draw(st.integers(1, 40))):
+            record = play_game(strategy, seed, seed, game_index=game, mech=mech, lanes=lanes)
             assert record.to_json() == oracles.record_json(record)
 
     @settings(max_examples=60, deadline=None)
@@ -294,8 +292,7 @@ class TestRecordFormatter:
             summary = quoin._simulate(strategy, games, seed, mech, lanes, lines.extend)
             records = list(oracles.play_games(strategy, games, seed, **kw))
             assert lines == [oracles.record_json(record) for record in records]
-            assert summary == monte_carlo(strategy, games, seed, **kw) == summarize(records)
-            assert summary == summarize(play_games(strategy, games, seed, **kw))
+            assert summary == monte_carlo(strategy, games, seed, **kw) == oracles.summary(records)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -334,14 +331,16 @@ class TestRecordFormatter:
 
 class TestDealers:
     def test_standard_dealer_never_deals_zero_hand_to_alice(self):
-        # at one lane half of Alice's first hands are zero and get redrawn
+        # at one lane half of Alice's first hands are zero and get redrawn, one game at a time or in a block
         for lanes in (1, 5):
-            records = list(play_games(RandomStrategy(), 500, 71, lanes=lanes))
-            singles = [play_game(RandomStrategy(), 71, 71, game_index=g, lanes=lanes) for g in range(100)]
-            assert singles == records[:100]
-            assert all(any(r.alice_bits) for r in records)
+            singles = [play_game(RandomStrategy(), 71, 71, game_index=g, lanes=lanes).to_json() for g in range(500)]
+            lines = []
+            quoin._simulate(RandomStrategy(), 500, 71, None, lanes, lines.extend)
+            assert lines == singles
+            records = [json.loads(line) for line in lines]
+            assert all(any(r["alice_bits"]) for r in records)
             # only Alice's hand is redrawn: Bob's may be all zero
-            assert any(not any(r.bob_bits) for r in records)
+            assert any(not any(r["bob_bits"]) for r in records)
 
 
 class TestMonteCarlo:
@@ -381,12 +380,12 @@ class TestMonteCarlo:
     def test_bad_game_counts_rejected(self, games):
         with pytest.raises(DomainError):
             monte_carlo(QuoinStrategy(), games, seed=1)
-        with pytest.raises(DomainError):
-            play_games(QuoinStrategy(), games, seed=1)
 
     def test_game_count_bound_and_numpy_counts(self):
-        # play_games is lazy, so the bound itself is accepted without playing it
-        assert next(play_games(RandomStrategy(), MAX_GAMES, seed=1)).bits_bought == 0
+        # the bound itself passes the check: its first block starts at game 0, and is not played
+        with mock.patch.object(quoin, "_play", side_effect=StopIteration) as play, pytest.raises(StopIteration):
+            monte_carlo(RandomStrategy(), MAX_GAMES, seed=1)
+        assert play.call_args.args[3] == range(quoin.GAME_BLOCK)
         games = monte_carlo(RandomStrategy(), np.int64(12), seed=1).games
         assert type(games) is int and games == 12
 
