@@ -8,7 +8,7 @@ correlates in its own symmetry plane. Marginals are uniform, so with
 E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*E)/4.
 
 Directions and joint tables are Python floats and tuples; numpy is imported
-only by the densities, `invariance_check`, array angles and the sampler.
+only by the densities, `invariance_check` and the sampler.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import (ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_finite, check_int,
-                     real_number, unit_vector)
+from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_int, real_number, unit_vector
 from .measure import _check_tally, tally
 
 if TYPE_CHECKING:
@@ -112,15 +112,11 @@ def _check_plane(plane) -> str:
     return plane
 
 
-def plane_direction(plane: str, angle) -> tuple:
-    """Unit vector at `angle` in plane 'xy', 'yz' or 'xz': floats for a scalar, one array per component for an array."""
+def plane_direction(plane: str, angle: float) -> tuple[float, float, float]:
+    """Unit vector at one `angle` in plane 'xy', 'yz' or 'xz', as a float 3-tuple."""
     bases = _PLANE_BASES[_check_plane(plane)]
-    t = check_finite(angle, "in-plane angle")
-    if isinstance(t, float):
-        c, s = math.cos(t), math.sin(t)
-    else:
-        import numpy as np
-        c, s = np.cos(t), np.sin(t)
+    t = real_number(angle, "in-plane angle")
+    c, s = math.cos(t), math.sin(t)
     return tuple(c * p + s * q for p, q in zip(*bases))
 
 
@@ -167,14 +163,14 @@ class JointProbabilities:
         return _conditional_average((self.p_pp, self.p_pm, self.p_mp, self.p_mm), alice_outcome)
 
 
-def _conditional_average(cells, alice_outcome: int) -> float:
-    """E[Bob | Alice] from the cells (pp, pm, mp, mm) of a joint table or a tally."""
-    if alice_outcome not in (1, -1):
-        raise DomainError(f"alice_outcome must be +1 or -1, got {alice_outcome!r}")
-    bob_plus, bob_minus = cells[:2] if alice_outcome == 1 else cells[2:]
+def _conditional_average(cells, outcome: int) -> float:
+    """E[Bob | Alice] from the cells (pp, pm, mp, mm) of a joint table or a tally; a bool is no outcome."""
+    if isinstance(outcome, bool) or not isinstance(outcome, numbers.Integral) or outcome not in (1, -1):
+        raise DomainError(f"alice_outcome must be +1 or -1, got {outcome!r}")
+    bob_plus, bob_minus = cells[:2] if outcome == 1 else cells[2:]
     weight = bob_plus + bob_minus
     if weight <= ATOL_EXACT:
-        raise ConditioningError(f"Alice's outcome {alice_outcome:+d} has zero weight")
+        raise ConditioningError(f"Alice's outcome {outcome:+d} has zero weight")
     return (bob_plus - bob_minus) / weight
 
 
@@ -191,8 +187,8 @@ def correlator(kind: BellKind, a_dir, b_dir) -> float:
     return correlate(_check_kind(kind).pauli_signs, a, b)
 
 
-def correlate(signs, a, b):
-    """sum_i s_i a_i b_i over three components: floats, or array columns that broadcast."""
+def correlate(signs, a, b) -> float:
+    """sum_i s_i a_i b_i over the three components of two directions."""
     sx, sy, sz = signs
     return sx * a[0] * b[0] + sy * a[1] * b[1] + sz * a[2] * b[2]
 

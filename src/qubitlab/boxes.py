@@ -8,7 +8,7 @@ extremal boxes consistent or inconsistent with a single fixed spin direction
 per setting label.
 
 A box is 16 Python floats in nested tuples, and every box built here comes
-from the one rule in `_box`. Numpy is imported only by `tsirelson_scan`.
+from the one rule in `_box`. The module runs on Python floats and imports no numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bell
-from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_finite, check_int, unit_vector
+from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_finite, check_int, real_number, unit_vector
 
 OUTCOMES = (1, -1)
 # largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
@@ -302,40 +302,42 @@ def tsirelson_scan(
     n: int = 180,
     alice_angles: tuple[float, float] = (0.0, math.pi / 2.0),
 ) -> TsirelsonScan:
-    """Scan Bob's two in-plane angles over an n-point grid (step pi/n).
+    """Scan Bob's two in-plane angles over an n-point grid (step pi/n); Alice's angles stay fixed.
 
-    Alice's angles stay fixed. The 2n correlators come from bell.correlate on
-    the direction columns, Alice's as a column against Bob's grid row. With s = E_a + E_a',
-    each sign placement's term is f(k0) + g(k1) (f = s - 2 E_a, g = s for the minus
-    on E_a at k0), so its extremes are found in O(n); the exact n x n expression is
-    evaluated only on each optimal part's rows x columns within 1e-12 of its extremes.
+    With s = E_a + E_a', each sign placement's term is f(k0) + g(k1) (f = s - 2 E_a, g = s for the
+    minus on E_a at k0). As E = sigma*cos(a - b) in the plane, each part +/-s, +/-(s - 2 E_a) and
+    +/-(s - 2 E_a') is R*cos(theta - phi), with phi = mu + j*pi/2 for Alice's mean angle mu and
+    R = 2|cos(Delta/2)| or 2|sin(Delta/2)| for Delta = a' - a. Unless some R < 1e-4, the grid points
+    within 1e-12 of a part's top lie next to a phi or at an end, and only those are evaluated.
     """
-    import numpy as np
     n = check_int(n, "grid size n", 2, MAX_SCAN_N)
-    angles = check_finite(alice_angles, "Alice's angles")
-    if np.shape(angles) != (2,):
-        raise DomainError(f"need exactly two Alice angles, got {alice_angles!r}")
-    plane = bell.resolve_plane(kind, plane)
-    grid = np.arange(n) * (math.pi / n)
-    a = [c[:, None] for c in bell.plane_direction(plane, angles)]  # [x, 1] per component
-    e = bell.correlate(kind.pauli_signs, a, bell.plane_direction(plane, grid))  # [x, k]
-    s = e[0] + e[1]
-    rows = np.stack((s - 2.0 * e[0], s - 2.0 * e[1], s))
-    rows = np.concatenate((rows, -rows))  # every part f or g: +/-(s - 2 E_a), +/-(s - 2 E_a'), +/-s
-    top = rows.max(axis=1).tolist()
+    try:
+        a0, a1 = alice_angles
+    except (TypeError, ValueError):  # None, a number, or not two angles
+        raise DomainError(f"need exactly two Alice angles, got {alice_angles!r}") from None
+    angles = (real_number(a0, "Alice's angle"), real_number(a1, "Alice's angle"))
+    plane, step = bell.resolve_plane(kind, plane), math.pi / n
+    # each angle in (-pi, pi] from its own cosine and sine: exact where a remainder by 2 pi is not
+    t0, t1 = (math.atan2(math.sin(t), math.cos(t)) for t in angles)
+    half, ks = (t1 - t0) / 2.0, range(n)
+    if 2.0 * min(abs(math.cos(half)), abs(math.sin(half))) >= 1e-4:  # else a part is too flat to skip a point
+        lows = [math.floor((t0 + half + j * math.pi / 2.0) % math.tau / step) for j in range(4)]
+        ks = sorted({k for k in (0, 1, n - 2, n - 1, *(lo + d for lo in lows for d in (-1, 0, 1, 2))) if 0 <= k < n})
+    a = [bell.plane_direction(plane, t) for t in angles]
+    b = [bell.plane_direction(plane, k * step) for k in ks]
+    signs = kind.pauli_signs
+    e0, e1 = ([bell.correlate(signs, ax, bk) for bk in b] for ax in a)
+    s = [x + y for x, y in zip(e0, e1)]
+    rows = [[x - 2.0 * y for x, y in zip(s, e0)], [x - 2.0 * y for x, y in zip(s, e1)], s]
+    rows += [[-v for v in row] for row in rows]  # every part f or g: +/-(s - 2 E_a), +/-(s - 2 E_a'), +/-s
+    top = [max(row) for row in rows]
+    at_top = [tuple(i for i, v in enumerate(row) if v >= t - 1e-12) for row, t in zip(rows, top)]
     # (row of f, row of g) per placement: the minus on E_x at k0, then at k1, each with the sign + then -
     parts = [(f + m, g + m) for x in (0, 1) for f, g in ((x, 2), (2, x)) for m in (0, 3)]
-    peaks = [top[f] + top[g] for f, g in parts]
-    hits = []
-    for f, g in (part for part, peak in zip(parts, peaks) if peak >= max(peaks) - 1e-12):
-        k0, k1 = (np.flatnonzero(rows[r] >= top[r] - 1e-12) for r in (f, g))
-        if len(k0) == len(k1) == 1:  # the common case: one grid pair
-            (i,), (j,) = k0.tolist(), k1.tolist()
-            hits.append((float(max(abs(s[i] + s[j] - 2.0 * c) for c in (e[0, i], e[1, i], e[0, j], e[1, j]))), i, j))
-            continue
-        corr = np.concatenate(np.broadcast_arrays(e[:, k0, None], e[:, None, k1]))  # [4, k0, k1]
-        best = np.abs(s[k0, None] + s[k1] - 2.0 * corr).max(axis=0)
-        i, j = np.unravel_index(int(best.argmax()), best.shape)
-        hits.append((float(best[i, j]), int(k0[i]), int(k1[j])))
-    value, k0, k1 = max(hits, key=lambda hit: (hit[0], -hit[1], -hit[2]))
-    return TsirelsonScan(value, float(grid[k0]), float(grid[k1]), n, kind, plane, tuple(angles.tolist()))
+    peak = max(top[f] + top[g] for f, g in parts)
+    blocks = {(at_top[f], at_top[g]) for f, g in parts if top[f] + top[g] >= peak - 1e-12}  # a shared block runs once
+    value, k0, k1 = max(  # the largest value, then the first row-major grid pair
+        (max(abs(t - 2.0 * e0[i]), abs(t - 2.0 * e1[i]), abs(t - 2.0 * e0[j]), abs(t - 2.0 * e1[j])), -ks[i], -ks[j])
+        for i0, j0 in blocks for i in i0 for j in j0 for t in (s[i] + s[j],)
+    )
+    return TsirelsonScan(value, -k0 * step, -k1 * step, n, kind, plane, angles)

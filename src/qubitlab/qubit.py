@@ -105,6 +105,8 @@ class QubitState:
 
 def bloch_roundtrip(state: QubitState) -> QubitState:
     """Rebuild the state from its Bloch vector (density -> Bloch -> density)."""
+    if not isinstance(state, QubitState):
+        raise DomainError(f"not a QubitState: {state!r}")
     return QubitState.from_bloch(state.bloch)
 
 
@@ -167,7 +169,7 @@ def classical_pure_path(
     `steps` counts interior points; the path is linear in p1 and every
     interior point is mixed, which is the whole point of exposing it.
     """
-    if not (a.is_pure and b.is_pure):
+    if not all(isinstance(x, ClassicalBitState) and x.is_pure for x in (a, b)):
         raise DomainError("path endpoints must be pure classical bit states")
     if a.p1 == b.p1:
         raise DomainError("path endpoints must differ")

@@ -52,13 +52,20 @@ def matrix_scan(
 ) -> TsirelsonScan:
     """The n x n tsirelson_scan: the CHSH value at every grid pair in three n x n buffers.
 
-    The correlators are computed as in boxes.tsirelson_scan; the maximum over
-    sign placements is taken at each grid pair and the first row-major argmax wins.
+    The directions are numpy columns cos(t)*p + sin(t)*q over the plane's basis (p, q) and
+    the correlators sum_i s_i a_i b_i, the float expressions of boxes.tsirelson_scan at every
+    grid point; the maximum over sign placements is taken at each grid pair and the first
+    row-major argmax wins.
     """
     plane = bell.resolve_plane(kind, plane)
     grid = np.arange(n) * (math.pi / n)
-    a = np.stack(bell.plane_direction(plane, alice_angles), axis=1) * kind.pauli_signs  # [x, i]
-    b = np.stack(bell.plane_direction(plane, grid), axis=1)  # [k, i]
+    p, q = (np.array(axis) for axis in bell._PLANE_BASES[plane])
+
+    def directions(t):  # [k, i]
+        return np.cos(t)[:, None] * p + np.sin(t)[:, None] * q
+
+    a = directions(np.array(alice_angles, dtype=float)) * kind.pauli_signs  # [x, i]
+    b = directions(grid)
     e = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:] * b[:, 2]  # [x, k]
     s = e[0] + e[1]
     total = s[:, None] + s[None, :]  # [k0, k1]

@@ -19,6 +19,7 @@ from qubitlab.bell import (
     sample_joint,
 )
 from qubitlab.boxes import (
+    MAX_SCAN_N,
     chsh_value,
     conservation_filter,
     lhv_max_chsh,
@@ -135,19 +136,32 @@ def test_criterion_06_tsirelson_bound():
     start = time.perf_counter()
     repeats = [tsirelson_scan(BellKind.SINGLET, "xz", n=180) for _ in range(1000)]
     scans = time.perf_counter() - start
+    start = time.perf_counter()
+    largest = {tsirelson_scan(n=MAX_SCAN_N) for _ in range(1000)}
+    large_scans = time.perf_counter() - start
+    # equal and antipodal Alice angles make a part flat, so the scan evaluates every grid point; with one
+    # setting in effect, Alice reaches only the local bound 2, within the grid's 1.5e-7
+    flat_scans, flat_values = [], []
+    for angles in ((0.3, 0.3), (0.3 + math.pi, 0.3)):
+        start = time.perf_counter()
+        flat_values.append(tsirelson_scan(n=4096, alice_angles=angles).max_value)
+        flat_scans.append(time.perf_counter() - start)
     # the canonical box is not extremal: its conservation trace prints the correlator table
     verdict = conservation_filter(box)
     start = time.perf_counter()
     traces = {conservation_filter(box) for _ in range(5000)}
     filters = time.perf_counter() - start
     ok = abs(canonical - TSIRELSON) <= 1e-9 and scan.max_value <= TSIRELSON + 1e-9 and set(repeats) == {scan}
+    ok &= len(largest) == 1 and abs(largest.pop().max_value - TSIRELSON) <= 1e-9
+    ok &= all(abs(v - 2.0) <= 1e-6 for v in flat_values)
     ok &= verdict.status == "not_applicable" and traces == {verdict}
     _report(
         6,
         "canonical angles reach 2*sqrt(2); 180x180 scan respects the bound",
-        ok and elapsed < 10.0 and scans < 1.0 and filters < 0.25,
+        ok and elapsed < 10.0 and scans < 1.0 and large_scans < 1.0 and max(flat_scans) < 0.25 and filters < 0.25,
         f"canonical {canonical:.9f}, scan max {scan.max_value:.9f}, {elapsed:.2f}s; 1000 scans {scans:.2f}s; "
-        f"5000 non-extremal conservation traces {filters:.2f}s",
+        f"1000 scans at n={MAX_SCAN_N} {large_scans:.2f}s; flat scans at n=4096 "
+        f"{' / '.join(f'{s:.3f}' for s in flat_scans)}s; 5000 non-extremal conservation traces {filters:.2f}s",
     )
 
 

@@ -96,7 +96,7 @@ def test_quantum_boxes_do_not_signal_and_respect_tsirelson(kind, a0, a1, b0, b1)
     st.sampled_from([12, 36, 60]),
     st.tuples(st.floats(0.0, 2 * math.pi), st.floats(0.0, 2 * math.pi)),
 )
-def test_vectorised_scan_equals_brute_force_loop(kind_plane, n, alice_angles):
+def test_scan_equals_brute_force_loop(kind_plane, n, alice_angles):
     kind, plane = kind_plane
     scan = tsirelson_scan(kind, plane, n, alice_angles)
     best, (b0, b1), e = brute_force_scan(kind, plane, n, alice_angles)

@@ -53,6 +53,7 @@ from qubitlab.qubit import (
     QubitState,
     axis_vector,
     bloch_rotation_for,
+    bloch_roundtrip,
     classical_pure_path,
     gbit_dimension,
     so3_rotation,
@@ -194,7 +195,8 @@ OUTCOME_ARGS = {
     "JointSample.conditional_mean": JointSample(np.array([[3, 1], [2, 4]]), 10, 0).conditional_mean,
     "conditional_average": lambda v: conditional_average(BellKind.SINGLET, Z, X, v),
 }
-BAD_OUTCOMES = [0, 7, -2, 2, None, "1", math.nan]
+# an array of two or more outcomes escaped as numpy's ValueError, and True was read as +1
+BAD_OUTCOMES = [0, 7, -2, 2, None, "1", math.nan, np.array([1, -1]), np.array([1, 1]), True]
 
 
 @pytest.mark.parametrize("name,bad", [pytest.param(n, b, id=f"{n}-{b!r}") for n in OUTCOME_ARGS for b in BAD_OUTCOMES])
@@ -246,8 +248,12 @@ def test_kind_or_mechanics_of_another_type_raises(call, bad):
 
 @pytest.mark.parametrize(
     "call,ok",
-    [*((KIND_ARGS[n], k) for n in KIND_ARGS for k in BellKind), *((MECH_ARGS[n], m) for n in MECH_ARGS
-     for m in (None, QuoinMechanics.standard(), QuoinMechanics.quantum_coin()))],
+    [
+        *(pytest.param(KIND_ARGS[n], k, id=f"{n}-{k.value}") for n in KIND_ARGS for k in BellKind),
+        *(pytest.param(MECH_ARGS[n], m, id=f"{n}-{label}") for n in MECH_ARGS for label, m in (
+            ("None", None), ("standard", QuoinMechanics.standard()), ("quantum_coin", QuoinMechanics.quantum_coin())
+        )),
+    ],
 )
 def test_kinds_and_mechanics_accepted(call, ok):
     call(ok)
@@ -263,7 +269,6 @@ ANGLE_ARGS = {
     "bloch_rotation_for": lambda v: bloch_rotation_for("z", v),
     "closed_form_joint": lambda v: closed_form_joint(BellKind.SINGLET, v),
     "plane_direction": lambda v: plane_direction("xz", v),
-    "plane_direction array": lambda v: plane_direction("xz", [0.0, v]),
     "tsirelson_scan first Alice angle": lambda v: tsirelson_scan(n=4, alice_angles=(v, 0.0)),
     "tsirelson_scan second Alice angle": lambda v: tsirelson_scan(n=4, alice_angles=(0.0, v)),
 }
@@ -283,8 +288,11 @@ def test_finite_angles_accepted(name):
     ANGLE_ARGS[name](np.float32(-2))
 
 
-# the rotations and closed_form_joint take one angle; an array would reach math.cos and raise a bare TypeError
-@pytest.mark.parametrize("name", ["su2_rotation", "su2_rotate", "so3_rotation", "bloch_rotation_for", "closed_form_joint"])
+# the rotations, closed_form_joint and plane_direction take one angle; an array would reach math.cos and raise a
+# bare TypeError, and plane_direction gave one numpy array per component
+@pytest.mark.parametrize(
+    "name", ["su2_rotation", "su2_rotate", "so3_rotation", "bloch_rotation_for", "closed_form_joint", "plane_direction"]
+)
 @pytest.mark.parametrize("angles", [[0.1, 0.2], np.array([0.1, 0.2]), np.array([0.1]), [[0.5]]])
 def test_rotation_wants_one_angle(name, angles):
     with pytest.raises(DomainError):
@@ -518,10 +526,13 @@ def test_box_builder_wants_two_per_side(name, bad):
 
 
 RECORD = play_game(QuoinStrategy(), 1, 1)
-# name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a GameRecord,
-# an iterable of them, a file with a write method, or a rigging and start string
+# name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a QubitState, a
+# ClassicalBitState, a GameRecord, an iterable of them, a file with a write method, or a rigging and start string
 TYPED_ARGS = {
     "chsh_value": chsh_value,
+    "bloch_roundtrip": bloch_roundtrip,
+    "classical_pure_path first": lambda v: classical_pure_path(v, ONE, 3),
+    "classical_pure_path second": lambda v: classical_pure_path(ZERO, v, 3),
     "verify_pauli_embedding": verify_pauli_embedding,
     "no_signalling_check": no_signalling_check,
     "conservation_filter": conservation_filter,
@@ -533,6 +544,9 @@ TYPED_ARGS = {
 }
 TYPED_OK = {
     "chsh_value": PR_BOX,
+    "bloch_roundtrip": STATE,
+    "classical_pure_path first": ZERO,
+    "classical_pure_path second": ONE,
     "verify_pauli_embedding": SpinOperatorTriple.canonical(),
     "no_signalling_check": PR_BOX,
     "conservation_filter": PR_BOX,

@@ -45,9 +45,11 @@ MODULE_SETS = {
     "game-transcript": (["game", "simulate", "--games", "10", "--transcript", "{tmp}/t.jsonl"], GAME),
 }
 
-# the analytic commands run on floats, a non-extremal box's conservation trace included;
-# numpy comes with sampling, the Tsirelson scan and the game
-NO_NUMPY = {"help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal", "chsh-quantum"}
+# the analytic commands run on floats, a non-extremal box's conservation trace and the Tsirelson scan included;
+# numpy comes with sampling and the game
+NO_NUMPY = {
+    "help", "usage-error", "project", "bell", "chsh-prbox", "chsh-lhv", "chsh-extremal", "chsh-quantum", "chsh-scan"
+}
 # numpy.random (about 15 ms) comes with sampling and with the game: every draw is keyed by
 # numpy's SeedSequence, once per (seed, stream), also where `game simulate` plays blocks of games
 NUMPY_RANDOM = {"project-trials", "bell-trials", "game", "game-transcript"}
@@ -70,6 +72,19 @@ def test_bare_import_loads_no_submodule_and_no_numpy():
     proc = run_python(["-c", code], timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_largest_scan_loads_no_numpy():
+    # default, equal and antipodal Alice angles: the last two make a part flat, so every grid point is evaluated
+    code = """
+import math, sys
+from qubitlab.boxes import MAX_SCAN_N, tsirelson_scan
+for angles in ((0.0, math.pi / 2.0), (0.3, 0.3), (0.3 + math.pi, 0.3)):
+    tsirelson_scan(n=MAX_SCAN_N, alice_angles=angles)
+assert "numpy" not in sys.modules
+"""
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_names_and_submodules_resolve_on_first_access():

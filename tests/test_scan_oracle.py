@@ -1,8 +1,10 @@
-"""tsirelson_scan against the n x n evaluation it replaced, and its O(n) memory.
+"""tsirelson_scan against the n x n evaluation, and its small memory.
 
-The scan finds the optimum from per-part extremes and evaluates the exact grid
-expression only on candidate blocks; the oracle evaluates it at every grid pair.
-Both must return the same float and the same first row-major maximizer.
+The scan evaluates the correlators only at the grid points next to each part's
+closed-form top (every point when a part is flat) and the exact grid expression
+only on the optimal parts' pairs of them; the oracle evaluates it at every grid
+pair with numpy. Both must return the same float and the same first row-major
+maximizer.
 """
 
 import math
@@ -38,16 +40,27 @@ def test_scan_equals_matrix_oracle(kind, plane, n, alice_angles):
 
 
 angles = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+# Delta = a' - a within 1e-9..1e-2 of 0 and +/-pi, and within 2x of where a part of amplitude
+# 2|sin(Delta/2)| or 2|cos(Delta/2)| turns flat (below 1e-4) and the scan evaluates every grid point
+deltas = st.builds(
+    lambda base, sign, offset: base + sign * offset,
+    st.sampled_from([0.0, math.pi, -math.pi]),
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.floats(1e-9, 1e-2), st.floats(5e-5, 2e-4)),
+)
 
 
 @settings(deadline=None, max_examples=150)
 @given(
     st.sampled_from(KIND_PLANES),
-    st.sampled_from([2, 3, 4, 5, 12, 60, 180, 181, 720]),
+    st.one_of(st.sampled_from([2, 3, 4, 5, 12, 60, 180, 181, 720]), st.integers(2, 720)),
     st.one_of(
         st.tuples(angles, angles),
         angles.map(lambda a: (a, a)),
         st.floats(-math.pi, math.pi).map(lambda a: (a, a + math.pi)),
+        st.builds(lambda a, delta: (a, a + delta), angles, deltas),
+        # far past 2 pi: each angle reaches the scan's windows through its own sine and cosine
+        st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
     ),
 )
 def test_scan_equals_matrix_oracle_at_any_alice_angles(kind_plane, n, alice_angles):
