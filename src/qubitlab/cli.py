@@ -23,7 +23,7 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import QubitLabError, check_finite, check_int
+from .errors import QubitLabError, check_int, real_number
 
 # each command imports the modules it runs inside its cmd_* function, so a
 # process loads only what its subcommand needs
@@ -53,7 +53,7 @@ def parse_angle(text: str, degrees: bool = False) -> float:
         raise QubitLabError(f"cannot parse angle {text!r}") from None
     except ZeroDivisionError:
         raise QubitLabError(f"zero divisor in angle {text!r}") from None
-    return check_finite(value, f"angle {text!r}")
+    return real_number(value, f"angle {text!r}")
 
 
 def _fmt(x) -> str:

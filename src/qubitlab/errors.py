@@ -2,6 +2,7 @@
 
 import math
 import numbers
+import sys
 
 # tolerance of closed-form algebra
 ATOL_EXACT = 1e-12
@@ -52,31 +53,28 @@ def check_int(value, what: str, lo: int = 0, hi: int | None = None) -> int:
     raise DomainError(f"{what} must be {domain}, got {value!r}")
 
 
-def check_finite(value, what: str):
-    """A finite real number as a float, or an array of them as a float array, else DomainError."""
-    if type(value) is float and math.isfinite(value):
-        return value
-    import numpy as np  # here, not at the top: `--help` and check_int need no numpy
-
-    try:
-        a = np.asarray(value)
-    except ValueError:  # ragged nesting
-        a = np.asarray(None)
-    if a.dtype.kind not in "iuf" or not np.isfinite(a).all():
-        raise DomainError(f"{what} must be finite real numbers, got {value!r}")
-    # numpy promotes a bool inside a sequence of numbers to 0 or 1; an array of dtype iuf holds none
-    if not isinstance(value, np.ndarray) and a.ndim and any(
-        isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat
-    ):
-        raise DomainError(f"{what} must be real numbers, not bools, got {value!r}")
-    return float(a) if a.ndim == 0 else a.astype(float)
-
-
 def real_number(value, what: str) -> float:
-    """One finite real number as a float; anything else, an array included, is a DomainError."""
-    x = check_finite(value, what)
-    if not isinstance(x, float):
+    """One finite real number as a float, else DomainError.
+
+    A real number is an int (not a bool), a float, a numpy integer or floating
+    scalar, or a 0-d array of one; a bool, a Fraction, a Decimal, a complex, a
+    string, None, a sequence and any other array are not. This loads no numpy:
+    a numpy value comes with numpy loaded.
+    """
+    if type(value) is float and math.isfinite(value):  # one type test for the common case
+        return value
+    np = sys.modules.get("numpy")
+    x = value[()] if np is not None and isinstance(value, np.ndarray) and value.ndim == 0 else value
+    if isinstance(x, bool) or not (
+        isinstance(x, (int, float)) or np is not None and isinstance(x, (np.integer, np.floating))
+    ):
         raise DomainError(f"{what} must be one real number, got {value!r}")
+    try:
+        x = float(x)
+    except OverflowError:  # an int past the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite real numbers, got {value!r}")
     return x
 
 

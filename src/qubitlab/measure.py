@@ -8,10 +8,11 @@ stream (`rng.word_blocks`), tallied exactly as the double numpy draws from it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .errors import ATOL_EXACT, DomainError, check_finite, check_int, unit_vector
+from .errors import ATOL_EXACT, DomainError, check_int, real_number, unit_vector
 
 # about 8 s of Philox words at ~7 ns each in a 4-cell tally
 MAX_TRIALS = 2**30
@@ -91,14 +92,14 @@ def tally(probs, n: int, seed: int) -> tuple[int, ...]:
     import numpy as np
     from .rng import word_blocks
     n = check_int(n, "trial count", 1, MAX_TRIALS)
-    p = check_finite(probs, "cell probabilities")
-    bad = np.ndim(p) != 1 or not p.size or p.min() < -ATOL_EXACT or p.max() > 1.0 + ATOL_EXACT
+    cells = probs.tolist() if isinstance(probs, np.ndarray) else probs
+    p = [real_number(x, "cell probabilities") for x in cells] if isinstance(cells, (tuple, list)) else []
     # an entry above 1 fails before the sum, which overflows at entries near the float range
-    if bad or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
+    if not p or min(p) < -ATOL_EXACT or max(p) > 1.0 + ATOL_EXACT or not abs(math.fsum(p) - 1.0) <= ATOL_EXACT:
         raise DomainError(f"cell probabilities must be a distribution, got {probs!r}")
     # numpy's double from word w is (w >> 11) * 2**-53, so u < e holds exactly when
     # w < ceil(e * 2**53) << 11; the limit is clamped to 0 (no word) .. 2**64 (every word)
-    limits = [min(max(math.ceil(e * 2**53), 0), 2**53) << 11 for e in np.cumsum(p[:-1]).tolist()]
+    limits = [min(max(math.ceil(e * 2**53), 0), 2**53) << 11 for e in itertools.accumulate(p[:-1])]
     below = [0] * len(limits)  # draws below each edge
     for words in word_blocks(seed, n):
         for k, limit in enumerate(limits):
@@ -118,7 +119,7 @@ def sample_outcomes(setup: SGSetup, n: int, seed: int) -> OutcomeSample:
 def binomial_band(p: float, n: int) -> float:
     """Half-width of the 3-sigma band for an empirical frequency (the CLI's `band_3sigma`)."""
     n = check_int(n, "trial count", 1)
-    p = check_finite(p, "band probability")
-    if not (isinstance(p, float) and 0.0 <= p <= 1.0):
+    p = real_number(p, "band probability")
+    if not 0.0 <= p <= 1.0:
         raise DomainError(f"band probability must lie in [0, 1], got {p!r}")
     return 3.0 * math.sqrt(p * (1.0 - p) / n)

@@ -36,12 +36,12 @@ from .rng import MAX_GAME, draws
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
-# a lane mask indexes the 256-entry popcount table, and the parity exhaust
-# reads 4**(lanes + 1) Philox words per seed: 2 MiB at 8 lanes
+# a lane mask indexes the 256-entry popcount table
 MAX_LANES = 8
 # monte_carlo plays 2**21 games in 1-2 s
 MAX_GAMES = 2**21
-# seeds of one verify_parity_theorem call: at 8 lanes each seed takes about 4 ms
+# seeds of one verify_parity_theorem call; its verdict reads no draws, and its `failures`
+# read 4**(lanes + 1) Philox words per seed (2 MiB at 8 lanes)
 MAX_PARITY_SEEDS = 256
 # games per block of monte_carlo; its arrays peak near 1 MiB
 GAME_BLOCK = 4096
@@ -96,9 +96,9 @@ class QuoinMechanics:
         return cls(frozenset())
 
     def unequal_lanes(self, alice, bob, lanes: int):
-        """Mask of the lanes whose start bits (alice, bob), given as masks, end unequal."""
+        """Mask of the lanes whose start bits (alice, bob), given as masks, end unequal, of the hands' type."""
         full = (1 << lanes) - 1
-        unequal = 0
+        unequal = alice & 0
         for a, b in itertools.product((0, 1), repeat=2):
             if self.u[a][b]:
                 unequal |= (alice if a else full & ~alice) & (bob if b else full & ~bob)
@@ -501,12 +501,12 @@ def write_transcript(records, fp) -> None:
 
 @dataclass(frozen=True)
 class ParityTheoremReport:
-    """Exhaust result; the failure strings are formatted only when `failures` is read."""
+    """Exhaust result; the failing deals' draws are read, and their strings formatted, only when `failures` is read."""
 
     checked: int
     failure_count: int
     lanes: int
-    # (seed, failing deal indices, their combined H counts) for each seed with a failure
+    # (seeds, failing deal indices, their unequal-lane masks) when a deal fails: the same deals for every seed
     failing: tuple = field(default=(), repr=False, compare=False)
 
     @property
@@ -515,12 +515,14 @@ class ParityTheoremReport:
 
     @functools.cached_property
     def failures(self) -> tuple[str, ...]:
-        out = []
-        for seed, deals, combined_h in self.failing:
-            for d, h in zip(deals.tolist(), combined_h.tolist()):
-                alice, bob = lane_bits(d >> self.lanes, self.lanes), lane_bits(d & (1 << self.lanes) - 1, self.lanes)
-                doubles = sum(a & b for a, b in zip(alice, bob))
-                out.append(f"seed {seed} deal alice={alice} bob={bob}: {h} H vs {doubles} double-1 lanes")
+        seeds, deals, unequal = self.failing or ((), (), ())
+        lanes, out = self.lanes, []
+        for seed in seeds:
+            fair = draws(seed, STREAM_MECH, range(4**lanes), lanes)[deals]
+            for d, h in zip(deals.tolist(), (popcount(fair) + popcount(fair ^ unequal)).tolist()):
+                alice, bob = d >> lanes, d & (1 << lanes) - 1
+                hands = f"alice={lane_bits(alice, lanes)} bob={lane_bits(bob, lanes)}"
+                out.append(f"seed {seed} deal {hands}: {h} H vs {popcount(alice & bob)} double-1 lanes")
         return tuple(out)
 
 
@@ -529,10 +531,12 @@ def verify_parity_theorem(
 ) -> ParityTheoremReport:
     """Exhaust every deal: combined H count parity must equal double-1-lane parity.
 
-    `seeds` holds 1..MAX_PARITY_SEEDS seeds. Deal d in 0..4**lanes - 1 deals
-    Alice the mask d >> lanes and Bob the mask d mod 2**lanes (lane i at bit
-    i, as in the game), and its lane outcomes are game d's on the mechanics
-    stream, draws(seed, STREAM_MECH, d, lanes): one run of games per seed.
+    `seeds` holds 1..MAX_PARITY_SEEDS seeds. Deal d in 0..4**lanes - 1 deals Alice the mask
+    d >> lanes and Bob the mask d mod 2**lanes (lane i at bit i, as in the game), and its lanes
+    end (f, f ^ u) for game d's fair draws f = draws(seed, STREAM_MECH, d, lanes) and its
+    unequal-lane mask u. As popcount(f) + popcount(f ^ u) = popcount(u) (mod 2) for any f, a
+    deal fails for every seed or for none: the verdict reads no draw, and only `failures`
+    reads one run of games per seed, for the H counts.
     """
     mech = _check_mech(mech)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
@@ -542,16 +546,11 @@ def verify_parity_theorem(
         raise DomainError(f"seeds must be an iterable of seeds, got {seeds!r}") from None
     if not 1 <= len(seeds) <= MAX_PARITY_SEEDS:
         raise DomainError(f"seeds must hold 1..{MAX_PARITY_SEEDS} seeds")
+    seeds = tuple(check_int(seed, "seed") for seed in seeds)
     deals = np.arange(4**lanes, dtype=np.uint64)
     alice, bob = deals >> lanes, deals & (1 << lanes) - 1
-    unequal, doubles = mech.unequal_lanes(alice, bob, lanes), popcount(alice & bob)
-    failing = []
-    for seed in seeds:
-        fair = draws(seed, STREAM_MECH, range(4**lanes), lanes)
-        combined_h = popcount(fair) + popcount(fair ^ unequal)
-        failed = np.flatnonzero((combined_h ^ doubles) & 1)
-        if failed.size:
-            # 5 bytes per failing deal: 4**MAX_LANES deals and at most 2 * MAX_LANES H
-            failing.append((seed, failed.astype(np.uint32), combined_h[failed]))
-    count = sum(len(failed) for _, failed, _ in failing)
-    return ParityTheoremReport(len(seeds) * len(deals), count, lanes, tuple(failing))
+    unequal = mech.unequal_lanes(alice, bob, lanes)
+    failed = np.flatnonzero((popcount(unequal) ^ popcount(alice & bob)) & 1)
+    # 5 bytes per failing deal: 4**MAX_LANES deals, each with a mask of MAX_LANES lanes
+    failing = (seeds, failed.astype(np.uint32), unequal[failed].astype(np.uint8)) if failed.size else ()
+    return ParityTheoremReport(len(seeds) * len(deals), len(seeds) * failed.size, lanes, failing)

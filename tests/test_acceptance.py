@@ -6,6 +6,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines as they pass.
 import io
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -246,6 +247,28 @@ def test_criterion_10_parity_theorem():
         "combined-H parity equals double-1-lane parity on all 2^10 deals x 32 seeds",
         report.holds and report.checked == 32 * 2**10 and repeats == [report] * 50 and elapsed < 1.0,
         f"{report.checked} checks; 50 exhausts {elapsed:.2f}s",
+    )
+
+
+def test_parity_theorem_at_its_bounds():
+    # every seed and every lane allowed, under the mechanics where half the deals fail: the report counts
+    # 256 x 32,640 failures and keeps the failing deals once, not once per seed (it used to keep 40 MiB)
+    args = range(quoin.MAX_PARITY_SEEDS), quoin.MAX_LANES, QuoinMechanics.quantum_coin()
+    start = time.perf_counter()
+    report = verify_parity_theorem(*args)
+    elapsed = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = verify_parity_theorem(*args)
+        kept_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    _report(
+        10,
+        "the parity verdict at 256 seeds and 8 lanes takes < 50 ms and keeps < 1 MiB",
+        report.failure_count == kept.failure_count == 256 * 32640 and elapsed < 0.05 and kept_bytes < 2**20,
+        f"{report.failure_count} failures; built in {elapsed * 1e3:.1f} ms, keeping {kept_bytes / 2**20:.2f} MiB",
     )
 
 

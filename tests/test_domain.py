@@ -1,9 +1,9 @@
 """One table of every integer and angle argument: each refuses what lies outside its domain.
 
 Every entry point below routes its argument through `errors.check_int` or
-`errors.check_finite`, so a bool, a non-integer, a string, None, a value
-past either bound, NaN or inf raises DomainError (CLI exit 2) instead of
-playing a wrong game, computing NaN or raising a bare TypeError. Matrices
+`errors.real_number`, so a bool, a non-integer, a string, None, an array, a
+value past either bound, NaN or inf raises DomainError (CLI exit 2) instead
+of playing a wrong game, computing NaN or raising a bare TypeError. Matrices
 pass `hilbert.as_matrix` and 3-vectors `errors.real_3vector` the same way:
 what is not a matrix or three real numbers raises DimensionError, and a
 non-finite entry raises DomainError.
@@ -11,6 +11,8 @@ non-finite entry raises DomainError.
 
 import io
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import oracles
@@ -43,9 +45,9 @@ from qubitlab.boxes import (
     quantum_box,
     tsirelson_scan,
 )
-from qubitlab.errors import DimensionError, DomainError, HermiticityError, InvalidStateError, check_finite, check_int
+from qubitlab.errors import DimensionError, DomainError, HermiticityError, InvalidStateError, check_int, real_number
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
-from qubitlab.measure import MAX_TRIALS, OutcomeSample, SGSetup, binomial_band, sample_outcomes
+from qubitlab.measure import MAX_TRIALS, OutcomeSample, SGSetup, binomial_band, sample_outcomes, tally
 from qubitlab.qubit import (
     MAX_GBIT_S,
     MAX_PATH_STEPS,
@@ -377,19 +379,39 @@ class TestCheckInt:
             check_int(True, "steps", 1)
 
 
-class TestCheckFinite:
-    def test_scalars_become_floats_and_arrays_float_arrays(self):
-        assert check_finite(2, "angle") == 2.0 and type(check_finite(2, "angle")) is float
-        assert type(check_finite(np.float64(0.5), "angle")) is float
-        a = check_finite((0, 1.5), "angles")
-        assert a.dtype == float and a.tolist() == [0.0, 1.5]
+# what `real_number` takes as one real number, and the float it gives; ids are the (cut) reprs
+REAL_NUMBERS = [
+    (2, 2.0), (-3, -3.0), (2**70, 2.0**70), (1.5, 1.5), (np.int8(-4), -4.0), (np.uint64(2**64 - 1), 2.0**64),
+    (np.float16(0.5), 0.5), (np.float32(0.25), 0.25), (np.float64(-1.5), -1.5), (np.longdouble(0.75), 0.75),
+    (np.array(3), 3.0), (np.array(0.5), 0.5), (np.array(0.5, dtype=np.float32), 0.5),
+]
+NOT_REAL_NUMBERS = [
+    True, np.bool_(False), np.array(True), Fraction(1, 2), Decimal("0.5"), 1j, np.complex128(1), "1", None,
+    [1.0], (0.5,), [0.0, 1.0], np.array([1.0]), np.array([[0.5]]), math.nan, -math.inf, np.float64(math.nan),
+    np.array(math.inf), 10**400, -(10**400), np.longdouble("1e4000"),
+]
 
-    @pytest.mark.parametrize(
-        "value", [[0.0, math.nan], [[0.0], [1.0, 2.0]], "1", 10**400, [0.0, True], [[1.0], [np.bool_(False)]]]
-    )
+
+class TestRealNumber:
+    @pytest.mark.parametrize("value,x", REAL_NUMBERS, ids=lambda v: repr(v)[:32])
+    def test_real_numbers_become_floats(self, value, x):
+        assert real_number(value, "angle") == x and type(real_number(value, "angle")) is float
+
+    @pytest.mark.parametrize("value", NOT_REAL_NUMBERS, ids=lambda v: repr(v)[:32])
     def test_refusals(self, value):
         with pytest.raises(DomainError):
-            check_finite(value, "angles")
+            real_number(value, "angle")
+
+    @pytest.mark.parametrize(
+        "probs", [[0.5, math.nan], [[0.5], [0.5]], "1", [10**400, 0.0], [0.0, True], [[1.0], [np.bool_(False)]]]
+    )
+    def test_tally_refuses_cells_that_are_not_real_numbers(self, probs):
+        with pytest.raises(DomainError):
+            tally(probs, 10, seed=1)
+
+    @pytest.mark.parametrize("probs", [(0, 1), [np.float32(0.5), 0.5], np.array([0.25, 0.75]), np.array([1, 0])])
+    def test_tally_takes_numbers_and_numeric_arrays(self, probs):
+        assert sum(tally(probs, 10, seed=1)) == 10
 
 
 # name -> (call with the matrix, its dimension)

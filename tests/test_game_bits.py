@@ -7,10 +7,10 @@ range of games is one `_run` of 4 * n words, and an int counter is a word of
 the cached, aligned run of `rng.CHUNK` blocks that holds it. These tests hold
 both to that recipe, at chunk edges and counter-word carries and from
 several threads at once, check that a block of games re-keys each stream it
-uses once and the parity exhaust each seed once, and hold `play_game`,
-`monte_carlo` and the block loop's transcript lines, which all draw through
-`rng.draws`, to the per-game engine of `tests/oracles.py`, which plays from
-the recipe alone.
+uses once and that the parity report re-keys each seed once, and only when
+its failures are read, and hold `play_game`, `monte_carlo` and the block
+loop's transcript lines, which all draw through `rng.draws`, to the
+per-game engine of `tests/oracles.py`, which plays from the recipe alone.
 """
 
 import itertools
@@ -197,13 +197,16 @@ class TestKernel:
         reads = sorted(read[:2] for read in runs if read[1] < quoin.WIDEN)
         assert reads == sorted((rng._key(7, stream), start) for stream in streams for start in starts)
 
-    def test_the_parity_exhaust_rekeys_once_per_seed(self, monkeypatch):
+    def test_the_parity_report_rekeys_once_per_seed_when_its_failures_are_read(self, monkeypatch):
         runs = []
         real_run = rng._run
         monkeypatch.setattr(rng, "_run", lambda *args: runs.append(args) or real_run(*args))
-        assert quoin.verify_parity_theorem(range(3), quoin.MAX_LANES).holds
+        assert quoin.verify_parity_theorem(range(3), quoin.MAX_LANES).failures == ()
+        report = quoin.verify_parity_theorem(range(3), 4, quoin.QuoinMechanics.quantum_coin())
+        assert runs == [] and not report.holds
+        assert report.failures
         # word 0 of each of the 4**lanes deals' blocks
-        assert runs == [(rng._key(seed, quoin.STREAM_MECH), 0, 4 * 4**quoin.MAX_LANES) for seed in range(3)]
+        assert runs == [(rng._key(seed, quoin.STREAM_MECH), 0, 4 * 4**4) for seed in range(3)]
 
     # counters at both edges of a chunk, across the carries of counter words 0 and 1, at widening
     # counters g + r * 2**192 and at the top of the counter range

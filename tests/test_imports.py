@@ -87,6 +87,24 @@ assert "numpy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_int_angles_and_tolerances_load_no_numpy():
+    # each int used to reach numpy through the one number check, which imported it for anything but a float
+    code = """
+import sys
+from qubitlab.bell import BellKind, closed_form_joint, plane_direction
+from qubitlab.boxes import no_signalling_check, pr_box, tsirelson_scan
+from qubitlab.measure import binomial_band
+tsirelson_scan(alice_angles=(0, 1))
+plane_direction("xz", 0)
+closed_form_joint(BellKind.SINGLET, 1)
+no_signalling_check(pr_box(), 0)
+binomial_band(1, 10)
+assert "numpy" not in sys.modules
+"""
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_names_and_submodules_resolve_on_first_access():
     code = """
 import sys, qubitlab

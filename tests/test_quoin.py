@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qubitlab import cli, quoin
@@ -32,6 +32,12 @@ from qubitlab.quoin import (
 from qubitlab.rng import MAX_GAME
 
 TABLE_DEAL = ((1, 0, 1, 1, 0), (1, 0, 0, 1, 1))  # (bob, alice)
+
+START_PAIRS = (("H", "H"), ("H", "T"), ("T", "H"), ("T", "T"))
+# every mechanics: each of the 16 subsets of start pairs listed as unequal
+ALL_MECHANICS = [
+    QuoinMechanics(frozenset(pairs)) for r in range(5) for pairs in itertools.combinations(START_PAIRS, r)
+]
 
 
 class TestMechanics:
@@ -77,6 +83,19 @@ class TestMechanics:
         # u[a][b] over start bits (1 = H): only heads-heads ends unequal
         assert QuoinMechanics.standard().u == ((0, 0), (0, 1))
         assert QuoinMechanics.quantum_coin().u == ((0, 0), (0, 0))
+
+    @pytest.mark.parametrize("mech", ALL_MECHANICS, ids=lambda m: "".join(sorted(a + b for a, b in m.unequal_starts)))
+    def test_unequal_lanes_are_the_table_lane_by_lane_in_the_hands_type(self, mech):
+        # the quantum coin lists no unequal start, and used to give the int 0 for mask arrays
+        for lanes in (1, 2, 4):
+            hands = np.arange(4**lanes, dtype=np.uint64)
+            alice, bob = hands >> lanes, hands & (1 << lanes) - 1
+            unequal = mech.unequal_lanes(alice, bob, lanes)
+            assert type(unequal) is np.ndarray and unequal.dtype == np.uint64 and unequal.shape == hands.shape
+            for a, b, u in zip(alice.tolist(), bob.tolist(), unequal.tolist()):
+                one = mech.unequal_lanes(a, b, lanes)
+                assert type(one) is int and one == u
+                assert [u >> i & 1 for i in range(lanes)] == [mech.u[a >> i & 1][b >> i & 1] for i in range(lanes)]
 
     @pytest.mark.parametrize(
         "starts", [{"HH"}, {("H", "X")}, {("H",)}, {("H", "H", "T")}, {("H", "H"), "TT"}]
@@ -456,6 +475,21 @@ class TestParityTheoremProperties:
         }
         assert len(failing) == len(report.failures)
         assert failing == odd
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mech=st.sampled_from(ALL_MECHANICS),
+        lanes=st.integers(1, MAX_LANES),
+        seeds=st.lists(
+            st.one_of(st.integers(0, 2**80), st.integers(0, 2**63 - 1).map(np.int64)), min_size=1, max_size=2
+        ),
+    )
+    @example(mech=QuoinMechanics.quantum_coin(), lanes=6, seeds=[2**70, np.int64(3)])
+    @example(mech=QuoinMechanics.standard(), lanes=MAX_LANES, seeds=[2**64, 0])
+    def test_report_equals_the_seeded_exhaust(self, mech, lanes, seeds):
+        report = verify_parity_theorem(seeds, lanes, mech)
+        expected = oracles.seeded_parity_exhaust(seeds, lanes, mech)
+        assert (report.checked, report.failure_count, report.holds, report.failures) == expected
 
 
 class TestGameLevelNoSignalling:

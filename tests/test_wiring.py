@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from qubitlab import quoin, rng
 from qubitlab.measure import tally
-from qubitlab.quoin import MAX_LANES, STREAM_MECH, QuoinMechanics, QuoinStrategy, flip_pair, play_game
+from qubitlab.quoin import STREAM_MECH, QuoinMechanics, QuoinStrategy, flip_pair, play_game
 from qubitlab.rng import BLOCK, MAX_GAME, draws
 
 SRC = pathlib.Path(quoin.__file__).parent
@@ -70,7 +70,8 @@ class TestParityExhaust:
             fair = oracles.recipe_bits(seed, STREAM_MECH, alice << lanes | bob, lanes)
             assert int(seed_text) == seed and int(combined_h) == 2 * sum(fair)
 
-    def test_one_run_of_consecutive_deals_per_seed(self, monkeypatch):
+    @pytest.mark.parametrize("lanes", [1, 4])
+    def test_only_failures_read_one_run_of_consecutive_deals_per_seed(self, monkeypatch, lanes):
         calls = []
         real_draws = quoin.draws
 
@@ -79,8 +80,11 @@ class TestParityExhaust:
             return real_draws(*args)
 
         monkeypatch.setattr(quoin, "draws", counted_draws)
-        assert quoin.verify_parity_theorem(range(3), MAX_LANES).holds
-        assert calls == [(s, STREAM_MECH, range(4**MAX_LANES), MAX_LANES) for s in range(3)]
+        # the verdict is drawn from no seed, and the standard mechanics have no failure to read
+        assert quoin.verify_parity_theorem(range(3), lanes).failures == ()
+        report = quoin.verify_parity_theorem(range(3), lanes, QuoinMechanics.quantum_coin())
+        assert calls == [] and not report.holds
+        assert report.failures and calls == [(s, STREAM_MECH, range(4**lanes), lanes) for s in range(3)]
 
 
 class TestTallyWords:
