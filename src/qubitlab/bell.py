@@ -89,20 +89,16 @@ def pauli_expansion(kind: BellKind) -> np.ndarray:
     return correlation_expansion(_check_kind(kind).pauli_signs) / 4.0
 
 
-@functools.cache  # built from the derived amplitudes and cross-checked against the Pauli expansion on first use
-def _checked_density(kind: BellKind) -> np.ndarray:
+@functools.cache  # the outer product of the derived amplitudes; tests hold it equal to the Pauli expansion
+def _density(kind: BellKind) -> np.ndarray:
     import numpy as np
     v = bell_vector(kind)
-    rho = np.outer(v, v.conj())
-    dev = float(np.max(np.abs(rho - pauli_expansion(kind))))
-    if dev > ATOL_EXACT:
-        raise RuntimeError(f"Bell density inconsistent with its Pauli expansion ({dev:.3e})")
-    return rho
+    return np.outer(v, v.conj())
 
 
 def bell_density(kind: BellKind) -> np.ndarray:
-    """Projector onto the Bell state (a copy of the density checked on first use)."""
-    return _checked_density(_check_kind(kind)).copy()
+    """Projector onto the Bell state (a copy of the density built on first use)."""
+    return _density(_check_kind(kind)).copy()
 
 
 def _check_plane(plane) -> str:
@@ -141,10 +137,14 @@ class JointProbabilities:
 
     def __post_init__(self):
         ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        if min(ps) < -ATOL_EXACT:
-            raise InvalidStateError(f"negative joint probability {min(ps):.3e}")
-        if not abs(sum(ps) - 1.0) <= ATOL_EXACT:  # also catches NaN and inf entries
-            raise InvalidStateError(f"joint probabilities sum to {sum(ps)}, not 1")
+        try:  # None, str, complex and array entries fail to order or to add
+            low, total = min(ps), sum(ps)
+        except (TypeError, ValueError):
+            raise InvalidStateError(f"joint probabilities must be four real numbers, got {ps!r}") from None
+        if low < -ATOL_EXACT:
+            raise InvalidStateError(f"negative joint probability {float(low):.3e}")
+        if not abs(total - 1.0) <= ATOL_EXACT:  # also catches NaN and inf entries
+            raise InvalidStateError(f"joint probabilities sum to {total}, not 1")
 
     @property
     def correlator(self) -> float:

@@ -5,7 +5,9 @@ conditional averages), chsh (quantum / PR-box / local-deterministic analysis),
 game (guessing-game simulation and interactive play). Output formats: text
 (default), json (schema field `schema: 1`, byte-stable for a fixed command
 and seed), csv (one row of the payload's scalars, by the rule in `_emit`).
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Each cmd_* returns its payload body and exit code; `main` alone stamps the
+header (`schema`, `command`), renders the body and returns the code as the
+exit status: 0 success, 1 verification failure, 2 usage error.
 
 Angles are radians; expressions like "pi/3", "2pi/3", "-3*pi/4" are accepted.
 With --degrees, plain numbers are degrees (pi expressions stay radians).
@@ -62,20 +64,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _emit(payload: dict, fmt: str, out) -> None:
-    """Render one command's payload as json, text, or one csv row."""
-    if fmt == "json":
-        print(json.dumps(payload), file=out)
-    elif fmt == "csv":
-        # the scalars, and each scalar of a nested dict as a `key_sub` column; lists, schema and command are dropped
+def _emit(command: str, body: dict, fmt: str, out) -> None:
+    """Render `body` under the header (`schema`, `command`) as json or text, or its scalars as one csv row."""
+    if fmt == "csv":
+        # the body's scalars, and each scalar of a nested dict as a `key_sub` column; lists are dropped
         row = {}
-        for key, value in payload.items():
+        for key, value in body.items():
             cells = {f"{key}_{sub}": v for sub, v in value.items()} if isinstance(value, dict) else {key: value}
             row.update((col, v) for col, v in cells.items() if isinstance(v, (int, float, str)))
-        del row["schema"], row["command"]
         writer = csv.writer(out)
         writer.writerow(row.keys())
         writer.writerow(_fmt(v) for v in row.values())
+        return
+    payload = {"schema": 1, "command": command, **body}
+    if fmt == "json":
+        print(json.dumps(payload), file=out)
     else:
         _emit_text(payload, out, indent="")
 
@@ -98,26 +101,16 @@ def _emit_text(obj, out, indent: str) -> None:
             print(f"{indent}{key}: {_fmt(value)}", file=out)
 
 
-def _within_band(counts, probs, n: int) -> bool:
-    """Whether each count's frequency lies in the 3-sigma binomial band of its probability."""
-    from . import measure
-    # a rounded correlator can leave a zero cell at -5.6e-17; its band is that of 0
-    probs = [min(max(p, 0.0), 1.0) for p in probs]
-    return all(abs(c / n - p) <= measure.binomial_band(p, n) for c, p in zip(counts, probs))
-
-
 # ---------------------------------------------------------------------------
 # project
 
-def cmd_project(args, out) -> int:
+def cmd_project(args) -> tuple[dict, int]:
     from . import measure
     theta = parse_angle(args.theta, args.degrees)
     setup = measure.SGSetup([0.0, 0.0, 1.0], [math.sin(theta), 0.0, math.cos(theta)])
     p_plus, p_minus = measure.projection_probabilities(setup)
     mean = measure.expected_outcome(setup)
-    payload = {
-        "schema": 1,
-        "command": "project",
+    body = {
         "theta_radians": setup.theta,
         "p_plus": p_plus,
         "p_minus": p_minus,
@@ -126,8 +119,8 @@ def cmd_project(args, out) -> int:
     within = True
     if args.trials:
         sample = measure.sample_outcomes(setup, args.trials, args.seed)
-        within = _within_band((sample.n_plus,), (p_plus,), sample.n)
-        payload["empirical"] = {
+        within = measure.within_band((sample.n_plus,), (p_plus,), sample.n)
+        body["empirical"] = {
             "trials": sample.n,
             "seed": sample.seed,
             "n_plus": sample.n_plus,
@@ -136,15 +129,14 @@ def cmd_project(args, out) -> int:
             "band_3sigma": measure.binomial_band(p_plus, sample.n),
             "within_band": within,
         }
-    _emit(payload, args.format, out)
-    return 0 if within else 1
+    return body, 0 if within else 1
 
 
 # ---------------------------------------------------------------------------
 # bell
 
-def cmd_bell(args, out) -> int:
-    from . import bell
+def cmd_bell(args) -> tuple[dict, int]:
+    from . import bell, measure
     kind = bell.BellKind(args.kind)
     plane = bell.resolve_plane(kind, args.plane)
     a_angle = parse_angle(args.a, args.degrees)
@@ -152,9 +144,7 @@ def cmd_bell(args, out) -> int:
     a_dir = bell.plane_direction(plane, a_angle)
     b_dir = bell.plane_direction(plane, b_angle)
     jp = bell.joint_probabilities(kind, a_dir, b_dir)
-    payload = {
-        "schema": 1,
-        "command": "bell",
+    body = {
         "kind": kind.value,
         "plane": plane,
         "a_radians": a_angle,
@@ -170,10 +160,9 @@ def cmd_bell(args, out) -> int:
     within = True
     if args.trials:
         counts = bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts.ravel().tolist()
-        within = _within_band(counts, (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm), args.trials)
-        payload["empirical"] = {"trials": args.trials, "seed": args.seed, "counts": counts, "within_band": within}
-    _emit(payload, args.format, out)
-    return 0 if within else 1
+        within = measure.within_band(counts, (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm), args.trials)
+        body["empirical"] = {"trials": args.trials, "seed": args.seed, "counts": counts, "within_band": within}
+    return body, 0 if within else 1
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +177,7 @@ def _angles_or_default(args):
     return [0.0, math.pi / 2.0, math.pi / 4.0, 3.0 * math.pi / 4.0]
 
 
-def cmd_chsh(args, out) -> int:
+def cmd_chsh(args) -> tuple[dict, int]:
     from . import bell, boxes
     if args.source != "quantum":
         if args.angles:
@@ -196,13 +185,13 @@ def cmd_chsh(args, out) -> int:
         if args.scan:
             raise QubitLabError("--scan applies only to --source quantum")
 
-    payload = {"schema": 1, "command": "chsh", "source": args.source}
+    body = {"source": args.source}
+    within = True
     if args.source == "prbox":
-        box = boxes.pr_box()
-        payload.update(_box_report(box))
+        body.update(_box_report(boxes.pr_box()))
     elif args.source == "lhv":
         scan = boxes.lhv_max_chsh()
-        payload.update(
+        body.update(
             {
                 "chsh": scan.max_value,
                 "strategies": scan.n_strategies,
@@ -220,22 +209,20 @@ def cmd_chsh(args, out) -> int:
             [bell.plane_direction(plane, a0), bell.plane_direction(plane, a1)],
             [bell.plane_direction(plane, b0), bell.plane_direction(plane, b1)],
         )
-        payload.update({"kind": kind.value, "plane": plane, "angles": [a0, a1, b0, b1]})
-        payload.update(_box_report(box))
+        body.update({"kind": kind.value, "plane": plane, "angles": [a0, a1, b0, b1]})
+        body.update(_box_report(box))
         if args.scan:
             scan = boxes.tsirelson_scan(kind, plane, args.scan)
-            payload["scan"] = {
+            within = bool(scan.max_value <= TSIRELSON + 1e-9)
+            body["scan"] = {
                 "n": scan.n,
                 "max_chsh": scan.max_value,
                 "best_b0": scan.best_b0,
                 "best_b1": scan.best_b1,
                 "tsirelson_bound": TSIRELSON,
-                "within_bound": bool(scan.max_value <= TSIRELSON + 1e-9),
+                "within_bound": within,
             }
-    _emit(payload, args.format, out)
-    if "scan" in payload and not payload["scan"]["within_bound"]:
-        return 1
-    return 0
+    return body, 0 if within else 1
 
 
 def _box_report(box: boxes.BehaviorBox) -> dict:
@@ -270,7 +257,7 @@ def _parse_strategy(text: str):
     raise QubitLabError(f"unknown strategy {text!r} (want quoin, random, or classical:K)")
 
 
-def cmd_game(args, out) -> int:
+def cmd_game(args) -> tuple[dict | None, int]:
     from . import quoin
     strategy = _parse_strategy(args.strategy)
     mech = quoin.QuoinMechanics.quantum_coin() if args.mech == "quantum" else quoin.QuoinMechanics.standard()
@@ -283,9 +270,9 @@ def cmd_game(args, out) -> int:
             raise QubitLabError("interactive play supports only the quoin strategy")
         if not sys.stdin.isatty():
             print("interactive play needs a terminal; use `game simulate` instead", file=sys.stderr)
-            return 2
-        run_interactive_game(args.seed, mech, args.lanes, input, lambda s: print(s, file=out))
-        return 0
+            return None, 2
+        run_interactive_game(args.seed, mech, args.lanes, input, print)
+        return None, 0
 
     games = 10000 if args.games is None else args.games
     try:
@@ -296,9 +283,7 @@ def cmd_game(args, out) -> int:
             summary = quoin._simulate(strategy, games, args.seed, mech, args.lanes, write)
     except OSError as exc:
         raise QubitLabError(f"cannot write the transcript: {exc}") from None
-    payload = {
-        "schema": 1,
-        "command": "game",
+    body = {
         "mode": "simulate",
         "strategy": args.strategy,
         "mechanics": args.mech,
@@ -310,9 +295,8 @@ def cmd_game(args, out) -> int:
         "ci_halfwidth": summary.ci_halfwidth,
     }
     if args.transcript is not None:
-        payload["transcript_path"] = args.transcript
-    _emit(payload, args.format or "text", out)
-    return 0
+        body["transcript_path"] = args.transcript
+    return body, 0
 
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
@@ -400,9 +384,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.cmd](args, sys.stdout)
+        body, code = _COMMANDS[args.cmd](args)
     except QubitLabError as exc:
         parser.error(str(exc))
+    if body is not None:
+        _emit(args.cmd, body, args.format or "text", sys.stdout)
+    return code
 
 
 if __name__ == "__main__":

@@ -42,6 +42,8 @@ def projection_probabilities(setup: SGSetup) -> tuple[float, float]:
 
     P(-1) is computed as 1 - P(+1) so normalization holds exactly.
     """
+    if not isinstance(setup, SGSetup):
+        raise DomainError(f"not an SGSetup: {setup!r}")
     p_plus = math.cos(setup.theta / 2.0) ** 2
     return p_plus, 1.0 - p_plus
 
@@ -123,3 +125,10 @@ def binomial_band(p: float, n: int) -> float:
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"band probability must lie in [0, 1], got {p!r}")
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def within_band(counts, probs, n: int) -> bool:
+    """Whether each count's frequency lies in the 3-sigma binomial band of its probability (the CLI's verdict)."""
+    # a rounded correlator can leave a zero cell at -5.6e-17; its band is that of 0
+    probs = [min(max(p, 0.0), 1.0) for p in probs]
+    return all(abs(c / n - p) <= binomial_band(p, n) for c, p in zip(counts, probs))

@@ -118,6 +118,8 @@ def su2_rotation(axis, theta: float) -> np.ndarray:
 
 def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
     """Conjugate the state: U rho U^dagger with U = exp(i*theta * n.sigma)."""
+    if not isinstance(state, QubitState):
+        raise DomainError(f"not a QubitState: {state!r}")
     u = su2_rotation(axis, theta)
     return QubitState(u @ state.rho @ u.conj().T)
 

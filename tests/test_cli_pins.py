@@ -3,7 +3,8 @@
 Each command runs in-process through `cli.main` in an empty directory, with a
 relative transcript path, no terminal on stdin and COLUMNS=80. The sha256 of
 its four outputs is pinned. A deliberate output change re-records the table,
-which this prints with the commands whose digest moved listed below it:
+which this prints with the commands whose digest moved listed below it, and
+exits 1 when any moved:
 
     PYTHONPATH=src python tests/test_cli_pins.py
 
@@ -480,3 +481,4 @@ if __name__ == "__main__":
     print(f"\n# {len(moved)} command(s) differ from PINNED:")
     for cmd in moved:
         print(f"#   {cmd}")
+    sys.exit(1 if moved else 0)

@@ -47,7 +47,16 @@ from qubitlab.boxes import (
 )
 from qubitlab.errors import DimensionError, DomainError, HermiticityError, InvalidStateError, check_int, real_number
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
-from qubitlab.measure import MAX_TRIALS, OutcomeSample, SGSetup, binomial_band, sample_outcomes, tally
+from qubitlab.measure import (
+    MAX_TRIALS,
+    OutcomeSample,
+    SGSetup,
+    binomial_band,
+    expected_outcome,
+    projection_probabilities,
+    sample_outcomes,
+    tally,
+)
 from qubitlab.qubit import (
     MAX_GBIT_S,
     MAX_PATH_STEPS,
@@ -548,11 +557,15 @@ def test_box_builder_wants_two_per_side(name, bad):
 
 
 RECORD = play_game(QuoinStrategy(), 1, 1)
-# name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a QubitState, a
+# name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a QubitState, an SGSetup, a
 # ClassicalBitState, a GameRecord, an iterable of them, a file with a write method, or a rigging and start string
 TYPED_ARGS = {
     "chsh_value": chsh_value,
     "bloch_roundtrip": bloch_roundtrip,
+    "su2_rotate": lambda v: su2_rotate(v, "z", 0.3),
+    "projection_probabilities": projection_probabilities,
+    "expected_outcome": expected_outcome,
+    "sample_outcomes": lambda v: sample_outcomes(v, 10, 1),
     "classical_pure_path first": lambda v: classical_pure_path(v, ONE, 3),
     "classical_pure_path second": lambda v: classical_pure_path(ZERO, v, 3),
     "verify_pauli_embedding": verify_pauli_embedding,
@@ -567,6 +580,10 @@ TYPED_ARGS = {
 TYPED_OK = {
     "chsh_value": PR_BOX,
     "bloch_roundtrip": STATE,
+    "su2_rotate": STATE,
+    "projection_probabilities": SETUP,
+    "expected_outcome": SETUP,
+    "sample_outcomes": SETUP,
     "classical_pure_path first": ZERO,
     "classical_pure_path second": ONE,
     "verify_pauli_embedding": SpinOperatorTriple.canonical(),
@@ -598,6 +615,26 @@ def test_argument_of_another_type_raises(name, bad):
 @pytest.mark.parametrize("name", TYPED_ARGS)
 def test_arguments_of_the_right_type_accepted(name):
     TYPED_ARGS[name](TYPED_OK[name])
+
+
+# id -> a joint-probability entry that is no real number; each used to escape as TypeError, the array as
+# numpy's ambiguous-truth ValueError
+BAD_JOINT_ENTRIES = {"None": None, "'x'": "x", "1j": 1j, "Decimal": Decimal("0.25"), "array": np.array([1.0, 2.0])}
+
+
+@pytest.mark.parametrize("position", range(4))
+@pytest.mark.parametrize("bad", BAD_JOINT_ENTRIES.values(), ids=BAD_JOINT_ENTRIES.keys())
+def test_joint_probabilities_refuse_an_entry_that_is_no_number(bad, position):
+    cells = [0.25] * 4
+    cells[position] = bad
+    with pytest.raises(InvalidStateError):
+        JointProbabilities(*cells)
+
+
+def test_joint_probabilities_refuse_a_negative_fraction():
+    # the message formatted the Fraction with `.3e`, which raised TypeError
+    with pytest.raises(InvalidStateError, match="negative joint probability -5.000e-01"):
+        JointProbabilities(Fraction(-1, 2), Fraction(1, 2), 0.5, 0.5)
 
 
 @pytest.mark.parametrize("records", [None, 1, RECORD])

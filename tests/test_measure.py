@@ -16,6 +16,7 @@ from qubitlab.measure import (
     projection_probabilities,
     sample_outcomes,
     tally,
+    within_band,
 )
 from qubitlab.qubit import so3_rotation
 from qubitlab.rng import BLOCK
@@ -175,6 +176,27 @@ class TestBinomialBand:
         # the 3-sigma width is fixed: `band_3sigma` is the one band the CLI reports
         with pytest.raises(TypeError):
             binomial_band(0.5, 10, 2)
+
+
+class TestWithinBand:
+    def test_rounded_zero_cell_has_the_band_of_zero(self):
+        # a correlator rounded past -1, to -1.0000000000000002, leaves its like cells (1 + E)/4 at -5.6e-17
+        assert within_band((0,), (-5.6e-17,), 100)
+        assert within_band((0, 50, 50, 0), (-5.6e-17, 0.5, 0.5, -5.6e-17), 100)
+        assert not within_band((1,), (-5.6e-17,), 100)
+
+    def test_count_inside_the_band_accepted(self):
+        # p = 0.5, n = 10**4: the band is 3 * 0.005 = 0.015, 150 counts either side of 5000
+        assert binomial_band(0.5, 10**4) == pytest.approx(0.015)
+        assert within_band((5149,), (0.5,), 10**4)
+        assert within_band((4851, 5149), (0.5, 0.5), 10**4)
+
+    def test_count_just_outside_the_band_refused(self):
+        assert not within_band((5151,), (0.5,), 10**4)
+        assert not within_band((4849,), (0.5,), 10**4)
+        # one cell out of four is enough
+        assert not within_band((2500, 2500, 2500 + 131, 2500 - 131), (0.25,) * 4, 10**4)
+        assert within_band((2500, 2500, 2500 + 129, 2500 - 129), (0.25,) * 4, 10**4)
 
 
 class TestRotationalInvariance:

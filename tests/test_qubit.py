@@ -11,6 +11,7 @@ from qubitlab.qubit import (
     MAX_PATH_STEPS,
     ClassicalBitState,
     QubitState,
+    axis_vector,
     bloch_roundtrip,
     bloch_rotation_for,
     classical_pure_path,
@@ -34,6 +35,11 @@ class TestQubitState:
         np.testing.assert_allclose(state.bloch, [0, 0, 1], atol=ATOL_EXACT)
         assert state.is_pure
         np.testing.assert_allclose(bloch_roundtrip(state).rho, state.rho, atol=ATOL_EXACT)
+
+    def test_down_state_is_the_pure_south_pole(self):
+        state = QubitState.down()
+        np.testing.assert_allclose(state.bloch, [0, 0, -1], atol=ATOL_EXACT)
+        assert state.is_pure
 
     def test_maximally_mixed(self):
         state = QubitState.maximally_mixed()
@@ -150,6 +156,12 @@ class TestSu2Rotation:
         with pytest.raises(DomainError):
             su2_rotation("x", math.inf)
 
+    def test_unknown_axis_name_rejected(self):
+        with pytest.raises(DomainError, match="unknown axis name"):
+            axis_vector("w")
+        with pytest.raises(DomainError, match="unknown axis name"):
+            su2_rotation("xy", 0.1)
+
 
 unit = st.floats(-1.0, 1.0)
 
@@ -237,3 +249,6 @@ class TestClassicalBit:
     def test_invalid_probability_rejected(self):
         with pytest.raises(InvalidStateError):
             ClassicalBitState(1.2)
+
+    def test_box_two_holds_the_rest(self):
+        assert ClassicalBitState(0.25).p2 == 0.75
