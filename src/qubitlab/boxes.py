@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from . import bell
-from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_int, real_number, unit_vector
+from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_atol, check_int, real_number, unit_vector
 
 OUTCOMES = (1, -1)
 # largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
@@ -89,10 +89,7 @@ def _check_box(box, atol: float = 0.0) -> tuple[BehaviorBox, float]:
     """The box and the tolerance, which must be one finite number >= 0, else DomainError."""
     if not isinstance(box, BehaviorBox):
         raise DomainError(f"not a BehaviorBox: {box!r}")
-    atol = real_number(atol, "atol")
-    if atol < 0:
-        raise DomainError(f"atol must be one finite number >= 0, got {atol!r}")
-    return box, atol
+    return box, check_atol(atol)
 
 
 def _box(alice, bob, corr) -> BehaviorBox:

@@ -280,7 +280,7 @@ def cmd_game(args) -> tuple[dict | None, int]:
             # the transcript opens at the first block's lines, so a strategy that cannot play these lanes leaves none
             opened = functools.cache(lambda: files.enter_context(open(args.transcript, "w", encoding="utf-8")))
             write = None if args.transcript is None else lambda lines: opened().write("\n".join(lines) + "\n")
-            summary = quoin._simulate(strategy, games, args.seed, mech, args.lanes, write)
+            summary = quoin.monte_carlo(strategy, games, args.seed, mech=mech, lanes=args.lanes, write=write)
     except OSError as exc:
         raise QubitLabError(f"cannot write the transcript: {exc}") from None
     body = {

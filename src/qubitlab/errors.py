@@ -78,6 +78,13 @@ def real_number(value, what: str) -> float:
     return x
 
 
+def check_atol(value) -> float:
+    """A tolerance: one finite real number >= 0 (see `real_number`) as a float, else DomainError."""
+    if (atol := real_number(value, "atol")) < 0:
+        raise DomainError(f"atol must be one finite number >= 0, got {atol!r}")
+    return atol
+
+
 def real_3vector(v, what: str) -> tuple[float, float, float]:
     """Three real numbers as a float 3-tuple, else DimensionError; one past the float range is a DomainError."""
     try:

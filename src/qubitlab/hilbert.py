@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, unit_vector  # noqa: F401
+from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, check_atol, unit_vector  # noqa: F401
 
 SUPPORTED_DIMS = (2, 3, 4)
 
@@ -50,6 +50,7 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
 def is_hermitian(m, atol: float = ATOL_EXACT) -> bool:
     """|m_ij - conj(m_ji)| <= atol for every entry; a difference too large for a float is not within atol."""
     rows = as_matrix(m).tolist()
+    atol = check_atol(atol)
     try:
         return all(
             abs(x - rows[j][i].conjugate()) <= atol for i, row in enumerate(rows) for j, x in enumerate(row[i:], i)

@@ -32,6 +32,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import DomainError, check_int
+from .measure import binomial_band
 from .rng import MAX_GAME, draws
 
 CHIPS_START = 6
@@ -40,9 +41,9 @@ DEFAULT_LANES = 5
 MAX_LANES = 8
 # monte_carlo plays 2**21 games in 1-2 s
 MAX_GAMES = 2**21
-# seeds of one verify_parity_theorem call; its verdict reads no draws, and its `failures`
-# read 4**(lanes + 1) Philox words per seed (2 MiB at 8 lanes)
+# seeds of one verify_parity_theorem call, whose verdict reads no draws, and the failure lines its report shows
 MAX_PARITY_SEEDS = 256
+MAX_FAILURE_LINES = 1000
 # games per block of monte_carlo; its arrays peak near 1 MiB
 GAME_BLOCK = 4096
 
@@ -461,13 +462,12 @@ def monte_carlo(
     *,
     mech: QuoinMechanics | None = None,
     lanes: int = DEFAULT_LANES,
+    write=None,
 ) -> MonteCarloSummary:
-    """Play and tally games 0..games-1 with `seed` as dealer and mechanics seed; the CI is the 3-sigma binomial band."""
-    return _simulate(strategy, games, seed, mech, lanes)
+    """Play and tally games 0..games-1, `seed` as dealer and mechanics seed; the CI is the 3-sigma binomial band.
 
-
-def _simulate(strategy: Strategy, games: int, seed: int, mech, lanes: int, write=None) -> MonteCarloSummary:
-    """The one block loop: play and tally games 0..games-1 by blocks, giving `write` each block's to_json lines."""
+    The one block loop: `write`, when given, gets each block's to_json lines.
+    """
     games = check_int(games, "game count", 1, MAX_GAMES)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
@@ -481,7 +481,7 @@ def _simulate(strategy: Strategy, games: int, seed: int, mech, lanes: int, write
         if write is not None:
             write([_record_json(*_fields(strategy, lanes, *row), n) for row, n in zip(_rows(block), nets.tolist())])
     w = wins / games
-    return MonteCarloSummary(games, w, net / games, 3.0 * float(np.sqrt(w * (1.0 - w) / games)))
+    return MonteCarloSummary(games, w, net / games, binomial_band(w, games))
 
 
 def write_transcript(records, fp) -> None:
@@ -501,29 +501,16 @@ def write_transcript(records, fp) -> None:
 
 @dataclass(frozen=True)
 class ParityTheoremReport:
-    """Exhaust result; the failing deals' draws are read, and their strings formatted, only when `failures` is read."""
+    """Exhaust result: `failure_count` counts every failing (seed, deal), `failures` shows the first ones."""
 
     checked: int
     failure_count: int
     lanes: int
-    # (seeds, failing deal indices, their unequal-lane masks) when a deal fails: the same deals for every seed
-    failing: tuple = field(default=(), repr=False, compare=False)
+    failures: tuple[str, ...]
 
     @property
     def holds(self) -> bool:
         return not self.failure_count
-
-    @functools.cached_property
-    def failures(self) -> tuple[str, ...]:
-        seeds, deals, unequal = self.failing or ((), (), ())
-        lanes, out = self.lanes, []
-        for seed in seeds:
-            fair = draws(seed, STREAM_MECH, range(4**lanes), lanes)[deals]
-            for d, h in zip(deals.tolist(), (popcount(fair) + popcount(fair ^ unequal)).tolist()):
-                alice, bob = d >> lanes, d & (1 << lanes) - 1
-                hands = f"alice={lane_bits(alice, lanes)} bob={lane_bits(bob, lanes)}"
-                out.append(f"seed {seed} deal {hands}: {h} H vs {popcount(alice & bob)} double-1 lanes")
-        return tuple(out)
 
 
 def verify_parity_theorem(
@@ -535,8 +522,8 @@ def verify_parity_theorem(
     d >> lanes and Bob the mask d mod 2**lanes (lane i at bit i, as in the game), and its lanes
     end (f, f ^ u) for game d's fair draws f = draws(seed, STREAM_MECH, d, lanes) and its
     unequal-lane mask u. As popcount(f) + popcount(f ^ u) = popcount(u) (mod 2) for any f, a
-    deal fails for every seed or for none: the verdict reads no draw, and only `failures`
-    reads one run of games per seed, for the H counts.
+    deal fails for every seed or for none: the verdict reads no draw. `failures` shows the first
+    MAX_FAILURE_LINES failing (seed, deal)s, for whose H counts each seed shown reads one run of games.
     """
     mech = _check_mech(mech)
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
@@ -551,6 +538,14 @@ def verify_parity_theorem(
     alice, bob = deals >> lanes, deals & (1 << lanes) - 1
     unequal = mech.unequal_lanes(alice, bob, lanes)
     failed = np.flatnonzero((popcount(unequal) ^ popcount(alice & bob)) & 1)
-    # 5 bytes per failing deal: 4**MAX_LANES deals, each with a mask of MAX_LANES lanes
-    failing = (seeds, failed.astype(np.uint32), unequal[failed].astype(np.uint8)) if failed.size else ()
-    return ParityTheoremReport(len(seeds) * len(deals), len(seeds) * failed.size, lanes, failing)
+    failures = []
+    for seed in seeds:
+        shown = failed[: MAX_FAILURE_LINES - len(failures)]
+        if not shown.size:
+            break
+        fair = draws(seed, STREAM_MECH, range(int(shown[-1]) + 1), lanes)[shown]
+        for d, h in zip(shown.tolist(), (popcount(fair) + popcount(fair ^ unequal[shown])).tolist()):
+            a, b = d >> lanes, d & (1 << lanes) - 1
+            hands = f"alice={lane_bits(a, lanes)} bob={lane_bits(b, lanes)}"
+            failures.append(f"seed {seed} deal {hands}: {h} H vs {popcount(a & b)} double-1 lanes")
+    return ParityTheoremReport(len(seeds) * len(deals), len(seeds) * failed.size, lanes, tuple(failures))

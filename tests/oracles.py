@@ -277,30 +277,35 @@ def summary(records) -> MonteCarloSummary:
     return MonteCarloSummary(n, rate, net / n, 3.0 * math.sqrt(rate * (1.0 - rate) / n))
 
 
-def seeded_parity_exhaust(seeds, lanes: int, mech: QuoinMechanics) -> tuple[int, int, bool, tuple[str, ...]]:
+def seeded_parity_exhaust(
+    seeds, lanes: int, mech: QuoinMechanics, shown: int | None = None
+) -> tuple[int, int, bool, tuple[str, ...]]:
     """(checked, failure_count, holds, failures) of the parity exhaust, deal by deal from each seed's lane outcomes.
 
     The seeded loop that `verify_parity_theorem` replaced by the identity
     popcount(f) + popcount(f ^ u) = popcount(u) (mod 2): deal d gives Alice
     the mask d >> lanes and Bob d mod 2**lanes, its lanes end (f, f ^ u[a][b])
     for game d's fair draws f on the mechanics stream, and it fails when its
-    combined H count and its double-1 count differ in parity.
+    combined H count and its double-1 count differ in parity. Every failure
+    is counted; only the first `shown` (all for None) are formatted.
     """
     deals = np.arange(4**lanes, dtype=np.uint64)
     alice, bob = deals >> lanes, deals & (1 << lanes) - 1
     table = np.array(mech.u, dtype=np.uint64)
     unequal = sum(table[alice >> i & 1, bob >> i & 1] << i for i in range(lanes))
     doubles = popcount(alice & bob).tolist()
-    checked, failures = 0, []
+    checked, count, failures = 0, 0, []
     for seed in seeds:
         fair = draws(seed, STREAM_MECH, range(4**lanes), lanes)
         combined_h = (popcount(fair) + popcount(fair ^ unequal)).tolist()
         checked += len(deals)
         for d, (h, n) in enumerate(zip(combined_h, doubles)):
             if (h - n) % 2:
-                alice_bits, bob_bits = lane_bits(d >> lanes, lanes), lane_bits(d & (1 << lanes) - 1, lanes)
-                failures.append(f"seed {seed} deal alice={alice_bits} bob={bob_bits}: {h} H vs {n} double-1 lanes")
-    return checked, len(failures), not failures, tuple(failures)
+                count += 1
+                if shown is None or len(failures) < shown:
+                    alice_bits, bob_bits = lane_bits(d >> lanes, lanes), lane_bits(d & (1 << lanes) - 1, lanes)
+                    failures.append(f"seed {seed} deal alice={alice_bits} bob={bob_bits}: {h} H vs {n} double-1 lanes")
+    return checked, count, not count, tuple(failures)
 
 
 def recipe_uniforms(seed: int, n: int) -> np.ndarray:

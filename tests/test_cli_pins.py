@@ -52,6 +52,13 @@ def _commands() -> list[tuple[str, ...]]:
         cmds.append(("bell", "--kind", "singlet", "--a", "0.3", "--b", "1.9", "--trials", "5000", "--format", fmt))
     cmds.append(("bell", "--kind", "phi-", "--a", "1", "--b", "1", "--trials", "100", "--seed", "3", "--format", "json"))
     cmds.append(("bell", "--kind", "phi+", "--a", "30", "--b", "75", "--degrees", "--format", "json"))
+    # 10**5 sampled trials, past many blocks of rng.BLOCK words, at two seeds
+    for seed in ("7", "424242"):
+        cmds.append(("project", "--theta", "2pi/3", "--trials", "100000", "--seed", seed, "--format", "json"))
+        cmds.append(
+            ("bell", "--kind", "singlet", "--a", "0", "--b", "pi/3", "--trials", "100000", "--seed", seed,
+             "--format", "json")
+        )
 
     for source, fmt in itertools.product(("prbox", "lhv", "quantum"), FORMATS):
         cmds.append(("chsh", "--source", source, "--format", fmt))
@@ -193,6 +200,10 @@ PINNED = {
     'bell --kind singlet --a 0.3 --b 1.9 --trials 5000 --format csv': '43c4b5d2bf90e0e0a49ed9f9900a6cf42b7be608351e24ec5c0f5111970a92f3',
     'bell --kind phi- --a 1 --b 1 --trials 100 --seed 3 --format json': '32f372f94b0da0c24666737f6ff4d680d187691a2bd5f6c847154a2f19270aa1',
     'bell --kind phi+ --a 30 --b 75 --degrees --format json': '48d8a9e7f510299e72d9e57d45dcbe087fd9ae51072cdc1dfa3ecf41b6b43b81',
+    'project --theta 2pi/3 --trials 100000 --seed 7 --format json': '7eb3761530494641f7cdd2c0410bd3c3dcde81d846f5f032f9ac2b17aee9feb5',
+    'bell --kind singlet --a 0 --b pi/3 --trials 100000 --seed 7 --format json': '636c48340fdd786d6002f3e18035afb50c52680f95f74bd14f3a9548f4f7a5f4',
+    'project --theta 2pi/3 --trials 100000 --seed 424242 --format json': '71f3e07c244305a68b522cc3fd0cd4c431bdf2caee32ed3d168d490249786311',
+    'bell --kind singlet --a 0 --b pi/3 --trials 100000 --seed 424242 --format json': 'ae2ea4242d21a1b33c03dec06c5c0a18c33630e9f4b05b5899e455b740d5b524',
     'chsh --source prbox --format json': '914b9b67fe04db1cc359d76e47da483cf29ff38f9ce43a58c1acc73f79b57b76',
     'chsh --source prbox --format text': '8512985e597806a0ed268aef2d0c9f957cb8ab8b96fddf55341785ee03571c98',
     'chsh --source prbox --format csv': '1e259daea5fe0220999c61656574da5ad1997b064a9ce874d2c7ab13a987ebbf',

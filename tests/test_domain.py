@@ -671,6 +671,7 @@ def test_game_record_refuses_what_to_json_cannot_render(name, bad):
 ATOL_ARGS = {
     "no_signalling_check": lambda v: no_signalling_check(PR_BOX, atol=v),
     "conservation_filter": lambda v: conservation_filter(PR_BOX, atol=v),
+    "is_hermitian": lambda v: is_hermitian(np.eye(2), atol=v),
 }
 
 
@@ -692,3 +693,5 @@ def test_tolerances_accepted():
     for atol in (0, 0.0, 1e-12, np.float64(0.5), 3):
         assert no_signalling_check(PR_BOX, atol=atol).passed
         assert conservation_filter(PR_BOX, atol=atol).status == "inconsistent"
+        assert is_hermitian(np.eye(2), atol=atol)
+        assert is_hermitian([[0, 1], [0, 0]], atol=atol) == (atol >= 1)

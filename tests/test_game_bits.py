@@ -7,9 +7,9 @@ range of games is one `_run` of 4 * n words, and an int counter is a word of
 the cached, aligned run of `rng.CHUNK` blocks that holds it. These tests hold
 both to that recipe, at chunk edges and counter-word carries and from
 several threads at once, check that a block of games re-keys each stream it
-uses once and that the parity report re-keys each seed once, and only when
-its failures are read, and hold `play_game`, `monte_carlo` and the block
-loop's transcript lines, which all draw through `rng.draws`, to the
+uses once and that the parity report re-keys once each seed whose failures
+it shows, and none when no deal fails, and hold `play_game`, `monte_carlo`
+and the block loop's transcript lines, which all draw through `rng.draws`, to the
 per-game engine of `tests/oracles.py`, which plays from the recipe alone.
 """
 
@@ -202,11 +202,11 @@ class TestKernel:
         real_run = rng._run
         monkeypatch.setattr(rng, "_run", lambda *args: runs.append(args) or real_run(*args))
         assert quoin.verify_parity_theorem(range(3), quoin.MAX_LANES).failures == ()
+        assert runs == []
         report = quoin.verify_parity_theorem(range(3), 4, quoin.QuoinMechanics.quantum_coin())
-        assert runs == [] and not report.holds
-        assert report.failures
-        # word 0 of each of the 4**lanes deals' blocks
-        assert runs == [(rng._key(seed, quoin.STREAM_MECH), 0, 4 * 4**4) for seed in range(3)]
+        assert len(report.failures) == 3 * 120
+        # word 0 of each deal's block, up to the last failing deal, 254 (Alice 1111, Bob 0111)
+        assert runs == [(rng._key(seed, quoin.STREAM_MECH), 0, 4 * 255) for seed in range(3)]
 
     # counters at both edges of a chunk, across the carries of counter words 0 and 1, at widening
     # counters g + r * 2**192 and at the top of the counter range
@@ -444,7 +444,7 @@ class TestMonteCarloMatchesOracle:
         for strategy in (QuoinStrategy(), RandomStrategy()):
             kw = {"mech": QuoinMechanics.quantum_coin(), "lanes": 2}
             expected, lines = list(oracles.play_games(strategy, games, 9, **kw)), []
-            quoin._simulate(strategy, games, 9, kw["mech"], kw["lanes"], lines.extend)
+            monte_carlo(strategy, games, 9, **kw, write=lines.extend)
             assert lines == [oracles.record_json(record) for record in expected]
             assert monte_carlo(strategy, games, 9, **kw) == oracles.summary(expected)
 

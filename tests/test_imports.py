@@ -27,7 +27,7 @@ SHELL = ["qubitlab", "qubitlab.cli", "qubitlab.errors"]
 PROJECT = [*SHELL, "qubitlab.measure"]
 BELL = [*PROJECT, "qubitlab.bell"]
 CHSH = [*BELL, "qubitlab.boxes"]
-GAME = [*SHELL, "qubitlab.quoin", "qubitlab.rng"]
+GAME = [*SHELL, "qubitlab.measure", "qubitlab.quoin", "qubitlab.rng"]
 
 MODULE_SETS = {
     "help": (["--help"], SHELL),

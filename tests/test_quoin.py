@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from qubitlab import cli, quoin
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
+    MAX_FAILURE_LINES,
     MAX_GAMES,
     MAX_LANES,
     MAX_PARITY_SEEDS,
@@ -308,7 +309,7 @@ class TestRecordFormatter:
         seed, games = data.draw(st.integers(0, 2**70)), data.draw(st.integers(1, 3 * block + 2))
         lines, kw = [], {"mech": mech, "lanes": lanes}
         with mock.patch.object(quoin, "GAME_BLOCK", block):
-            summary = quoin._simulate(strategy, games, seed, mech, lanes, lines.extend)
+            summary = monte_carlo(strategy, games, seed, **kw, write=lines.extend)
             records = list(oracles.play_games(strategy, games, seed, **kw))
             assert lines == [oracles.record_json(record) for record in records]
             assert summary == monte_carlo(strategy, games, seed, **kw) == oracles.summary(records)
@@ -354,7 +355,7 @@ class TestDealers:
         for lanes in (1, 5):
             singles = [play_game(RandomStrategy(), 71, 71, game_index=g, lanes=lanes).to_json() for g in range(500)]
             lines = []
-            quoin._simulate(RandomStrategy(), 500, 71, None, lanes, lines.extend)
+            monte_carlo(RandomStrategy(), 500, 71, lanes=lanes, write=lines.extend)
             assert lines == singles
             records = [json.loads(line) for line in lines]
             assert all(any(r["alice_bits"]) for r in records)
@@ -463,18 +464,23 @@ class TestParityTheoremProperties:
     @given(seed=st.integers(0, 2**63 - 1), lanes=st.integers(1, MAX_LANES))
     def test_quantum_coin_fails_exactly_on_odd_double_deals(self, seed, lanes):
         report = verify_parity_theorem(seeds=[seed], lanes=lanes, mech=QuoinMechanics.quantum_coin())
-        failing = set()
+        shown = []
         for failure in report.failures:
             alice, bob, combined_h, doubles = FAILURE.match(failure).groups()
             assert int(combined_h) % 2 == 0  # every lane ends equal
             assert int(doubles) % 2 == 1
-            failing.add(tuple(tuple(map(int, re.findall(r"\d", hand))) for hand in (alice, bob)))
-        hands = list(itertools.product((0, 1), repeat=lanes))
-        odd = {
-            (a, b) for a in hands for b in hands if sum(x & y for x, y in zip(a, b)) % 2
-        }
-        assert len(failing) == len(report.failures)
-        assert failing == odd
+            shown.append(tuple(tuple(map(int, re.findall(r"\d", hand))) for hand in (alice, bob)))
+        # in mask order (lane i at bit i), so the pairs below run in deal order
+        hands = sorted(itertools.product((0, 1), repeat=lanes), key=lambda hand: hand[::-1])
+        odd = [(a, b) for a in hands for b in hands if sum(x & y for x, y in zip(a, b)) % 2]
+        assert report.failure_count == len(odd)
+        assert shown == odd[:MAX_FAILURE_LINES]
+
+    def test_reports_of_different_seeds_differ(self):
+        # the same deals fail for every seed, but their H counts differ, and equality sees the failures
+        first, second = (verify_parity_theorem([seed], 3, QuoinMechanics.quantum_coin()) for seed in (0, 1))
+        assert first.failure_count == second.failure_count
+        assert first.failures != second.failures and first != second
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -486,9 +492,11 @@ class TestParityTheoremProperties:
     )
     @example(mech=QuoinMechanics.quantum_coin(), lanes=6, seeds=[2**70, np.int64(3)])
     @example(mech=QuoinMechanics.standard(), lanes=MAX_LANES, seeds=[2**64, 0])
+    # 496 failing deals a seed: the cap falls inside the third seed's lines
+    @example(mech=QuoinMechanics.quantum_coin(), lanes=5, seeds=[0, 2**70, 5])
     def test_report_equals_the_seeded_exhaust(self, mech, lanes, seeds):
         report = verify_parity_theorem(seeds, lanes, mech)
-        expected = oracles.seeded_parity_exhaust(seeds, lanes, mech)
+        expected = oracles.seeded_parity_exhaust(seeds, lanes, mech, MAX_FAILURE_LINES)
         assert (report.checked, report.failure_count, report.holds, report.failures) == expected
 
 

@@ -9,9 +9,6 @@ same counts, across block boundaries. `recipe_uniforms` and
 file are the oracles.
 """
 
-import contextlib
-import hashlib
-import io
 import math
 import tracemalloc
 
@@ -21,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import recipe_uniforms, sample_outcome_values
 
-from qubitlab import bell, cli, measure
+from qubitlab import bell, measure
 from qubitlab.rng import BLOCK, word_blocks
 
 NS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, 10**6)
@@ -139,18 +136,6 @@ PINNED = {
     ('phi+', 1000000, 424242): (3128, 496841, 496913, 3118),
 }
 
-# (command, seed) -> (exit code, sha256 of stdout)
-CLI_ARGV = {
-    "project": ["project", "--theta", "2pi/3", "--trials", "100000", "--format", "json"],
-    "bell": ["bell", "--kind", "singlet", "--a", "0", "--b", "pi/3", "--trials", "100000", "--format", "json"],
-}
-CLI_PINNED = {
-    ('project', 7): (0, '3ae0851be5a42acb50d15eaea86ab7be8ae1a80c65ee2be0f57e692f83d69a8f'),
-    ('project', 424242): (0, 'e42b1b6d62bdce17a01fc57b6eb948fa7899d74d6c960a5fba45ddc44988cf8d'),
-    ('bell', 7): (0, '607a1449b511832e8cbc1aec5121b5f10a9e64bff4216ef9bfd24a4830d952d8'),
-    ('bell', 424242): (0, 'e79e2ebec3f406ffd18af14036d09b5c99ab820243fc0bce4e9af80f94fecebd'),
-}
-
 
 def sg_setup(theta=THETA):
     return measure.SGSetup([0.0, 0.0, 1.0], [math.sin(theta), 0.0, math.cos(theta)])
@@ -185,14 +170,6 @@ def test_outcome_counts_pinned(n, seed):
 def test_joint_counts_pinned(name, n, seed):
     sample = bell.sample_joint(*joint_setting(name), n, seed)
     assert tuple(int(c) for c in sample.counts.reshape(-1)) == PINNED[name, n, seed]
-
-
-@pytest.mark.parametrize("command,seed", list(CLI_PINNED))
-def test_cli_sampled_output_pinned(command, seed):
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
-        code = cli.main(CLI_ARGV[command] + ["--seed", str(seed)])
-    assert (code, hashlib.sha256(buf.getvalue().encode()).hexdigest()) == CLI_PINNED[command, seed]
 
 
 @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])

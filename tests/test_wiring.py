@@ -70,7 +70,7 @@ class TestParityExhaust:
             fair = oracles.recipe_bits(seed, STREAM_MECH, alice << lanes | bob, lanes)
             assert int(seed_text) == seed and int(combined_h) == 2 * sum(fair)
 
-    @pytest.mark.parametrize("lanes", [1, 4])
+    @pytest.mark.parametrize("lanes", [1, 4, 8])
     def test_only_failures_read_one_run_of_consecutive_deals_per_seed(self, monkeypatch, lanes):
         calls = []
         real_draws = quoin.draws
@@ -82,9 +82,14 @@ class TestParityExhaust:
         monkeypatch.setattr(quoin, "draws", counted_draws)
         # the verdict is drawn from no seed, and the standard mechanics have no failure to read
         assert quoin.verify_parity_theorem(range(3), lanes).failures == ()
+        assert calls == []
         report = quoin.verify_parity_theorem(range(3), lanes, QuoinMechanics.quantum_coin())
-        assert calls == [] and not report.holds
-        assert report.failures and calls == [(s, STREAM_MECH, range(4**lanes), lanes) for s in range(3)]
+        odd = [d for d in range(4**lanes) if bin(d >> lanes & d).count("1") % 2]
+        shown = [(seed, d) for seed in range(3) for d in odd][: quoin.MAX_FAILURE_LINES]
+        # each seed with a line shown reads one run, up to its last deal shown (at 8 lanes, seed 0 alone)
+        last = dict(shown)
+        assert len(report.failures) == len(shown) and not report.holds
+        assert calls == [(seed, STREAM_MECH, range(d + 1), lanes) for seed, d in last.items()]
 
 
 class TestTallyWords:
