@@ -20,7 +20,9 @@ import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_int, real_number, unit_vector
+from .errors import (
+    ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, check_int, real_entries, real_number, unit_vector,
+)
 from .measure import _check_tally, tally
 
 if TYPE_CHECKING:
@@ -83,12 +85,6 @@ def bell_vector(kind: BellKind) -> np.ndarray:
     return np.array((0, 1, sx, 0) if sz < 0 else (1, 0, 0, sx), dtype=complex) / math.sqrt(2)
 
 
-def pauli_expansion(kind: BellKind) -> np.ndarray:
-    """Density matrix assembled from its identity-plus-correlator expansion."""
-    from .hilbert import correlation_expansion
-    return correlation_expansion(_check_kind(kind).pauli_signs) / 4.0
-
-
 @functools.cache  # the outer product of the derived amplitudes; tests hold it equal to the Pauli expansion
 def _density(kind: BellKind) -> np.ndarray:
     import numpy as np
@@ -136,13 +132,14 @@ class JointProbabilities:
     p_mm: float
 
     def __post_init__(self):
-        ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        try:  # None, str, complex and array entries fail to order or to add
-            low, total = min(ps), sum(ps)
-        except (TypeError, ValueError):
-            raise InvalidStateError(f"joint probabilities must be four real numbers, got {ps!r}") from None
+        a, b, c, d = ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
+        # one type test per entry on the all-float path of joint_probabilities; other entries are stored as floats
+        if not (type(a) is float and type(b) is float and type(c) is float and type(d) is float):
+            ps = real_entries(ps, "joint probabilities")
+            self.__dict__.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), ps))
+        low, total = min(ps), sum(ps)
         if low < -ATOL_EXACT:
-            raise InvalidStateError(f"negative joint probability {float(low):.3e}")
+            raise InvalidStateError(f"negative joint probability {low:.3e}")
         if not abs(total - 1.0) <= ATOL_EXACT:  # also catches NaN and inf entries
             raise InvalidStateError(f"joint probabilities sum to {total}, not 1")
 

@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 
 from . import bell
-from .errors import ATOL_EXACT, DomainError, InvalidStateError, check_atol, check_int, real_number, unit_vector
+from .errors import (
+    ATOL_EXACT, DomainError, InvalidStateError, check_atol, check_int, real_entries, real_number, unit_vector,
+)
 
 OUTCOMES = (1, -1)
 # largest tsirelson_scan grid: tests check it equal to the full n x n evaluation up to here
@@ -36,12 +38,15 @@ class BehaviorBox:
 
     def __post_init__(self):
         try:  # unpacking each table's two rows of two checks the inner shape
-            p = tuple(tuple(((float(a), float(b)), (float(c), float(d))) for (a, b), (c, d) in px) for px in self.p)
+            p = tuple(tuple(((a, b), (c, d)) for (a, b), (c, d) in px) for px in self.p)
         except (TypeError, ValueError):
             p = ()
         if [len(px) for px in p] != [2, 2]:
             raise InvalidStateError("behavior box must be 2 x 2 x 2 x 2 real numbers")
         flat = [v for px in p for q in px for row in q for v in row]
+        if set(map(type, flat)) != {float}:  # one type read per entry on the all-float path of `_box`
+            flat = real_entries(flat, "behavior box entries")
+            p = _nest(flat)
         if min(flat) < -ATOL_EXACT:
             raise InvalidStateError(f"negative probability {min(flat):.3e}")
         # also catches NaN and inf entries
@@ -82,7 +87,15 @@ class BehaviorBox:
         flat = obj.get("p")
         if not isinstance(flat, list) or len(flat) != 16:
             raise InvalidStateError("behavior-box JSON must carry 16 probabilities")
-        return cls([[[flat[k : k + 2], flat[k + 2 : k + 4]] for k in (8 * x, 8 * x + 4)] for x in (0, 1)])
+        return cls(_nest(flat))
+
+
+def _nest(flat) -> tuple:
+    """16 probabilities, row-major (x, y, a, b), as the nested tables p[x][y][a][b]."""
+    return tuple(
+        tuple(((flat[k], flat[k + 1]), (flat[k + 2], flat[k + 3])) for k in (8 * x, 8 * x + 4))
+        for x in (0, 1)
+    )
 
 
 def _check_box(box, atol: float = 0.0) -> tuple[BehaviorBox, float]:
@@ -196,11 +209,6 @@ def sign_pattern_box(signs) -> BehaviorBox:
 def pr_box() -> BehaviorBox:
     """The extremal no-signalling box: equal outcomes except at settings (a', b')."""
     return sign_pattern_box([[1, 1], [1, -1]])
-
-
-def extremal_sign_family() -> list[tuple[tuple[int, int, int, int], BehaviorBox]]:
-    """All 16 extremal correlator sign patterns (s00, s01, s10, s11)."""
-    return [(signs, sign_pattern_box((signs[:2], signs[2:]))) for signs in itertools.product((1, -1), repeat=4)]
 
 
 def quantum_box(kind: bell.BellKind, a_dirs, b_dirs) -> BehaviorBox:

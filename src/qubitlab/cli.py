@@ -25,12 +25,12 @@ import re
 import sys
 from typing import TYPE_CHECKING
 
-from .errors import QubitLabError, check_int, real_number
+from .errors import QubitLabError, real_number
 
 # each command imports the modules it runs inside its cmd_* function, so a
 # process loads only what its subcommand needs
 if TYPE_CHECKING:
-    from . import boxes, quoin
+    from . import boxes
 
 DEFAULT_SEED = 424242
 BELL_KINDS = ("singlet", "psi+", "phi-", "phi+")  # bell.BellKind values, pinned by a test
@@ -271,7 +271,7 @@ def cmd_game(args) -> tuple[dict | None, int]:
         if not sys.stdin.isatty():
             print("interactive play needs a terminal; use `game simulate` instead", file=sys.stderr)
             return None, 2
-        run_interactive_game(args.seed, mech, args.lanes, input, print)
+        quoin.run_interactive_game(args.seed, mech, args.lanes, input, print)
         return None, 0
 
     games = 10000 if args.games is None else args.games
@@ -297,35 +297,6 @@ def cmd_game(args) -> tuple[dict | None, int]:
     if args.transcript is not None:
         body["transcript_path"] = args.transcript
     return body, 0
-
-
-def run_interactive_game(seed, mech, lanes, input_fn, say) -> quoin.GameRecord:
-    """One human-guessed round of game 0; IO is injected so transcripts replay in tests."""
-    from . import quoin
-    lanes = check_int(lanes, "lanes", 1, quoin.MAX_LANES)
-    strategy = quoin.QuoinStrategy()
-    bob, alice, _, hint, target, alice_out, bob_out = quoin._play(strategy, seed, seed, 0, mech, lanes)
-    alice_bits, bob_bits = quoin.lane_bits(alice, lanes), quoin.lane_bits(bob, lanes)
-    outcomes = strategy.transcript(lanes, alice, bob, hint, alice_out, bob_out)[:2]
-    say(f"the dealer set your lanes to {list(alice_bits)} (Bob's side is hidden)")
-    say(f"you flip your quoins per your bits and see: {quoin.lane_symbols(alice_out, lanes)}")
-    bits_bought = 0
-    answer = input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower()
-    if answer.startswith("y"):
-        bits_bought = 1
-        bob_parity = quoin.popcount(bob_out) & 1
-        say(f"Bob's message: his H count is {quoin.parity_name(bob_parity)} ({bob_parity})")
-        say(f"protocol guess: {quoin.parity_name(hint)}")
-    guess = input_fn("your guess, even or odd? ").strip().lower()
-    if guess not in ("even", "odd"):
-        guess = quoin.parity_name(hint) if bits_bought else "even"
-        say(f"unrecognized guess; recording {guess}")
-    record = quoin.GameRecord(
-        bob_bits, alice_bits, quoin.parity_name(target), bits_bought, guess, quoin.CHIPS_START, outcomes
-    )
-    say(f"Bob's lanes were {list(bob_bits)}; the answer is {record.target_parity}")
-    say(f"{'you win' if record.correct else 'you lose'}: net {record.chips_net:+d} chips")
-    return record
 
 
 # ---------------------------------------------------------------------------

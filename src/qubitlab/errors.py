@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks of scalar and 3-vector arguments."""
+"""Exception types shared across the package, and the checks of scalar, 3-vector and probability-table arguments."""
 
 import math
 import numbers
@@ -85,6 +85,19 @@ def check_atol(value) -> float:
     return atol
 
 
+def real_entries(values, what: str) -> list[float]:
+    """Entries of a probability table as floats: each a real number (numbers.Real) but no bool, else InvalidStateError.
+
+    A string, a complex, a Decimal, None and an array are no real number; an int past the float range is refused too.
+    """
+    if not any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        try:
+            return [float(v) for v in values]
+        except OverflowError:  # an int past the float range
+            pass
+    raise InvalidStateError(f"{what} must be finite real numbers, got {values!r}")
+
+
 def real_3vector(v, what: str) -> tuple[float, float, float]:
     """Three real numbers as a float 3-tuple, else DimensionError; one past the float range is a DomainError."""
     try:
@@ -92,7 +105,8 @@ def real_3vector(v, what: str) -> tuple[float, float, float]:
     except (TypeError, ValueError):
         x = y = z = None
     for c in (x, y, z):
-        if not (isinstance(c, (float, int)) or isinstance(c, numbers.Real)):  # the first test is the fast one
+        # one type test for a float and two for an int; a bool is no real number here either
+        if type(c) is not float and (isinstance(c, bool) or not isinstance(c, (int, numbers.Real))):
             raise DimensionError(f"{what} must be a 3-vector of real numbers, got {v!r}")
     try:
         return (float(x), float(y), float(z))

@@ -2,19 +2,19 @@
 
 Everything is plain numpy on small fixed-size arrays. A 2x2 operator is one
 expansion m0*I + m.sigma: `pauli_matrix` builds it (complex coefficients too,
-as in SU(2)) and `pauli_decompose` reads a Hermitian one back. ATOL_EXACT and
-`unit_vector` live in `errors`, which loads no numpy, and are re-exported here.
+as in SU(2)) and `pauli_decompose` reads a Hermitian one back.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, check_atol, unit_vector  # noqa: F401
+from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, check_atol
 
 SUPPORTED_DIMS = (2, 3, 4)
 
@@ -25,10 +25,14 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
-    """Coerce to a square complex array of a supported dimension with finite entries."""
+    """Coerce to a square complex array of a supported dimension with finite entries.
+
+    The entries must be numbers: a string or a bool entry is a DimensionError,
+    and an int past the float range a DomainError.
+    """
     try:
-        a = np.asarray(m, dtype=complex)
-    except (TypeError, ValueError):  # a string, None, a ragged nesting
+        a = np.asarray(m)
+    except (TypeError, ValueError):  # a ragged nesting
         raise DimensionError(f"expected a square matrix of numbers, got {m!r}") from None
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {a.shape}")
@@ -36,6 +40,15 @@ def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:
         raise DimensionError(
             f"dimension {a.shape[0]} unsupported here (want one of {tuple(dims)})"
         )
+    # numpy types no array of an int past int64, a Fraction or None: such entries stay objects
+    if a.dtype.kind not in "iufc" and not (
+        a.dtype.kind == "O" and all(isinstance(x, numbers.Number) and not isinstance(x, bool) for x in a.flat)
+    ):
+        raise DimensionError(f"expected a square matrix of numbers, got {m!r}")
+    try:
+        a = a.astype(complex, copy=False)
+    except (OverflowError, ValueError):  # an int past the float range, a signaling-NaN Decimal
+        raise DomainError("matrix entries must be finite") from None
     return _finite(a, "matrix entries")
 
 
@@ -103,11 +116,6 @@ def tensor(a, b) -> np.ndarray:
     # np.kron's own broadcast product, without its general-shape set-up
     with np.errstate(over="ignore", invalid="ignore"):
         return _finite((aa[:, None, :, None] * bb[None, :, None, :]).reshape(4, 4), "tensor product entries")
-
-
-def correlation_expansion(signs) -> np.ndarray:
-    """I(x)I + sum_i s_i sigma_i(x)sigma_i over i = x, y, z: four times a two-qubit state with correlation signs s."""
-    return np.eye(4, dtype=complex) + sum(s * tensor(p, p) for s, p in zip(signs, (SIGMA_X, SIGMA_Y, SIGMA_Z)))
 
 
 def commutator(a, b) -> np.ndarray:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, HermiticityError, InvalidStateError, check_int, real_3vector, real_number
-from .hilbert import ATOL_EXACT, as_matrix, pauli_decompose, pauli_matrix
+from .errors import ATOL_EXACT, DomainError, HermiticityError, InvalidStateError, check_int, real_3vector, real_number
+from .hilbert import as_matrix, pauli_decompose, pauli_matrix
 
 # classification tolerance for pure/mixed, looser than exact algebra since
 # states may come out of long rotation chains

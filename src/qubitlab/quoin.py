@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -440,6 +440,32 @@ def play_game(
         hands = tuple(sum(b << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
     row = _play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands)
     return GameRecord(*_fields(strategy, lanes, *row))
+
+
+def run_interactive_game(seed, mech, lanes, input_fn, say) -> GameRecord:
+    """One human-guessed round of game 0; IO is injected so transcripts replay in tests.
+
+    The record is the quoin strategy's, with the human's purchase and guess and its two outcome lines.
+    """
+    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
+    strategy = QuoinStrategy()
+    row = _play(strategy, seed, seed, 0, mech, lanes)
+    auto = GameRecord(*_fields(strategy, lanes, *row))
+    alice_out, bob_out = row[-2:]
+    say(f"the dealer set your lanes to {list(auto.alice_bits)} (Bob's side is hidden)")
+    say(f"you flip your quoins per your bits and see: {lane_symbols(alice_out, lanes)}")
+    bits_bought = int(input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower().startswith("y"))
+    if bits_bought:
+        say(f"Bob's message: his H count is {parity_name(popcount(bob_out))} ({popcount(bob_out) & 1})")
+        say(f"protocol guess: {auto.guess}")
+    guess = input_fn("your guess, even or odd? ").strip().lower()
+    if guess not in PARITIES:
+        guess = auto.guess if bits_bought else "even"
+        say(f"unrecognized guess; recording {guess}")
+    record = replace(auto, bits_bought=bits_bought, guess=guess, transcript=auto.transcript[:2])
+    say(f"Bob's lanes were {list(record.bob_bits)}; the answer is {record.target_parity}")
+    say(f"{'you win' if record.correct else 'you lose'}: net {record.chips_net:+d} chips")
+    return record
 
 
 @dataclass(frozen=True)

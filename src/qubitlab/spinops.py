@@ -4,8 +4,8 @@ A rotation "about" a basis vector acts as exp(i*theta*sigma_j) on the
 complementary 2-dim subspace and as identity on that vector. The composite is
 assembled in rotated-frame order (V = U1 U2 U3); the steps taken about
 post-transformed axes enter as inverse blocks. This is the one structurally
-uniform reading of the construction recipe that reproduces the target
-matrices exactly, and the targets are what the suite asserts against.
+uniform reading of the construction recipe that reproduces the printed
+L_x and L_y exactly; the test suite holds the printed matrices as its oracle.
 Units hbar = 1: eigenvalues are {+1, 0, -1}.
 """
 
@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Y, SIGMA_Z, _finite, as_matrix
+from .errors import ATOL_EXACT, DomainError
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, _finite, as_matrix
 from .qubit import su2_rotation
 
 LZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
-
-LX_TARGET = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
-LY_TARGET = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / math.sqrt(2)
 
 # basis order (u, 0, d); "about |k>" acts on the two remaining basis vectors
 _COMPLEMENT = {"u": (1, 2), "0": (0, 2), "d": (0, 1)}

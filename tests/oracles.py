@@ -1,4 +1,4 @@
-"""Slow general forms that the library replaced, kept as references for differential tests."""
+"""Slow general forms and second constructions that the library does not need, kept as references for tests."""
 
 import functools
 import itertools
@@ -8,9 +8,9 @@ import math
 import numpy as np
 
 from qubitlab import bell
-from qubitlab.boxes import OUTCOMES, LhvScanResult, TsirelsonScan, chsh_value, deterministic_box
-from qubitlab.errors import ATOL_EXACT, DomainError, check_int
-from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, is_hermitian, unit_vector
+from qubitlab.boxes import OUTCOMES, LhvScanResult, TsirelsonScan, chsh_value, deterministic_box, sign_pattern_box
+from qubitlab.errors import ATOL_EXACT, DomainError, check_int, unit_vector
+from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, is_hermitian
 from qubitlab.measure import MAX_TRIALS, SGSetup, projection_probabilities
 from qubitlab.quoin import (
     CHIPS_START,
@@ -33,6 +33,16 @@ from qubitlab.quoin import (
 )
 from qubitlab.rng import draws
 from qubitlab.spinops import CheckResult, SpinOperatorTriple, SpinTripleReport
+
+
+def pauli_expansion(kind: bell.BellKind) -> np.ndarray:
+    """A Bell density from its correlation signs s as the paper writes it: 4 rho = I + sum_i s_i sigma_i(x)sigma_i."""
+    return (np.eye(4) + sum(s * np.kron(p, p) for s, p in zip(kind.pauli_signs, (SIGMA_X, SIGMA_Y, SIGMA_Z)))) / 4.0
+
+
+# the spin-1 operators as the paper prints them, units hbar = 1
+LX_TARGET = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=complex) / math.sqrt(2)
+LY_TARGET = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]], dtype=complex) / math.sqrt(2)
 
 
 def measurement_operator(direction) -> np.ndarray:
@@ -90,6 +100,11 @@ def box_enumeration() -> LhvScanResult:
     best = max(values)
     hits = [pair for pair, v in zip(pairs, values) if abs(v - best) <= ATOL_EXACT]
     return LhvScanResult(best, *hits[0], len(pairs), len(hits))
+
+
+def extremal_sign_family() -> list:
+    """All 16 extremal correlator sign patterns (s00, s01, s10, s11), each with its sign_pattern_box."""
+    return [(signs, sign_pattern_box((signs[:2], signs[2:]))) for signs in itertools.product((1, -1), repeat=4)]
 
 
 def correlator_text(e) -> str:

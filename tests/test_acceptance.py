@@ -9,13 +9,13 @@ import time
 import tracemalloc
 
 import numpy as np
+from oracles import LX_TARGET, LY_TARGET, pauli_expansion
 
 from qubitlab.bell import (
     BellKind,
     bell_density,
     conditional_average,
     invariance_check,
-    pauli_expansion,
     plane_direction,
     sample_joint,
 )
@@ -41,7 +41,7 @@ from qubitlab.quoin import (
     verify_parity_theorem,
 )
 from qubitlab.qubit import QubitState, bloch_rotation_for, su2_rotate
-from qubitlab.spinops import LX_TARGET, LY_TARGET, LZ, construct_lx_from_lz, construct_ly_from_lz
+from qubitlab.spinops import LZ, construct_lx_from_lz, construct_ly_from_lz
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import measurement_operator, projectors
+from oracles import measurement_operator, pauli_expansion, projectors
 
 from qubitlab import measure, rng
 from qubitlab.bell import (
@@ -18,13 +18,12 @@ from qubitlab.bell import (
     correlator,
     invariance_check,
     joint_probabilities,
-    pauli_expansion,
     plane_direction,
     resolve_plane,
     sample_joint,
 )
-from qubitlab.errors import ConditioningError, DomainError, InvalidStateError
-from qubitlab.hilbert import ATOL_EXACT, SIGMA_X, SIGMA_Z
+from qubitlab.errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError
+from qubitlab.hilbert import SIGMA_X, SIGMA_Z
 
 ALL_KINDS = list(BellKind)
 TRIPLETS = [BellKind.PSI_PLUS, BellKind.PHI_MINUS, BellKind.PHI_PLUS]

@@ -18,7 +18,6 @@ from qubitlab.boxes import (
     chsh_value,
     conservation_filter,
     deterministic_box,
-    extremal_sign_family,
     lhv_max_chsh,
     no_signalling_check,
     pr_box,
@@ -229,7 +228,7 @@ class TestConservationFilter:
     def test_traces_of_all_sixteen_sign_patterns_are_pinned(self):
         # sha256 of the (signs, status, trace) rows, recorded from the union-find
         # version of the filter before the cycle rule replaced it
-        rows = [[list(signs), v.status, list(v.trace)] for signs, box in extremal_sign_family()
+        rows = [[list(signs), v.status, list(v.trace)] for signs, box in oracles.extremal_sign_family()
                 for v in [conservation_filter(box)]]
         digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
         assert digest == "a5d3f6c1442db28298b08fcf4368c34f2effbba0abd1927dc343fb645530f753"
@@ -237,7 +236,7 @@ class TestConservationFilter:
     def test_verdicts_match_direction_enumeration(self):
         # consistent exactly when some choice of a, a', b, b' as +/- one common
         # direction gives every correlator: E(x, y) = alice[x] * bob[y]
-        for signs, box in extremal_sign_family():
+        for signs, box in oracles.extremal_sign_family():
             fits = any(
                 all(signs[2 * x + y] == alice[x] * bob[y] for x in (0, 1) for y in (0, 1))
                 for alice in itertools.product((1, -1), repeat=2)
@@ -320,7 +319,7 @@ class TestExtremalFamily:
     def test_odd_parity_patterns_are_pr_like(self):
         # CHSH = 4 exactly when the product of the four correlator signs is -1;
         # all such patterns are PR-box relabelings and all fail conservation
-        family = extremal_sign_family()
+        family = oracles.extremal_sign_family()
         assert len(family) == 16
         fours = []
         for signs, box in family:
@@ -341,7 +340,7 @@ class TestExtremalFamily:
         # flipping Bob's outcomes at one setting multiplies that column by -1;
         # likewise for Alice and rows. Every CHSH-4 pattern reaches the PR box.
         pr_signs = np.array([[1, 1], [1, -1]])
-        for signs, box in extremal_sign_family():
+        for signs, box in oracles.extremal_sign_family():
             if chsh_value(box).value != 4.0:
                 continue
             s = np.array(signs).reshape(2, 2)

@@ -255,7 +255,7 @@ class TestGame:
             if line.startswith("protocol guess:"):
                 suggestion["guess"] = line.split()[-1]
 
-        record = cli.run_interactive_game(
+        record = quoin.run_interactive_game(
             11, QuoinMechanics.standard(), 5, fake_input, say
         )
         assert record.correct
@@ -270,7 +270,7 @@ class TestGame:
                 return suggestion["guess"]
             return answer
 
-        record2 = cli.run_interactive_game(
+        record2 = quoin.run_interactive_game(
             11, QuoinMechanics.standard(), 5, fake_input2, said2.append
         )
         assert record2 == record

@@ -26,7 +26,7 @@ import tempfile
 import pytest
 
 from qubitlab import cli
-from qubitlab.quoin import QuoinMechanics
+from qubitlab.quoin import QuoinMechanics, run_interactive_game
 
 TRANSCRIPT = "t.jsonl"
 FORMATS = ("json", "text", "csv")
@@ -433,7 +433,7 @@ INTERACTIVE_RECORD = '{"bob_bits": [0, 1, 0, 1, 1], "alice_bits": [0, 1, 0, 0, 1
 
 def interactive() -> tuple[list[str], str]:
     said, answers = [], iter(["y", "even"])
-    record = cli.run_interactive_game(11, QuoinMechanics.standard(), 5, lambda prompt: next(answers), said.append)
+    record = run_interactive_game(11, QuoinMechanics.standard(), 5, lambda prompt: next(answers), said.append)
     return said, record.to_json()
 
 

@@ -20,7 +20,8 @@ from qubitlab.bell import (
     plane_direction,
 )
 from qubitlab.boxes import chsh_value, no_signalling_check, quantum_box, tsirelson_scan
-from qubitlab.hilbert import ATOL_EXACT, tensor
+from qubitlab.errors import ATOL_EXACT
+from qubitlab.hilbert import tensor
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 KIND_PLANES = [(BellKind.SINGLET, plane) for plane in ("xy", "yz", "xz")] + [

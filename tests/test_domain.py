@@ -10,6 +10,7 @@ non-finite entry raises DomainError.
 """
 
 import io
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -30,13 +31,13 @@ from qubitlab.bell import (
     correlator,
     invariance_check,
     joint_probabilities,
-    pauli_expansion,
     plane_direction,
     resolve_plane,
     sample_joint,
 )
 from qubitlab.boxes import (
     MAX_SCAN_N,
+    BehaviorBox,
     chsh_value,
     conservation_filter,
     deterministic_box,
@@ -45,7 +46,15 @@ from qubitlab.boxes import (
     quantum_box,
     tsirelson_scan,
 )
-from qubitlab.errors import DimensionError, DomainError, HermiticityError, InvalidStateError, check_int, real_number
+from qubitlab.errors import (
+    DimensionError,
+    DomainError,
+    HermiticityError,
+    InvalidStateError,
+    check_int,
+    real_number,
+    unit_vector,
+)
 from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
 from qubitlab.measure import (
     MAX_TRIALS,
@@ -84,6 +93,7 @@ from qubitlab.quoin import (
     flip_pair,
     monte_carlo,
     play_game,
+    run_interactive_game,
     verify_parity_theorem,
     write_transcript,
 )
@@ -130,7 +140,7 @@ INTEGER_ARGS = {
     "GameRecord bits_bought": (lambda v: GameRecord((1,), (1,), "odd", v, "odd"), 0, None, 1, lambda r: r.bits_bought),
     "GameRecord chips_start": (lambda v: GameRecord((1,), (1,), "odd", 1, "odd", v), 0, None, 6, lambda r: r.chips_start),
     "run_interactive_game lanes": (
-        lambda v: cli.run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
+        lambda v: run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
         1, MAX_LANES, 3, lambda r: len(r.bob_bits),
     ),
     "standard_dealer lanes": (lambda v: oracles.standard_dealer(1, 0, v), 1, MAX_LANES, 3, lambda r: len(r[0])),
@@ -230,7 +240,6 @@ KIND_ARGS = {
     "invariance_check": lambda v: invariance_check(v, "z", 0.1),
     "bell_density": bell_density,
     "bell_vector": bell_vector,
-    "pauli_expansion": pauli_expansion,
     "sample_joint": lambda v: sample_joint(v, Z, X, 3, 1),
     "resolve_plane": resolve_plane,
     "quantum_box": lambda v: quantum_box(v, [Z, X], [Z, X]),
@@ -437,13 +446,19 @@ MATRIX_ARGS = {
 
 
 def bad_matrices(dim):
-    """(matrix, the error it must raise): numbers that are not a square matrix, then non-finite entries."""
+    """(matrix, the error it must raise): what is not a square matrix of numbers, then entries that are not finite."""
     ragged = [[0.0] * dim] * (dim - 1) + [[0.0]]
     cases = [("ab", DimensionError), (None, DimensionError), (ragged, DimensionError), (np.zeros((dim, 5)), DimensionError)]
     for bad in (math.nan, math.inf, -math.inf, complex(0, math.inf), complex(math.nan, 0)):
         m = np.eye(dim, dtype=complex) / dim
         m[0, 0] = bad
         cases.append((m, DomainError))
+    # numpy parsed strings as numbers and read bools as 0 and 1; an int past the float range escaped as OverflowError
+    strings = [[str(int(i == j)) for j in range(dim)] for i in range(dim)]
+    huge = [[10**400 * (i == j == 0) for j in range(dim)] for i in range(dim)]
+    cases += [(strings, DimensionError), (np.eye(dim, dtype=bool), DimensionError), (huge, DomainError)]
+    # a signaling-NaN Decimal is a number, but not a finite one
+    cases.append(([[Decimal("sNaN")] * dim] * dim, DomainError))
     return cases
 
 
@@ -502,6 +517,7 @@ BAD_VECTORS = [
     ([0.0, math.inf, 0.0], DomainError),
     ([0.0, 0.0, -math.inf], DomainError),
     ([10**400, 0, 0], DomainError),
+    ([True, False, False], DimensionError),
 ]
 
 
@@ -517,6 +533,18 @@ def test_vector_argument_outside_its_domain_raises(name, bad, error):
 def test_real_vectors_accepted(name):
     VECTOR_ARGS[name]([0.6, 0, 0.8])
     VECTOR_ARGS[name](np.array([0.0, 0.5, -0.5], dtype=np.float32))
+
+
+@pytest.mark.parametrize("bad", [(True, False, False), np.array([False, False, True])])
+@pytest.mark.parametrize(
+    "call",
+    [lambda v: unit_vector(v, "direction"), lambda v: correlator(BellKind.SINGLET, v, Z)],
+    ids=["unit_vector", "correlator"],
+)
+def test_a_bool_component_is_no_real_number(call, bad):
+    # each used to read as a unit vector along an axis, although `real_number` refuses a bool
+    with pytest.raises(DimensionError):
+        call(bad)
 
 
 @pytest.mark.parametrize("tiny_or_huge", [1e-200, 1e200])
@@ -631,10 +659,66 @@ def test_joint_probabilities_refuse_an_entry_that_is_no_number(bad, position):
         JointProbabilities(*cells)
 
 
+# id -> (the four entries, one of which is no real number although they sum to 1); each used to be kept as given
+UNREAL_JOINTS = {
+    "one-element array": (np.array([0.25]), 0.25, 0.25, 0.25),
+    "0-d array": (0.25, np.array(0.25), 0.25, 0.25),
+    "bool": (True, 0.0, 0.0, 0.0),
+    "numpy bool": (0.0, 0.0, 0.0, np.bool_(True)),
+}
+
+
+@pytest.mark.parametrize("cells", UNREAL_JOINTS.values(), ids=UNREAL_JOINTS.keys())
+def test_joint_probabilities_refuse_entries_that_sum_to_one_but_are_no_real_numbers(cells):
+    with pytest.raises(InvalidStateError):
+        JointProbabilities(*cells)
+
+
+@pytest.mark.parametrize("cell", [1, np.int64(1), np.float32(1.0), np.float64(1.0), Fraction(1)])
+def test_joint_probabilities_store_floats(cell):
+    # an int used to stay an int, and a one-element array made the correlator an array
+    jp = JointProbabilities(0.0, cell, 0, 0.0)
+    assert (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm) == (0.0, 1.0, 0.0, 0.0)
+    assert {type(p) for p in (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm, jp.correlator)} == {float}
+
+
 def test_joint_probabilities_refuse_a_negative_fraction():
     # the message formatted the Fraction with `.3e`, which raised TypeError
     with pytest.raises(InvalidStateError, match="negative joint probability -5.000e-01"):
         JointProbabilities(Fraction(-1, 2), Fraction(1, 2), 0.5, 0.5)
+
+
+# id -> (index into the 16 entries, row-major (x, y, a, b), and the value put there); each used to be read by float()
+# as a probability, except the int past the float range, which escaped as OverflowError
+UNREAL_BOX_ENTRIES = {
+    "string": (0, "0.25"),
+    "bool": (12, True),
+    "Decimal": (1, Decimal("0.25")),
+    "huge int": (13, 10**400),
+}
+
+
+def box_of(flat) -> BehaviorBox:
+    """The box of 16 entries, row-major (x, y, a, b), each passed as given."""
+    return BehaviorBox([[[flat[i : i + 2], flat[i + 2 : i + 4]] for i in (8 * x, 8 * x + 4)] for x in (0, 1)])
+
+
+@pytest.mark.parametrize("k,bad", UNREAL_BOX_ENTRIES.values(), ids=UNREAL_BOX_ENTRIES.keys())
+def test_behavior_box_refuses_entries_that_are_no_real_numbers(k, bad):
+    flat = [0.25] * 12 + [1.0, 0.0, 0.0, 0.0]
+    box_of(flat)  # a box before the one bad entry
+    flat[k] = bad
+    with pytest.raises(InvalidStateError):
+        box_of(flat)
+    with pytest.raises(InvalidStateError):
+        BehaviorBox.from_json(json.dumps({"settings": [2, 2], "outcomes": [1, -1], "p": flat}, default=str))
+
+
+def test_behavior_box_stores_real_numbers_as_floats():
+    flat = [0.25] * 12 + [1, np.int64(0), np.float32(0.0), Fraction(0)]
+    box = box_of(flat)
+    assert box == BehaviorBox(np.array(flat, dtype=float).reshape(2, 2, 2, 2))
+    assert {type(v) for px in box.p for q in px for row in q for v in row} == {float}
 
 
 @pytest.mark.parametrize("records", [None, 1, RECORD])

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qubitlab.errors import DimensionError, DomainError, HermiticityError
+from qubitlab.errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, unit_vector
 from qubitlab.hilbert import (
-    ATOL_EXACT,
     ID2,
     SIGMA_X,
     SIGMA_Y,
@@ -16,7 +15,6 @@ from qubitlab.hilbert import (
     pauli_decompose,
     pauli_matrix,
     tensor,
-    unit_vector,
 )
 
 

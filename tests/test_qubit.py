@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qubitlab.errors import DimensionError, DomainError, InvalidStateError
-from qubitlab.hilbert import ATOL_EXACT, ID2, SIGMA_X, SIGMA_Z
+from qubitlab.errors import ATOL_EXACT, DimensionError, DomainError, InvalidStateError
+from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Z
 from qubitlab.qubit import (
     MAX_PATH_STEPS,
     ClassicalBitState,

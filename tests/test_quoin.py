@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qubitlab import cli, quoin
+from qubitlab import quoin
 from qubitlab.errors import DomainError
 from qubitlab.quoin import (
     MAX_FAILURE_LINES,
@@ -323,7 +323,7 @@ class TestRecordFormatter:
     )
     def test_interactive_game_lines_are_json_dumps(self, seed, lanes, mech, answers):
         replies = iter(answers)
-        record = cli.run_interactive_game(seed, mech, lanes, lambda prompt: next(replies), lambda line: None)
+        record = quoin.run_interactive_game(seed, mech, lanes, lambda prompt: next(replies), lambda line: None)
         assert record.to_json() == oracles.record_json(record)
 
     @settings(max_examples=300, deadline=None)

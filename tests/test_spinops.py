@@ -5,12 +5,11 @@ import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import LX_TARGET, LY_TARGET
 
-from qubitlab.errors import DomainError
-from qubitlab.hilbert import ATOL_EXACT, commutator
+from qubitlab.errors import ATOL_EXACT, DomainError
+from qubitlab.hilbert import commutator
 from qubitlab.spinops import (
-    LX_TARGET,
-    LY_TARGET,
     LZ,
     SpinOperatorTriple,
     construct_lx_from_lz,
