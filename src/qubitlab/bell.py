@@ -35,6 +35,11 @@ class BellKind(enum.Enum):
     PHI_MINUS = "phi-"
     PHI_PLUS = "phi+"
 
+    @classmethod
+    def _missing_(cls, value):
+        # raised from BellKind(value) as it is, being a ValueError
+        raise DomainError(f"unknown Bell state {value!r} (want one of {', '.join(kind.value for kind in cls)})")
+
     @property
     def symmetry_plane(self) -> str:
         """Plane of correlated measurements, the axes of the +1 signs: 'all' for the singlet, which has none."""

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import bell
@@ -159,14 +160,18 @@ def chsh_value(box: BehaviorBox) -> ChshResult:
     return ChshResult(*_chsh(_check_box(box)[0].correlators()))
 
 
+def _is_sign(v) -> bool:
+    """Whether v is the number +1 or -1; a bool, numpy's included, is no number here."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and v in OUTCOMES
+
+
 def deterministic_box(alice_outcomes, bob_outcomes) -> BehaviorBox:
     """Local deterministic strategy: fixed outcome per setting on each side."""
     try:
         a, b = tuple(alice_outcomes), tuple(bob_outcomes)
-        ok = set(a) <= {1, -1} and set(b) <= {1, -1} and len(a) == len(b) == 2
-    except TypeError:  # None, or an unhashable outcome
-        ok = False
-    if not ok:
+    except TypeError:  # None, or no sequence
+        a = b = ()
+    if not (len(a) == len(b) == 2 and all(map(_is_sign, a + b))):
         raise DomainError("strategies assign +1 or -1 to each of the two settings")
     return _box(a, b, [[ax * by for by in b] for ax in a])
 
@@ -198,7 +203,7 @@ def sign_pattern_box(signs) -> BehaviorBox:
     unequal pair.
     """
     try:
-        signed = [[v in (1, -1) for v in row] for row in signs] == [[True, True], [True, True]]
+        signed = [[_is_sign(v) for v in row] for row in signs] == [[True, True], [True, True]]
     except TypeError:  # not nested two levels deep
         signed = False
     if not signed:

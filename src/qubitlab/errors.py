@@ -38,7 +38,7 @@ def check_int(value, what: str, lo: int = 0, hi: int | None = None) -> int:
     A bool is refused although it is an Integral (np.bool_ is not one), and
     numpy ints become int.
     """
-    # plain ints skip the isinstance tests: rng.draws checks a seed and a stream on every draw of a game
+    # plain ints skip the isinstance tests: a replayed game checks its seeds and index on every call
     if type(value) is int and lo <= value and (hi is None or value <= hi):
         return value
     n = int(value) if isinstance(value, numbers.Integral) and not isinstance(value, bool) else None

@@ -14,9 +14,13 @@ at counter g of three streams, its deal from draws(dealer_seed, STREAM_DEAL,
 g, 64), its lane outcomes from draws(mech_seed, STREAM_MECH, g, lanes) and
 the strategy's coin flip from draws(dealer_seed, STREAM_STRATEGY, g, 1), so
 games are pure functions of (seeds, game index). Every game runs through one
-engine on lane masks, and `rng.draws` computes those draws for one game
-index (an int) or a block of GAME_BLOCK games (a range) alike, so
-`play_game` and `monte_carlo` agree exactly. Outside the game,
+engine on lane masks, which reads those draws through `rng._draws` for one
+game index (an int) or a block of GAME_BLOCK games (a range) alike, so
+`play_game` and `monte_carlo` agree exactly. The engine checks nothing it
+made itself: the public entry points (`play_game`, `monte_carlo`,
+`flip_pair`, `run_interactive_game`) check their arguments, seeds included,
+once, and `_record` builds the engine's records unchecked, while a
+`GameRecord(...)` built by a user is still checked in full. Outside the game,
 `flip_pair`'s trial t is lane 0 of game t on the mechanics stream, and the
 parity exhaust's deal d reads game d's lane outcomes there.
 """
@@ -26,14 +30,14 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import DomainError, check_int
 from .measure import binomial_band
-from .rng import MAX_GAME, draws
+from .rng import MAX_GAME, _draws, _key, draws
 
 CHIPS_START = 6
 DEFAULT_LANES = 5
@@ -119,7 +123,8 @@ def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tupl
     """Outcome pair for one flip: lane 0 of game `trial` (0..MAX_GAME) on the mechanics stream of `seed`."""
     mech = _check_mech(mech)
     a, b = _start_bits(start)
-    f = draws(seed, STREAM_MECH, check_int(trial, "trial", 0, MAX_GAME), 1)
+    seed, trial = check_int(seed, "seed"), check_int(trial, "trial", 0, MAX_GAME)
+    f = _draws(_key(seed, STREAM_MECH), trial, 1)
     return SYMBOLS[f], SYMBOLS[f ^ mech.u[a][b]]
 
 
@@ -345,6 +350,17 @@ class GameRecord:
         return _record_json(*vars(self).values(), self.chips_net)  # the instance dict holds the fields in order
 
 
+# GameRecord's field names in order, the order `to_json` reads the instance dict in
+_RECORD_FIELDS = tuple(f.name for f in fields(GameRecord))
+
+
+def _record(values) -> GameRecord:
+    """The GameRecord of the engine's own `_fields`, unchecked: they are the values GameRecord(*values) stores."""
+    record = object.__new__(GameRecord)
+    record.__dict__.update(zip(_RECORD_FIELDS, values))
+    return record
+
+
 def parity_name(count: int) -> str:
     return PARITIES[count % 2]
 
@@ -378,13 +394,14 @@ def _deal(seed: int, games, lanes: int):
     are all zero (at most 2**-54 of them, at 6 lanes) deals on one at a time,
     from the first non-zero group of its widening words, r = 1, 2, ...
     """
-    deck = draws(seed, STREAM_DEAL, games, 64)
+    key = _key(seed, STREAM_DEAL)
+    deck = _draws(key, games, 64)
     bob, alice = deck & (1 << lanes) - 1, _first_group(deck, lanes, 1)
     if type(games) is int:
         widening = 0
         while not alice:
             widening += 1
-            alice = _first_group(draws(seed, STREAM_DEAL, games + widening * WIDEN, 64), lanes, 0)
+            alice = _first_group(_draws(key, games + widening * WIDEN, 64), lanes, 0)
     else:
         for i in np.flatnonzero(alice == 0):
             alice[i] = _deal(seed, int(games[i]), lanes)[1]
@@ -402,7 +419,7 @@ def _play(strategy: Strategy, dealer_seed: int, mech_seed: int, games, mech, lan
     mech = _check_mech(mech)
 
     def draw(stream: int, k: int):
-        return draws(mech_seed if stream == STREAM_MECH else dealer_seed, stream, games, k)
+        return _draws(_key(mech_seed if stream == STREAM_MECH else dealer_seed, stream), games, k)
 
     bob, alice = hands or _deal(dealer_seed, games, lanes)
     bought, guess, notes = strategy.play(mech, lanes, alice, bob, draw)
@@ -426,6 +443,7 @@ def play_game(
     deal: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
 ) -> GameRecord:
     """Run one seeded round; pass `deal` = (bob_bits, alice_bits) to fix the hands."""
+    dealer_seed, mech_seed = check_int(dealer_seed, "seed"), check_int(mech_seed, "seed")
     game_index = check_int(game_index, "game index", 0, MAX_GAME)
     if deal is None:
         lanes, hands = check_int(lanes, "lanes", 1, MAX_LANES), None
@@ -439,7 +457,7 @@ def play_game(
         lanes = len(alice_bits)
         hands = tuple(sum(b << i for i, b in enumerate(bits)) for bits in (bob_bits, alice_bits))
     row = _play(strategy, dealer_seed, mech_seed, game_index, mech, lanes, hands)
-    return GameRecord(*_fields(strategy, lanes, *row))
+    return _record(_fields(strategy, lanes, *row))
 
 
 def run_interactive_game(seed, mech, lanes, input_fn, say) -> GameRecord:
@@ -447,10 +465,10 @@ def run_interactive_game(seed, mech, lanes, input_fn, say) -> GameRecord:
 
     The record is the quoin strategy's, with the human's purchase and guess and its two outcome lines.
     """
-    lanes = check_int(lanes, "lanes", 1, MAX_LANES)
+    seed, lanes = check_int(seed, "seed"), check_int(lanes, "lanes", 1, MAX_LANES)
     strategy = QuoinStrategy()
     row = _play(strategy, seed, seed, 0, mech, lanes)
-    auto = GameRecord(*_fields(strategy, lanes, *row))
+    auto = _record(_fields(strategy, lanes, *row))
     alice_out, bob_out = row[-2:]
     say(f"the dealer set your lanes to {list(auto.alice_bits)} (Bob's side is hidden)")
     say(f"you flip your quoins per your bits and see: {lane_symbols(alice_out, lanes)}")
@@ -494,7 +512,7 @@ def monte_carlo(
 
     The one block loop: `write`, when given, gets each block's to_json lines.
     """
-    games = check_int(games, "game count", 1, MAX_GAMES)
+    games, seed = check_int(games, "game count", 1, MAX_GAMES), check_int(seed, "seed")
     lanes = check_int(lanes, "lanes", 1, MAX_LANES)
     wins = net = 0
     for start in range(0, games, GAME_BLOCK):

@@ -10,7 +10,9 @@ seed's words 0..n-1 (numpy's Philox(seed) draws) a block at a time, and
 `draws` reads word 0 of game g's block (random-stream contract v2), a block of
 GAME_BLOCK games (a range) in one run. An int counter reads the aligned run of
 CHUNK blocks that holds it, kept for reuse, so games replayed one at a time at
-consecutive indices share a read.
+consecutive indices share a read. `draws` checks its arguments once and reads
+through `_draws`, which takes a derived key and checks nothing: the quoin
+engine calls it directly, its public entry points having checked the seeds.
 """
 
 from __future__ import annotations
@@ -64,6 +66,15 @@ def _chunk(key: tuple[int, int], start: int) -> tuple[int, ...]:
     return tuple(_run(key, start, 4 * CHUNK)[::4].tolist())
 
 
+def _draws(key: tuple[int, int], counter, k: int):
+    """`draws` under a derived key, with no checks: the engine's read, for arguments its public caller checked."""
+    if type(counter) is int:
+        word = _chunk(key, counter - counter % CHUNK)[counter % CHUNK]
+    else:
+        word = _run(key, counter.start, 4 * len(counter))[::4]
+    return word & (1 << k) - 1
+
+
 def draws(seed: int, stream: int, counter, k: int):
     """The low k bits of Philox(key=K(seed, stream), counter=counter).random_raw(); draw i is bit i.
 
@@ -76,16 +87,13 @@ def draws(seed: int, stream: int, counter, k: int):
     """
     k = check_int(k, "draw count", 0, 64)
     seed, stream = check_int(seed, "seed"), check_int(stream, "stream")
-    if isinstance(counter, range) and (counter.step != 1 or counter.start < 0 or counter.stop > MAX_GAME + 1):
-        raise DomainError(f"a range of game indices must step by 1 within 0..{MAX_GAME}, got {counter!r}")
-    # seed, stream and a range are checked before the cache, which takes True for 1
-    key = _key(seed, stream)
     if isinstance(counter, range):
-        word = _run(key, counter.start, 4 * len(counter))[::4]
+        if counter.step != 1 or counter.start < 0 or counter.stop > MAX_GAME + 1:
+            raise DomainError(f"a range of game indices must step by 1 within 0..{MAX_GAME}, got {counter!r}")
     else:
         counter = check_int(counter, "Philox counter", 0, 2**256 - 1)
-        word = _chunk(key, counter - counter % CHUNK)[counter % CHUNK]
-    return word & (1 << k) - 1
+    # every argument is checked before the caches, which take True for 1
+    return _draws(_key(seed, stream), counter, k)
 
 
 def word_blocks(seed: int, n: int) -> Iterator[np.ndarray]:

@@ -232,7 +232,8 @@ def test_criterion_09_quoin_game():
         9,
         "quoin strategy always nets +4; quantum coins drop to chance",
         ok and elapsed < 5.0 and replay < 1.0 and transcript < 0.5 and small_runs < 1.0,
-        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; {n} replayed lines {replay:.2f}s; "
+        f"quantum-coin rate {quantum_summary.win_rate:.4f}, {elapsed:.2f}s; "
+        f"{n} replayed lines {replay:.2f}s ({replay / n * 1e6:.1f} us a game); "
         f"{n}-game transcript {transcript:.2f}s; 2000 runs of 300 games {small_runs:.2f}s",
     )
 

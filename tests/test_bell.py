@@ -373,6 +373,14 @@ class TestInputDomain:
             bell_density(BellKind.SINGLET), pauli_expansion(BellKind.SINGLET), atol=ATOL_EXACT
         )
 
+    @pytest.mark.parametrize("bad", ["nope", "SINGLET", "psi", None, 1])
+    def test_unknown_kind_value_is_a_domain_error(self, bad):
+        with pytest.raises(DomainError, match="unknown Bell state"):
+            BellKind(bad)
+
+    def test_every_kind_value_is_its_kind(self):
+        assert [BellKind(kind.value) for kind in BellKind] == list(BellKind)
+
     def test_default_planes(self):
         assert resolve_plane(BellKind.SINGLET) == "xz"
         for kind in TRIPLETS:

@@ -199,6 +199,21 @@ class TestChsh:
         with pytest.raises(DomainError):
             deterministic_box((1, 0), (1, 1))
 
+    # True == 1 made these a PR box, or a deterministic box, of bools
+    @pytest.mark.parametrize("true", [True, np.True_], ids=["bool", "numpy bool"])
+    def test_bool_signs_rejected(self, true):
+        with pytest.raises(DomainError):
+            chsh_value(sign_pattern_box([[true, true], [true, -1]]))
+        with pytest.raises(DomainError):
+            deterministic_box((true, 1), (1, -1))
+        with pytest.raises(DomainError):
+            deterministic_box((1, -1), (1, true))
+
+    def test_numbers_of_either_sign_accepted(self):
+        signs = [[1.0, np.int64(1)], [np.float64(1.0), -1]]
+        assert chsh_value(sign_pattern_box(signs)) == chsh_value(pr_box())
+        assert deterministic_box((1.0, np.int64(-1)), (1, -1)) == deterministic_box((1, -1), (1, -1))
+
 
 class TestConservationFilter:
     def test_pr_box_inconsistent_with_deduction_chain(self):

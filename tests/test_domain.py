@@ -139,6 +139,10 @@ INTEGER_ARGS = {
     "play_game mech seed": (lambda v: play_game(QuoinStrategy(), 1, v), 0, None, 3, None),
     "GameRecord bits_bought": (lambda v: GameRecord((1,), (1,), "odd", v, "odd"), 0, None, 1, lambda r: r.bits_bought),
     "GameRecord chips_start": (lambda v: GameRecord((1,), (1,), "odd", 1, "odd", v), 0, None, 6, lambda r: r.chips_start),
+    "run_interactive_game seed": (
+        lambda v: run_interactive_game(v, QuoinMechanics.standard(), 3, lambda _: "n", lambda _: None),
+        0, None, 3, None,
+    ),
     "run_interactive_game lanes": (
         lambda v: run_interactive_game(1, QuoinMechanics.standard(), v, lambda _: "n", lambda _: None),
         1, MAX_LANES, 3, lambda r: len(r.bob_bits),

@@ -9,7 +9,7 @@ both to that recipe, at chunk edges and counter-word carries and from
 several threads at once, check that a block of games re-keys each stream it
 uses once and that the parity report re-keys once each seed whose failures
 it shows, and none when no deal fails, and hold `play_game`, `monte_carlo`
-and the block loop's transcript lines, which all draw through `rng.draws`, to the
+and the block loop's transcript lines, which all draw through `rng._draws`, to the
 per-game engine of `tests/oracles.py`, which plays from the recipe alone.
 """
 
@@ -176,7 +176,8 @@ class TestKernel:
     def test_a_block_of_games_rekeys_once_per_draws_call(self, monkeypatch, strategy):
         streams = {QuoinStrategy: (0, 1), RandomStrategy: (0, 2), ClassicalBitsStrategy: (0,)}[type(strategy)]
         calls, runs = [], []
-        real_draws, real_run = quoin.draws, rng._run
+        # the engine reads through rng._draws, under a key its public caller derived from checked seeds
+        real_draws, real_run = quoin._draws, rng._run
 
         def counted_draws(*args):
             calls.append(args)
@@ -186,7 +187,7 @@ class TestKernel:
             runs.append(args)
             return real_run(*args)
 
-        monkeypatch.setattr(quoin, "draws", counted_draws)
+        monkeypatch.setattr(quoin, "_draws", counted_draws)
         monkeypatch.setattr(rng, "_run", counted_run)
         games = 2 * quoin.GAME_BLOCK + 5
         assert monte_carlo(strategy, games, 7, lanes=3).games == games
@@ -323,15 +324,15 @@ class TestDealer:
     @pytest.mark.parametrize("lanes", [2, 6])
     def test_forced_widening_deals_from_the_widening_words(self, monkeypatch, lanes, widenings):
         # no word before widening word `widenings` holds a candidate: the deal word keeps only Bob's hand
-        real = quoin.draws
+        real = quoin._draws
 
-        def no_candidates_before(seed, stream, counter, k):
-            mask = real(seed, stream, counter, k)
+        def no_candidates_before(key, counter, k):
+            mask = real(key, counter, k)
             if type(counter) is not int or counter < quoin.WIDEN:
                 return mask & (1 << lanes) - 1
             return mask if counter >= widenings * quoin.WIDEN else 0
 
-        monkeypatch.setattr(quoin, "draws", no_candidates_before)
+        monkeypatch.setattr(quoin, "_draws", no_candidates_before)
         expected = [
             (as_mask(oracles.recipe_bits(13, 0, g, lanes)),
              as_mask(next(h for h in oracles.alice_candidates(13, g, lanes, widenings) if any(h))))

@@ -349,6 +349,76 @@ class TestRecordFormatter:
         assert record.to_json() == oracles.record_json(record)
 
 
+def assert_same_record(a, b):
+    """a and b are GameRecords of the same fields in the same order, each of one type, every bit and line included."""
+    assert type(a) is type(b) is GameRecord
+    assert list(vars(a)) == list(vars(b))  # the field order `to_json` reads
+    for name, y in vars(b).items():
+        x = getattr(a, name)
+        assert type(x) is type(y) and x == y, name
+        if type(y) is tuple:
+            assert [type(v) for v in x] == [type(v) for v in y], name
+
+
+GATE_GAMES = [0, 1, 15, 16, 17, 10**6, MAX_GAME]
+
+
+class TestEngineRecords:
+    """The engine builds its records unchecked (`quoin._record`): they must equal the records GameRecord(...) checks."""
+
+    @pytest.mark.parametrize("mech", MECHANICS, ids=["standard", "quantum_coin"])
+    @pytest.mark.parametrize("lanes", range(1, MAX_LANES + 1))
+    def test_engine_records_equal_user_built_ones(self, lanes, mech):
+        for strategy in [QuoinStrategy(), RandomStrategy(), *map(ClassicalBitsStrategy, range(lanes + 1))]:
+            for game in GATE_GAMES:
+                values = quoin._fields(strategy, lanes, *quoin._play(strategy, 5, 6, game, mech, lanes))
+                record = quoin._record(values)
+                assert_same_record(record, GameRecord(*values))
+                assert record.to_json() == oracles.record_json(record)
+                played = play_game(strategy, 5, 6, game_index=game, mech=mech, lanes=lanes)
+                assert_same_record(played, record)
+                assert_same_record(played, oracles.play_game(strategy, 5, 6, game_index=game, mech=mech, lanes=lanes))
+
+    @pytest.mark.parametrize("lanes", [1, 6, 8])
+    def test_a_widening_deal_records_as_a_user_built_one(self, monkeypatch, lanes):
+        # no word but widening word 1 holds a candidate for Alice: the deal word keeps only Bob's hand
+        real = quoin._draws
+
+        def widening_only(key, counter, k):
+            mask = real(key, counter, k)
+            return mask if counter >= quoin.WIDEN else mask & (1 << lanes) - 1
+
+        monkeypatch.setattr(quoin, "_draws", widening_only)
+        for strategy in [QuoinStrategy(), RandomStrategy(), ClassicalBitsStrategy(1)]:
+            for game in GATE_GAMES:
+                values = quoin._fields(strategy, lanes, *quoin._play(strategy, 5, 6, game, None, lanes))
+                alice = next(hand for hand in oracles.alice_candidates(5, game, lanes, 1) if any(hand))
+                assert values[1] == alice
+                record = play_game(strategy, 5, 6, game_index=game, lanes=lanes)
+                assert_same_record(record, GameRecord(*values))
+                assert record.to_json() == oracles.record_json(record)
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            (0, list),
+            (1, lambda row: tuple(map(np.int64, row))),
+            (1, lambda row: tuple(map(bool, row))),
+            (3, np.int64),
+            (5, np.int64),
+            (6, list),
+        ],
+        ids=["list row", "numpy int bits", "bool bits", "numpy int bought", "numpy int chips", "list transcript"],
+    )
+    def test_the_gate_sees_a_numpy_int_or_a_list_row(self, field, bad):
+        # fed any value GameRecord(...) would normalise, the unchecked record differs from the checked one
+        strategy = QuoinStrategy()
+        values = list(quoin._fields(strategy, 3, *quoin._play(strategy, 5, 6, 0, None, 3)))
+        values[field] = bad(values[field])
+        with pytest.raises(AssertionError):
+            assert_same_record(quoin._record(values), GameRecord(*values))
+
+
 class TestDealers:
     def test_standard_dealer_never_deals_zero_hand_to_alice(self):
         # at one lane half of Alice's first hands are zero and get redrawn, one game at a time or in a block

@@ -1,7 +1,8 @@
 """One random-stream wiring: every draw in the package is a word of `rng`'s one re-keyed C Philox.
 
 A game's draws, a `flip_pair` trial, the parity exhaust's lane outcomes and a
-sampled trial all come from `rng.draws` or `rng.word_blocks`, which key the
+sampled trial all come from `rng.draws` (the engine's through its unchecked
+read `rng._draws`) or `rng.word_blocks`, which key the
 same generator through `rng._key`. These tests hold `flip_pair` and the
 exhaust to the game's mechanics stream, the samplers' word comparison to the
 doubles numpy would draw, and a sampler sharing the generator with threads
