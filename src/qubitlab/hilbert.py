@@ -18,7 +18,6 @@ from .errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, c
 
 SUPPORTED_DIMS = (2, 3, 4)
 
-ID2 = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

@@ -1,7 +1,7 @@
 """Entangled-coin mechanics, the rigging impossibility, and the parity guessing game.
 
-Coins are bits, 1 = H and 0 = T; "H"/"T" symbols appear only in rendered
-output (transcripts, `flip_pair`, rigging records). A player's dealt bit is
+Coins are bits, 1 = H and 0 = T, across the API (mechanics, `flip_pair`,
+rigging records); H/T appears only in rendered text. A player's dealt bit is
 the side the coin starts on; start pairs are ordered (alice, bob). The
 mechanics' table u[a][b] is 1 for the start pairs listed as unequal, and a
 lane with fair draw f ends (f, f ^ u[a][b]). Chip accounting: the pair buys
@@ -18,8 +18,8 @@ engine on lane masks, which reads those draws through `rng._draws` for one
 game index (an int) or a block of GAME_BLOCK games (a range) alike, so
 `play_game` and `monte_carlo` agree exactly. The engine checks nothing it
 made itself: the public entry points (`play_game`, `monte_carlo`,
-`flip_pair`, `run_interactive_game`) check their arguments, seeds included,
-once, and `_record` builds the engine's records unchecked, while a
+`flip_pair`, `run_interactive_game`) check their arguments, seeds and IO
+included, once, and `_record` builds the engine's records unchecked, while a
 `GameRecord(...)` built by a user is still checked in full. Outside the game,
 `flip_pair`'s trial t is lane 0 of game t on the mechanics stream, and the
 parity exhaust's deal d reads game d's lane outcomes there.
@@ -57,24 +57,19 @@ STREAM_STRATEGY = 2
 # the dealer's widening word r of game g is at counter g + r * WIDEN of the deal stream, clear of every game's block
 WIDEN = 2**192
 
-SYMBOLS = ("T", "H")  # SYMBOLS[bit]
-
-
-def coin_symbols(bits) -> str:
-    """Render coin bits as an H/T string."""
-    return "".join(SYMBOLS[b] for b in bits)
+SYMBOLS = ("T", "H")  # SYMBOLS[bit], read only by the renderer `lane_symbols`
 
 
 def _start_bits(start) -> tuple[int, int]:
-    """Bits of an (alice, bob) start pair of H/T symbols."""
-    if not isinstance(start, (tuple, list)) or len(start) != 2 or not all(s in SYMBOLS for s in start):
-        raise DomainError(f"start pair must be two H/T symbols, got {start!r}")
-    return SYMBOLS.index(start[0]), SYMBOLS.index(start[1])
+    """An (alice, bob) pair of 0/1 start bits as Python ints."""
+    if len(bits := _bit_row(start)) != 2:
+        raise DomainError(f"start pair must be two 0/1 bits, got {start!r}")
+    return bits
 
 
 @dataclass(frozen=True)
 class QuoinMechanics:
-    """Start-pair rule: listed start pairs end unequal, all others end equal."""
+    """Start-bit rule: listed (alice, bob) start-bit pairs end unequal, all others end equal."""
 
     unequal_starts: frozenset
     # u[a][b] = 1 exactly when start bits (a, b) end unequal
@@ -82,18 +77,18 @@ class QuoinMechanics:
 
     def __post_init__(self):
         try:
-            unequal = {_start_bits(pair) for pair in self.unequal_starts}
+            unequal = frozenset(map(_start_bits, self.unequal_starts))
         except TypeError:
             raise DomainError(f"unequal starts must be a collection of pairs, got {self.unequal_starts!r}") from None
-        # stored as a frozenset of symbol pairs whatever collection was given, so the mechanics stay hashable
-        object.__setattr__(self, "unequal_starts", frozenset((SYMBOLS[a], SYMBOLS[b]) for a, b in unequal))
+        # stored as a frozenset of bit pairs whatever collection was given, so the mechanics stay hashable
+        object.__setattr__(self, "unequal_starts", unequal)
         object.__setattr__(self, "u", tuple(tuple(int((a, b) in unequal) for b in (0, 1)) for a in (0, 1)))
 
     @classmethod
     @functools.cache  # immutable, and built on every default-mechanics game
     def standard(cls) -> QuoinMechanics:
         """Heads-heads starts end unequal; every other start ends equal."""
-        return cls(frozenset({("H", "H")}))
+        return cls(frozenset({(1, 1)}))
 
     @classmethod
     def quantum_coin(cls) -> QuoinMechanics:
@@ -104,9 +99,8 @@ class QuoinMechanics:
         """Mask of the lanes whose start bits (alice, bob), given as masks, end unequal, of the hands' type."""
         full = (1 << lanes) - 1
         unequal = alice & 0
-        for a, b in itertools.product((0, 1), repeat=2):
-            if self.u[a][b]:
-                unequal |= (alice if a else full & ~alice) & (bob if b else full & ~bob)
+        for a, b in self.unequal_starts:
+            unequal |= (alice if a else full & ~alice) & (bob if b else full & ~bob)
         return unequal
 
 
@@ -119,13 +113,13 @@ def _check_mech(mech) -> QuoinMechanics:
     return mech
 
 
-def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tuple[str, str]:
-    """Outcome pair for one flip: lane 0 of game `trial` (0..MAX_GAME) on the mechanics stream of `seed`."""
+def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tuple[int, int]:
+    """(alice, bob) outcome bits from start bits `start`: lane 0 of game `trial` (0..MAX_GAME), mechanics stream."""
     mech = _check_mech(mech)
     a, b = _start_bits(start)
     seed, trial = check_int(seed, "seed"), check_int(trial, "trial", 0, MAX_GAME)
     f = _draws(_key(seed, STREAM_MECH), trial, 1)
-    return SYMBOLS[f], SYMBOLS[f ^ mech.u[a][b]]
+    return f, f ^ mech.u[a][b]
 
 
 # ---------------------------------------------------------------------------
@@ -135,21 +129,14 @@ def flip_pair(mech: QuoinMechanics | None, start, seed: int, trial: int) -> tupl
 RIGGINGS = {"H": (1, 1), "T": (0, 0), "S": (0, 1), "O": (1, 0)}
 
 
-def apply_rigging(rigging: str, start: str) -> str:
-    """Deterministic single-coin rule: ends-heads, ends-tails, same, or other."""
-    if not (isinstance(rigging, str) and isinstance(start, str)) or rigging not in RIGGINGS or start not in SYMBOLS:
-        raise DomainError(f"unknown rigging {rigging!r} or start {start!r} (want {'/'.join(RIGGINGS)}, H/T)")
-    return SYMBOLS[RIGGINGS[rigging][SYMBOLS.index(start)]]
-
-
 @dataclass(frozen=True)
 class RiggingFailure:
     """First mechanics row a rigging pair violates."""
 
     alice_rigging: str
     bob_rigging: str
-    start: tuple[str, str]
-    outcome: tuple[str, str]
+    start: tuple[int, int]  # (alice, bob) start bits
+    outcome: tuple[int, int]  # (alice, bob) outcome bits
     required: str  # "equal" | "unequal"
 
 
@@ -169,11 +156,10 @@ def enumerate_riggings(mech: QuoinMechanics | None = None) -> RiggingScan:
     mech = _check_mech(mech)
     valid, failures = [], []
     for ra, rb in itertools.product(RIGGINGS, repeat=2):
-        for a, b in itertools.product((1, 0), repeat=2):  # HH, HT, TH, TT
+        for a, b in itertools.product((1, 0), repeat=2):  # heads-heads first
             oa, ob = RIGGINGS[ra][a], RIGGINGS[rb][b]
             if oa ^ ob != mech.u[a][b]:
-                start, outcome = (SYMBOLS[a], SYMBOLS[b]), (SYMBOLS[oa], SYMBOLS[ob])
-                failures.append(RiggingFailure(ra, rb, start, outcome, ("equal", "unequal")[mech.u[a][b]]))
+                failures.append(RiggingFailure(ra, rb, (a, b), (oa, ob), ("equal", "unequal")[mech.u[a][b]]))
                 break
         else:
             valid.append((ra, rb))
@@ -206,8 +192,8 @@ def lane_bits(mask: int, lanes: int) -> tuple[int, ...]:
 
 @functools.cache  # at most 2**MAX_LANES entries per lane count
 def lane_symbols(mask: int, lanes: int) -> str:
-    """H/T string of lanes 0..lanes-1 of one mask."""
-    return coin_symbols(lane_bits(mask, lanes))
+    """H/T string of lanes 0..lanes-1 of one mask: the one coin renderer."""
+    return "".join(SYMBOLS[b] for b in lane_bits(mask, lanes))
 
 
 @dataclass(frozen=True)
@@ -466,17 +452,25 @@ def run_interactive_game(seed, mech, lanes, input_fn, say) -> GameRecord:
     The record is the quoin strategy's, with the human's purchase and guess and its two outcome lines.
     """
     seed, lanes = check_int(seed, "seed"), check_int(lanes, "lanes", 1, MAX_LANES)
+    if not (callable(input_fn) and callable(say)):
+        raise DomainError(f"input_fn and say must be callable, got {input_fn!r} and {say!r}")
+
+    def ask(prompt: str) -> str:
+        if not isinstance(answer := input_fn(prompt), str):
+            raise DomainError(f"an answer must be a string, got {answer!r}")
+        return answer.strip().lower()
+
     strategy = QuoinStrategy()
     row = _play(strategy, seed, seed, 0, mech, lanes)
     auto = _record(_fields(strategy, lanes, *row))
     alice_out, bob_out = row[-2:]
     say(f"the dealer set your lanes to {list(auto.alice_bits)} (Bob's side is hidden)")
     say(f"you flip your quoins per your bits and see: {lane_symbols(alice_out, lanes)}")
-    bits_bought = int(input_fn("buy Bob's parity bit for one chip? [y/n] ").strip().lower().startswith("y"))
+    bits_bought = int(ask("buy Bob's parity bit for one chip? [y/n] ").startswith("y"))
     if bits_bought:
         say(f"Bob's message: his H count is {parity_name(popcount(bob_out))} ({popcount(bob_out) & 1})")
         say(f"protocol guess: {auto.guess}")
-    guess = input_fn("your guess, even or odd? ").strip().lower()
+    guess = ask("your guess, even or odd? ")
     if guess not in PARITIES:
         guess = auto.guess if bits_bought else "even"
         say(f"unrecognized guess; recording {guess}")

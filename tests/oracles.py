@@ -10,7 +10,7 @@ import numpy as np
 from qubitlab import bell
 from qubitlab.boxes import OUTCOMES, LhvScanResult, TsirelsonScan, chsh_value, deterministic_box, sign_pattern_box
 from qubitlab.errors import ATOL_EXACT, DomainError, check_int, unit_vector
-from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, is_hermitian
+from qubitlab.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator, is_hermitian
 from qubitlab.measure import MAX_TRIALS, SGSetup, projection_probabilities
 from qubitlab.quoin import (
     CHIPS_START,
@@ -26,13 +26,15 @@ from qubitlab.quoin import (
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
-    coin_symbols,
     lane_bits,
     parity_name,
     popcount,
 )
 from qubitlab.rng import draws
 from qubitlab.spinops import CheckResult, SpinOperatorTriple, SpinTripleReport
+
+# the 2x2 identity, which the library never needs as a name
+ID2 = np.eye(2, dtype=complex)
 
 
 def pauli_expansion(kind: bell.BellKind) -> np.ndarray:
@@ -190,6 +192,11 @@ def lane_outcomes(mech: QuoinMechanics, alice_bits, bob_bits, fair):
     return tuple(fair), tuple(f ^ mech.u[a][b] for f, a, b in zip(fair, alice_bits, bob_bits))
 
 
+def coin_text(bits) -> str:
+    """Coin bits as H/T text (1 = H), rendered here rather than by the library renderer under test."""
+    return "".join("TH"[b] for b in bits)
+
+
 def target_parity(alice_bits, bob_bits) -> str:
     """Parity of the number of lanes holding a 1 on both sides."""
     return parity_name(sum(a & b for a, b in zip(alice_bits, bob_bits)))
@@ -205,8 +212,8 @@ def quoin_play(self, mech, alice_bits, bob_bits, bits) -> tuple[int, str, tuple[
     alice_h = sum(alice_out)
     guess = parity_name(alice_h + bob_parity_bit)
     transcript = (
-        f"alice outcomes: {coin_symbols(alice_out)}",
-        f"bob outcomes: {coin_symbols(bob_out)}",
+        f"alice outcomes: {coin_text(alice_out)}",
+        f"bob outcomes: {coin_text(bob_out)}",
         f"bob sends parity bit {bob_parity_bit} (1 chip)",
         f"alice counts {alice_h} H, guesses {guess}",
     )

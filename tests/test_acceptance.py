@@ -189,7 +189,7 @@ def test_criterion_08_rigging_impossibility():
     scan = enumerate_riggings()
     ok = scan.valid == () and len(scan.failures) == 16
     for failure in scan.failures:
-        ok &= failure.start in {("H", "H"), ("H", "T"), ("T", "H"), ("T", "T")}
+        ok &= failure.start in {(1, 1), (1, 0), (0, 1), (0, 0)}
         ok &= failure.required in ("equal", "unequal")
     _report(8, "no rigging pair reproduces the mechanics", ok, f"{len(scan.failures)} failures")
 

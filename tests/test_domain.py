@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 import oracles
 import pytest
+from oracles import ID2
 
 from qubitlab import cli, rng
 from qubitlab.bell import (
@@ -55,7 +56,7 @@ from qubitlab.errors import (
     real_number,
     unit_vector,
 )
-from qubitlab.hilbert import ID2, commutator, is_hermitian, pauli_decompose, tensor
+from qubitlab.hilbert import commutator, is_hermitian, pauli_decompose, tensor
 from qubitlab.measure import (
     MAX_TRIALS,
     OutcomeSample,
@@ -88,7 +89,6 @@ from qubitlab.quoin import (
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
-    apply_rigging,
     enumerate_riggings,
     flip_pair,
     monte_carlo,
@@ -114,8 +114,8 @@ INTEGER_ARGS = {
     "JointSample seed": (lambda v: JointSample(((1, 0), (0, 0)), 1, v), 0, None, 3, lambda r: r.seed),
     "word_blocks seed": (lambda v: word_blocks(v, 3), 0, None, 3, None),
     "word_blocks word count": (lambda v: word_blocks(1, v), 0, None, 3, None),
-    "flip_pair seed": (lambda v: flip_pair(None, ("H", "H"), v, 0), 0, None, 3, None),
-    "flip_pair trial": (lambda v: flip_pair(None, ("H", "H"), 1, v), 0, MAX_GAME, 3, None),
+    "flip_pair seed": (lambda v: flip_pair(None, (1, 1), v, 0), 0, None, 3, None),
+    "flip_pair trial": (lambda v: flip_pair(None, (1, 1), 1, v), 0, MAX_GAME, 3, None),
     "draws seed": (lambda v: draws(v, 0, 5, 4), 0, None, 3, None),
     "draws stream": (lambda v: draws(1, v, 5, 4), 0, None, 3, None),
     "draws counter": (lambda v: draws(1, 0, v, 4), 0, 2**256 - 1, 3, None),
@@ -253,7 +253,7 @@ KIND_ARGS = {
 MECH_ARGS = {
     "monte_carlo": lambda v: monte_carlo(QuoinStrategy(), 3, 1, mech=v),
     "play_game": lambda v: play_game(QuoinStrategy(), 1, 1, mech=v),
-    "flip_pair": lambda v: flip_pair(v, ("H", "H"), 1, 0),
+    "flip_pair": lambda v: flip_pair(v, (1, 1), 1, 0),
     "enumerate_riggings": enumerate_riggings,
     "verify_parity_theorem": lambda v: verify_parity_theorem([0], 2, v),
 }
@@ -590,7 +590,7 @@ def test_box_builder_wants_two_per_side(name, bad):
 
 RECORD = play_game(QuoinStrategy(), 1, 1)
 # name -> call with the object, which must be a BehaviorBox, a SpinOperatorTriple, a QubitState, an SGSetup, a
-# ClassicalBitState, a GameRecord, an iterable of them, a file with a write method, or a rigging and start string
+# ClassicalBitState, a GameRecord, an iterable of them, or a file with a write method
 TYPED_ARGS = {
     "chsh_value": chsh_value,
     "bloch_roundtrip": bloch_roundtrip,
@@ -606,8 +606,6 @@ TYPED_ARGS = {
     "write_transcript": lambda v: write_transcript([v], io.StringIO()),
     "write_transcript records": lambda v: write_transcript(v, io.StringIO()),
     "write_transcript file": lambda v: write_transcript([RECORD], v),
-    "apply_rigging rigging": lambda v: apply_rigging(v, "H"),
-    "apply_rigging start": lambda v: apply_rigging("H", v),
 }
 TYPED_OK = {
     "chsh_value": PR_BOX,
@@ -624,8 +622,6 @@ TYPED_OK = {
     "write_transcript": RECORD,
     "write_transcript records": [RECORD],
     "write_transcript file": io.StringIO(),
-    "apply_rigging rigging": "S",
-    "apply_rigging start": "T",
 }
 
 

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ID2
 
 from qubitlab.errors import ATOL_EXACT, DimensionError, DomainError, HermiticityError, unit_vector
 from qubitlab.hilbert import (
-    ID2,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,

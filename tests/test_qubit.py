@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles import ID2
 
 from qubitlab.errors import ATOL_EXACT, DimensionError, DomainError, InvalidStateError
-from qubitlab.hilbert import ID2, SIGMA_X, SIGMA_Z
+from qubitlab.hilbert import SIGMA_X, SIGMA_Z
 from qubitlab.qubit import (
     MAX_PATH_STEPS,
     ClassicalBitState,

@@ -18,12 +18,12 @@ from qubitlab.quoin import (
     MAX_GAMES,
     MAX_LANES,
     MAX_PARITY_SEEDS,
+    RIGGINGS,
     ClassicalBitsStrategy,
     GameRecord,
     QuoinMechanics,
     QuoinStrategy,
     RandomStrategy,
-    apply_rigging,
     enumerate_riggings,
     flip_pair,
     monte_carlo,
@@ -34,11 +34,16 @@ from qubitlab.rng import MAX_GAME
 
 TABLE_DEAL = ((1, 0, 1, 1, 0), (1, 0, 0, 1, 1))  # (bob, alice)
 
-START_PAIRS = (("H", "H"), ("H", "T"), ("T", "H"), ("T", "T"))
+START_PAIRS = ((1, 1), (1, 0), (0, 1), (0, 0))  # (alice, bob) start bits
 # every mechanics: each of the 16 subsets of start pairs listed as unequal
 ALL_MECHANICS = [
     QuoinMechanics(frozenset(pairs)) for r in range(5) for pairs in itertools.combinations(START_PAIRS, r)
 ]
+
+
+def mechanics_id(mech: QuoinMechanics) -> str:
+    """The unequal start pairs as sorted H/T text, "HHTT" for {(1, 1), (0, 0)}: unique per mechanics."""
+    return "".join(sorted("TH"[a] + "TH"[b] for a, b in mech.unequal_starts))
 
 
 class TestMechanics:
@@ -46,9 +51,9 @@ class TestMechanics:
         mech = QuoinMechanics.standard()
         unequal_bits = []
         for trial in range(10_000):
-            a, b = flip_pair(mech, ("H", "H"), seed=2, trial=trial)
+            a, b = flip_pair(mech, (1, 1), seed=2, trial=trial)
             assert a != b
-            unequal_bits.append(a == "H")
+            unequal_bits.append(a == 1)
         # the two unequal outcomes split 50/50 within 3 sigma
         rate = np.mean(unequal_bits)
         assert abs(rate - 0.5) <= 3 * math.sqrt(0.25 / 10_000)
@@ -56,10 +61,10 @@ class TestMechanics:
     def test_tt_start_never_unequal(self):
         mech = QuoinMechanics.standard()
         for trial in range(10_000):
-            a, b = flip_pair(mech, ("T", "T"), seed=3, trial=trial)
+            a, b = flip_pair(mech, (0, 0), seed=3, trial=trial)
             assert a == b
 
-    @pytest.mark.parametrize("start", [("H", "T"), ("T", "H")])
+    @pytest.mark.parametrize("start", [(1, 0), (0, 1)])
     def test_mixed_starts_equal(self, start):
         mech = QuoinMechanics.standard()
         for trial in range(2000):
@@ -68,24 +73,26 @@ class TestMechanics:
 
     def test_flip_pure_in_seed_and_trial(self):
         mech = QuoinMechanics.standard()
-        assert flip_pair(mech, ("H", "H"), 11, 7) == flip_pair(mech, ("H", "H"), 11, 7)
+        assert flip_pair(mech, (1, 1), 11, 7) == flip_pair(mech, (1, 1), 11, 7)
 
     def test_quantum_coin_hh_equal(self):
         mech = QuoinMechanics.quantum_coin()
         for trial in range(2000):
-            a, b = flip_pair(mech, ("H", "H"), seed=5, trial=trial)
+            a, b = flip_pair(mech, (1, 1), seed=5, trial=trial)
             assert a == b
 
-    def test_bad_start_rejected(self):
+    # an H/T pair used to be the only start accepted; coins are bits now
+    @pytest.mark.parametrize("start", [(1, 2), ("H", "H"), ["T", "H"]])
+    def test_bad_start_rejected(self, start):
         with pytest.raises(DomainError):
-            flip_pair(QuoinMechanics.standard(), ("H", "X"), 0, 0)
+            flip_pair(QuoinMechanics.standard(), start, 0, 0)
 
     def test_lane_table(self):
         # u[a][b] over start bits (1 = H): only heads-heads ends unequal
         assert QuoinMechanics.standard().u == ((0, 0), (0, 1))
         assert QuoinMechanics.quantum_coin().u == ((0, 0), (0, 0))
 
-    @pytest.mark.parametrize("mech", ALL_MECHANICS, ids=lambda m: "".join(sorted(a + b for a, b in m.unequal_starts)))
+    @pytest.mark.parametrize("mech", ALL_MECHANICS, ids=mechanics_id)
     def test_unequal_lanes_are_the_table_lane_by_lane_in_the_hands_type(self, mech):
         # the quantum coin lists no unequal start, and used to give the int 0 for mask arrays
         for lanes in (1, 2, 4):
@@ -98,26 +105,44 @@ class TestMechanics:
                 assert type(one) is int and one == u
                 assert [u >> i & 1 for i in range(lanes)] == [mech.u[a >> i & 1][b >> i & 1] for i in range(lanes)]
 
+    # the last two hold H/T pairs, once the only start pairs accepted
     @pytest.mark.parametrize(
-        "starts", [{"HH"}, {("H", "X")}, {("H",)}, {("H", "H", "T")}, {("H", "H"), "TT"}]
+        "starts", [{"11"}, {(1, 2)}, {(1,)}, {(1, 1, 0)}, {(1, 1), "00"}, {("H", "H")}, {(1, 1), ("H", "T")}]
     )
     def test_malformed_mechanics_rejected(self, starts):
         with pytest.raises(DomainError):
             QuoinMechanics(frozenset(starts))
 
-    @pytest.mark.parametrize("starts", [5, None, [1], [("H", "H"), None]])
+    @pytest.mark.parametrize("starts", [5, None, [1], [(1, 1), None]])
     def test_starts_that_are_no_collection_of_pairs_rejected(self, starts):
         # each used to escape as TypeError
         with pytest.raises(DomainError):
             QuoinMechanics(starts)
 
-    @pytest.mark.parametrize("starts", [[("H", "H")], (["H", "H"],), {("H", "H")}])
+    @pytest.mark.parametrize("starts", [[(1, 1)], ([1, 1],), {(1, 1)}])
     def test_any_collection_of_pairs_stores_a_frozenset(self, starts):
         # a list used to be stored as given, which made the frozen mechanics unhashable
         mech = QuoinMechanics(starts)
-        assert mech.unequal_starts == frozenset({("H", "H")})
+        assert mech.unequal_starts == frozenset({(1, 1)})
         assert mech == QuoinMechanics.standard()
         assert hash(mech) == hash(QuoinMechanics.standard())
+
+    @pytest.mark.parametrize(
+        "pair", [(1, 1), [1, 1], (np.int64(1), np.uint8(1)), [np.int8(1), 1]], ids=["tuple", "list", "numpy", "mixed"]
+    )
+    def test_bit_pairs_accepted_as_tuples_lists_and_numpy_ints(self, pair):
+        mech = QuoinMechanics([pair])
+        assert mech == QuoinMechanics.standard()
+        assert all(type(bit) is int for start in mech.unequal_starts for bit in start)
+        assert flip_pair(mech, pair, 3, 4) == flip_pair(mech, (1, 1), 3, 4)
+
+    @pytest.mark.parametrize("start", START_PAIRS)
+    def test_flip_returns_two_python_ints(self, start):
+        for mech in (QuoinMechanics.standard(), QuoinMechanics.quantum_coin()):
+            for trial in (0, 1, MAX_GAME):
+                outcome = flip_pair(mech, start, 9, trial)
+                assert type(outcome) is tuple and len(outcome) == 2
+                assert all(type(bit) is int and bit in (0, 1) for bit in outcome)
 
 
 class TestRiggings:
@@ -129,10 +154,8 @@ class TestRiggings:
     def test_each_failure_names_a_violated_cell(self):
         for failure in enumerate_riggings().failures:
             # re-apply the rigging pair to the reported start and confirm the violation
-            outcome = (
-                apply_rigging(failure.alice_rigging, failure.start[0]),
-                apply_rigging(failure.bob_rigging, failure.start[1]),
-            )
+            (a, b), ra, rb = failure.start, failure.alice_rigging, failure.bob_rigging
+            outcome = (RIGGINGS[ra][a], RIGGINGS[rb][b])
             assert outcome == failure.outcome
             unequal = outcome[0] != outcome[1]
             if failure.required == "unequal":
@@ -142,27 +165,30 @@ class TestRiggings:
 
     def test_same_other_pair_passes_hh_row(self):
         # (S, O) turns an HH start into (H, T): unequal, as the HH row wants
-        assert (apply_rigging("S", "H"), apply_rigging("O", "H")) == ("H", "T")
+        assert (RIGGINGS["S"][1], RIGGINGS["O"][1]) == (1, 0)
 
     def test_same_other_pair_fails_tt_row(self):
         # but the same pair turns TT into (T, H): unequal where equal is required
-        assert (apply_rigging("S", "T"), apply_rigging("O", "T")) == ("T", "H")
+        assert (RIGGINGS["S"][0], RIGGINGS["O"][0]) == (0, 1)
         failure = next(
             f
             for f in enumerate_riggings().failures
             if (f.alice_rigging, f.bob_rigging) == ("S", "O")
         )
-        assert failure.start == ("T", "T")
+        assert failure.start == (0, 0)
         assert failure.required == "equal"
 
-    def test_unknown_rigging_rejected(self):
-        with pytest.raises(DomainError):
-            apply_rigging("Q", "H")
+    def test_riggings_are_the_four_single_coin_rules(self):
+        # each rule's outcome bit by start bit: ends heads, ends tails, same, other
+        assert RIGGINGS == {"H": (1, 1), "T": (0, 0), "S": (0, 1), "O": (1, 0)}
 
-    @pytest.mark.parametrize("start", ["X", "", "HT", None])
-    def test_bad_rigging_start_rejected(self, start):
-        with pytest.raises(DomainError):
-            apply_rigging("S", start)
+    def test_failure_fields_are_bit_pairs(self):
+        # start and outcome used to be H/T symbol pairs
+        for mech in (QuoinMechanics.standard(), QuoinMechanics.quantum_coin()):
+            for failure in enumerate_riggings(mech).failures:
+                for pair in (failure.start, failure.outcome):
+                    assert type(pair) is tuple and len(pair) == 2
+                    assert all(type(bit) is int and bit in (0, 1) for bit in pair)
 
 
 class TestGameAccounting:
@@ -274,6 +300,26 @@ MECHANICS = [QuoinMechanics.standard(), QuoinMechanics.quantum_coin()]
 def strategies_for(lanes):
     """Every strategy that can play `lanes` lanes: the quoin one, the random one, and k = 0..lanes classical bits."""
     return st.sampled_from([QuoinStrategy(), RandomStrategy(), *map(ClassicalBitsStrategy, range(lanes + 1))])
+
+
+class TestInteractiveIO:
+    @pytest.mark.parametrize("bad", [None, "n", 3])
+    @pytest.mark.parametrize("io", ["input_fn", "say"])
+    def test_io_that_is_not_callable_refused_before_any_output(self, io, bad):
+        # a None say used to print nothing and fail with TypeError; a None input_fn did so after two lines
+        said = []
+        fns = {"input_fn": lambda prompt: "n", "say": said.append, io: bad}
+        with pytest.raises(DomainError):
+            quoin.run_interactive_game(1, None, 3, fns["input_fn"], fns["say"])
+        assert said == []
+
+    @pytest.mark.parametrize("bad", [1, None, b"y", ["y"]])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_an_answer_that_is_not_a_string_refused(self, position, bad):
+        # an int answer used to escape as AttributeError
+        answers = iter(["y", "even"][:position] + [bad])
+        with pytest.raises(DomainError):
+            quoin.run_interactive_game(1, None, 3, lambda prompt: next(answers), lambda line: None)
 
 
 class TestRecordFormatter:

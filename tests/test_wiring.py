@@ -29,7 +29,7 @@ from qubitlab.quoin import STREAM_MECH, QuoinMechanics, QuoinStrategy, flip_pair
 from qubitlab.rng import BLOCK, MAX_GAME, draws
 
 SRC = pathlib.Path(quoin.__file__).parent
-STARTS = list(itertools.product("HT", repeat=2))
+STARTS = list(itertools.product((1, 0), repeat=2))  # (alice, bob) start bits
 FAILURE = re.compile(r"^seed (\d+) deal alice=(\(.*?\)) bob=(\(.*?\)): (\d+) H vs (\d+) double-1 lanes$")
 
 
@@ -46,15 +46,15 @@ class TestFlipPair:
         mech=st.sampled_from([QuoinMechanics.standard(), QuoinMechanics.quantum_coin()]),
     )
     def test_is_lane_zero_of_the_game_at_that_index(self, seed, trial, start, mech):
-        alice, bob = ("T", "H").index(start[0]), ("T", "H").index(start[1])
+        alice, bob = start
         record = play_game(QuoinStrategy(), 0, seed, game_index=trial, mech=mech, deal=((bob,), (alice,)))
-        outcomes = tuple(line.split(": ")[1] for line in record.transcript[:2])
+        outcomes = tuple("TH".index(line.split(": ")[1]) for line in record.transcript[:2])
         assert flip_pair(mech, start, seed, trial) == outcomes
 
     @pytest.mark.parametrize("trial", [0, 1, 2**40, MAX_GAME])
     def test_reads_the_first_mechanics_draw_of_the_recipe(self, trial):
         f = oracles.recipe_bits(5, STREAM_MECH, trial, 1)[0]
-        assert flip_pair(None, ("H", "H"), 5, trial) == ("TH"[f], "TH"[f ^ 1])
+        assert flip_pair(None, (1, 1), 5, trial) == (f, f ^ 1)
 
 
 class TestParityExhaust:
