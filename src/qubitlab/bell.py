@@ -8,7 +8,9 @@ correlates in its own symmetry plane. Marginals are uniform, so with
 E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*E)/4.
 
 Directions and joint tables are Python floats and tuples; numpy is imported
-only by the densities, `invariance_check` and the sampler.
+only by the densities, `invariance_check` and the sampler. Arguments are
+checked once: `joint_probabilities` and `closed_form_joint` build their table
+with the unchecked `_joint`; a user's `JointProbabilities(...)` is checked in full.
 """
 
 from __future__ import annotations
@@ -165,6 +167,15 @@ class JointProbabilities:
         return _conditional_average((self.p_pp, self.p_pm, self.p_mp, self.p_mm), alice_outcome)
 
 
+def _joint(like: float, unlike: float) -> JointProbabilities:
+    """The table (like, unlike, unlike, like) of the engine's float cells, unchecked."""
+    # they pass the check: unit vectors accepted within ATOL_EXACT give |E| <= 1 + 3e-12, so (1 +- E)/4 >= -1e-12,
+    # and cos^2(theta/2)/2 and 0.5 minus it lie in [0, 0.5]; the four cells sum to 1 to a few ulps
+    table = object.__new__(JointProbabilities)
+    table.__dict__.update(p_pp=like, p_pm=unlike, p_mp=unlike, p_mm=like)  # one write, in field order
+    return table
+
+
 def _conditional_average(cells, outcome: int) -> float:
     """E[Bob | Alice] from the cells (pp, pm, mp, mm) of a joint table or a tally; a bool is no outcome."""
     if isinstance(outcome, bool) or not isinstance(outcome, numbers.Integral) or outcome not in (1, -1):
@@ -180,7 +191,7 @@ def joint_probabilities(kind: BellKind, a_dir, b_dir) -> JointProbabilities:
     """Joint outcome probabilities (1 + alice*bob*E)/4 for the four outcome pairs."""
     e = correlator(kind, a_dir, b_dir)
     like, unlike = (1.0 + e) / 4.0, (1.0 - e) / 4.0
-    return JointProbabilities(like, unlike, unlike, like)
+    return _joint(like, unlike)
 
 
 def correlator(kind: BellKind, a_dir, b_dir) -> float:
@@ -203,9 +214,7 @@ def closed_form_joint(kind: BellKind, theta: float) -> JointProbabilities:
     """
     like = math.cos(real_number(theta, "relative angle") / 2.0) ** 2 / 2.0
     unlike = 0.5 - like
-    if _check_kind(kind).is_singlet:
-        return JointProbabilities(unlike, like, like, unlike)
-    return JointProbabilities(like, unlike, unlike, like)
+    return _joint(unlike, like) if _check_kind(kind).is_singlet else _joint(like, unlike)
 
 
 def conditional_average(kind: BellKind, a_dir, b_dir, alice_outcome: int) -> float:

@@ -4,6 +4,9 @@ Rotation convention, fixed here once and verified numerically in the test
 suite: the Hilbert-space transformation U = exp(i*theta*sigma_j) moves the
 Bloch vector by the real-space angle -2*theta about axis j under the
 right-hand rule. Real-space angles are twice Hilbert-space angles.
+
+A `QubitState` holds a checked, read-only copy of its density; `from_bloch`
+and `su2_rotate` check their arguments once and build theirs with the unchecked `_state`.
 """
 
 from __future__ import annotations
@@ -46,12 +49,12 @@ def axis_vector(axis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QubitState:
-    """A qubit density matrix rho = m0*I + m.sigma, validated and read through its Pauli expansion."""
+    """A qubit density matrix rho = m0*I + m.sigma: a checked, read-only copy, read through its Pauli expansion."""
 
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = as_matrix(self.rho, dims=(2,))
+        rho = as_matrix(self.rho, dims=(2,)).copy()  # as_matrix may return the caller's own array
         try:
             c = pauli_decompose(rho)
         except HermiticityError:
@@ -61,6 +64,7 @@ class QubitState:
         lo = c.eigenvalue_pair()[0]
         if lo < -ATOL_EXACT:
             raise InvalidStateError(f"density matrix has negative eigenvalue {lo:.3e}")
+        rho.flags.writeable = False
         object.__setattr__(self, "rho", rho)
 
     @classmethod
@@ -71,7 +75,7 @@ class QubitState:
             raise DomainError(f"Bloch vector must be finite, got {bloch!r}")
         if norm > 1.0 + ATOL_EXACT:
             raise InvalidStateError("Bloch vector lies outside the unit ball")
-        return cls(pauli_matrix(0.5, [x / 2.0 for x in r]))
+        return _state(pauli_matrix(0.5, [x / 2.0 for x in r]))
 
     @classmethod
     def up(cls) -> QubitState:
@@ -103,6 +107,16 @@ class QubitState:
         return abs(self.purity - 1.0) <= PURITY_ATOL
 
 
+def _state(rho: np.ndarray) -> QubitState:
+    """The QubitState of a density the engine just built, made read-only, unchecked."""
+    # it passes the check: I/2 + r.sigma/2 with |r| <= 1 + ATOL_EXACT has trace 1 and eigenvalues (1 +- |r|)/2, and
+    # U rho U^dagger, U unitary to rounding, keeps the trace, Hermiticity and spectrum of a checked rho
+    rho.flags.writeable = False
+    state = object.__new__(QubitState)
+    state.__dict__["rho"] = rho
+    return state
+
+
 def bloch_roundtrip(state: QubitState) -> QubitState:
     """Rebuild the state from its Bloch vector (density -> Bloch -> density)."""
     if not isinstance(state, QubitState):
@@ -121,7 +135,7 @@ def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:
     if not isinstance(state, QubitState):
         raise DomainError(f"not a QubitState: {state!r}")
     u = su2_rotation(axis, theta)
-    return QubitState(u @ state.rho @ u.conj().T)
+    return _state(u @ state.rho @ u.conj().T)
 
 
 def so3_rotation(axis, angle: float) -> np.ndarray:

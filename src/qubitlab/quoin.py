@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields, replace
 from json.encoder import encode_basestring_ascii
 
@@ -77,6 +77,8 @@ class QuoinMechanics:
 
     def __post_init__(self):
         try:
+            if isinstance(self.unequal_starts, (str, bytes, bytearray, Mapping)):  # iterable, but no collection of pairs
+                raise TypeError
             unequal = frozenset(map(_start_bits, self.unequal_starts))
         except TypeError:
             raise DomainError(f"unequal starts must be a collection of pairs, got {self.unequal_starts!r}") from None
@@ -271,11 +273,11 @@ PARITIES = ("even", "odd")
 
 
 def _bit_row(bits) -> tuple[int, ...]:
-    """A tuple or list of 0/1 bits over 1..MAX_LANES lanes as a tuple of Python ints; () for anything else."""
-    try:
-        return _BIT_ROWS[tuple(bits)] if isinstance(bits, (tuple, list)) else ()
-    except (KeyError, TypeError):  # not 0/1 bits, or unhashable ones
-        return ()
+    """A tuple or list of 0/1 ints, numpy's included, over 1..MAX_LANES lanes as a tuple of Python ints; else ()."""
+    # the lookup below matches by value: a bool or a float equal to 0 or 1 would find a row
+    if isinstance(bits, (tuple, list)) and all(type(b) is int or isinstance(b, np.integer) for b in bits):
+        return _BIT_ROWS.get(tuple(bits), ())
+    return ()
 
 
 def _record_json(bob_bits, alice_bits, target_parity, bits_bought, guess, chips_start, transcript, chips_net) -> str:

@@ -16,6 +16,7 @@ from qubitlab.bell import (
     bell_density,
     conditional_average,
     invariance_check,
+    joint_probabilities,
     plane_direction,
     sample_joint,
 )
@@ -315,9 +316,21 @@ def test_criterion_12_su2_so3_homomorphism():
         report = invariance_check(BellKind.SINGLET, rng.normal(size=3), rng.uniform(0, 2 * math.pi))
         worst_inv = max(worst_inv, report.max_deviation)
         ok &= report.invariant
+    # per-call times of the two analytic constructions, a rotated state and a joint table
+    calls = 2000
+    start = time.perf_counter()
+    for _ in range(calls):
+        su2_rotate(state, axis, theta)
+    su2_us = (time.perf_counter() - start) / calls * 1e6
+    a_dir, b_dir = plane_direction("xz", 0.3), tuple((axis / np.linalg.norm(axis)).tolist())
+    start = time.perf_counter()
+    for _ in range(calls):
+        joint_probabilities(BellKind.PHI_PLUS, a_dir, b_dir)
+    joint_us = (time.perf_counter() - start) / calls * 1e6
     _report(
         12,
         "SU(2) conjugation matches SO(3); singlet invariant under common rotations",
         ok,
-        f"rotation dev {worst:.2e}, invariance dev {worst_inv:.2e}",
+        f"rotation dev {worst:.2e}, invariance dev {worst_inv:.2e}; "
+        f"{su2_us:.1f} us a su2_rotate, {joint_us:.1f} us a joint table",
     )

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import measurement_operator, pauli_expansion, projectors
+from strategies import DIRECTIONS, THETAS
 
-from qubitlab import measure, rng
+from qubitlab import bell, measure, rng
 from qubitlab.bell import (
     BellKind,
     JointProbabilities,
@@ -22,7 +23,7 @@ from qubitlab.bell import (
     resolve_plane,
     sample_joint,
 )
-from qubitlab.errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError
+from qubitlab.errors import ATOL_EXACT, ConditioningError, DomainError, InvalidStateError, unit_vector
 from qubitlab.hilbert import SIGMA_X, SIGMA_Z
 
 ALL_KINDS = list(BellKind)
@@ -224,6 +225,68 @@ class TestConditionalAverages:
     def test_bad_outcome_rejected(self):
         with pytest.raises(DomainError):
             JointProbabilities(0.25, 0.25, 0.25, 0.25).conditional_average(0)
+
+
+def assert_same_table(a, b):
+    """a and b are JointProbabilities of the same cells in the same order, each of one type."""
+    assert type(a) is type(b) is JointProbabilities
+    assert list(vars(a)) == list(vars(b))
+    for name, y in vars(b).items():
+        x = getattr(a, name)
+        assert type(x) is type(y) and x == y, name
+
+
+# Bob's direction: its own, or Alice's or its negative, where E = +-1 puts two cells at 0
+DIRECTION_PAIRS = st.tuples(DIRECTIONS, st.sampled_from(["own", "same", "opposite"]), DIRECTIONS).map(
+    lambda t: (t[0], {"own": t[2], "same": t[0], "opposite": -np.asarray(t[0])}[t[1]])
+)
+
+
+class TestEngineValues:
+    """The engine builds its tables unchecked (`bell._joint`): they must equal the tables JointProbabilities checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), pair=DIRECTION_PAIRS, outcome=st.sampled_from([1, -1]))
+    # |v| = 1 + 0.9999e-12 and |E| near 1 + 2e-12: one pair of cells near -5e-13, inside the check's -ATOL_EXACT
+    @example(kind=BellKind.PHI_PLUS, pair=((0.0, 0.0, 1.0 + 0.9999e-12),) * 2, outcome=1)
+    @example(kind=BellKind.SINGLET, pair=((1.0 + 0.9999e-12, 0.0, 0.0),) * 2, outcome=-1)
+    def test_joint_tables_equal_user_built_ones(self, kind, pair, outcome):
+        a, b = pair
+        try:
+            unit_vector(a, "a"), unit_vector(b, "b")
+        except DomainError:  # rounding took |v| past 1 +- ATOL_EXACT: the entry points refuse it before any table
+            for call in (lambda: joint_probabilities(kind, a, b), lambda: conditional_average(kind, a, b, outcome)):
+                with pytest.raises(DomainError):
+                    call()
+            return
+        table = joint_probabilities(kind, a, b)
+        user = JointProbabilities(*vars(table).values())
+        assert_same_table(table, user)
+        try:
+            want = user.conditional_average(outcome)
+        except ConditioningError:
+            with pytest.raises(ConditioningError):
+                conditional_average(kind, a, b, outcome)
+        else:
+            got = conditional_average(kind, a, b, outcome)
+            assert type(got) is type(want) and got == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), theta=THETAS)
+    def test_closed_form_tables_equal_user_built_ones(self, kind, theta):
+        table = closed_form_joint(kind, theta)
+        assert_same_table(table, JointProbabilities(*vars(table).values()))
+
+    def test_the_gate_sees_a_numpy_float(self):
+        # JointProbabilities(...) stores float(np.float64(x)), the unchecked table the numpy float itself
+        like = np.float64(0.25)
+        with pytest.raises(AssertionError):
+            assert_same_table(bell._joint(like, 0.25), JointProbabilities(like, 0.25, 0.25, like))
+
+    def test_only_the_engine_skips_the_check(self):
+        bell._joint(0.5, 0.5)  # trusts its caller: the cells sum to 2
+        with pytest.raises(InvalidStateError):
+            JointProbabilities(0.5, 0.5, 0.5, 0.5)
 
 
 class TestInvariance:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from oracles import ID2
+from strategies import DIRECTIONS, THETAS
 
+from qubitlab import qubit
 from qubitlab.errors import ATOL_EXACT, DimensionError, DomainError, InvalidStateError
 from qubitlab.hilbert import SIGMA_X, SIGMA_Z
 from qubitlab.qubit import (
@@ -89,6 +91,20 @@ class TestQubitState:
             QubitState.from_bloch("abc")
         with pytest.raises(DomainError, match="finite"):
             QubitState.from_bloch([math.nan, 0.0, 0.0])
+
+    def test_the_state_keeps_its_own_read_only_copy(self):
+        # the state used to hold the caller's array: these two writes made its Bloch vector (0, 0, 13)
+        a = np.array([[1, 0], [0, 0]], complex)
+        state = QubitState(a)
+        a[0, 0], a[1, 1] = 7, -6
+        np.testing.assert_array_equal(state.bloch, [0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            state.rho[0, 0] = 7
+
+    def test_built_states_are_read_only(self):
+        up = QubitState.up()
+        for state in (up, QubitState.from_bloch((0.6, 0.0, 0.0)), su2_rotate(up, "x", 0.3), bloch_roundtrip(up)):
+            assert not state.rho.flags.writeable
 
     def test_readings_from_the_pauli_expansion(self):
         state = QubitState.from_bloch([0.6, 0.0, 0.0])
@@ -183,6 +199,65 @@ class TestSu2ToSo3Property:
         np.testing.assert_allclose(su2_rotate(state, axis, theta).bloch, r @ state.bloch, rtol=0, atol=ATOL_EXACT)
         np.testing.assert_allclose(r @ r.T, np.eye(3), rtol=0, atol=ATOL_EXACT)
         assert abs(np.linalg.det(r) - 1.0) <= ATOL_EXACT
+
+
+def assert_same_state(a, b):
+    """a and b are QubitStates of equal densities: one field, rho, of one type, dtype and value, both read-only."""
+    assert type(a) is type(b) is QubitState
+    assert list(vars(a)) == list(vars(b)) == ["rho"]
+    assert type(a.rho) is type(b.rho) and a.rho.dtype == b.rho.dtype and a.rho.shape == b.rho.shape
+    np.testing.assert_array_equal(a.rho, b.rho)
+    assert not a.rho.flags.writeable and not b.rho.flags.writeable
+
+
+def scaled(direction, radius):
+    """radius * direction in the direction's own form: an array, or a tuple of Python or numpy numbers."""
+    return direction * radius if isinstance(direction, np.ndarray) else tuple(x * radius for x in direction)
+
+
+class TestEngineValues:
+    """`from_bloch` and `su2_rotate` build their states unchecked (`qubit._state`): they must equal checked ones."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(direction=DIRECTIONS, radius=st.sampled_from([1.0, 0.5, 0.0]) | st.floats(0.0, 1.0))
+    @example(direction=(0.0, 0.0, 1.0 + 0.9999e-12), radius=1.0)  # an eigenvalue near -5e-13, inside -ATOL_EXACT
+    def test_bloch_states_equal_user_built_ones(self, direction, radius):
+        bloch = scaled(direction, radius)
+        try:
+            state = QubitState.from_bloch(bloch)
+        except InvalidStateError:  # rounding took |r| past 1 + ATOL_EXACT
+            assert math.hypot(*bloch) > 1.0
+            return
+        assert_same_state(state, QubitState(state.rho))
+        assert_same_state(state, QubitState(np.array(state.rho)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        direction=DIRECTIONS,
+        radius=st.sampled_from([1.0, 0.0]) | st.floats(0.0, 1.0),
+        axis=DIRECTIONS | st.sampled_from("xyz"),
+        theta=THETAS,
+    )
+    def test_rotated_states_equal_user_built_ones(self, direction, radius, axis, theta):
+        try:
+            state = QubitState.from_bloch(scaled(direction, radius))
+        except InvalidStateError:  # rounding took |r| past 1 + ATOL_EXACT
+            assume(False)
+        rotated = su2_rotate(state, axis, theta)
+        assert_same_state(rotated, QubitState(rotated.rho))
+        u = su2_rotation(axis, theta)
+        assert_same_state(rotated, QubitState(u @ state.rho @ u.conj().T))
+
+    def test_the_gate_sees_a_numpy_float64_density(self):
+        # QubitState(...) stores a complex copy, the unchecked state the float64 array itself
+        rho = np.eye(2) / 2.0
+        with pytest.raises(AssertionError):
+            assert_same_state(qubit._state(rho.copy()), QubitState(rho))
+
+    def test_only_the_engine_skips_the_check(self):
+        qubit._state(np.eye(2, dtype=complex))  # trusts its caller: the trace is 2
+        with pytest.raises(InvalidStateError):
+            QubitState(np.eye(2, dtype=complex))
 
 
 class TestGbitDimension:

@@ -41,6 +41,12 @@ ALL_MECHANICS = [
 ]
 
 
+# pairs that equal (1, 1) or (1, 0) by value but hold a bool or a float, Python's or numpy's
+BOOL_AND_FLOAT_PAIRS = [
+    (True, 1), (1, False), (1.0, 1), (1, 0.0), (np.True_, 1), (np.float64(1), 1), (1, np.float32(0)),
+]
+
+
 def mechanics_id(mech: QuoinMechanics) -> str:
     """The unequal start pairs as sorted H/T text, "HHTT" for {(1, 1), (0, 0)}: unique per mechanics."""
     return "".join(sorted("TH"[a] + "TH"[b] for a, b in mech.unequal_starts))
@@ -119,6 +125,12 @@ class TestMechanics:
         with pytest.raises(DomainError):
             QuoinMechanics(starts)
 
+    @pytest.mark.parametrize("starts", ["", b"", bytearray(), {}, "11", {(1, 1): 1}], ids=repr)
+    def test_text_and_mappings_are_no_collection_of_pairs(self, starts):
+        # "" and {} used to build the quantum coin and {(1, 1): 1} the standard mechanics, from their iteration
+        with pytest.raises(DomainError):
+            QuoinMechanics(starts)
+
     @pytest.mark.parametrize("starts", [[(1, 1)], ([1, 1],), {(1, 1)}])
     def test_any_collection_of_pairs_stores_a_frozenset(self, starts):
         # a list used to be stored as given, which made the frozen mechanics unhashable
@@ -135,6 +147,14 @@ class TestMechanics:
         assert mech == QuoinMechanics.standard()
         assert all(type(bit) is int for start in mech.unequal_starts for bit in start)
         assert flip_pair(mech, pair, 3, 4) == flip_pair(mech, (1, 1), 3, 4)
+
+    @pytest.mark.parametrize("pair", BOOL_AND_FLOAT_PAIRS, ids=repr)
+    def test_bool_and_float_bits_rejected(self, pair):
+        # each used to be read as the bit it equals: flip_pair(None, (True, 1), 1, 2) gave (1, 0)
+        with pytest.raises(DomainError):
+            flip_pair(None, pair, 1, 2)
+        with pytest.raises(DomainError):
+            QuoinMechanics([pair])
 
     @pytest.mark.parametrize("start", START_PAIRS)
     def test_flip_returns_two_python_ints(self, start):
@@ -282,11 +302,17 @@ class TestGameAccounting:
                 play_game(strategy, 1, 1, deal=TABLE_DEAL)
 
     def test_deal_bits_recorded_as_ints(self):
-        # equal-valued float, numpy and bool bits play and serialise as the int deal does
-        deal = ((1.0, np.int64(0), True, 1, 0), (1, 0, 0, 1, 1))
+        # numpy int bits play and serialise as the int deal does
+        deal = ((1, np.int64(0), np.uint8(1), 1, 0), (1, 0, 0, 1, 1))
         record = play_game(QuoinStrategy(), 1, 1, deal=deal)
         assert record == play_game(QuoinStrategy(), 1, 1, deal=TABLE_DEAL)
         assert json.loads(record.to_json())["bob_bits"] == [1, 0, 1, 1, 0]
+
+    @pytest.mark.parametrize("pair", BOOL_AND_FLOAT_PAIRS, ids=repr)
+    def test_bool_and_float_deal_bits_rejected(self, pair):
+        # a deal of equal-valued float and bool bits used to play as the int deal
+        with pytest.raises(DomainError):
+            play_game(QuoinStrategy(), 1, 1, deal=((*pair, 1, 0, 1), (1, 0, 0, 1, 1)))
 
     def test_games_reproducible(self):
         a = play_game(QuoinStrategy(), 9, 9, game_index=4)
@@ -388,11 +414,19 @@ class TestRecordFormatter:
         assert json.loads(record.to_json())["transcript"] == transcript
 
     def test_lists_and_numpy_values_are_stored_as_tuples_of_ints(self):
-        record = GameRecord([1, np.int64(0)], [True, 1.0], "odd", np.int64(1), "odd", 6, ["line"])
+        record = GameRecord([1, np.int64(0)], [np.uint8(1), 1], "odd", np.int64(1), "odd", 6, ["line"])
         assert record == GameRecord((1, 0), (1, 1), "odd", 1, "odd", 6, ("line",))
         assert all(type(b) is int for b in record.bob_bits + record.alice_bits)
         assert type(record.bits_bought) is int
         assert record.to_json() == oracles.record_json(record)
+
+    @pytest.mark.parametrize("pair", BOOL_AND_FLOAT_PAIRS, ids=repr)
+    def test_bool_and_float_bits_are_refused(self, pair):
+        # GameRecord([True, 1.0], ...) used to store (1, 1)
+        with pytest.raises(DomainError):
+            GameRecord([1, np.int64(0)], list(pair), "odd", 1, "odd", 6, ["line"])
+        with pytest.raises(DomainError):
+            GameRecord(pair, (1, 0), "odd", 1, "odd")
 
 
 def assert_same_record(a, b):
@@ -449,12 +483,12 @@ class TestEngineRecords:
         [
             (0, list),
             (1, lambda row: tuple(map(np.int64, row))),
-            (1, lambda row: tuple(map(bool, row))),
+            (0, lambda row: list(map(np.uint8, row))),
             (3, np.int64),
             (5, np.int64),
             (6, list),
         ],
-        ids=["list row", "numpy int bits", "bool bits", "numpy int bought", "numpy int chips", "list transcript"],
+        ids=["list row", "numpy int bits", "numpy uint8 row", "numpy int bought", "numpy int chips", "list transcript"],
     )
     def test_the_gate_sees_a_numpy_int_or_a_list_row(self, field, bad):
         # fed any value GameRecord(...) would normalise, the unchecked record differs from the checked one
