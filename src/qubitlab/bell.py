@@ -7,8 +7,9 @@ the correlations. The singlet anti-correlates at every angle; each triplet
 correlates in its own symmetry plane. Marginals are uniform, so with
 E(a, b) = sum_i s_i a_i b_i (s = pauli_signs), p(alpha, beta) = (1 + alpha*beta*E)/4.
 
-Directions and joint tables are Python floats and tuples; numpy is imported
-only by the densities, `invariance_check` and the sampler. Arguments are
+Directions, joint tables and joint tallies are Python floats, ints and
+tuples; this module imports numpy only in the densities and
+`invariance_check`, and `sample_joint` draws through `measure.tally`. Arguments are
 checked once: `joint_probabilities` and `closed_form_joint` build their table
 with the unchecked `_joint`; a user's `JointProbabilities(...)` is checked in full.
 """
@@ -139,11 +140,8 @@ class JointProbabilities:
     p_mm: float
 
     def __post_init__(self):
-        a, b, c, d = ps = (self.p_pp, self.p_pm, self.p_mp, self.p_mm)
-        # one type test per entry on the all-float path of joint_probabilities; other entries are stored as floats
-        if not (type(a) is float and type(b) is float and type(c) is float and type(d) is float):
-            ps = real_entries(ps, "joint probabilities")
-            self.__dict__.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), ps))
+        ps = real_entries((self.p_pp, self.p_pm, self.p_mp, self.p_mm), "joint probabilities")
+        self.__dict__.update(zip(("p_pp", "p_pm", "p_mp", "p_mm"), ps))
         low, total = min(ps), sum(ps)
         if low < -ATOL_EXACT:
             raise InvalidStateError(f"negative joint probability {low:.3e}")
@@ -238,35 +236,35 @@ def invariance_check(kind: BellKind, axis, theta: float) -> InvarianceReport:
     import numpy as np
     from .hilbert import tensor
     from .qubit import axis_vector, su2_rotation
+    theta = real_number(theta, "rotation angle")
     u = su2_rotation(axis, theta)
     uu = tensor(u, u)
     rho = bell_density(kind)
     dev = float(np.max(np.abs(uu @ rho @ uu.conj().T - rho)))
-    return InvarianceReport(kind, tuple(axis_vector(axis)), theta, dev <= ATOL_EXACT, dev)
+    return InvarianceReport(kind, axis_vector(axis), theta, dev <= ATOL_EXACT, dev)
 
 
 @dataclass(frozen=True)
 class JointSample:
-    """Seeded tally of joint outcomes; counts indexed [alice][bob], 0 -> +1."""
+    """Seeded tally of joint outcomes: counts is a 2x2 tuple of ints indexed [alice][bob], 0 -> +1."""
 
-    counts: np.ndarray
+    counts: tuple[tuple[int, int], tuple[int, int]]
     n: int
     seed: int
 
     def __post_init__(self):
-        import numpy as np
         try:
             (pp, pm), (mp, mm) = self.counts
         except (TypeError, ValueError):
             raise DomainError(f"joint counts must be a 2x2 table, got {self.counts!r}") from None
-        cells, n = _check_tally((pp, pm, mp, mm), self.n)
-        object.__setattr__(self, "counts", np.array(cells).reshape(2, 2))
+        (pp, pm, mp, mm), n = _check_tally((pp, pm, mp, mm), self.n)
+        object.__setattr__(self, "counts", ((pp, pm), (mp, mm)))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "seed", check_int(self.seed, "seed"))
 
     def conditional_mean(self, alice_outcome: int) -> float:
         """E[Bob's outcome | Alice's outcome] over the tallied trials."""
-        return _conditional_average(self.counts.ravel().tolist(), alice_outcome)
+        return _conditional_average(self.counts[0] + self.counts[1], alice_outcome)
 
 
 def sample_joint(kind: BellKind, a_dir, b_dir, n: int, seed: int) -> JointSample:

@@ -159,7 +159,8 @@ def cmd_bell(args) -> tuple[dict, int]:
     }
     within = True
     if args.trials:
-        counts = bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts.ravel().tolist()
+        (pp, pm), (mp, mm) = bell.sample_joint(kind, a_dir, b_dir, args.trials, args.seed).counts
+        counts = [pp, pm, mp, mm]
         within = measure.within_band(counts, (jp.p_pp, jp.p_pm, jp.p_mp, jp.p_mm), args.trials)
         body["empirical"] = {"trials": args.trials, "seed": args.seed, "counts": counts, "within_band": within}
     return body, 0 if within else 1

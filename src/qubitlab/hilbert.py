@@ -10,7 +10,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,6 +21,25 @@ SUPPORTED_DIMS = (2, 3, 4)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SIGMA_X.flags.writeable = SIGMA_Y.flags.writeable = SIGMA_Z.flags.writeable = False
+
+
+class MatrixRecord:
+    """Value equality and hash for a frozen record of read-only matrices, over their entries as Python numbers.
+
+    A record takes it with `@dataclass(frozen=True, eq=False)`: with eq=True the dataclass writes its own
+    __eq__, which compares the arrays and raises on numpy's ambiguous truth value. Hashing the entries, not
+    the raw bytes, gives equal matrices equal hashes, -0.0 and 0.0 included.
+    """
+
+    def _entries(self) -> tuple:
+        return tuple(tuple(map(tuple, getattr(self, f.name).tolist())) for f in fields(self))
+
+    def __eq__(self, other):
+        return self._entries() == other._entries() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._entries())
 
 
 def as_matrix(m, dims=SUPPORTED_DIMS) -> np.ndarray:

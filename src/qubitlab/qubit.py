@@ -5,8 +5,10 @@ suite: the Hilbert-space transformation U = exp(i*theta*sigma_j) moves the
 Bloch vector by the real-space angle -2*theta about axis j under the
 right-hand rule. Real-space angles are twice Hilbert-space angles.
 
-A `QubitState` holds a checked, read-only copy of its density; `from_bloch`
-and `su2_rotate` check their arguments once and build theirs with the unchecked `_state`.
+A `QubitState` holds a checked, read-only copy of its density and compares
+and hashes by its entries; `from_bloch` and `su2_rotate` check their
+arguments once and build theirs with the unchecked `_state`. An axis and a
+Bloch vector are float 3-tuples; the SU(2) and SO(3) matrices are arrays.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ATOL_EXACT, DomainError, HermiticityError, InvalidStateError, check_int, real_3vector, real_number
-from .hilbert import as_matrix, pauli_decompose, pauli_matrix
+from .hilbert import MatrixRecord, as_matrix, pauli_decompose, pauli_matrix
 
 # classification tolerance for pure/mixed, looser than exact algebra since
 # states may come out of long rotation chains
@@ -27,29 +29,28 @@ MAX_GBIT_S = 2**16
 # most interior points of classical_pure_path: one ClassicalBitState object per point
 MAX_PATH_STEPS = 2**16
 
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
+_AXES = {"x": (1.0, 0.0, 0.0), "y": (0.0, 1.0, 0.0), "z": (0.0, 0.0, 1.0)}
 
 
-def axis_vector(axis) -> np.ndarray:
-    """Resolve 'x'/'y'/'z' or a nonzero 3-vector to a unit axis."""
+def axis_vector(axis) -> tuple[float, float, float]:
+    """Resolve 'x'/'y'/'z' or a nonzero 3-vector to a unit axis, as a float 3-tuple."""
     if isinstance(axis, str):
         if axis not in _AXES:
             raise DomainError(f"unknown axis name {axis!r}")
-        return _AXES[axis].copy()
+        return _AXES[axis]
     v = real_3vector(axis, "axis")
     n = math.hypot(*v)  # no overflow or underflow for a finite, nonzero axis
     if n == 0.0 or not math.isfinite(n):
         raise DomainError("axis vector must be nonzero and finite")
-    return np.array(v) / n
+    return tuple(c / n for c in v)
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """A qubit density matrix rho = m0*I + m.sigma: a checked, read-only copy, read through its Pauli expansion."""
+@dataclass(frozen=True, eq=False)
+class QubitState(MatrixRecord):
+    """A qubit density matrix rho = m0*I + m.sigma: a checked, read-only copy, read through its Pauli expansion.
+
+    States compare and hash by the entries of rho.
+    """
 
     rho: np.ndarray
 
@@ -90,10 +91,10 @@ class QubitState:
         return cls.from_bloch([0.0, 0.0, 0.0])
 
     @property
-    def bloch(self) -> np.ndarray:
-        """The Pauli coefficients m of rho, times 2."""
+    def bloch(self) -> tuple[float, float, float]:
+        """The Pauli coefficients m of rho, times 2, as a float 3-tuple."""
         c = pauli_decompose(self.rho)
-        return np.array([2.0 * c.mx, 2.0 * c.my, 2.0 * c.mz])
+        return (2.0 * c.mx, 2.0 * c.my, 2.0 * c.mz)
 
     @property
     def purity(self) -> float:
@@ -127,7 +128,8 @@ def bloch_roundtrip(state: QubitState) -> QubitState:
 def su2_rotation(axis, theta: float) -> np.ndarray:
     """U = exp(i*theta * n.sigma) for a named axis or arbitrary axis vector."""
     theta = real_number(theta, "rotation angle")
-    return pauli_matrix(math.cos(theta), 1j * math.sin(theta) * axis_vector(axis))
+    s = 1j * math.sin(theta)
+    return pauli_matrix(math.cos(theta), [s * c for c in axis_vector(axis)])
 
 
 def su2_rotate(state: QubitState, axis, theta: float) -> QubitState:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ATOL_EXACT, DomainError
-from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, _finite, as_matrix
+from .hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, MatrixRecord, _finite, as_matrix
 from .qubit import su2_rotation
 
 LZ = np.diag([1.0, 0.0, -1.0]).astype(complex)
+LZ.flags.writeable = False
 
 # basis order (u, 0, d); "about |k>" acts on the two remaining basis vectors
 _COMPLEMENT = {"u": (1, 2), "0": (0, 2), "d": (0, 1)}
@@ -56,18 +57,19 @@ def construct_ly_from_lz() -> np.ndarray:
     return _construct_from_lz(_LY_SEQUENCE)
 
 
-@dataclass(frozen=True)
-class SpinOperatorTriple:
-    """The three mutually complementary spin-1 operators (units hbar = 1)."""
+@dataclass(frozen=True, eq=False)
+class SpinOperatorTriple(MatrixRecord):
+    """The three mutually complementary spin-1 operators (units hbar = 1): read-only copies, compared by entries."""
 
     lx: np.ndarray
     ly: np.ndarray
     lz: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "lx", as_matrix(self.lx, dims=(3,)))
-        object.__setattr__(self, "ly", as_matrix(self.ly, dims=(3,)))
-        object.__setattr__(self, "lz", as_matrix(self.lz, dims=(3,)))
+        for name in ("lx", "ly", "lz"):
+            m = as_matrix(getattr(self, name), dims=(3,)).copy()  # as_matrix may return the caller's own array
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
     @classmethod
     def canonical(cls) -> SpinOperatorTriple:

@@ -105,6 +105,18 @@ assert "numpy" not in sys.modules
     assert proc.returncode == 0, proc.stderr
 
 
+def test_joint_sample_loads_no_numpy():
+    # its counts were an ndarray, built with numpy imported in __post_init__
+    code = """
+import sys
+from qubitlab.bell import JointSample
+assert JointSample(((3, 1), (2, 4)), 10, seed=0).conditional_mean(-1) == -1 / 3
+assert "numpy" not in sys.modules
+"""
+    proc = run_python(["-c", code], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_names_and_submodules_resolve_on_first_access():
     code = """
 import sys, qubitlab

@@ -106,9 +106,20 @@ class TestQubitState:
         for state in (up, QubitState.from_bloch((0.6, 0.0, 0.0)), su2_rotate(up, "x", 0.3), bloch_roundtrip(up)):
             assert not state.rho.flags.writeable
 
+    def test_states_compare_and_hash_by_value(self):
+        # == raised numpy's ambiguous-truth ValueError and hash raised TypeError
+        up = QubitState.up()
+        assert up == QubitState.from_bloch((0, 0, 1)) and hash(up) == hash(QubitState.from_bloch((0, 0, 1)))
+        assert up != QubitState.down() and up != QubitState.maximally_mixed()
+        # equal entries hash alike whatever their bytes: -0.0 and 0.0 differ in the sign bit
+        signed = QubitState(np.array([[1.0, -0.0], [-0.0, 0.0]]))
+        assert signed.rho.tobytes() != up.rho.tobytes()
+        assert signed == up and hash(signed) == hash(up)
+        assert len({up, signed, QubitState.from_bloch((0.0, 0.0, 1.0))}) == 1
+
     def test_readings_from_the_pauli_expansion(self):
         state = QubitState.from_bloch([0.6, 0.0, 0.0])
-        assert state.bloch.dtype == float
+        assert all(type(c) is float for c in state.bloch)
         np.testing.assert_allclose(state.bloch, [0.6, 0.0, 0.0], rtol=0, atol=ATOL_EXACT)
         assert abs(state.purity - (1 + 0.36) / 2) <= ATOL_EXACT
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import LX_TARGET, LY_TARGET
 
 from qubitlab.errors import ATOL_EXACT, DomainError
-from qubitlab.hilbert import commutator
+from qubitlab.hilbert import SIGMA_X, SIGMA_Y, SIGMA_Z, commutator
 from qubitlab.spinops import (
     LZ,
     SpinOperatorTriple,
@@ -59,6 +59,35 @@ class TestConstruction:
             np.testing.assert_allclose(
                 np.sort(np.linalg.eigvalsh(op)), np.sort(np.linalg.eigvalsh(LZ)), atol=ATOL_EXACT
             )
+
+
+class TestTriple:
+    def test_module_matrices_are_read_only(self):
+        for m in (LZ, SIGMA_X, SIGMA_Y, SIGMA_Z):
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 9
+
+    def test_the_triple_keeps_its_own_read_only_copies(self):
+        # the canonical triple used to hold LZ itself: one write to its lz broke every later triple and L_x
+        triple = SpinOperatorTriple.canonical()
+        assert triple.lz is not LZ
+        for op in (triple.lx, triple.ly, triple.lz):
+            with pytest.raises(ValueError, match="read-only"):
+                op[0, 0] = 9
+        lx = construct_lx_from_lz()
+        held = SpinOperatorTriple(lx, construct_ly_from_lz(), LZ)
+        lx[0, 0] = 9
+        assert held == triple and verify_pauli_embedding(held).passed
+
+    def test_triples_compare_and_hash_by_value(self):
+        a, b = SpinOperatorTriple.canonical(), SpinOperatorTriple.canonical()
+        assert a == b and hash(a) == hash(b)
+        swapped = SpinOperatorTriple(b.ly, b.lx, b.lz)
+        assert swapped != a and len({a, b, swapped}) == 2
+        # equal entries hash alike whatever their bytes: -0.0 and 0.0 differ in the sign bit
+        signed = SpinOperatorTriple(a.lx, a.ly, np.diag([1.0, -0.0, -1.0]))
+        assert signed.lz.tobytes() != a.lz.tobytes()
+        assert signed == a and hash(signed) == hash(a)
 
 
 class TestVerification:
